@@ -2,15 +2,14 @@
 
 Character n-gram F-score, relative target-score decrease and attack success,
 out-of-vocabulary character scrambling, nearest-neighbor substitution
-constraints, exhaustive first-order substitution search, and the
-adversarial-training loss interpolation.
+constraints and exhaustive first-order substitution search.
 """
 from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,24 +30,29 @@ class CharSwapConfig:
             raise ValueError("max_scrambling must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingTable:
-    """Embedding matrix paired with its token vocabulary."""
+    """Embedding matrix paired with its token vocabulary; the vectors are a
+    read-only copy, so neighbour tables built from them stay valid."""
 
     vectors: np.ndarray
     vocabulary: List[str]
+    _neighbours: Dict[int, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.shape[0] != len(self.vocabulary):
+        vectors = np.array(self.vectors, dtype=float)
+        vectors.flags.writeable = False
+        object.__setattr__(self, "vectors", vectors)
+        if vectors.shape[0] != len(self.vocabulary):
             raise ValueError("vector rows must match vocabulary size")
 
-
-@dataclass(frozen=True)
-class ScoreTriple:
-    s_src: float
-    d_tgt: float
-    success: float
+    def neighbours(self, k: int) -> np.ndarray:
+        """(vocab, k) ids whose row t is knn_candidates(t, self, k), built once per k."""
+        if k not in self._neighbours:
+            self._neighbours[k] = np.array(
+                [knn_candidates(t, self, k) for t in range(len(self.vocabulary))])
+        return self._neighbours[k]
 
 
 def _normalize_ws(text: str) -> str:
@@ -155,7 +159,9 @@ def _admitted_candidates(
     if constraint == "none":
         return [i for i in range(table.vectors.shape[0]) if i != token_id]
     if constraint == "knn":
-        return knn_candidates(token_id, table, k)
+        if not 0 <= token_id < table.vectors.shape[0]:
+            raise ValueError("token_id out of range")
+        return table.neighbours(k)[token_id]
     if constraint == "charswap-oov":
         if oov_id is None:
             raise ValueError("charswap-oov constraint requires oov_id")
@@ -185,25 +191,17 @@ def first_order_substitution(
         grads = np.sign(grads)
     best = None
     for pos, tok in enumerate(current_ids):
-        candidates = _admitted_candidates(int(tok), table, constraint, k, oov_id)
-        if not candidates:
+        candidates = np.asarray(_admitted_candidates(int(tok), table, constraint, k, oov_id))
+        if candidates.size == 0:
             continue
-        diffs = table.vectors[candidates] - table.vectors[int(tok)]
-        scores = diffs @ grads[pos]
-        for cand, score in zip(candidates, scores):
-            key = (-score, pos, cand)
-            if best is None or key < best:
-                best = key
+        scores = (table.vectors[candidates] - table.vectors[int(tok)]) @ grads[pos]
+        top = scores.max()
+        key = (-top, pos, int(candidates[scores == top].min()))
+        if best is None or key < best:
+            best = key
     if best is None:
         raise NoCandidateError("no admissible substitution candidates")
     return best[1], best[2]
-
-
-def adv_training_loss(nll_orig: float, nll_adv: float, alpha: float) -> float:
-    """Interpolated training loss (1 - alpha) * clean + alpha * adversarial."""
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha must lie in [0, 1]")
-    return (1.0 - alpha) * nll_orig + alpha * nll_adv
 
 
 def attack_example(

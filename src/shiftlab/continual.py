@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .diffcore import (
     fisher_diag,
     grad_params,
     init_params,
-    nll_loss_batch,
     zero_one_loss_batch,
 )
 
@@ -266,8 +265,7 @@ class _MultiHeadModel:
 
 
 def _task_accuracy(model: ModelState, dataset: GroupedDataset) -> float:
-    errors = zero_one_loss_batch(model, dataset.examples)
-    return float(1.0 - errors.mean())
+    return float(1.0 - zero_one_loss_batch(model, dataset.packed(model.spec)).mean())
 
 
 def continual_train(

@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
-from .diffcore import Example, ModelState, zero_one_loss_batch
+from .diffcore import Example, ModelSpec, ModelState, Packed, pack, zero_one_loss_batch
 
 
 class CsvFormatError(ValueError):
@@ -18,6 +18,7 @@ class CsvFormatError(ValueError):
 class GroupedDataset:
     examples: List[Example]
     group_names: List[str] = field(default_factory=lambda: ["all"])
+    _packs: Dict[bool, Packed] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def num_groups(self) -> int:
@@ -28,6 +29,13 @@ class GroupedDataset:
 
     def subset(self, indices: Sequence[int]) -> "GroupedDataset":
         return GroupedDataset([self.examples[i] for i in indices], list(self.group_names))
+
+    def packed(self, spec: ModelSpec) -> Packed:
+        """The examples as arrays for `spec`, packed once: keep `examples` fixed."""
+        tokens = spec.architecture == "embed_bag"
+        if tokens not in self._packs:
+            self._packs[tokens] = pack(self.examples, tokens)
+        return self._packs[tokens]
 
 
 @dataclass(frozen=True)
@@ -74,7 +82,8 @@ class GroupMetrics:
 
 
 # Majority domain separates classes along the first axis, minority along
-# the second with opposite orientation, so no single linear boundary fits both.
+# the second with opposite orientation. One linear boundary, x1 = x2, still
+# classifies all four class means correctly.
 _MAJORITY_MEANS = {0: np.array([-1.0, 0.0]), 1: np.array([1.0, 0.0])}
 _MINORITY_MEANS = {0: np.array([0.0, 1.0]), 1: np.array([0.0, -1.0])}
 
@@ -223,11 +232,11 @@ def group_metrics(model: ModelState, dataset: GroupedDataset) -> GroupMetrics:
     """Per-group accuracy, worst-group (robust) and size-weighted average."""
     if len(dataset.examples) == 0:
         raise ValueError("group_metrics requires a non-empty dataset")
-    errors = zero_one_loss_batch(model, dataset.examples)
-    groups = np.array([0 if ex.group is None else ex.group for ex in dataset.examples])
+    packed = dataset.packed(model.spec)
+    errors = zero_one_loss_batch(model, packed)
     g = dataset.num_groups
-    counts = np.bincount(groups, minlength=g)
-    correct = np.bincount(groups, weights=1.0 - errors, minlength=g)
+    counts = np.bincount(packed.groups, minlength=g)
+    correct = np.bincount(packed.groups, weights=1.0 - errors, minlength=g)
     with np.errstate(invalid="ignore"):
         per_group = np.where(counts > 0, correct / np.maximum(counts, 1), np.nan)
     robust = float(np.min(per_group[counts > 0]))

@@ -3,12 +3,14 @@
 Three tiny architectures (linear, one-hidden-layer tanh MLP, mean-pooled
 embedding bag) over a single flat parameter vector, plus per-example losses,
 batch gradients, a finite-difference verification harness and Monte Carlo
-estimation of the diagonal empirical Fisher.
+estimation of the diagonal empirical Fisher, all on packed whole-batch kernels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from itertools import accumulate
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -124,67 +126,95 @@ def init_params(spec: ModelSpec, seed: int) -> ModelState:
     return ModelState(spec, np.concatenate(chunks), layout)
 
 
+@lru_cache(maxsize=None)
+def _slot_shape(spec: ModelSpec, name: str) -> Tuple[int, ...]:
+    return {n: s for n, s, _ in _slot_shapes(spec)}[name]
+
+
 def _slot_view(model: ModelState, name: str) -> np.ndarray:
-    shape = dict((n, s) for n, s, _ in _slot_shapes(model.spec))[name]
-    return model.slot(name).reshape(shape)
+    lo, hi = model.layout[name]
+    return model.params[lo:hi].reshape(_slot_shape(model.spec, name))
 
 
-def _dense_matrix(model: ModelState, batch: Sequence[Example]) -> np.ndarray:
-    d = model.spec.input_dim
-    out = np.empty((len(batch), d))
-    for i, ex in enumerate(batch):
-        x = np.asarray(ex.input, dtype=float)
-        if x.shape != (d,):
-            raise InputShapeError(
-                f"expected input of shape ({d},), got {x.shape}"
-            )
-        out[i] = x
-    return out
+@dataclass(eq=False)
+class Packed:
+    """Examples as arrays: dense rows `x (n, d)`, or token rows in CSR form
+    (row i is tokens[offsets[i]:offsets[i + 1]])."""
+
+    labels: np.ndarray
+    groups: np.ndarray
+    x: Optional[np.ndarray] = None
+    tokens: Optional[np.ndarray] = None
+    offsets: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, idx) -> "Packed":
+        """Rows `idx`, in that order."""
+        idx = np.asarray(idx, dtype=int)
+        if self.x is not None:
+            return Packed(self.labels[idx], self.groups[idx], x=self.x[idx])
+        starts = self.offsets[idx]
+        lengths = self.offsets[idx + 1] - starts
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        flat = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        return Packed(self.labels[idx], self.groups[idx],
+                      tokens=self.tokens[flat], offsets=offsets)
 
 
-def _token_batch(model: ModelState, batch: Sequence[Example]):
-    v = model.spec.vocab_size
-    seqs = []
-    for ex in batch:
-        ids = np.asarray(ex.input, dtype=int)
-        if ids.ndim != 1 or ids.size == 0:
-            raise InputShapeError("token input must be a non-empty 1-d sequence")
-        if ids.min() < 0 or ids.max() >= v:
-            raise InputShapeError(f"token id out of range [0, {v})")
-        seqs.append(ids)
-    return seqs
+Batch = Union[Sequence[Example], Packed]
 
 
-def _forward_batch(model: ModelState, batch: Sequence[Example]):
+def pack(batch: Batch, tokens: bool) -> Packed:
+    """Arrays of a sequence of examples; a Packed batch is returned as is."""
+    if isinstance(batch, Packed):
+        return batch
+    labels = np.array([ex.label for ex in batch], dtype=int)
+    groups = np.array([0 if ex.group is None else ex.group for ex in batch], dtype=int)
+    if not tokens:
+        try:
+            return Packed(labels, groups, x=np.array([ex.input for ex in batch], dtype=float))
+        except ValueError:
+            raise InputShapeError("dense inputs must share one shape") from None
+    seqs = [np.asarray(ex.input, dtype=int) for ex in batch]
+    if not seqs or any(ids.ndim != 1 or ids.size == 0 for ids in seqs):
+        raise InputShapeError("token input must be a non-empty 1-d sequence")
+    offsets = np.fromiter(accumulate((ids.size for ids in seqs), initial=0), dtype=int)
+    return Packed(labels, groups, tokens=np.concatenate(seqs), offsets=offsets)
+
+
+def _packed(model: ModelState, batch: Batch) -> Packed:
+    return pack(batch, model.spec.architecture == "embed_bag")
+
+
+def _forward_batch(model: ModelState, batch: Batch):
     """Logits for a batch plus the activation cache used by backprop."""
-    arch = model.spec.architecture
-    cache: Dict[str, object] = {}
-    if arch == "linear":
-        x = _dense_matrix(model, batch)
-        w = _slot_view(model, "linear.weight")
-        b = _slot_view(model, "linear.bias")
-        cache["x"] = x
-        logits = x @ w.T + b
-    elif arch == "mlp":
-        x = _dense_matrix(model, batch)
-        w1 = _slot_view(model, "hidden.weight")
-        b1 = _slot_view(model, "hidden.bias")
-        w2 = _slot_view(model, "out.weight")
-        b2 = _slot_view(model, "out.bias")
-        a = np.tanh(x @ w1.T + b1)
-        cache["x"] = x
-        cache["a"] = a
-        logits = a @ w2.T + b2
-    else:
-        seqs = _token_batch(model, batch)
+    batch = _packed(model, batch)
+    spec = model.spec
+    cache: Dict[str, object] = {"batch": batch}
+    if spec.architecture == "embed_bag":
+        lengths = None if batch.tokens is None else batch.offsets[1:] - batch.offsets[:-1]
+        if lengths is None or lengths.size == 0 or lengths.min() < 1:
+            raise InputShapeError("token input must be a non-empty 1-d sequence")
+        if batch.tokens.min() < 0 or batch.tokens.max() >= spec.vocab_size:
+            raise InputShapeError(f"token id out of range [0, {spec.vocab_size})")
         emb = _slot_view(model, "embedding.weight")
-        w = _slot_view(model, "out.weight")
-        b = _slot_view(model, "out.bias")
-        bag = np.stack([emb[ids].mean(axis=0) for ids in seqs])
-        cache["seqs"] = seqs
-        cache["bag"] = bag
-        logits = bag @ w.T + b
-    return logits, cache
+        bag = np.add.reduceat(emb[batch.tokens], batch.offsets[:-1], axis=0) / lengths[:, None]
+        cache.update(lengths=lengths, bag=bag)
+        return bag @ _slot_view(model, "out.weight").T + _slot_view(model, "out.bias"), cache
+    shape = None if batch.x is None else batch.x.shape
+    if shape is None or shape[1:] != (spec.input_dim,) or shape[0] == 0:
+        raise InputShapeError(f"expected inputs of shape (n, {spec.input_dim}), got {shape}")
+    if spec.architecture == "linear":
+        w, b = _slot_view(model, "linear.weight"), _slot_view(model, "linear.bias")
+        return batch.x @ w.T + b, cache
+    w1 = _slot_view(model, "hidden.weight")
+    b1 = _slot_view(model, "hidden.bias")
+    w2 = _slot_view(model, "out.weight")
+    b2 = _slot_view(model, "out.bias")
+    cache["a"] = a = np.tanh(batch.x @ w1.T + b1)
+    return a @ w2.T + b2, cache
 
 
 def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.ndarray:
@@ -196,8 +226,9 @@ def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.
         lo, hi = model.layout[name]
         grad[lo:hi] = value.ravel()
 
+    x = cache["batch"].x
     if arch == "linear":
-        put("linear.weight", dlogits.T @ cache["x"])
+        put("linear.weight", dlogits.T @ x)
         put("linear.bias", dlogits.sum(axis=0))
     elif arch == "mlp":
         a = cache["a"]
@@ -205,18 +236,18 @@ def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.
         put("out.weight", dlogits.T @ a)
         put("out.bias", dlogits.sum(axis=0))
         dpre = (dlogits @ w2) * (1.0 - a * a)
-        put("hidden.weight", dpre.T @ cache["x"])
+        put("hidden.weight", dpre.T @ x)
         put("hidden.bias", dpre.sum(axis=0))
     else:
-        bag = cache["bag"]
-        w = _slot_view(model, "out.weight")
-        put("out.weight", dlogits.T @ bag)
+        lengths = cache["lengths"]
+        put("out.weight", dlogits.T @ cache["bag"])
         put("out.bias", dlogits.sum(axis=0))
-        dbag = dlogits @ w
-        demb = np.zeros((model.spec.vocab_size, model.spec.embed_dim))
-        for i, ids in enumerate(cache["seqs"]):
-            np.add.at(demb, ids, dbag[i] / len(ids))
-        put("embedding.weight", demb)
+        # each token of row i gets dbag[i] / len(row i), summed per cell in row order
+        e = model.spec.embed_dim
+        dbag = dlogits @ _slot_view(model, "out.weight")
+        dtok = np.repeat(dbag / lengths[:, None], lengths, axis=0)
+        cells = (cache["batch"].tokens[:, None] * e + np.arange(e)).ravel()
+        put("embedding.weight", np.bincount(cells, dtok.ravel(), model.spec.vocab_size * e))
     return grad
 
 
@@ -225,7 +256,7 @@ def forward_logits(model: ModelState, example: Example) -> np.ndarray:
     return logits[0]
 
 
-def forward_logits_batch(model: ModelState, batch: Sequence[Example]) -> np.ndarray:
+def forward_logits_batch(model: ModelState, batch: Batch) -> np.ndarray:
     logits, _ = _forward_batch(model, batch)
     return logits
 
@@ -243,51 +274,43 @@ def nll_loss(model: ModelState, example: Example) -> float:
     return float(nll_loss_batch(model, [example])[0])
 
 
-def nll_loss_batch(model: ModelState, batch: Sequence[Example]) -> np.ndarray:
+def nll_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
+    batch = _packed(model, batch)
     logits, _ = _forward_batch(model, batch)
-    labels = np.array([ex.label for ex in batch])
-    logp = _log_softmax(logits)
-    return -logp[np.arange(len(batch)), labels]
+    return -_log_softmax(logits)[np.arange(len(batch)), batch.labels]
 
 
-def zero_one_loss(model: ModelState, example: Example) -> int:
-    return int(zero_one_loss_batch(model, [example])[0])
-
-
-def zero_one_loss_batch(model: ModelState, batch: Sequence[Example]) -> np.ndarray:
+def zero_one_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
+    batch = _packed(model, batch)
     logits, _ = _forward_batch(model, batch)
-    labels = np.array([ex.label for ex in batch])
     # np.argmax breaks ties toward the lowest class index
-    preds = logits.argmax(axis=-1)
-    return (preds != labels).astype(float)
+    return (logits.argmax(axis=-1) != batch.labels).astype(float)
 
 
-def grad_params(
-    model: ModelState, batch: Sequence[Example], weights: np.ndarray
-) -> np.ndarray:
+def grad_params(model: ModelState, batch: Batch, weights: np.ndarray) -> np.ndarray:
     """Gradient of sum_i weights[i] * nll(x_i, y_i) wrt the flat params."""
+    batch = _packed(model, batch)
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(batch),):
         raise ValueError(
             f"weights length {weights.shape} does not match batch size {len(batch)}"
         )
-    if not np.all(np.isfinite(weights)):
+    if not np.isfinite(weights).all():
         raise ValueError("weights must be finite")
     logits, cache = _forward_batch(model, batch)
-    labels = np.array([ex.label for ex in batch])
-    probs = softmax(logits)
-    dlogits = probs
-    dlogits[np.arange(len(batch)), labels] -= 1.0
+    dlogits = softmax(logits)
+    dlogits[np.arange(len(batch)), batch.labels] -= 1.0
     dlogits *= weights[:, None]
     return _backward_from_dlogits(model, cache, dlogits)
 
 
 def finite_diff_check(
-    model: ModelState, batch: Sequence[Example], step: float = 1e-5
+    model: ModelState, batch: Batch, step: float = 1e-5
 ) -> float:
     """Max relative error of grad_params against central differences."""
     if step <= 0:
         raise ValueError("step must be positive")
+    batch = _packed(model, batch)
     n = len(batch)
     weights = np.full(n, 1.0 / n)
     analytic = grad_params(model, batch, weights)
@@ -306,7 +329,7 @@ def finite_diff_check(
     return worst
 
 
-def per_example_grads(model: ModelState, batch: Sequence[Example]) -> np.ndarray:
+def per_example_grads(model: ModelState, batch: Batch) -> np.ndarray:
     """(n, num_params) matrix of individual nll gradients."""
     out = np.empty((len(batch), model.num_params))
     for i, ex in enumerate(batch):
@@ -355,8 +378,6 @@ def grad_wrt_embeddings(
         py = probs[y]
         dlogits = py * probs / max(1.0 - py, 1e-300)
         dlogits[y] -= py / max(1.0 - py, 1e-300)
-    w = _slot_view(model, "out.weight")
-    dbag = dlogits @ w
-    ids = cache["seqs"][0]
-    per_pos = np.tile(dbag / len(ids), (len(ids), 1))
-    return per_pos
+    dbag = dlogits @ _slot_view(model, "out.weight")
+    length = cache["lengths"][0]
+    return np.tile(dbag / length, (length, 1))

@@ -8,20 +8,21 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .diffcore import (
-    Example,
+    Batch,
     ModelState,
     forward_logits_batch,
     grad_params,
     nll_loss_batch,
+    pack,
     softmax,
     _forward_batch,
     _backward_from_dlogits,
+    _packed,
 )
 
 TAU_SEARCH_LO = 1e-10
@@ -57,17 +58,17 @@ class RatioAdversary:
 
     scorer: ModelState
 
-    def f_values(self, batch: Sequence[Example]) -> np.ndarray:
+    def f_values(self, batch: Batch) -> np.ndarray:
+        batch = _packed(self.scorer, batch)
         logits = forward_logits_batch(self.scorer, batch)
-        labels = np.array([ex.label for ex in batch])
-        return logits[np.arange(len(batch)), labels]
+        return logits[np.arange(len(batch)), batch.labels]
 
-    def grad_f(self, batch: Sequence[Example], df: np.ndarray) -> np.ndarray:
+    def grad_f(self, batch: Batch, df: np.ndarray) -> np.ndarray:
         """Scorer-parameter gradient of sum_i df[i] * f(x_i, y_i)."""
+        batch = _packed(self.scorer, batch)
         logits, cache = _forward_batch(self.scorer, batch)
         dlogits = np.zeros_like(logits)
-        labels = np.array([ex.label for ex in batch])
-        dlogits[np.arange(len(batch)), labels] = df
+        dlogits[np.arange(len(batch)), batch.labels] = df
         return _backward_from_dlogits(self.scorer, cache, dlogits)
 
     def copy(self) -> "RatioAdversary":
@@ -93,7 +94,7 @@ class RunningNormalizer:
     def log_value(self) -> float:
         if not self.records:
             return 0.0
-        log_total = logsumexp([s for s, _ in self.records])
+        log_total = _logsumexp(np.array([s for s, _ in self.records]))
         count = sum(c for _, c in self.records)
         return float(log_total - np.log(count))
 
@@ -118,7 +119,7 @@ class DroConfig:
     adv_steps_per_model_step: int = 1
 
 
-def erm_step(model: ModelState, batch: Sequence[Example], lr: float) -> ModelState:
+def erm_step(model: ModelState, batch: Batch, lr: float) -> ModelState:
     if lr <= 0:
         raise ValueError("lr must be positive")
     n = len(batch)
@@ -128,54 +129,66 @@ def erm_step(model: ModelState, batch: Sequence[Example], lr: float) -> ModelSta
     return out
 
 
-def _tilted_kl(losses: np.ndarray, tau: float) -> float:
-    """KL(q* || uniform) for q* proportional to exp(loss/tau) over the batch."""
-    z = losses / tau
-    z -= z.max()
-    w = np.exp(z)
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) with the max terms split off, as scipy computes it."""
+    top = a.max()
+    is_top = a == top
+    count = is_top.sum()
+    rest = np.exp(np.where(is_top, -np.inf, a - top)).sum() / count
+    return float(np.log1p(rest) + np.log(count) + top)
+
+
+def _tilted_kl(losses: np.ndarray, tau: float) -> Tuple[float, np.ndarray]:
+    """KL(q* || uniform) and q* for q* proportional to exp(loss/tau) over the batch."""
+    # shift before scaling: losses / tau can be large while their spread is not
+    w = np.exp((losses - losses.max()) / tau)
     w /= w.sum()
-    n = len(losses)
     nonzero = w > 0
-    return float(np.sum(w[nonzero] * np.log(n * w[nonzero])))
+    return float(np.sum(w[nonzero] * np.log(len(losses) * w[nonzero]))), w
 
 
 def nonparam_weights(losses: np.ndarray, kappa: float) -> Tuple[np.ndarray, float]:
     """Closed-form worst-case weights under a KL ball of radius kappa.
 
-    Weights are proportional to exp(loss/tau*) with tau* found by bisection
-    in log10 space over [1e-10, 1e10], clipped at the bounds.
+    Weights are proportional to exp(loss/tau*), tau* clipped to [1e-10, 1e10].
+    KL falls as tau grows; tau* is its root by Newton steps in u = log tau
+    with dKL/du = -Var_q(loss) / tau^2 (Hu & Hong, 2013: dKL/dbeta = beta
+    Var_q, beta = 1/tau), bisecting when a step leaves the bracket.
     """
     losses = np.asarray(losses, dtype=float)
     if not np.all(np.isfinite(losses)):
         raise ValueError("losses must be finite")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-
-    def weights_at(tau):
-        z = losses / tau
-        z -= z.max()
-        w = np.exp(z)
-        return w / w.sum()
-
     if kappa == 0 or np.ptp(losses) == 0:
         # zero radius or constant losses: the KL is 0 everywhere reachable
         tau = TAU_SEARCH_HI if kappa == 0 else TAU_SEARCH_LO
-        return weights_at(tau), tau
+        return _tilted_kl(losses, tau)[1], tau
 
-    # KL(tau) decreases from its max at tau -> 0 toward 0 at tau -> inf
-    lo, hi = np.log10(TAU_SEARCH_LO), np.log10(TAU_SEARCH_HI)
-    if _tilted_kl(losses, TAU_SEARCH_LO) <= kappa:
-        return weights_at(TAU_SEARCH_LO), TAU_SEARCH_LO
-    if _tilted_kl(losses, TAU_SEARCH_HI) >= kappa:
-        return weights_at(TAU_SEARCH_HI), TAU_SEARCH_HI
+    kl, w = _tilted_kl(losses, TAU_SEARCH_LO)
+    if kl <= kappa:
+        return w, TAU_SEARCH_LO
+    kl, w = _tilted_kl(losses, TAU_SEARCH_HI)
+    if kl >= kappa:
+        return w, TAU_SEARCH_HI
+    lo, hi = np.log(TAU_SEARCH_LO), np.log(TAU_SEARCH_HI)
+    # start from the small-radius limit KL ~ Var(loss) / (2 tau^2)
+    u = float(np.clip(np.log(np.std(losses) / np.sqrt(2.0 * kappa)), lo, hi))
+    last = False
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _tilted_kl(losses, 10.0 ** mid) > kappa:
-            lo = mid
-        else:
-            hi = mid
-    tau = 10.0 ** (0.5 * (lo + hi))
-    return weights_at(tau), tau
+        tau = min(max(np.exp(u), TAU_SEARCH_LO), TAU_SEARCH_HI)
+        kl, w = _tilted_kl(losses, tau)
+        lo, hi = (u, hi) if kl > kappa else (lo, u)
+        var = w @ (losses - w @ losses) ** 2
+        step = (kl - kappa) * tau ** 2 / var if var > 0 else np.inf
+        # stop at rounding level: KL within 1e-15, a step too small to move
+        # u, or one step after a Newton step of at most 1e-8 (quadratic rate)
+        if last or u + step == u or abs(kl - kappa) <= 1e-15:
+            break
+        inside = lo < u + step < hi
+        last = inside and abs(step) <= 1e-8
+        u = u + step if inside else 0.5 * (lo + hi)
+    return w, float(tau)
 
 
 def group_dro_weights(
@@ -194,11 +207,11 @@ def _log_density_ratio(adv: GaussianAdversary, x: np.ndarray) -> np.ndarray:
     return (d0 - d1) / (2.0 * adv.sigma ** 2)
 
 
-def pdro_model_weights(adv: GaussianAdversary, batch: Sequence[Example]) -> np.ndarray:
+def pdro_model_weights(adv: GaussianAdversary, batch: Batch) -> np.ndarray:
     """Importance weights q_psi(x) / q_psi0(x); exactly 1 when psi == psi0."""
-    x = np.stack([np.asarray(ex.input, dtype=float) for ex in batch])
     if np.array_equal(adv.mean, adv.mean0):
         return np.ones(len(batch))
+    x = pack(batch, tokens=False).x
     with np.errstate(over="ignore"):  # overflow saturates into the clip
         return np.clip(np.exp(_log_density_ratio(adv, x)), 0.0, WEIGHT_CLIP)
 
@@ -207,16 +220,14 @@ def normalizer_update(
     normalizer: RunningNormalizer, batch_losses: np.ndarray, tau: float
 ) -> RunningNormalizer:
     losses = np.asarray(batch_losses, dtype=float)
-    out = RunningNormalizer(normalizer.window, deque(normalizer.records))
-    out.records.append((float(logsumexp(losses / tau)), len(losses)))
-    while len(out.records) > out.window:
-        out.records.popleft()
+    out = RunningNormalizer(normalizer.window, deque(normalizer.records, normalizer.window))
+    out.records.append((_logsumexp(losses / tau), len(losses)))
     return out
 
 
 def pdro_adv_step(
     adv: GaussianAdversary,
-    batch: Sequence[Example],
+    batch: Batch,
     losses: np.ndarray,
     tau: float,
     normalizer: RunningNormalizer,
@@ -226,7 +237,7 @@ def pdro_adv_step(
     log_z = normalizer.log_value
     if not np.isfinite(log_z):
         raise ValueError("normalizer must be positive and finite")
-    x = np.stack([np.asarray(ex.input, dtype=float) for ex in batch])
+    x = pack(batch, tokens=False).x
     w = np.exp(np.asarray(losses) / tau - log_z)
     grad = (w[:, None] * (x - adv.mean)).sum(axis=0) / (len(batch) * adv.sigma ** 2)
     out = adv.copy()
@@ -236,12 +247,12 @@ def pdro_adv_step(
 
 def pdro_adv_step_bare(
     adv: GaussianAdversary,
-    batch: Sequence[Example],
+    batch: Batch,
     losses: np.ndarray,
     adv_lr: float,
 ) -> GaussianAdversary:
     """Direct ascent on the importance-sampled expected loss (no surrogate)."""
-    x = np.stack([np.asarray(ex.input, dtype=float) for ex in batch])
+    x = pack(batch, tokens=False).x
     ratios = pdro_model_weights(adv, batch)
     score = (x - adv.mean) / adv.sigma ** 2
     grad = (ratios * np.asarray(losses))[:, None] * score
@@ -328,7 +339,7 @@ def rpdro_selfnorm_objective(
 def simultaneous_step(
     model: ModelState,
     adversary,
-    batch: Sequence[Example],
+    batch: Batch,
     config: DroConfig,
     normalizer: Optional[RunningNormalizer] = None,
 ):
@@ -359,26 +370,17 @@ def simultaneous_step(
             if config.project:
                 new_adv = gaussian_kl_project(new_adv, config.kappa)
     else:
-        f = adversary.f_values(batch)
-        if config.norm_mode == "batch_level":
-            _, weights, dobj_df = rpdro_objective(losses, f, config.tau)
-            model_grad = grad_params(model, batch, weights)
-        else:
-            _, dobj_df = rpdro_selfnorm_objective(
-                losses, f, config.tau, config.beta_selfnorm
-            )
-            weights = np.clip(np.exp(f), 0.0, WEIGHT_CLIP)
-            model_grad = grad_params(model, batch, weights / n)
+        # the first pass scores the pre-update adversary for both players
         new_adv = adversary.copy()
-        new_adv.scorer.params += config.adv_lr * adversary.grad_f(batch, dobj_df)
-        for _ in range(config.adv_steps_per_model_step - 1):
+        for step in range(max(1, config.adv_steps_per_model_step)):
             f = new_adv.f_values(batch)
             if config.norm_mode == "batch_level":
-                _, _, dobj_df = rpdro_objective(losses, f, config.tau)
+                _, weights, dobj_df = rpdro_objective(losses, f, config.tau)
             else:
-                _, dobj_df = rpdro_selfnorm_objective(
-                    losses, f, config.tau, config.beta_selfnorm
-                )
+                _, dobj_df = rpdro_selfnorm_objective(losses, f, config.tau, config.beta_selfnorm)
+                weights = np.clip(np.exp(f), 0.0, WEIGHT_CLIP) / n
+            if step == 0:
+                model_grad = grad_params(model, batch, weights)
             new_adv.scorer.params += config.adv_lr * new_adv.grad_f(batch, dobj_df)
         new_norm = normalizer
 

@@ -31,10 +31,12 @@ from .datasets import (
     save_csv,
 )
 from .diffcore import (
-    Example,
     ModelSpec,
     ModelState,
+    Packed,
+    UnsupportedArchitectureError,
     forward_logits,
+    grad_params,
     init_params,
     nll_loss_batch,
     softmax,
@@ -108,7 +110,6 @@ DEFAULTS: Dict[str, object] = {
     "attack.k": 10,
     "attack.sign_normalize": False,
     "attack.steps": 1,
-    "attack.alpha": 0.0,
     "attack.n": 200,
     # sweep: any "sweep.<key>" with a comma-separated value list is legal
 }
@@ -186,31 +187,8 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
 def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, GroupedDataset, GroupedDataset]:
     """(train, valid, test) for the configured dataset family."""
     kind = cfg["dataset"]
-    if kind == "two_domain":
-        train = gen_two_domain_gaussian(
-            TwoDomainSpec(cfg["data.total_points"], cfg["data.minority_ratio"],
-                          cfg["data.sigma"], seed=seed)
-        )
-        valid = gen_two_domain_gaussian(
-            TwoDomainSpec(max(cfg["data.total_points"] // 5, 50),
-                          cfg["data.minority_ratio"], cfg["data.sigma"], seed=seed + 1)
-        )
-        test = gen_two_domain_gaussian(
-            TwoDomainSpec(cfg["data.test_n"], 0.5, cfg["data.sigma"], seed=seed + 2)
-        )
-    elif kind == "distractor":
-        base = DistractorTextSpec(cfg["data.n"], cfg["data.vocab_size"],
-                                  cfg["data.seq_len"], cfg["data.bias"], seed=seed)
-        train = gen_distractor_text(base)
-        valid = gen_distractor_text(
-            DistractorTextSpec(max(cfg["data.n"] // 5, 50), cfg["data.vocab_size"],
-                               cfg["data.seq_len"], cfg["data.bias"], seed=seed + 1)
-        )
-        # held-out split removes the spurious correlation entirely
-        test = gen_distractor_text(
-            DistractorTextSpec(cfg["data.test_n"], cfg["data.vocab_size"],
-                               cfg["data.seq_len"], 0.5, seed=seed + 2)
-        )
+    if kind in ("two_domain", "distractor"):
+        train, valid, test = (_generated_split(cfg, seed, split) for split in range(3))
     else:
         full = load_csv(kind)
         n = len(full.examples)
@@ -222,6 +200,22 @@ def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, G
         train = inject_label_noise(train, p_noise, seed + 3)
         valid = inject_label_noise(valid, p_noise, seed + 4)
     return train, valid, test
+
+
+def _generated_split(cfg: Dict[str, object], seed: int, split: int) -> GroupedDataset:
+    """Split 0 (train), 1 (valid) or 2 (test) of a generated family, drawn with seed
+    + split; the test split balances the domains or drops the spurious correlation."""
+    if cfg["dataset"] == "two_domain":
+        n = cfg["data.total_points"]
+        ratio = cfg["data.minority_ratio"] if split < 2 else 0.5
+        return gen_two_domain_gaussian(TwoDomainSpec(
+            (n, max(n // 5, 50), cfg["data.test_n"])[split], ratio, cfg["data.sigma"],
+            seed=seed + split))
+    n = cfg["data.n"]
+    bias = cfg["data.bias"] if split < 2 else 0.5
+    return gen_distractor_text(DistractorTextSpec(
+        (n, max(n // 5, 50), cfg["data.test_n"])[split], cfg["data.vocab_size"],
+        cfg["data.seq_len"], bias, seed=seed + split))
 
 
 def build_model_spec(cfg: Dict[str, object], train: GroupedDataset) -> ModelSpec:
@@ -261,7 +255,7 @@ def _adversary_for(cfg: Dict[str, object], spec: ModelSpec,
                    train: GroupedDataset, seed: int):
     method = cfg["method"]
     if method == "pdro":
-        x = np.stack([np.asarray(ex.input, dtype=float) for ex in train.examples])
+        x = train.packed(spec).x
         mean0 = x.mean(axis=0)
         sigma = float(np.sqrt(x.var(axis=0).mean())) * float(cfg["adv_sigma_scale"])
         return dro.GaussianAdversary(mean0.copy(), max(sigma, 1e-6), mean0)
@@ -270,15 +264,15 @@ def _adversary_for(cfg: Dict[str, object], spec: ModelSpec,
     return None
 
 
-def _valid_record(method: str, adversary, valid: GroupedDataset,
+def _valid_record(method: str, adversary, valid: Packed,
                   record_id: int) -> Optional[selection.AdversaryRecord]:
     if method == "pdro":
-        raw = dro.pdro_model_weights(adversary, valid.examples)
+        raw = dro.pdro_model_weights(adversary, valid)
         if raw.sum() == 0:
             return None
         return selection.make_record(record_id, raw)
     if method == "rpdro":
-        f = adversary.f_values(valid.examples)
+        f = adversary.f_values(valid)
         shifted = np.exp(f - f.max())
         return selection.make_record(record_id, shifted)
     return None
@@ -295,6 +289,7 @@ def train_run(cfg: Dict[str, object], seed: int,
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
     spec = build_model_spec(cfg, train)
     model = init_params(spec, seed)
+    packed_train, packed_valid = train.packed(spec), valid.packed(spec)
 
     dro_cfg = dro.DroConfig(
         method=method, lr=cfg["lr"], tau=cfg["tau"], kappa=cfg["kappa"],
@@ -315,11 +310,11 @@ def train_run(cfg: Dict[str, object], seed: int,
         checkpoints.append(model.copy())
         record = None
         if adversary is not None:
-            record = _valid_record(method, adversary, valid, len(records))
+            record = _valid_record(method, adversary, packed_valid, len(records))
             if record is not None:
                 records.append(record)
         vm = group_metrics(model, valid)
-        mean_valid_loss = float(nll_loss_batch(model, valid.examples).mean())
+        mean_valid_loss = float(nll_loss_batch(model, packed_valid).mean())
         if not math.isfinite(mean_valid_loss):
             raise DivergenceError(f"non-finite validation loss at step {step}")
         log_rows.append({
@@ -332,26 +327,19 @@ def train_run(cfg: Dict[str, object], seed: int,
     step = 0
     for epoch in range(cfg["epochs"]):
         for idx in batches(train, cfg["batch_size"], seed=seed * 1000 + epoch):
-            batch = [train.examples[i] for i in idx]
+            batch = packed_train.take(idx)
             if method == "erm":
                 model = dro.erm_step(model, batch, cfg["lr"])
-            elif method == "nonparam":
+            elif method in ("nonparam", "group_dro"):
                 losses = nll_loss_batch(model, batch)
-                weights, _ = dro.nonparam_weights(losses, cfg["kappa"])
-                from .diffcore import grad_params
-                model = model.copy()
-                model.params -= cfg["lr"] * grad_params(model, batch, weights)
-            elif method == "group_dro":
-                losses = nll_loss_batch(model, batch)
-                groups = np.array([0 if ex.group is None else ex.group for ex in batch])
-                counts = np.bincount(groups, minlength=train.num_groups)
-                sums = np.bincount(groups, weights=losses, minlength=train.num_groups)
-                present = counts > 0
-                gl = np.zeros(train.num_groups)
-                gl[present] = sums[present] / counts[present]
-                gw = dro.group_dro_weights(gl, gw, cfg["eta_group"])
-                weights = gw[groups] / np.maximum(counts[groups], 1)
-                from .diffcore import grad_params
+                if method == "nonparam":
+                    weights, _ = dro.nonparam_weights(losses, cfg["kappa"])
+                else:
+                    counts = np.bincount(batch.groups, minlength=train.num_groups)
+                    sums = np.bincount(batch.groups, weights=losses, minlength=train.num_groups)
+                    gl = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+                    gw = dro.group_dro_weights(gl, gw, cfg["eta_group"])
+                    weights = gw[batch.groups] / np.maximum(counts[batch.groups], 1)
                 model = model.copy()
                 model.params -= cfg["lr"] * grad_params(model, batch, weights)
             else:
@@ -539,22 +527,16 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     cfg = resolved(cfg)
     os.makedirs(out_dir, exist_ok=True)
     if model is None:
-        train_cfg = dict(cfg)
-        train_cfg["dataset"] = "distractor"
-        train_cfg["model.arch"] = "embed_bag"
-        result = train_run(train_cfg, seed)
-        model = result.model
+        model = train_run({**cfg, "dataset": "distractor", "model.arch": "embed_bag"}, seed).model
     if model.spec.architecture != "embed_bag":
-        from .diffcore import UnsupportedArchitectureError
         raise UnsupportedArchitectureError("attack requires an embed_bag model")
-    _, _, test = build_datasets({**cfg, "dataset": "distractor"}, seed)
+    test = _generated_split({**cfg, "dataset": "distractor"}, seed, 2)
     vocab_size = model.spec.vocab_size
     lo, hi = model.layout["embedding.weight"]
     vectors = model.params[lo:hi].reshape(vocab_size, model.spec.embed_dim)
     table = advmetrics.EmbeddingTable(vectors, [f"tok{i}" for i in range(vocab_size)])
     oov_id = vocab_size - 1
 
-    rows = []
     report = []
     for ex in test.examples[: cfg["attack.n"]]:
         perturbed = ex
@@ -570,11 +552,10 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
         s = advmetrics.success(s_src, d)
         report.append({"id": ex.id, "s_src": s_src, "s_base": s_base,
                        "s_adv": s_adv, "d_tgt": d, "success": s})
-        rows.append([ex.id, s_src, s_base, s_adv, d, s])
-    _write_csv(["id", "s_src", "s_base", "s_adv", "d_tgt", "success"],
-               rows, os.path.join(out_dir, "metrics.csv"))
-    means = {k: float(np.mean([r[k] for r in report])) for k in
-             ("s_src", "s_base", "s_adv", "d_tgt", "success")}
+    header = ["id", "s_src", "s_base", "s_adv", "d_tgt", "success"]
+    _write_csv(header, [[r[k] for k in header] for r in report],
+               os.path.join(out_dir, "metrics.csv"))
+    means = {k: float(np.mean([r[k] for r in report])) for k in header[1:]}
     _write_jsonl(report + [{"final": True, **means}], os.path.join(out_dir, "run.jsonl"))
     return report
 

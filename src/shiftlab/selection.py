@@ -69,9 +69,9 @@ def adversary_valid_kl(weights: np.ndarray) -> float:
 
 def _valid_losses(model: ModelState, valid: GroupedDataset, loss_kind: str) -> np.ndarray:
     if loss_kind == "nll":
-        return nll_loss_batch(model, valid.examples)
+        return nll_loss_batch(model, valid.packed(model.spec))
     if loss_kind == "zero_one":
-        return zero_one_loss_batch(model, valid.examples)
+        return zero_one_loss_batch(model, valid.packed(model.spec))
     raise ValueError(f"unknown loss_kind: {loss_kind!r}")
 
 
@@ -104,17 +104,8 @@ def minmax_select(
     """
     if not checkpoints:
         raise ValueError("at least one checkpoint required")
-    kept = surviving_records(records, kl_threshold)
-    if not kept:
-        raise ValueError("no adversary record survived the KL filter")
-    best_idx = None
-    best_value = None
-    for i, model in enumerate(checkpoints):
-        losses = _valid_losses(model, valid, loss_kind)
-        value = robust_valid_loss(losses, kept)
-        if best_value is None or value < best_value:
-            best_idx, best_value = i, value
-    return best_idx, checkpoints[best_idx]
+    _, best_idx, model = hyperparam_select([(checkpoints, records)], valid, kl_threshold, loss_kind)
+    return best_idx, model
 
 
 @dataclass

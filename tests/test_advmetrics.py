@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.advmetrics import (
     CharSwapConfig,
     EmbeddingTable,
     NoCandidateError,
-    adv_training_loss,
     attack_example,
     char_swap_oov,
     chrf,
@@ -164,14 +164,6 @@ def test_sign_normalization_changes_the_ranking():
     assert first_order_substitution(grads, [0], table, sign_normalize=True) == (0, 1)
 
 
-def test_adv_training_loss_interpolates():
-    assert adv_training_loss(1.0, 3.0, 0.0) == 1.0
-    assert adv_training_loss(1.0, 3.0, 1.0) == 3.0
-    assert adv_training_loss(1.0, 3.0, 0.5) == 2.0
-    with pytest.raises(ValueError):
-        adv_training_loss(1.0, 3.0, 1.5)
-
-
 def test_attack_example_changes_exactly_one_position():
     spec = ModelSpec("embed_bag", vocab_size=10, embed_dim=4)
     model = init_params(spec, seed=0)
@@ -184,3 +176,32 @@ def test_attack_example_changes_exactly_one_position():
     assert adv.label == ex.label and adv.id == ex.id
     diffs = np.sum(np.asarray(adv.input) != np.asarray(ex.input))
     assert diffs == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 16), st.integers(1, 4), st.integers(0, 2**32 - 1), st.data())
+def test_neighbour_table_equals_knn_candidates(vocab, dim, seed, data):
+    # vectors on a small integer grid, so distance ties are common
+    rng = np.random.default_rng(seed)
+    table = EmbeddingTable(rng.integers(-2, 3, size=(vocab, dim)), [str(i) for i in range(vocab)])
+    ks = data.draw(st.lists(st.integers(1, vocab - 1), min_size=1, max_size=3))
+    for k in ks:
+        rows = table.neighbours(k)
+        assert rows.shape == (vocab, k)
+        for t in range(vocab):
+            assert rows[t].tolist() == knn_candidates(t, table, k)
+    ids = [int(i) for i in rng.integers(0, vocab, size=3)]
+    grads = rng.standard_normal((3, dim))
+    got = first_order_substitution(grads, ids, table, constraint="knn", k=ks[0])
+    assert got == naive_substitution(grads, ids, table, lambda t: knn_candidates(t, table, ks[0]))
+
+
+def test_embedding_table_vectors_are_a_read_only_copy():
+    source = np.zeros((3, 2))
+    table = EmbeddingTable(source, list("abc"))
+    source[0, 0] = 5.0
+    assert table.vectors[0, 0] == 0.0
+    with pytest.raises(ValueError):
+        table.vectors[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        first_order_substitution(np.ones((1, 2)), [3], table, constraint="knn", k=1)

@@ -5,15 +5,19 @@ from shiftlab.diffcore import (
     Example,
     InputShapeError,
     ModelSpec,
+    Packed,
     UnsupportedArchitectureError,
     finite_diff_check,
     fisher_diag,
+    _slot_shapes,
     forward_logits,
+    forward_logits_batch,
     grad_params,
     grad_wrt_embeddings,
     init_params,
     nll_loss,
     nll_loss_batch,
+    pack,
     per_example_grads,
     softmax,
     zero_one_loss_batch,
@@ -203,3 +207,146 @@ def test_batch_losses_match_single_losses():
     losses = nll_loss_batch(model, batch)
     singles = [nll_loss(model, ex) for ex in batch]
     assert np.allclose(losses, singles)
+
+
+# -- packed kernels against the per-example loops they replaced ---------------
+
+
+def reference_logits_and_grad(model, batch, weights):
+    """Per-example forward and backward, one example at a time."""
+    spec = model.spec
+
+    def view(name):
+        shape = {n: s for n, s, _ in _slot_shapes(spec)}[name]
+        return model.slot(name).reshape(shape)
+
+    grad = np.zeros_like(model.params)
+
+    def put(name, value):
+        lo, hi = model.layout[name]
+        grad[lo:hi] += value.ravel()
+
+    logits = []
+    for ex, wt in zip(batch, weights):
+        if spec.architecture == "embed_bag":
+            ids = np.asarray(ex.input, dtype=int)
+            bag = view("embedding.weight")[ids].mean(axis=0)
+            z = view("out.weight") @ bag + view("out.bias")
+        else:
+            x = np.asarray(ex.input, dtype=float)
+            assert x.shape == (spec.input_dim,)
+            if spec.architecture == "linear":
+                z = view("linear.weight") @ x + view("linear.bias")
+            else:
+                a = np.tanh(view("hidden.weight") @ x + view("hidden.bias"))
+                z = view("out.weight") @ a + view("out.bias")
+        p = np.exp(z - z.max())
+        p /= p.sum()
+        dz = wt * (p - np.eye(spec.num_classes)[ex.label])
+        if spec.architecture == "linear":
+            put("linear.weight", np.outer(dz, x))
+            put("linear.bias", dz)
+        elif spec.architecture == "mlp":
+            put("out.weight", np.outer(dz, a))
+            put("out.bias", dz)
+            dpre = (view("out.weight").T @ dz) * (1.0 - a * a)
+            put("hidden.weight", np.outer(dpre, x))
+            put("hidden.bias", dpre)
+        else:
+            put("out.weight", np.outer(dz, bag))
+            put("out.bias", dz)
+            demb = np.zeros((spec.vocab_size, spec.embed_dim))
+            np.add.at(demb, ids, (view("out.weight").T @ dz) / len(ids))
+            put("embedding.weight", demb)
+        logits.append(z)
+    return np.array(logits), grad
+
+
+def assert_rel_close(got, want):
+    """Agreement to 1e-12 relative to the largest reference entry."""
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+
+KERNEL_SPECS = [
+    ModelSpec("linear", input_dim=3, num_classes=3),
+    ModelSpec("mlp", input_dim=3, hidden_units=5, num_classes=2),
+    ModelSpec("embed_bag", vocab_size=9, embed_dim=4, num_classes=3),
+]
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["linear", "mlp", "embed_bag"])
+@pytest.mark.parametrize("size", [1, 7])
+def test_packed_kernels_match_per_example_loops(spec, size):
+    rng = np.random.default_rng(size)
+    model = init_params(spec, seed=2)
+    model.params += 0.1 * rng.standard_normal(model.num_params)  # nonzero biases
+    tokens = spec.architecture == "embed_bag"
+    pool = [
+        Example(
+            input=rng.integers(0, spec.vocab_size, size=int(rng.integers(1, 7)))
+            if tokens else rng.standard_normal(spec.input_dim),
+            label=int(rng.integers(0, spec.num_classes)), group=int(rng.integers(0, 2)), id=i,
+        )
+        for i in range(12)
+    ]
+    idx = rng.permutation(len(pool))[:size]
+    batch = [pool[i] for i in idx]
+    weights = rng.uniform(0.1, 2.0, size=size)
+    want_logits, want_grad = reference_logits_and_grad(model, batch, weights)
+    z = want_logits - want_logits.max(axis=1, keepdims=True)
+    want_nll = -(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))[np.arange(size),
+                                                                   [ex.label for ex in batch]]
+    # Example lists, packed batches and rows taken from a packed pool
+    for form in (batch, pack(batch, tokens), pack(pool, tokens).take(idx)):
+        assert len(form) == size
+        assert_rel_close(forward_logits_batch(model, form), want_logits)
+        assert_rel_close(nll_loss_batch(model, form), want_nll)
+        assert_rel_close(grad_params(model, form, weights), want_grad)
+
+
+def test_take_keeps_ragged_rows_labels_and_groups():
+    batch = [Example(input=np.array(ids), label=i % 2, group=i % 3, id=i)
+             for i, ids in enumerate([[1], [2, 3, 4], [5, 6], [7]])]
+    packed = pack(batch, tokens=True)
+    part = packed.take([2, 0, 2])
+    assert part.tokens.tolist() == [5, 6, 1, 5, 6]
+    assert part.offsets.tolist() == [0, 2, 3, 5]
+    assert part.labels.tolist() == [0, 0, 0] and part.groups.tolist() == [2, 0, 2]
+    dense = pack([Example(input=np.array([float(i), 0.0]), label=i) for i in range(3)], False)
+    assert dense.take([1]).x.tolist() == [[1.0, 0.0]]
+
+
+def test_bad_token_rows_raise_through_both_entry_forms():
+    model = init_params(ModelSpec("embed_bag", vocab_size=4, embed_dim=2), seed=0)
+    ok = Example(input=np.array([1, 2]), label=0)
+    for bad in (np.array([0, 7]), np.array([-1, 2])):
+        batch = [ok, Example(input=bad, label=1)]
+        for form in (batch, pack(batch, tokens=True)):
+            with pytest.raises(InputShapeError):
+                nll_loss_batch(model, form)
+            with pytest.raises(InputShapeError):
+                grad_params(model, form, np.ones(2))
+    empty = [ok, Example(input=np.array([], dtype=int), label=1)]
+    with pytest.raises(InputShapeError):
+        nll_loss_batch(model, empty)
+    with pytest.raises(InputShapeError):
+        pack(empty, tokens=True)
+    # a hand-built packed batch whose second row is empty
+    hand = Packed(np.array([0, 1]), np.zeros(2, dtype=int), tokens=np.array([1, 2]),
+                  offsets=np.array([0, 2, 2]))
+    with pytest.raises(InputShapeError):
+        nll_loss_batch(model, hand)
+    with pytest.raises(InputShapeError):
+        nll_loss_batch(model, pack([Example(input=np.zeros(2), label=0)], tokens=False))
+
+
+def test_dense_shape_errors_through_both_entry_forms():
+    model = init_params(ModelSpec("mlp", input_dim=3, hidden_units=2), seed=0)
+    ragged = [Example(input=np.zeros(3), label=0), Example(input=np.zeros(2), label=1)]
+    with pytest.raises(InputShapeError):
+        nll_loss_batch(model, ragged)
+    narrow = [Example(input=np.zeros(2), label=0)]
+    for form in (narrow, pack(narrow, tokens=False)):
+        with pytest.raises(InputShapeError):
+            grad_params(model, form, np.ones(1))

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.datasets import TwoDomainSpec, gen_two_domain_gaussian
 from shiftlab.diffcore import Example, ModelSpec, init_params, nll_loss_batch
@@ -297,3 +300,52 @@ def test_ratio_adversary_scores_selected_head():
     bumped = adv.copy()
     bumped.scorer.params += 1e-6 * g
     assert np.dot(bumped.f_values(batch) - f, df) > 0
+
+
+# -- the Newton temperature solve against the bisection it replaced -----------
+
+
+def bisection_tau(losses, kappa):
+    """The former solver: 200 bisection steps in log10 tau over [1e-10, 1e10]."""
+    def kl_at(tau):
+        z = losses / tau
+        w = np.exp(z - z.max())
+        return kl_from_uniform(w / w.sum())
+
+    if kl_at(TAU_SEARCH_LO) <= kappa:
+        return TAU_SEARCH_LO
+    if kl_at(TAU_SEARCH_HI) >= kappa:
+        return TAU_SEARCH_HI
+    lo, hi = np.log10(TAU_SEARCH_LO), np.log10(TAU_SEARCH_HI)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if kl_at(10.0 ** mid) > kappa:
+            lo = mid
+        else:
+            hi = mid
+    return 10.0 ** (0.5 * (lo + hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64), st.floats(0.0, 10.0))
+def test_nonparam_tau_stays_in_bracket_and_hits_kappa(losses, kappa):
+    losses = np.array(losses)
+    weights, tau = nonparam_weights(losses, kappa)
+    assert TAU_SEARCH_LO <= tau <= TAU_SEARCH_HI
+    assert abs(weights.sum() - 1.0) <= 1e-12
+    if TAU_SEARCH_LO < tau < TAU_SEARCH_HI:
+        assert abs(kl_from_uniform(weights) - kappa) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 64), st.integers(0, 2**32 - 1), st.floats(-3.0, 3.0),
+       st.floats(0.02, 0.9))
+def test_nonparam_tau_matches_bisection(n, seed, log_scale, fraction):
+    # continuous losses at scales 1e-3..1e3; kappa a share of the largest KL
+    rng = np.random.default_rng(seed)
+    losses = 10.0 ** log_scale * rng.standard_normal(n) + rng.uniform(-5, 5)
+    kappa = fraction * math.log(n / np.sum(losses == losses.max()))
+    weights, tau = nonparam_weights(losses, kappa)
+    assert TAU_SEARCH_LO < tau < TAU_SEARCH_HI
+    assert abs(kl_from_uniform(weights) - kappa) <= 1e-12
+    assert abs(tau - bisection_tau(losses, kappa)) <= 1e-9 * tau

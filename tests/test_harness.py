@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from shiftlab import cli, harness
-from shiftlab.diffcore import ModelSpec, init_params
+from shiftlab.diffcore import ModelSpec, forward_logits_batch, init_params, softmax
 
 
 def test_coerce_value():
@@ -266,3 +268,39 @@ def test_cli_gen_data(tmp_path):
                      "data.test_n=50", "--out", str(out)]) == 0
     assert (out / "train.csv").exists()
     assert (out / "test.csv").exists()
+
+
+@pytest.mark.parametrize("dataset", ["distractor", "two_domain"])
+def test_generated_test_split_equals_build_datasets(dataset):
+    cfg = harness.resolved({"dataset": dataset, "data.n": 120, "data.total_points": 300,
+                            "data.test_n": 80, "data.p_noise": 0.2})
+    want = harness.build_datasets(cfg, 7)[2]
+    got = harness._generated_split(cfg, 7, 2)
+    assert got.group_names == want.group_names
+    assert len(got.examples) == len(want.examples) == 80
+    for a, b in zip(got.examples, want.examples):
+        assert (a.id, a.label, a.group) == (b.id, b.label, b.group)
+        assert np.array_equal(a.input, b.input) and a.input.dtype == b.input.dtype
+
+
+def test_cmd_attack_attacks_the_build_datasets_test_split(tmp_path):
+    model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=1)
+    cfg = {"attack.n": 6, "data.test_n": 40, "data.n": 50}
+    report = harness.cmd_attack(cfg, 3, str(tmp_path / "a"), model=model)
+    test = harness.build_datasets(harness.resolved({**cfg, "dataset": "distractor"}), 3)[2]
+    assert [row["id"] for row in report] == [ex.id for ex in test.examples[:6]]
+    probs = softmax(forward_logits_batch(model, test.examples[:6]))
+    assert [row["s_base"] for row in report] == pytest.approx(
+        [float(p[ex.label]) for p, ex in zip(probs, test.examples[:6])], rel=1e-12)
+
+
+def test_importing_shiftlab_loads_no_scipy_module():
+    import shiftlab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(shiftlab.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, shiftlab; print([k for k in sys.modules if k.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
