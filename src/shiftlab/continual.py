@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .diffcore import (
     fisher_diag,
     grad_params,
     init_params,
+    pack,
     zero_one_loss_batch,
 )
 
@@ -135,10 +136,10 @@ def ewc_loss(
 
 @dataclass
 class ReplayMemory:
-    """Fixed-capacity uniform sample of the example stream seen so far."""
+    """Fixed-capacity uniform sample of the item stream seen so far."""
 
     capacity: int
-    items: List[Example] = field(default_factory=list)
+    items: list = field(default_factory=list)
     seen_count: int = 0
 
     def __post_init__(self):
@@ -146,7 +147,7 @@ class ReplayMemory:
             raise ValueError("capacity must be positive")
 
 
-def reservoir_add(memory: ReplayMemory, item: Example, rng: np.random.Generator) -> ReplayMemory:
+def reservoir_add(memory: ReplayMemory, item, rng: np.random.Generator) -> ReplayMemory:
     """Reservoir sampling: every item seen so far kept with equal probability."""
     memory.seen_count += 1
     if len(memory.items) < memory.capacity:
@@ -155,6 +156,15 @@ def reservoir_add(memory: ReplayMemory, item: Example, rng: np.random.Generator)
         slot = int(rng.integers(0, memory.capacity))
         memory.items[slot] = item
     return memory
+
+
+def with_replay(batch: Sequence, memory: ReplayMemory, rng: np.random.Generator) -> Sequence:
+    """The batch followed by len(batch) memory items drawn uniformly with
+    replacement; the batch itself while memory is empty."""
+    if not memory.items:
+        return batch
+    idx = rng.integers(0, len(memory.items), size=len(batch))
+    return [*batch, *(memory.items[int(i)] for i in idx)]
 
 
 def er_step(
@@ -167,10 +177,7 @@ def er_step(
     """Gradient step on the task batch concatenated with a replay batch."""
     if lr <= 0:
         raise ValueError("lr must be positive")
-    combined = list(task_batch)
-    if memory.items:
-        idx = rng.integers(0, len(memory.items), size=len(task_batch))
-        combined.extend(memory.items[int(i)] for i in idx)
+    combined = with_replay(task_batch, memory, rng)
     n = len(combined)
     grad = grad_params(model, combined, np.full(n, 1.0 / n))
     out = model.copy()
@@ -229,13 +236,6 @@ class ContinualConfig:
             raise ValueError(f"unknown method: {self.method!r}")
 
 
-def _infer_dims(tasks: Sequence[GroupedDataset]) -> Tuple[int, int]:
-    first = tasks[0].examples[0]
-    input_dim = len(np.asarray(first.input))
-    num_classes = max(ex.label for t in tasks for ex in t.examples) + 1
-    return input_dim, max(num_classes, 2)
-
-
 class _MultiHeadModel:
     """An MLP trunk shared across tasks with one linear head per task."""
 
@@ -264,30 +264,27 @@ class _MultiHeadModel:
         self.heads[task] += head_update
 
 
-def _task_accuracy(model: ModelState, dataset: GroupedDataset) -> float:
-    return float(1.0 - zero_one_loss_batch(model, dataset.packed(model.spec)).mean())
-
-
 def continual_train(
     tasks: Sequence[GroupedDataset],
     method: str,
     config: ContinualConfig,
-    eval_tasks: Optional[Sequence[GroupedDataset]] = None,
 ) -> ContinualMetrics:
     """Train tasks sequentially, recording per-task accuracy after each task.
 
     The trunk is updated by the configured rule; heads always take plain
     gradient steps. After each task the trunk Fisher is estimated by Monte
     Carlo, renormalized, and folded into the rolling estimate used for both
-    preconditioning and the anchoring penalty.
+    preconditioning and the anchoring penalty. All tasks are packed once into
+    one row stream; batches and the replay memory hold row ids.
     """
     if len(tasks) < 1:
         raise ValueError("at least one task required")
     config = ContinualConfig(**{**config.__dict__, "method": method})
-    if eval_tasks is None:
-        eval_tasks = tasks
-    input_dim, num_classes = _infer_dims(tasks)
-    net = _MultiHeadModel(input_dim, num_classes, config.hidden_units, len(tasks), config.seed)
+    rows = pack([ex for task in tasks for ex in task.examples], tokens=False)
+    starts = np.cumsum([0] + [len(task) for task in tasks])
+    task_rows = [np.arange(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+    net = _MultiHeadModel(rows.x.shape[1], max(int(rows.labels.max()) + 1, 2),
+                          config.hidden_units, len(tasks), config.seed)
     rng = np.random.default_rng(config.seed + 7919)
 
     use_conatural = method.startswith("conatural")
@@ -305,15 +302,11 @@ def continual_train(
         for epoch in range(config.epochs):
             batch_seed = config.seed * 100003 + task_idx * 131 + epoch
             for idx in batches(task, config.batch_size, seed=batch_seed):
-                batch = [task.examples[i] for i in idx]
+                batch = task_rows[task_idx][idx]
                 model = net.model_for(task_idx)
-                if use_er and memory.items:
-                    replay_idx = rng.integers(0, len(memory.items), size=len(batch))
-                    combined = batch + [memory.items[int(i)] for i in replay_idx]
-                else:
-                    combined = batch
+                combined = with_replay(batch, memory, rng) if use_er else batch
                 n = len(combined)
-                grad = grad_params(model, combined, np.full(n, 1.0 / n))
+                grad = grad_params(model, rows.take(combined), np.full(n, 1.0 / n))
                 if config.grad_noise > 0:
                     scale = config.grad_noise * np.linalg.norm(grad)
                     grad = grad + scale * rng.standard_normal(grad.size) / np.sqrt(grad.size)
@@ -330,12 +323,12 @@ def continual_train(
                     trunk_update = -config.lr * trunk_grad
                 net.apply_update(task_idx, trunk_update, -config.lr * head_grad)
                 if use_er:
-                    for ex in batch:
-                        reservoir_add(memory, ex, rng)
+                    for row in batch:
+                        reservoir_add(memory, int(row), rng)
 
         if not math.isinf(config.alpha) and (use_conatural or use_ewc):
             raw_fisher = fisher_diag(
-                net.model_for(task_idx), task, config.fisher_samples,
+                net.model_for(task_idx), rows.take(task_rows[task_idx]), config.fisher_samples,
                 seed=config.seed + 31 * task_idx,
             )
             trunk_fisher, ok = fisher_renormalize(raw_fisher[net.trunk_slice])
@@ -344,9 +337,10 @@ def continual_train(
         trunk_ref = net.trunk.copy()
         seen_any_task = True
 
-        accuracy_rows.append(
-            [_task_accuracy(net.model_for(t), eval_tasks[t]) for t in range(len(tasks))]
-        )
+        accuracy_rows.append([
+            float(1.0 - zero_one_loss_batch(net.model_for(t), rows.take(ids)).mean())
+            for t, ids in enumerate(task_rows)
+        ])
 
     matrix = np.array(accuracy_rows).T  # rows = tasks, columns = checkpoints
     return ContinualMetrics(matrix, list(range(len(tasks))))

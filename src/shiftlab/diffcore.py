@@ -331,26 +331,25 @@ def finite_diff_check(
 
 def per_example_grads(model: ModelState, batch: Batch) -> np.ndarray:
     """(n, num_params) matrix of individual nll gradients."""
+    batch = _packed(model, batch)
     out = np.empty((len(batch), model.num_params))
-    for i, ex in enumerate(batch):
-        out[i] = grad_params(model, [ex], np.ones(1))
+    for i in range(len(batch)):
+        out[i] = grad_params(model, batch.take([i]), np.ones(1))
     return out
 
 
 def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.ndarray:
-    """Monte Carlo diagonal empirical Fisher: mean of squared nll gradients."""
-    examples = dataset.examples if hasattr(dataset, "examples") else list(dataset)
-    if len(examples) == 0:
+    """Monte Carlo diagonal empirical Fisher: mean of squared nll gradients of
+    sample_count rows drawn with replacement from a dataset, examples or packed rows."""
+    rows = dataset.packed(model.spec) if hasattr(dataset, "packed") else _packed(model, dataset)
+    if len(rows) == 0:
         raise ValueError("fisher_diag requires a non-empty dataset")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, len(examples), size=sample_count)
-    total = np.zeros(model.num_params)
-    for i in idx:
-        g = grad_params(model, [examples[i]], np.ones(1))
-        total += g * g
-    return total / sample_count
+    grads = per_example_grads(model, rows.take(rng.integers(0, len(rows), size=sample_count)))
+    # rows are summed in draw order
+    return (grads * grads).sum(axis=0) / sample_count
 
 
 def grad_wrt_embeddings(

@@ -14,9 +14,12 @@ import numpy as np
 
 from .diffcore import (
     Batch,
+    ModelSpec,
     ModelState,
+    Packed,
     forward_logits_batch,
     grad_params,
+    init_params,
     nll_loss_batch,
     pack,
     softmax,
@@ -28,6 +31,7 @@ from .diffcore import (
 TAU_SEARCH_LO = 1e-10
 TAU_SEARCH_HI = 1e10
 WEIGHT_CLIP = 100.0  # guards against importance-weight overflow
+METHODS = ("erm", "nonparam", "group_dro", "pdro", "rpdro")
 
 
 @dataclass
@@ -107,10 +111,11 @@ class RunningNormalizer:
 class DroConfig:
     method: str = "erm"
     lr: float = 0.1
-    tau: float = 1.0
+    tau: float = 0.1
     kappa: float = 1.0
     k_window: int = 5
-    adv_lr: float = 0.1
+    adv_lr: float = 0.05
+    adv_sigma_scale: float = 1.0
     eta_group: float = 0.1
     beta_selfnorm: float = 1.0
     norm_mode: str = "batch_level"
@@ -336,6 +341,33 @@ def rpdro_selfnorm_objective(
     return objective, dobj_df
 
 
+def initial_state(config: DroConfig, spec: ModelSpec, train: Packed,
+                  num_groups: int, seed: int):
+    """The method's starting (adversary, normalizer) for the packed train set."""
+    if config.method == "group_dro":
+        return np.full(num_groups, 1.0 / num_groups), None
+    if config.method == "pdro":
+        mean0 = train.x.mean(axis=0)
+        sigma = float(np.sqrt(train.x.var(axis=0).mean())) * float(config.adv_sigma_scale)
+        adversary = GaussianAdversary(mean0.copy(), max(sigma, 1e-6), mean0)
+        return adversary, RunningNormalizer(config.k_window)
+    if config.method == "rpdro":
+        return RatioAdversary(init_params(spec, seed + 101)), None
+    return None, None
+
+
+def adversary_valid_weights(method: str, adversary, valid: Packed) -> Optional[np.ndarray]:
+    """Raw validation weights of an adversary snapshot; None for methods
+    without an input-space adversary, or when every weight vanishes."""
+    if method == "pdro":
+        raw = pdro_model_weights(adversary, valid)
+        return None if raw.sum() == 0 else raw
+    if method == "rpdro":
+        f = adversary.f_values(valid)
+        return np.exp(f - f.max())
+    return None
+
+
 def simultaneous_step(
     model: ModelState,
     adversary,
@@ -343,22 +375,33 @@ def simultaneous_step(
     config: DroConfig,
     normalizer: Optional[RunningNormalizer] = None,
 ):
-    """One simultaneous update: both gradients use the same pre-update state.
+    """One training step of config.method: (model', adversary', normalizer').
 
-    Returns (model', adversary', normalizer'). The adversary ascends while
-    the model descends; config.adv_steps_per_model_step extra adversary
-    updates reuse the same batch with refreshed scores.
+    The adversary is None for erm and nonparam, the group mixture for
+    group_dro (updated before the model step), a GaussianAdversary for pdro
+    and a RatioAdversary for rpdro. In the two games both gradients use the
+    pre-update state, and config.adv_steps_per_model_step extra adversary
+    updates reuse the batch with refreshed scores.
     """
-    if config.method not in ("pdro", "rpdro"):
-        raise ValueError(f"simultaneous_step does not handle {config.method!r}")
+    if config.method not in METHODS:
+        raise ValueError(f"unknown method: {config.method!r}")
+    if config.method == "erm":
+        return erm_step(model, batch, config.lr), adversary, normalizer
+    batch = _packed(model, batch)
     losses = nll_loss_batch(model, batch)
     n = len(batch)
+    new_adv, new_norm = adversary, normalizer
 
-    if config.method == "pdro":
-        weights = pdro_model_weights(adversary, batch)
-        model_grad = grad_params(model, batch, weights / n)
-        new_adv = adversary
-        new_norm = normalizer
+    if config.method == "nonparam":
+        weights, _ = nonparam_weights(losses, config.kappa)
+    elif config.method == "group_dro":
+        counts = np.bincount(batch.groups, minlength=len(adversary))
+        sums = np.bincount(batch.groups, weights=losses, minlength=len(adversary))
+        group_losses = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+        new_adv = group_dro_weights(group_losses, adversary, config.eta_group)
+        weights = new_adv[batch.groups] / np.maximum(counts[batch.groups], 1)
+    elif config.method == "pdro":
+        weights = pdro_model_weights(adversary, batch) / n
         for _ in range(config.adv_steps_per_model_step):
             if config.reverse_kl:
                 new_norm = normalizer_update(new_norm, losses, config.tau)
@@ -375,15 +418,15 @@ def simultaneous_step(
         for step in range(max(1, config.adv_steps_per_model_step)):
             f = new_adv.f_values(batch)
             if config.norm_mode == "batch_level":
-                _, weights, dobj_df = rpdro_objective(losses, f, config.tau)
+                _, r, dobj_df = rpdro_objective(losses, f, config.tau)
             else:
                 _, dobj_df = rpdro_selfnorm_objective(losses, f, config.tau, config.beta_selfnorm)
-                weights = np.clip(np.exp(f), 0.0, WEIGHT_CLIP) / n
+                r = np.clip(np.exp(f), 0.0, WEIGHT_CLIP) / n
             if step == 0:
-                model_grad = grad_params(model, batch, weights)
+                weights = r
             new_adv.scorer.params += config.adv_lr * new_adv.grad_f(batch, dobj_df)
-        new_norm = normalizer
 
+    model_grad = grad_params(model, batch, weights)
     new_model = model.copy()
     if config.lr > 0:
         new_model.params -= config.lr * model_grad

@@ -33,10 +33,8 @@ from .datasets import (
 from .diffcore import (
     ModelSpec,
     ModelState,
-    Packed,
     UnsupportedArchitectureError,
     forward_logits,
-    grad_params,
     init_params,
     nll_loss_batch,
     softmax,
@@ -103,7 +101,7 @@ DEFAULTS: Dict[str, object] = {
     "cl.gamma": 0.9,
     "cl.ewc_lambda": 1.0,
     "cl.capacity": 200,
-    "cl.fisher_samples": 500,
+    "cl.fisher_samples": 1000,
     "cl.grad_noise": 0.0,
     # attack
     "attack.constraint": "none",      # none | knn | charswap-oov
@@ -251,31 +249,33 @@ class TrainResult:
     log_rows: List[dict] = field(default_factory=list)
 
 
-def _adversary_for(cfg: Dict[str, object], spec: ModelSpec,
-                   train: GroupedDataset, seed: int):
-    method = cfg["method"]
-    if method == "pdro":
-        x = train.packed(spec).x
-        mean0 = x.mean(axis=0)
-        sigma = float(np.sqrt(x.var(axis=0).mean())) * float(cfg["adv_sigma_scale"])
-        return dro.GaussianAdversary(mean0.copy(), max(sigma, 1e-6), mean0)
-    if method == "rpdro":
-        return dro.RatioAdversary(init_params(spec, seed + 101))
-    return None
+def dro_config(cfg: Dict[str, object]) -> dro.DroConfig:
+    return dro.DroConfig(
+        method=cfg["method"], lr=cfg["lr"], tau=cfg["tau"], kappa=cfg["kappa"],
+        k_window=cfg["k_window"], adv_lr=cfg["adv_lr"],
+        adv_sigma_scale=cfg["adv_sigma_scale"], eta_group=cfg["eta_group"],
+        beta_selfnorm=cfg["beta"], norm_mode=cfg["norm_mode"],
+        project=cfg["project"], reverse_kl=cfg["reverse_kl"],
+        adv_steps_per_model_step=cfg["adv_steps"],
+    )
 
 
-def _valid_record(method: str, adversary, valid: Packed,
-                  record_id: int) -> Optional[selection.AdversaryRecord]:
-    if method == "pdro":
-        raw = dro.pdro_model_weights(adversary, valid)
-        if raw.sum() == 0:
-            return None
-        return selection.make_record(record_id, raw)
-    if method == "rpdro":
-        f = adversary.f_values(valid)
-        shifted = np.exp(f - f.max())
-        return selection.make_record(record_id, shifted)
-    return None
+def continual_config(cfg: Dict[str, object], seed: int) -> cl.ContinualConfig:
+    return cl.ContinualConfig(
+        method=cfg["cl.method"], hidden_units=cfg["cl.hidden"], lr=cfg["cl.lr"],
+        epochs=cfg["cl.epochs"], batch_size=cfg["cl.batch_size"],
+        alpha=cfg["cl.alpha"], gamma=cfg["cl.gamma"],
+        ewc_lambda=cfg["cl.ewc_lambda"], replay_capacity=cfg["cl.capacity"],
+        fisher_samples=cfg["cl.fisher_samples"], grad_noise=cfg["cl.grad_noise"],
+        seed=seed,
+    )
+
+
+def selection_loss(cfg: Dict[str, object]) -> str:
+    """selection.loss, where auto means zero_one for rpdro and nll otherwise."""
+    if cfg["selection.loss"] != "auto":
+        return cfg["selection.loss"]
+    return "zero_one" if cfg["method"] == "rpdro" else "nll"
 
 
 def train_run(cfg: Dict[str, object], seed: int,
@@ -283,24 +283,15 @@ def train_run(cfg: Dict[str, object], seed: int,
               ) -> TrainResult:
     """One full training run: optimize, checkpoint per epoch, select, evaluate."""
     cfg = resolved(cfg)
-    method = cfg["method"]
-    if method not in ("erm", "nonparam", "group_dro", "pdro", "rpdro"):
-        raise ConfigError(f"unknown method: {method!r}")
+    if cfg["method"] not in dro.METHODS:
+        raise ConfigError(f"unknown method: {cfg['method']!r}")
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
     spec = build_model_spec(cfg, train)
     model = init_params(spec, seed)
     packed_train, packed_valid = train.packed(spec), valid.packed(spec)
 
-    dro_cfg = dro.DroConfig(
-        method=method, lr=cfg["lr"], tau=cfg["tau"], kappa=cfg["kappa"],
-        k_window=cfg["k_window"], adv_lr=cfg["adv_lr"], eta_group=cfg["eta_group"],
-        beta_selfnorm=cfg["beta"], norm_mode=cfg["norm_mode"],
-        project=cfg["project"], reverse_kl=cfg["reverse_kl"],
-        adv_steps_per_model_step=cfg["adv_steps"],
-    )
-    adversary = _adversary_for(cfg, spec, train, seed)
-    normalizer = dro.RunningNormalizer(cfg["k_window"]) if method == "pdro" else None
-    gw = np.full(train.num_groups, 1.0 / train.num_groups)
+    dro_cfg = dro_config(cfg)
+    adversary, normalizer = dro.initial_state(dro_cfg, spec, packed_train, train.num_groups, seed)
 
     checkpoints: List[ModelState] = []
     records: List[selection.AdversaryRecord] = [selection.identity_record(len(valid.examples))]
@@ -308,11 +299,10 @@ def train_run(cfg: Dict[str, object], seed: int,
 
     def take_checkpoint(step: int) -> None:
         checkpoints.append(model.copy())
-        record = None
-        if adversary is not None:
-            record = _valid_record(method, adversary, packed_valid, len(records))
-            if record is not None:
-                records.append(record)
+        raw = dro.adversary_valid_weights(dro_cfg.method, adversary, packed_valid)
+        record = None if raw is None else selection.make_record(len(records), raw)
+        if record is not None:
+            records.append(record)
         vm = group_metrics(model, valid)
         mean_valid_loss = float(nll_loss_batch(model, packed_valid).mean())
         if not math.isfinite(mean_valid_loss):
@@ -327,25 +317,9 @@ def train_run(cfg: Dict[str, object], seed: int,
     step = 0
     for epoch in range(cfg["epochs"]):
         for idx in batches(train, cfg["batch_size"], seed=seed * 1000 + epoch):
-            batch = packed_train.take(idx)
-            if method == "erm":
-                model = dro.erm_step(model, batch, cfg["lr"])
-            elif method in ("nonparam", "group_dro"):
-                losses = nll_loss_batch(model, batch)
-                if method == "nonparam":
-                    weights, _ = dro.nonparam_weights(losses, cfg["kappa"])
-                else:
-                    counts = np.bincount(batch.groups, minlength=train.num_groups)
-                    sums = np.bincount(batch.groups, weights=losses, minlength=train.num_groups)
-                    gl = np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
-                    gw = dro.group_dro_weights(gl, gw, cfg["eta_group"])
-                    weights = gw[batch.groups] / np.maximum(counts[batch.groups], 1)
-                model = model.copy()
-                model.params -= cfg["lr"] * grad_params(model, batch, weights)
-            else:
-                model, adversary, normalizer = dro.simultaneous_step(
-                    model, adversary, batch, dro_cfg, normalizer
-                )
+            model, adversary, normalizer = dro.simultaneous_step(
+                model, adversary, packed_train.take(idx), dro_cfg, normalizer
+            )
             if not np.all(np.isfinite(model.params)):
                 raise DivergenceError(f"non-finite parameters at epoch {epoch}")
             step += 1
@@ -356,9 +330,7 @@ def train_run(cfg: Dict[str, object], seed: int,
     if every > 0 and step % every != 0:
         take_checkpoint(step)
 
-    loss_kind = cfg["selection.loss"]
-    if loss_kind == "auto":
-        loss_kind = "zero_one" if method == "rpdro" else "nll"
+    loss_kind = selection_loss(cfg)
     if cfg["selection"] == "last":
         chosen = len(checkpoints) - 1
     elif cfg["selection"] == "greedy":
@@ -497,15 +469,7 @@ def cmd_continual(cfg: Dict[str, object], seed: int, out_dir: str) -> cl.Continu
     os.makedirs(out_dir, exist_ok=True)
     tasks = cl.rotated_gaussian_tasks(cfg["cl.tasks"], cfg["cl.points"],
                                       cfg["cl.sigma"], seed=seed)
-    config = cl.ContinualConfig(
-        method=cfg["cl.method"], hidden_units=cfg["cl.hidden"], lr=cfg["cl.lr"],
-        epochs=cfg["cl.epochs"], batch_size=cfg["cl.batch_size"],
-        alpha=cfg["cl.alpha"], gamma=cfg["cl.gamma"],
-        ewc_lambda=cfg["cl.ewc_lambda"], replay_capacity=cfg["cl.capacity"],
-        fisher_samples=cfg["cl.fisher_samples"], grad_noise=cfg["cl.grad_noise"],
-        seed=seed,
-    )
-    metrics = cl.continual_train(tasks, cfg["cl.method"], config)
+    metrics = cl.continual_train(tasks, cfg["cl.method"], continual_config(cfg, seed))
     num_tasks, num_ckpts = metrics.accuracy_matrix.shape
     _write_csv(["task"] + [f"ckpt{c}" for c in range(num_ckpts)],
                [[t] + list(metrics.accuracy_matrix[t]) for t in range(num_tasks)],
@@ -591,11 +555,8 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
             failures.append({"point": i, "error": str(err)})
     if results:
         runs = [(r.checkpoints, r.records) for _, _, r in results]
-        loss_kind = resolved(points[0])["selection.loss"]
-        if loss_kind == "auto":
-            loss_kind = "zero_one" if resolved(points[0])["method"] == "rpdro" else "nll"
         best_run, best_ckpt, _ = selection.hyperparam_select(
-            runs, shared[1], loss_kind=loss_kind
+            runs, shared[1], loss_kind=selection_loss(resolved(points[0]))
         )
     else:
         best_run, best_ckpt = -1, -1

@@ -131,14 +131,15 @@ def greedy_minmax_update(
 
     Appends the new adversary record, then keeps the new model only if its
     worst weighted loss over all surviving records improves strictly on the
-    stored best. Only the candidate and the incumbent exist at once.
+    stored best. Only the candidate and the incumbent exist at once. Raises
+    ValueError when no record survives the KL filter.
     """
     records = list(state.records)
     if new_record is not None:
         records.append(new_record)
     kept = surviving_records(records, kl_threshold)
     if not kept:
-        kept = [identity_record(len(valid.examples))]
+        raise ValueError("no adversary record survived the KL filter")
     losses = _valid_losses(new_model, valid, loss_kind)
     value = robust_valid_loss(losses, kept)
     out = SelectionState(

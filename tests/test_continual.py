@@ -22,6 +22,7 @@ from shiftlab.continual import (
     residual_check,
     rolling_fisher_update,
     rotated_gaussian_tasks,
+    with_replay,
 )
 from shiftlab.diffcore import Example, ModelSpec, init_params, nll_loss_batch
 
@@ -147,6 +148,18 @@ def test_er_step_uses_replay_and_descends():
     assert nll_loss_batch(stepped, batch).mean() < before
     with pytest.raises(ValueError):
         er_step(model, batch, memory, lr=0.0, rng=rng)
+
+
+def test_with_replay_appends_one_memory_draw_per_batch_item():
+    memory = ReplayMemory(capacity=10, items=[10, 11, 12, 13, 14])
+    batch = [0, 1, 2]
+    combined = with_replay(batch, memory, np.random.default_rng(4))
+    drawn = np.random.default_rng(4).integers(0, 5, size=3)
+    assert combined == [0, 1, 2] + [memory.items[i] for i in drawn]
+    rng = np.random.default_rng(5)
+    assert with_replay(batch, ReplayMemory(capacity=10), rng) is batch
+    # an empty memory draws nothing from the generator
+    assert rng.random() == np.random.default_rng(5).random()
 
 
 def test_forgetting_metrics_on_hand_matrix():

@@ -164,6 +164,27 @@ def test_fisher_diag_is_nonnegative_and_validated():
         fisher_diag(model, batch, sample_count=0, seed=0)
 
 
+@pytest.mark.parametrize("arch", ["mlp", "embed_bag"])
+def test_fisher_diag_matches_a_per_row_gradient_loop(arch):
+    rng = np.random.default_rng(6)
+    if arch == "mlp":
+        model = init_params(ModelSpec("mlp", input_dim=3, hidden_units=4), seed=6)
+        examples = dense_batch(rng, 40, 3)
+    else:
+        model = init_params(ModelSpec("embed_bag", vocab_size=12, embed_dim=3), seed=6)
+        examples = [Example(input=rng.integers(0, 12, size=int(rng.integers(1, 7))),
+                            label=int(rng.integers(0, 2)), id=i) for i in range(40)]
+    idx = np.random.default_rng(11).integers(0, len(examples), size=300)
+    reference = np.zeros(model.num_params)
+    for i in idx:
+        g = grad_params(model, [examples[i]], np.ones(1))
+        reference += g * g
+    reference /= len(idx)
+    for form in (examples, pack(examples, arch == "embed_bag")):
+        diag = fisher_diag(model, form, sample_count=300, seed=11)
+        np.testing.assert_allclose(diag, reference, rtol=1e-15, atol=0)
+
+
 def test_embedding_grads_require_token_model():
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
     with pytest.raises(UnsupportedArchitectureError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab.datasets import TwoDomainSpec, gen_two_domain_gaussian
-from shiftlab.diffcore import Example, ModelSpec, init_params, nll_loss_batch
+from shiftlab.diffcore import Example, ModelSpec, grad_params, init_params, nll_loss_batch
 from shiftlab.dro import (
     DroConfig,
     GaussianAdversary,
@@ -284,8 +284,48 @@ def test_simultaneous_step_rpdro_updates_scorer():
 
 def test_simultaneous_step_rejects_other_methods():
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
-    with pytest.raises(ValueError):
-        simultaneous_step(model, None, [], DroConfig(method="erm"))
+    with pytest.raises(ValueError, match="unknown method"):
+        simultaneous_step(model, None, [], DroConfig(method="sgd"))
+
+
+def test_simultaneous_step_erm_equals_erm_step():
+    model = init_params(ModelSpec("linear", input_dim=2), seed=7)
+    batch = dense_batch(np.random.default_rng(7), 16)
+    new_model, adv, norm = simultaneous_step(model, None, batch, DroConfig(method="erm", lr=0.3))
+    assert np.array_equal(new_model.params, erm_step(model, batch, 0.3).params)
+    assert adv is None and norm is None
+
+
+def test_simultaneous_step_nonparam_descends_the_worst_case_weights():
+    model = init_params(ModelSpec("linear", input_dim=2), seed=8)
+    batch = dense_batch(np.random.default_rng(8), 16)
+    cfg = DroConfig(method="nonparam", lr=0.3, kappa=0.2)
+    new_model, adv, _ = simultaneous_step(model, None, batch, cfg)
+    weights, _ = nonparam_weights(nll_loss_batch(model, batch), cfg.kappa)
+    expected = model.params - cfg.lr * grad_params(model, batch, weights)
+    assert np.array_equal(new_model.params, expected)
+    assert adv is None
+
+
+def test_simultaneous_step_group_dro_updates_the_mixture_first():
+    model = init_params(ModelSpec("linear", input_dim=2), seed=9)
+    rng = np.random.default_rng(9)
+    batch = [
+        Example(input=rng.standard_normal(2), label=int(rng.integers(0, 2)), group=g, id=i)
+        for i, g in enumerate([0, 0, 1, 0, 2, 1, 0, 0])
+    ]
+    mixture = np.array([0.5, 0.3, 0.2])
+    cfg = DroConfig(method="group_dro", lr=0.3, eta_group=0.5)
+    new_model, new_mixture, _ = simultaneous_step(model, mixture, batch, cfg)
+    losses = nll_loss_batch(model, batch)
+    groups = np.array([ex.group for ex in batch])
+    group_means = np.array([losses[groups == g].mean() for g in range(3)])
+    expected = group_dro_weights(group_means, mixture, cfg.eta_group)
+    np.testing.assert_allclose(new_mixture, expected, rtol=1e-15)
+    # each group's share of the step is its updated mixture weight
+    counts = np.bincount(groups)
+    grad = grad_params(model, batch, expected[groups] / counts[groups])
+    np.testing.assert_allclose(new_model.params, model.params - cfg.lr * grad, rtol=1e-14)
 
 
 def test_ratio_adversary_scores_selected_head():

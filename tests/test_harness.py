@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from shiftlab import cli, harness
+from shiftlab import cli, continual as cl, dro, harness
 from shiftlab.diffcore import ModelSpec, forward_logits_batch, init_params, softmax
 
 
@@ -140,6 +140,20 @@ def test_train_run_records_adversaries():
 def test_train_run_rejects_unknown_method():
     with pytest.raises(harness.ConfigError):
         harness.train_run({**TINY, "method": "sgd"}, seed=0)
+
+
+@pytest.mark.parametrize("mode", ["minmax", "greedy"])
+def test_train_run_raises_when_no_record_survives(mode):
+    # a negative threshold filters out even the identity record
+    cfg = {**TINY, "method": "pdro", "selection": mode, "selection.kl_threshold": -1.0}
+    with pytest.raises(ValueError, match="no adversary record survived"):
+        harness.train_run(cfg, seed=0)
+
+
+def test_default_keys_build_the_dataclass_defaults():
+    defaults = harness.resolved({})
+    assert harness.dro_config(defaults) == dro.DroConfig()
+    assert harness.continual_config(defaults, seed=0) == cl.ContinualConfig()
 
 
 def test_train_run_raises_on_divergence():

@@ -107,6 +107,14 @@ def test_minmax_select_requires_a_survivor(valid_set):
         minmax_select(random_checkpoints(2), [heavy], valid_set, kl_threshold=0.1)
 
 
+def test_greedy_requires_a_survivor(valid_set):
+    heavy = make_record(1, np.eye(len(valid_set.examples))[0])  # kl = log n
+    state = SelectionState(records=[identity_record(len(valid_set.examples))])
+    with pytest.raises(ValueError, match="no adversary record survived"):
+        greedy_minmax_update(state, random_checkpoints(1)[0], 0, heavy, valid_set,
+                             kl_threshold=-1.0)
+
+
 def test_greedy_without_adversaries_matches_plain_validation(valid_set):
     checkpoints = random_checkpoints(4, seed=20)
     state = SelectionState(records=[identity_record(len(valid_set.examples))])
