@@ -2,18 +2,24 @@
 
 Character n-gram F-score, relative target-score decrease and attack success,
 out-of-vocabulary character scrambling, nearest-neighbor substitution
-constraints and exhaustive first-order substitution search.
+constraints and exhaustive first-order substitution search. The F-score and
+the attack work on all pairs or token rows of a split at once; the
+one-example functions are one-row calls into them.
 """
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .diffcore import Example, ModelState, grad_wrt_embeddings
+from .diffcore import Example, ModelState, Packed, grad_wrt_embeddings_batch, pack
+
+# chrF pairs and searched token positions per block: fixed blocks bound the
+# temporaries of the whole-split kernels
+_PAIR_BLOCK = 64
+_TOKEN_BLOCK = 256
 
 
 class NoCandidateError(ValueError):
@@ -60,8 +66,15 @@ def _normalize_ws(text: str) -> str:
 
 
 def chrf(reference: str, hypothesis: str, max_n: int = 6, beta: float = 2.0) -> float:
-    """Character n-gram F-score in [0, 100].
+    """Character n-gram F-score in [0, 100]: chrf_batch of one pair."""
+    return float(chrf_batch([reference], [hypothesis], max_n, beta)[0])
 
+
+def chrf_batch(references: Sequence[str], hypotheses: Sequence[str],
+               max_n: int = 6, beta: float = 2.0) -> np.ndarray:
+    """Character n-gram F-score in [0, 100] of each (reference, hypothesis) pair.
+
+    Whitespace runs are collapsed to one space and the ends stripped first.
     Precision and recall are micro-averaged within each n-gram order, then
     macro-averaged across orders 1..max_n before the single F_beta is taken.
     Orders where neither string has n-grams are skipped; two empty strings
@@ -69,30 +82,72 @@ def chrf(reference: str, hypothesis: str, max_n: int = 6, beta: float = 2.0) -> 
     """
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    ref = _normalize_ws(reference)
-    hyp = _normalize_ws(hypothesis)
-    if not ref and not hyp:
-        return 100.0
-    precisions = []
-    recalls = []
+    if len(references) != len(hypotheses):
+        raise ValueError("references and hypotheses must pair up")
+    scores = np.empty(len(references))
+    for lo in range(0, len(references), _PAIR_BLOCK):
+        hi = lo + _PAIR_BLOCK
+        scores[lo:hi] = _chrf_block(references[lo:hi], hypotheses[lo:hi], max_n, beta)
+    return scores
+
+
+def _chrf_block(references: Sequence[str], hypotheses: Sequence[str],
+                max_n: int, beta: float) -> np.ndarray:
+    """chrf_batch of one block of pairs."""
+    texts = [_normalize_ws(t) for t in [*references, *hypotheses]]
+    pairs = len(references)
+    lengths = np.array([len(t) for t in texts], dtype=int)
+    matches = _ngram_matches(texts, lengths, max_n)
+    orders = np.arange(1, max_n + 1)
+    # an order a string has no n-grams of has no matches either: 0 / 1 = 0.0
+    totals = np.maximum(lengths[:, None] - orders + 1, 1)
+    precision = matches / totals[pairs:]
+    recall = matches / totals[:pairs]
+    # the orders some string of the pair has n-grams of are a prefix 1..used
+    used = np.minimum(np.maximum(lengths[:pairs], lengths[pairs:]), max_n)
+    p = np.zeros(pairs)
+    r = np.zeros(pairs)
     for n in range(1, max_n + 1):
-        ref_grams = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
-        hyp_grams = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
-        ref_total = sum(ref_grams.values())
-        hyp_total = sum(hyp_grams.values())
-        if ref_total == 0 and hyp_total == 0:
-            continue
-        matches = sum((ref_grams & hyp_grams).values())
-        precisions.append(matches / hyp_total if hyp_total else 0.0)
-        recalls.append(matches / ref_total if ref_total else 0.0)
-    if not precisions:
-        return 100.0
-    p = float(np.mean(precisions))
-    r = float(np.mean(recalls))
-    if p == 0.0 and r == 0.0:
-        return 0.0
+        sel = used == n
+        # a row sum is the same pairwise sum as np.mean takes over one pair's orders
+        p[sel] = precision[sel, :n].sum(axis=1) / n
+        r[sel] = recall[sel, :n].sum(axis=1) / n
     b2 = beta * beta
-    return 100.0 * (1.0 + b2) * p * r / (b2 * p + r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = 100.0 * (1.0 + b2) * p * r / (b2 * p + r)
+    return np.where(used == 0, 100.0, np.where((p == 0.0) & (r == 0.0), 0.0, score))
+
+
+def _ngram_matches(texts: Sequence[str], lengths: np.ndarray, max_n: int) -> np.ndarray:
+    """(pairs, max_n) clipped n-gram match counts; texts are the pairs'
+    references followed by their hypotheses in the same order."""
+    pairs = len(texts) // 2
+    codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    chars, rank = np.unique(codes, return_inverse=True)
+    # each character's pair, side (0 reference, 1 hypothesis) and the number
+    # of characters left in its text from it on
+    owner = np.repeat(np.arange(len(texts)), lengths)
+    pair, side = owner % pairs, owner // pairs
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(codes.size)
+    out = np.zeros((pairs, max_n), dtype=int)
+    gram, span = rank.astype(np.int64), len(chars)  # gram ids lie in [0, span)
+    for n in range(1, min(max_n, lengths.max(initial=0)) + 1):
+        if n > 1:
+            if span * len(chars) * 2 * pairs >= 2 ** 62:
+                gram = np.unique(gram, return_inverse=True)[1].astype(np.int64)
+                span = int(gram.max()) + 1
+            # the order-n gram at i is the order n-1 gram at i, then character i + n - 1
+            m = codes.size - n + 1
+            gram[:m] = gram[:m] * len(chars) + rank[n - 1:]
+            span *= len(chars)
+        valid = left >= n
+        keys = ((pair[valid] * span + gram[valid]) << 1) | side[valid]
+        uniq, counts = np.unique(keys, return_counts=True)
+        # a (pair, gram) in both texts is its reference key then its hypothesis key
+        both = (uniq[1:] >> 1) == (uniq[:-1] >> 1)
+        out[:, n - 1] = np.bincount((uniq[:-1][both] >> 1) // span,
+                                    np.minimum(counts[:-1], counts[1:])[both], pairs)
+    return out
 
 
 def d_tgt(s_base: float, s_adv: float) -> float:
@@ -149,24 +204,74 @@ def knn_candidates(token_id: int, table: EmbeddingTable, k: int = 10) -> List[in
     return [int(i) for i in order if i != token_id][:k]
 
 
-def _admitted_candidates(
-    token_id: int,
-    table: EmbeddingTable,
-    constraint: str,
-    k: int,
-    oov_id: Optional[int],
-) -> List[int]:
+def _candidate_table(
+    table: EmbeddingTable, constraint: str, k: int, oov_id: Optional[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(vocab, m) admitted substitutes of each token id, in the order they are
+    scored, and a (vocab,) mask of the ids that admit any."""
+    vocab = table.vectors.shape[0]
+    admits = np.ones(vocab, dtype=bool)
     if constraint == "none":
-        return [i for i in range(table.vectors.shape[0]) if i != token_id]
+        ids = np.arange(vocab - 1)
+        return ids + (ids >= np.arange(vocab)[:, None]), admits
     if constraint == "knn":
-        if not 0 <= token_id < table.vectors.shape[0]:
-            raise ValueError("token_id out of range")
-        return table.neighbours(k)[token_id]
+        return table.neighbours(k), admits
     if constraint == "charswap-oov":
         if oov_id is None:
             raise ValueError("charswap-oov constraint requires oov_id")
-        return [oov_id] if oov_id != token_id else []
+        admits[oov_id] = False
+        return np.full((vocab, 1), oov_id), admits
     raise ValueError(f"unknown constraint: {constraint!r}")
+
+
+def _substitute_rows(
+    grads: np.ndarray,
+    grad_rows: np.ndarray,
+    tokens: np.ndarray,
+    offsets: np.ndarray,
+    table: EmbeddingTable,
+    constraint: str,
+    sign_normalize: bool,
+    k: int,
+    oov_id: Optional[int],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Best single-token substitution of each token row under a first-order
+    loss model. Row i is tokens[offsets[i]:offsets[i + 1]]; the token at flat
+    position j is scored against the gradient grads[grad_rows[j]].
+
+    Maximizes (e_new - e_current) . grad over all admitted (position, token)
+    pairs of a row; ties go to the lowest position, then the lowest token id.
+    Returns (position within the row, token id) arrays, one entry per row.
+    """
+    vectors = table.vectors
+    vocab = vectors.shape[0]
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < vocab:
+        raise ValueError("token_id out of range")
+    candidates, admits = _candidate_table(table, constraint, k, oov_id)
+    lengths = np.diff(offsets)
+    if candidates.shape[1] == 0 or lengths.min(initial=1) < 1:
+        raise NoCandidateError("no admissible substitution candidates")
+    if sign_normalize:
+        grads = np.sign(grads)
+    top = np.full(tokens.size, -np.inf)
+    best = np.zeros(tokens.size, dtype=int)
+    for lo in range(0, tokens.size, _TOKEN_BLOCK):
+        block = slice(lo, lo + _TOKEN_BLOCK)
+        tok = tokens[block]
+        cand = candidates[tok]
+        # one (candidates, dim) @ (dim,) product per position, as for a single position
+        diff = vectors[cand] - vectors[tok][:, None, :]
+        scores = np.matmul(diff, grads[grad_rows[block]][:, :, None])[:, :, 0]
+        high = scores.max(axis=1)
+        top[block] = np.where(admits[tok], high, -np.inf)
+        best[block] = np.where(scores == high[:, None], cand, vocab).min(axis=1)
+    row_top = np.maximum.reduceat(top, offsets[:-1])
+    if np.isneginf(row_top).any():
+        raise NoCandidateError("no admissible substitution candidates")
+    # the first position of each row that reaches the row's top score
+    index = np.where(top == np.repeat(row_top, lengths), np.arange(tokens.size), tokens.size)
+    first = np.minimum.reduceat(index, offsets[:-1])
+    return first - offsets[:-1], best[first]
 
 
 def first_order_substitution(
@@ -178,30 +283,41 @@ def first_order_substitution(
     k: int = 10,
     oov_id: Optional[int] = None,
 ) -> Tuple[int, int]:
-    """Best single-token substitution under a first-order loss model.
-
-    Maximizes (e_new - e_current) . grad over all admitted (position, token)
-    pairs; ties go to the lowest position, then lowest token id. Returns
-    (position, token id).
-    """
+    """Best single-token substitution of one sequence, with one gradient per
+    position: the one-row case of the split-wide search. Maximizes
+    (e_new - e_current) . grad over all admitted (position, token) pairs;
+    ties go to the lowest position, then lowest token id. Returns
+    (position, token id)."""
     grads = np.asarray(position_grads, dtype=float)
-    if grads.shape != (len(current_ids), table.vectors.shape[1]):
+    ids = np.asarray(current_ids, dtype=int)
+    if grads.shape != (ids.size, table.vectors.shape[1]):
         raise ValueError("position_grads shape must be (positions, embed_dim)")
-    if sign_normalize:
-        grads = np.sign(grads)
-    best = None
-    for pos, tok in enumerate(current_ids):
-        candidates = np.asarray(_admitted_candidates(int(tok), table, constraint, k, oov_id))
-        if candidates.size == 0:
-            continue
-        scores = (table.vectors[candidates] - table.vectors[int(tok)]) @ grads[pos]
-        top = scores.max()
-        key = (-top, pos, int(candidates[scores == top].min()))
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise NoCandidateError("no admissible substitution candidates")
-    return best[1], best[2]
+    pos, tok = _substitute_rows(grads, np.arange(ids.size), ids, np.array([0, ids.size]),
+                                table, constraint, sign_normalize, k, oov_id)
+    return int(pos[0]), int(tok[0])
+
+
+def attack_rows(
+    model: ModelState,
+    rows: Packed,
+    table: EmbeddingTable,
+    constraint: str = "none",
+    sign_normalize: bool = False,
+    k: int = 10,
+    oov_id: Optional[int] = None,
+    steps: int = 1,
+) -> Packed:
+    """`steps` rounds of one first-order substitution in every token row at
+    once, each against the adversarial-loss gradient of the rows so far; a
+    mean-pooled bag has one gradient per row, shared by its positions."""
+    adv = Packed(rows.labels, rows.groups, tokens=rows.tokens.copy(), offsets=rows.offsets)
+    row_of = np.repeat(np.arange(len(adv)), np.diff(adv.offsets))
+    for _ in range(steps):
+        grads = grad_wrt_embeddings_batch(model, adv, loss_kind="adversarial")
+        pos, tok = _substitute_rows(grads, row_of, adv.tokens, adv.offsets, table,
+                                    constraint, sign_normalize, k, oov_id)
+        adv.tokens[adv.offsets[:-1] + pos] = tok
+    return adv
 
 
 def attack_example(
@@ -213,11 +329,8 @@ def attack_example(
     k: int = 10,
     oov_id: Optional[int] = None,
 ) -> Example:
-    """One first-order substitution applied to a token-sequence example."""
-    grads = grad_wrt_embeddings(model, example, loss_kind="adversarial")
-    pos, tok = first_order_substitution(
-        grads, list(example.input), table, constraint, sign_normalize, k, oov_id
-    )
-    new_ids = np.array(example.input, dtype=int).copy()
-    new_ids[pos] = tok
-    return Example(input=new_ids, label=example.label, group=example.group, id=example.id)
+    """One first-order substitution applied to a token-sequence example:
+    attack_rows of one row."""
+    rows = attack_rows(model, pack([example], tokens=True), table, constraint,
+                       sign_normalize, k, oov_id)
+    return Example(input=rows.tokens, label=example.label, group=example.group, id=example.id)

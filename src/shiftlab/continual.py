@@ -167,24 +167,6 @@ def with_replay(batch: Sequence, memory: ReplayMemory, rng: np.random.Generator)
     return [*batch, *(memory.items[int(i)] for i in idx)]
 
 
-def er_step(
-    model: ModelState,
-    task_batch: Sequence[Example],
-    memory: ReplayMemory,
-    lr: float,
-    rng: np.random.Generator,
-) -> ModelState:
-    """Gradient step on the task batch concatenated with a replay batch."""
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    combined = with_replay(task_batch, memory, rng)
-    n = len(combined)
-    grad = grad_params(model, combined, np.full(n, 1.0 / n))
-    out = model.copy()
-    out.params -= lr * grad
-    return out
-
-
 @dataclass
 class ContinualMetrics:
     """accuracy_matrix[task][checkpoint]; checkpoints follow task order."""

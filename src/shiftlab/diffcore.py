@@ -270,10 +270,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
-def nll_loss(model: ModelState, example: Example) -> float:
-    return float(nll_loss_batch(model, [example])[0])
-
-
 def nll_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
     batch = _packed(model, batch)
     logits, _ = _forward_batch(model, batch)
@@ -352,10 +348,11 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
     return (grads * grads).sum(axis=0) / sample_count
 
 
-def grad_wrt_embeddings(
-    model: ModelState, example: Example, loss_kind: str = "nll"
+def grad_wrt_embeddings_batch(
+    model: ModelState, batch: Batch, loss_kind: str = "nll"
 ) -> np.ndarray:
-    """Per-position gradients of the loss wrt the input embedding vectors.
+    """(rows, embed_dim) gradients of each row's loss wrt its input embedding
+    vectors; a mean-pooled bag gives every position of row i the same row i.
 
     loss_kind "nll" is -log p(y|x); "adversarial" is log(1 - p(y|x)), the
     log-probability of the model erring on the true label.
@@ -366,17 +363,27 @@ def grad_wrt_embeddings(
         )
     if loss_kind not in ("nll", "adversarial"):
         raise ValueError(f"unknown loss_kind: {loss_kind!r}")
-    logits, cache = _forward_batch(model, [example])
-    probs = softmax(logits)[0]
-    y = example.label
+    batch = _packed(model, batch)
+    logits, cache = _forward_batch(model, batch)
+    probs = softmax(logits)
+    rows = np.arange(len(batch))
     if loss_kind == "nll":
-        dlogits = probs.copy()
-        dlogits[y] -= 1.0
+        dlogits = probs
+        dlogits[rows, batch.labels] -= 1.0
     else:
         # d/dz_k log(1 - p_y) = -p_y (1[k=y] - p_k) / (1 - p_y)
-        py = probs[y]
-        dlogits = py * probs / max(1.0 - py, 1e-300)
-        dlogits[y] -= py / max(1.0 - py, 1e-300)
+        py = probs[rows, batch.labels]
+        denom = np.maximum(1.0 - py, 1e-300)
+        dlogits = py[:, None] * probs / denom[:, None]
+        dlogits[rows, batch.labels] -= py / denom
     dbag = dlogits @ _slot_view(model, "out.weight")
-    length = cache["lengths"][0]
-    return np.tile(dbag / length, (length, 1))
+    return dbag / cache["lengths"][:, None]
+
+
+def grad_wrt_embeddings(
+    model: ModelState, example: Example, loss_kind: str = "nll"
+) -> np.ndarray:
+    """(positions, embed_dim) gradients of one example's loss wrt its input
+    embedding vectors: its row of grad_wrt_embeddings_batch at every position."""
+    grads = grad_wrt_embeddings_batch(model, [example], loss_kind)
+    return np.repeat(grads, np.asarray(example.input).size, axis=0)

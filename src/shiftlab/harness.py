@@ -34,9 +34,10 @@ from .diffcore import (
     ModelSpec,
     ModelState,
     UnsupportedArchitectureError,
-    forward_logits,
+    forward_logits_batch,
     init_params,
     nll_loss_batch,
+    pack,
     softmax,
 )
 
@@ -487,8 +488,14 @@ def _detokenize(ids: Sequence[int]) -> str:
 
 def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
                model: Optional[ModelState] = None) -> List[dict]:
-    """Attack an embedding-bag classifier with first-order substitutions."""
+    """Attack an embedding-bag classifier with first-order substitutions on
+    the first attack.n rows of the test split, all rows at once."""
     cfg = resolved(cfg)
+    n, steps = cfg["attack.n"], cfg["attack.steps"]
+    if not 1 <= n <= cfg["data.test_n"]:
+        raise ConfigError(f"attack.n must lie in [1, data.test_n={cfg['data.test_n']}], got {n}")
+    if steps < 1:
+        raise ConfigError(f"attack.steps must be >= 1, got {steps}")
     os.makedirs(out_dir, exist_ok=True)
     if model is None:
         model = train_run({**cfg, "dataset": "distractor", "model.arch": "embed_bag"}, seed).model
@@ -501,21 +508,21 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     table = advmetrics.EmbeddingTable(vectors, [f"tok{i}" for i in range(vocab_size)])
     oov_id = vocab_size - 1
 
+    rows = pack(test.examples[:n], tokens=True)
+    adv = advmetrics.attack_rows(model, rows, table, cfg["attack.constraint"],
+                                 cfg["attack.sign_normalize"], cfg["attack.k"], oov_id, steps)
+    cuts = rows.offsets[1:-1]
+    s_src = advmetrics.chrf_batch([_detokenize(ids) for ids in np.split(rows.tokens, cuts)],
+                                  [_detokenize(ids) for ids in np.split(adv.tokens, cuts)]) / 100.0
+    true_label = (np.arange(n), rows.labels)
+    s_base = softmax(forward_logits_batch(model, rows))[true_label]
+    s_adv = softmax(forward_logits_batch(model, adv))[true_label]
     report = []
-    for ex in test.examples[: cfg["attack.n"]]:
-        perturbed = ex
-        for _ in range(cfg["attack.steps"]):
-            perturbed = advmetrics.attack_example(
-                model, perturbed, table, cfg["attack.constraint"],
-                cfg["attack.sign_normalize"], cfg["attack.k"], oov_id,
-            )
-        s_src = advmetrics.chrf(_detokenize(ex.input), _detokenize(perturbed.input)) / 100.0
-        s_base = float(softmax(forward_logits(model, ex))[ex.label])
-        s_adv = float(softmax(forward_logits(model, perturbed))[ex.label])
-        d = advmetrics.d_tgt(s_base, s_adv)
-        s = advmetrics.success(s_src, d)
-        report.append({"id": ex.id, "s_src": s_src, "s_base": s_base,
-                       "s_adv": s_adv, "d_tgt": d, "success": s})
+    for ex, src, base, after in zip(test.examples, s_src.tolist(), s_base.tolist(),
+                                    s_adv.tolist()):
+        d = advmetrics.d_tgt(base, after)
+        report.append({"id": ex.id, "s_src": src, "s_base": base, "s_adv": after,
+                       "d_tgt": d, "success": advmetrics.success(src, d)})
     header = ["id", "s_src", "s_base", "s_adv", "d_tgt", "success"]
     _write_csv(header, [[r[k] for k in header] for r in report],
                os.path.join(out_dir, "metrics.csv"))

@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,14 +10,17 @@ from shiftlab.advmetrics import (
     EmbeddingTable,
     NoCandidateError,
     attack_example,
+    attack_rows,
     char_swap_oov,
     chrf,
+    chrf_batch,
     d_tgt,
     first_order_substitution,
     knn_candidates,
     success,
 )
-from shiftlab.diffcore import Example, ModelSpec, init_params
+from shiftlab.datasets import DistractorTextSpec, gen_distractor_text
+from shiftlab.diffcore import Example, ModelSpec, grad_wrt_embeddings, init_params, pack
 
 
 def test_chrf_identity_and_empty():
@@ -205,3 +211,178 @@ def test_embedding_table_vectors_are_a_read_only_copy():
         table.vectors[0, 0] = 1.0
     with pytest.raises(ValueError):
         first_order_substitution(np.ones((1, 2)), [3], table, constraint="knn", k=1)
+
+
+# -- batched chrF against the per-pair Counter version it replaced ------------
+
+
+def counter_chrf(reference, hypothesis, max_n=6, beta=2.0):
+    """chrF of one pair with one Counter per string and order."""
+    if max_n < 1:
+        raise ValueError("max_n must be >= 1")
+    ref = re.sub(r"\s+", " ", reference.strip())
+    hyp = re.sub(r"\s+", " ", hypothesis.strip())
+    if not ref and not hyp:
+        return 100.0
+    precisions = []
+    recalls = []
+    for n in range(1, max_n + 1):
+        ref_grams = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
+        hyp_grams = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
+        ref_total = sum(ref_grams.values())
+        hyp_total = sum(hyp_grams.values())
+        if ref_total == 0 and hyp_total == 0:
+            continue
+        matches = sum((ref_grams & hyp_grams).values())
+        precisions.append(matches / hyp_total if hyp_total else 0.0)
+        recalls.append(matches / ref_total if ref_total else 0.0)
+    if not precisions:
+        return 100.0
+    p = float(np.mean(precisions))
+    r = float(np.mean(recalls))
+    if p == 0.0 and r == 0.0:
+        return 0.0
+    b2 = beta * beta
+    return 100.0 * (1.0 + b2) * p * r / (b2 * p + r)
+
+
+# small alphabets with whitespace runs and code points above 0xFFFF, so
+# n-grams repeat and match; any character at all besides
+TEXT = st.text(st.sampled_from(["a", "b", " ", "\t", "\n", "\U0001F600", "\U00010400"])
+               | st.characters(), max_size=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=6),
+       st.integers(1, 6), st.sampled_from([1.0, 2.0]))
+def test_chrf_batch_equals_counter_chrf(pairs, max_n, beta):
+    refs = [r for r, _ in pairs]
+    hyps = [h for _, h in pairs]
+    want = [counter_chrf(r, h, max_n, beta) for r, h in pairs]
+    assert chrf_batch(refs, hyps, max_n, beta).tolist() == want
+    assert [chrf(r, h, max_n, beta) for r, h in pairs] == want
+    with pytest.raises(ValueError):
+        chrf_batch(refs, hyps, max_n=0)
+
+
+def test_chrf_batch_across_blocks_and_wide_alphabets():
+    # 150 pairs span several blocks; thousands of distinct code points make
+    # order-6 gram ids outgrow int64 unless they are renumbered
+    rng = np.random.default_rng(8)
+    refs, hyps = [], []
+    for i in range(150):
+        pool = np.arange(97, 101) if i % 4 == 3 else np.arange(0x4E00, 0x4E00 + 20000)
+        if i % 5 == 0:
+            pool = np.concatenate((pool, [32, 0x1F600, 0x10400]))
+        ref = "".join(map(chr, rng.choice(pool, size=int(rng.integers(0, 60)))))
+        hyp = list(ref)
+        for _ in range(int(rng.integers(0, 4))):
+            if hyp:
+                hyp[int(rng.integers(0, len(hyp)))] = chr(int(rng.choice(pool)))
+        refs.append(ref)
+        hyps.append("".join(hyp[: int(rng.integers(0, len(hyp) + 1))] if i % 3 == 0 else hyp))
+    for max_n in (1, 4, 6):
+        want = [counter_chrf(r, h, max_n) for r, h in zip(refs, hyps)]
+        assert chrf_batch(refs, hyps, max_n).tolist() == want
+    assert chrf_batch([], [], 6).shape == (0,)
+    with pytest.raises(ValueError):
+        chrf_batch(["a"], [], 6)
+
+
+# -- the split-wide attack against the per-example loop it replaced -----------
+
+
+def reference_candidates(token_id, table, constraint, k, oov_id):
+    if constraint == "none":
+        return [i for i in range(table.vectors.shape[0]) if i != token_id]
+    if constraint == "knn":
+        if not 0 <= token_id < table.vectors.shape[0]:
+            raise ValueError("token_id out of range")
+        return table.neighbours(k)[token_id]
+    if constraint == "charswap-oov":
+        if oov_id is None:
+            raise ValueError("charswap-oov constraint requires oov_id")
+        return [oov_id] if oov_id != token_id else []
+    raise ValueError(f"unknown constraint: {constraint!r}")
+
+
+def reference_substitution(grads, current_ids, table, constraint, sign_normalize, k, oov_id):
+    """One position and one candidate list at a time."""
+    grads = np.asarray(grads, dtype=float)
+    if sign_normalize:
+        grads = np.sign(grads)
+    best = None
+    for pos, tok in enumerate(current_ids):
+        candidates = np.asarray(reference_candidates(int(tok), table, constraint, k, oov_id))
+        if candidates.size == 0:
+            continue
+        scores = (table.vectors[candidates] - table.vectors[int(tok)]) @ grads[pos]
+        top = scores.max()
+        key = (-top, pos, int(candidates[scores == top].min()))
+        if best is None or key < best:
+            best = key
+    if best is None:
+        raise NoCandidateError("no admissible substitution candidates")
+    return best[1], best[2]
+
+
+def reference_attack(model, example, table, constraint, sign_normalize, k, oov_id):
+    """One example, one substitution."""
+    grads = grad_wrt_embeddings(model, example, loss_kind="adversarial")
+    pos, tok = reference_substitution(grads, list(example.input), table, constraint,
+                                      sign_normalize, k, oov_id)
+    new_ids = np.array(example.input, dtype=int).copy()
+    new_ids[pos] = tok
+    return Example(input=new_ids, label=example.label, group=example.group, id=example.id)
+
+
+def attack_setup(vocab=12, dim=4, seed=3):
+    # with two classes the adversarial gradient keeps its direction from step
+    # to step; three classes and large logits make each step's gradient matter
+    spec = ModelSpec("embed_bag", num_classes=3, vocab_size=vocab, embed_dim=dim)
+    model = init_params(spec, seed=seed)
+    model.params *= 10.0
+    lo, hi = model.layout["embedding.weight"]
+    table = EmbeddingTable(model.params[lo:hi].reshape(vocab, dim),
+                           [f"tok{i}" for i in range(vocab)])
+    return model, table
+
+
+@pytest.mark.parametrize("steps", [1, 3])
+@pytest.mark.parametrize("sign_normalize", [False, True])
+@pytest.mark.parametrize("constraint", ["none", "knn", "charswap-oov"])
+def test_attack_rows_matches_per_example_loop(constraint, sign_normalize, steps):
+    model, table = attack_setup()
+    oov_id = 11  # also a noise token, so some positions admit no candidate
+    # ragged rows: seq_len 8, plus the distractor token 0 in front of about half
+    data = gen_distractor_text(DistractorTextSpec(300, 12, 8, 0.5, seed=4))
+    lengths = {len(ex.input) for ex in data.examples}
+    assert lengths == {8, 9}
+    for examples in (data.examples, data.examples[7:8]):
+        want = []
+        for ex in examples:
+            for _ in range(steps):
+                ex = reference_attack(model, ex, table, constraint, sign_normalize, 3, oov_id)
+            want.append(ex.input)
+        rows = pack(examples, tokens=True)
+        got = attack_rows(model, rows, table, constraint, sign_normalize, 3, oov_id, steps)
+        assert np.array_equal(got.offsets, rows.offsets)
+        assert np.array_equal(got.tokens, np.concatenate(want))
+        assert np.array_equal(rows.tokens, pack(examples, tokens=True).tokens)  # input kept
+    one = attack_example(model, data.examples[7], table, constraint, sign_normalize, 3, oov_id)
+    two = reference_attack(model, data.examples[7], table, constraint, sign_normalize, 3, oov_id)
+    assert np.array_equal(one.input, two.input)
+    assert (one.label, one.group, one.id) == (two.label, two.group, two.id)
+
+
+def test_attack_rows_raises_when_a_row_admits_no_candidate():
+    model, table = attack_setup()
+    stuck = Example(input=np.array([11, 11]), label=0)
+    free = Example(input=np.array([3, 11]), label=1)
+    with pytest.raises(NoCandidateError):
+        reference_attack(model, stuck, table, "charswap-oov", False, 3, 11)
+    for examples in ([stuck], [free, stuck]):
+        with pytest.raises(NoCandidateError):
+            attack_rows(model, pack(examples, tokens=True), table, "charswap-oov", oov_id=11)
+    got = attack_rows(model, pack([free], tokens=True), table, "charswap-oov", oov_id=11)
+    assert got.tokens.tolist() == [11, 11]

@@ -13,7 +13,6 @@ from shiftlab.continual import (
     conatural_delta,
     conatural_delta_raw,
     continual_train,
-    er_step,
     ewc_loss,
     fisher_renormalize,
     forgetting,
@@ -24,7 +23,7 @@ from shiftlab.continual import (
     rotated_gaussian_tasks,
     with_replay,
 )
-from shiftlab.diffcore import Example, ModelSpec, init_params, nll_loss_batch
+from shiftlab.diffcore import Example
 
 
 def cosine(a, b):
@@ -131,23 +130,6 @@ def test_reservoir_fills_then_stays_at_capacity():
     assert memory.seen_count == 50
     with pytest.raises(ValueError):
         ReplayMemory(capacity=0)
-
-
-def test_er_step_uses_replay_and_descends():
-    rng = np.random.default_rng(2)
-    model = init_params(ModelSpec("linear", input_dim=2), seed=0)
-    batch = [
-        Example(input=rng.standard_normal(2), label=int(rng.integers(0, 2)), id=i)
-        for i in range(8)
-    ]
-    memory = ReplayMemory(capacity=4)
-    for ex in batch[:4]:
-        reservoir_add(memory, ex, rng)
-    before = nll_loss_batch(model, batch).mean()
-    stepped = er_step(model, batch, memory, lr=0.5, rng=rng)
-    assert nll_loss_batch(stepped, batch).mean() < before
-    with pytest.raises(ValueError):
-        er_step(model, batch, memory, lr=0.0, rng=rng)
 
 
 def test_with_replay_appends_one_memory_draw_per_batch_item():

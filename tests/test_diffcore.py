@@ -15,7 +15,6 @@ from shiftlab.diffcore import (
     grad_params,
     grad_wrt_embeddings,
     init_params,
-    nll_loss,
     nll_loss_batch,
     pack,
     per_example_grads,
@@ -84,7 +83,7 @@ def test_nll_matches_log_softmax():
     model = init_params(ModelSpec("linear", input_dim=2), seed=1)
     ex = Example(input=np.array([0.3, -0.7]), label=1)
     probs = softmax(forward_logits(model, ex))
-    assert nll_loss(model, ex) == pytest.approx(-np.log(probs[1]))
+    assert nll_loss_batch(model, [ex])[0] == pytest.approx(-np.log(probs[1]))
 
 
 def test_zero_one_loss_against_argmax():
@@ -100,12 +99,12 @@ def test_zero_one_loss_against_argmax():
 def test_input_shape_errors():
     model = init_params(ModelSpec("linear", input_dim=3), seed=0)
     with pytest.raises(InputShapeError):
-        nll_loss(model, Example(input=np.zeros(2), label=0))
+        nll_loss_batch(model, [Example(input=np.zeros(2), label=0)])
     bag = init_params(ModelSpec("embed_bag", vocab_size=4, embed_dim=2), seed=0)
     with pytest.raises(InputShapeError):
-        nll_loss(bag, Example(input=np.array([0, 7]), label=0))
+        nll_loss_batch(bag, [Example(input=np.array([0, 7]), label=0)])
     with pytest.raises(InputShapeError):
-        nll_loss(bag, Example(input=np.array([], dtype=int), label=0))
+        nll_loss_batch(bag, [Example(input=np.array([], dtype=int), label=0)])
 
 
 def test_grad_params_validates_weights():
@@ -198,12 +197,12 @@ def test_embedding_grads_are_a_descent_direction():
     ex = Example(input=np.array([1, 4, 6]), label=1)
     grads = grad_wrt_embeddings(model, ex, loss_kind="nll")
     assert grads.shape == (3, 3)
-    before = nll_loss(model, ex)
+    before = nll_loss_batch(model, [ex])[0]
     nudged = model.copy()
     emb = nudged.slot("embedding.weight").reshape(spec.vocab_size, spec.embed_dim)
     for pos, tok in enumerate(ex.input):
         emb[tok] -= 0.05 * grads[pos]
-    assert nll_loss(nudged, ex) < before
+    assert nll_loss_batch(nudged, [ex])[0] < before
     with pytest.raises(ValueError):
         grad_wrt_embeddings(model, ex, loss_kind="hinge")
 
@@ -226,7 +225,7 @@ def test_batch_losses_match_single_losses():
     model = init_params(ModelSpec("linear", input_dim=2), seed=6)
     batch = dense_batch(np.random.default_rng(5), 5, 2)
     losses = nll_loss_batch(model, batch)
-    singles = [nll_loss(model, ex) for ex in batch]
+    singles = [nll_loss_batch(model, [ex])[0] for ex in batch]
     assert np.allclose(losses, singles)
 
 

@@ -222,6 +222,18 @@ def test_cmd_attack_with_prebuilt_model(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("bad", [
+    {"attack.n": 5000, "data.test_n": 50},
+    {"attack.n": 0},
+    {"attack.steps": 0},
+])
+def test_cmd_attack_rejects_attack_sizes_it_cannot_honour(tmp_path, bad):
+    model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=0)
+    with pytest.raises(harness.ConfigError):
+        harness.cmd_attack(bad, 0, str(tmp_path / "a"), model=model)
+    assert not (tmp_path / "a").exists()
+
+
 def test_cmd_attack_rejects_dense_models(tmp_path):
     from shiftlab.diffcore import UnsupportedArchitectureError
 
