@@ -16,6 +16,8 @@ import numpy as np
 
 from .diffcore import Example, ModelState, Packed, grad_wrt_embeddings_batch, pack
 
+CONSTRAINTS = ("none", "knn", "charswap-oov")
+
 # chrF pairs and searched token positions per block: fixed blocks bound the
 # temporaries of the whole-split kernels
 _PAIR_BLOCK = 64

@@ -28,6 +28,7 @@ from .diffcore import (
 )
 
 EPSILON = 1e-12
+METHODS = ("finetune", "conatural", "ewc", "conatural+ewc", "er", "conatural+er")
 
 
 @dataclass
@@ -211,39 +212,9 @@ class ContinualConfig:
     grad_noise: float = 0.0
     seed: int = 0
 
-    _METHODS = ("finetune", "conatural", "ewc", "conatural+ewc", "er", "conatural+er")
-
     def __post_init__(self):
-        if self.method not in self._METHODS:
+        if self.method not in METHODS:
             raise ValueError(f"unknown method: {self.method!r}")
-
-
-class _MultiHeadModel:
-    """An MLP trunk shared across tasks with one linear head per task."""
-
-    def __init__(self, input_dim: int, num_classes: int, hidden: int, num_tasks: int, seed: int):
-        self.spec = ModelSpec(
-            "mlp", input_dim=input_dim, num_classes=num_classes, hidden_units=hidden
-        )
-        base = init_params(self.spec, seed)
-        self.layout = base.layout
-        lo, hi = self.layout["hidden.weight"]
-        lo2, hi2 = self.layout["hidden.bias"]
-        self.trunk_slice = slice(min(lo, lo2), max(hi, hi2))
-        self.trunk = base.params[self.trunk_slice].copy()
-        self.head_slice = slice(self.trunk_slice.stop, base.params.size)
-        self.heads = [
-            init_params(self.spec, seed + 1 + t).params[self.head_slice].copy()
-            for t in range(num_tasks)
-        ]
-
-    def model_for(self, task: int) -> ModelState:
-        params = np.concatenate([self.trunk, self.heads[task]])
-        return ModelState(self.spec, params, dict(self.layout))
-
-    def apply_update(self, task: int, trunk_update: np.ndarray, head_update: np.ndarray):
-        self.trunk += trunk_update
-        self.heads[task] += head_update
 
 
 def continual_train(
@@ -265,17 +236,25 @@ def continual_train(
     rows = pack([ex for task in tasks for ex in task.examples], tokens=False)
     starts = np.cumsum([0] + [len(task) for task in tasks])
     task_rows = [np.arange(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
-    net = _MultiHeadModel(rows.x.shape[1], max(int(rows.labels.max()) + 1, 2),
-                          config.hidden_units, len(tasks), config.seed)
+    spec = ModelSpec("mlp", input_dim=rows.x.shape[1], hidden_units=config.hidden_units,
+                     num_classes=max(int(rows.labels.max()) + 1, 2))
+    # the trunk (hidden layer) precedes the head (output layer) in the spec's layout
+    split = spec.slots["out.weight"][0]
+    trunk = init_params(spec, config.seed).params[:split].copy()
+    heads = np.stack([init_params(spec, config.seed + 1 + t).params[split:]
+                      for t in range(len(tasks))])
+
+    def model_for(task: int) -> ModelState:
+        return ModelState(spec, np.concatenate([trunk, heads[task]]))
+
     rng = np.random.default_rng(config.seed + 7919)
 
     use_conatural = method.startswith("conatural")
     use_ewc = method.endswith("ewc")
     use_er = method.endswith("er") and not method.endswith("ewc")
 
-    trunk_size = net.trunk.size
-    fisher = initial_fisher(trunk_size, config.gamma, config.alpha)
-    trunk_ref = net.trunk.copy()
+    fisher = initial_fisher(split, config.gamma, config.alpha)
+    trunk_ref = trunk.copy()
     memory = ReplayMemory(config.replay_capacity) if use_er else None
     seen_any_task = False
 
@@ -285,42 +264,40 @@ def continual_train(
             batch_seed = config.seed * 100003 + task_idx * 131 + epoch
             for idx in batches(task, config.batch_size, seed=batch_seed):
                 batch = task_rows[task_idx][idx]
-                model = net.model_for(task_idx)
+                model = model_for(task_idx)
                 combined = with_replay(batch, memory, rng) if use_er else batch
                 n = len(combined)
                 grad = grad_params(model, rows.take(combined), np.full(n, 1.0 / n))
                 if config.grad_noise > 0:
                     scale = config.grad_noise * np.linalg.norm(grad)
                     grad = grad + scale * rng.standard_normal(grad.size) / np.sqrt(grad.size)
-                trunk_grad = grad[net.trunk_slice].copy()
-                head_grad = grad[net.head_slice].copy()
+                trunk_grad, head_grad = grad[:split], grad[split:]
                 if use_ewc and seen_any_task:
-                    _, penalty_grad = ewc_loss(
-                        net.trunk, trunk_ref, fisher.diag, config.ewc_lambda
-                    )
+                    _, penalty_grad = ewc_loss(trunk, trunk_ref, fisher.diag, config.ewc_lambda)
                     trunk_grad += penalty_grad
                 if use_conatural and seen_any_task:
                     trunk_update = conatural_delta(trunk_grad, fisher, config.lr)
                 else:
                     trunk_update = -config.lr * trunk_grad
-                net.apply_update(task_idx, trunk_update, -config.lr * head_grad)
+                trunk += trunk_update
+                heads[task_idx] -= config.lr * head_grad
                 if use_er:
                     for row in batch:
                         reservoir_add(memory, int(row), rng)
 
         if not math.isinf(config.alpha) and (use_conatural or use_ewc):
             raw_fisher = fisher_diag(
-                net.model_for(task_idx), rows.take(task_rows[task_idx]), config.fisher_samples,
+                model_for(task_idx), rows.take(task_rows[task_idx]), config.fisher_samples,
                 seed=config.seed + 31 * task_idx,
             )
-            trunk_fisher, ok = fisher_renormalize(raw_fisher[net.trunk_slice])
+            trunk_fisher, ok = fisher_renormalize(raw_fisher[:split])
             if ok:
                 fisher = rolling_fisher_update(fisher, trunk_fisher)
-        trunk_ref = net.trunk.copy()
+        trunk_ref = trunk.copy()
         seen_any_task = True
 
         accuracy_rows.append([
-            float(1.0 - zero_one_loss_batch(net.model_for(t), rows.take(ids)).mean())
+            float(1.0 - zero_one_loss_batch(model_for(t), rows.take(ids)).mean())
             for t, ids in enumerate(task_rows)
         ])
 

@@ -7,10 +7,10 @@ estimation of the diagonal empirical Fisher, all on packed whole-batch kernels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -23,9 +23,13 @@ class UnsupportedArchitectureError(TypeError):
     """Operation called on an architecture that does not support it."""
 
 
+ARCHITECTURES = ("linear", "mlp", "embed_bag")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description for one of the three tiny classifiers.
+    """Architecture description for one of the three tiny classifiers; it
+    fixes where each parameter slot sits in the flat parameter vector.
 
     architecture: "linear", "mlp" or "embed_bag".
     input_dim is ignored for embed_bag; hidden_units only applies to mlp;
@@ -40,7 +44,7 @@ class ModelSpec:
     embed_dim: int = 0
 
     def __post_init__(self):
-        if self.architecture not in ("linear", "mlp", "embed_bag"):
+        if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture: {self.architecture!r}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
@@ -53,6 +57,30 @@ class ModelSpec:
                 raise ValueError("vocab_size must be >= 2")
             if self.embed_dim < 1:
                 raise ValueError("embed_dim must be >= 1")
+
+    @cached_property
+    def slots(self) -> Dict[str, Tuple[int, int, Tuple[int, ...]]]:
+        """(start, stop, shape) of each parameter slot, in layout order."""
+        c = self.num_classes
+        if self.architecture == "linear":
+            shapes = {"linear.weight": (c, self.input_dim), "linear.bias": (c,)}
+        elif self.architecture == "mlp":
+            h = self.hidden_units
+            shapes = {"hidden.weight": (h, self.input_dim), "hidden.bias": (h,),
+                      "out.weight": (c, h), "out.bias": (c,)}
+        else:
+            e = self.embed_dim
+            shapes = {"embedding.weight": (self.vocab_size, e), "out.weight": (c, e),
+                      "out.bias": (c,)}
+        slots, start = {}, 0
+        for name, shape in shapes.items():
+            stop = start + int(np.prod(shape))
+            slots[name], start = (start, stop, shape), stop
+        return slots
+
+    @property
+    def param_count(self) -> int:
+        return max(hi for _, hi, _ in self.slots.values())
 
 
 @dataclass
@@ -67,73 +95,38 @@ class Example:
 
 @dataclass
 class ModelState:
-    """Model spec plus the flat parameter vector and its slot layout."""
+    """Model spec plus the flat parameter vector the spec lays out."""
 
     spec: ModelSpec
     params: np.ndarray
-    layout: Dict[str, Tuple[int, int]] = field(default_factory=dict)
+
+    @property
+    def layout(self) -> Dict[str, Tuple[int, int]]:
+        """(start, stop) of each slot in params, in layout order."""
+        return {name: (lo, hi) for name, (lo, hi, _) in self.spec.slots.items()}
 
     def slot(self, name: str) -> np.ndarray:
-        lo, hi = self.layout[name]
-        return self.params[lo:hi]
+        """Slot `name` as a shaped view into params."""
+        lo, hi, shape = self.spec.slots[name]
+        return self.params[lo:hi].reshape(shape)
 
     def copy(self) -> "ModelState":
-        return ModelState(self.spec, self.params.copy(), dict(self.layout))
+        return ModelState(self.spec, self.params.copy())
 
     @property
     def num_params(self) -> int:
         return self.params.size
 
 
-def _slot_shapes(spec: ModelSpec) -> List[Tuple[str, Tuple[int, ...], int]]:
-    """(name, shape, fan_in) for each parameter slot, in layout order."""
-    c = spec.num_classes
-    if spec.architecture == "linear":
-        d = spec.input_dim
-        return [("linear.weight", (c, d), d), ("linear.bias", (c,), 0)]
-    if spec.architecture == "mlp":
-        d, h = spec.input_dim, spec.hidden_units
-        return [
-            ("hidden.weight", (h, d), d),
-            ("hidden.bias", (h,), 0),
-            ("out.weight", (c, h), h),
-            ("out.bias", (c,), 0),
-        ]
-    v, e = spec.vocab_size, spec.embed_dim
-    return [
-        ("embedding.weight", (v, e), e),
-        ("out.weight", (c, e), e),
-        ("out.bias", (c,), 0),
-    ]
-
-
 def init_params(spec: ModelSpec, seed: int) -> ModelState:
     """Deterministic init: uniform +-1/sqrt(fan_in) weights, zero biases."""
     rng = np.random.default_rng(seed)
-    chunks = []
-    layout = {}
-    offset = 0
-    for name, shape, fan_in in _slot_shapes(spec):
-        n = int(np.prod(shape))
-        if fan_in == 0:
-            values = np.zeros(n)
-        else:
-            bound = 1.0 / np.sqrt(fan_in)
-            values = rng.uniform(-bound, bound, size=n)
-        layout[name] = (offset, offset + n)
-        chunks.append(values)
-        offset += n
-    return ModelState(spec, np.concatenate(chunks), layout)
-
-
-@lru_cache(maxsize=None)
-def _slot_shape(spec: ModelSpec, name: str) -> Tuple[int, ...]:
-    return {n: s for n, s, _ in _slot_shapes(spec)}[name]
-
-
-def _slot_view(model: ModelState, name: str) -> np.ndarray:
-    lo, hi = model.layout[name]
-    return model.params[lo:hi].reshape(_slot_shape(model.spec, name))
+    model = ModelState(spec, np.zeros(spec.param_count))
+    for name, (lo, hi, shape) in spec.slots.items():
+        if len(shape) == 2:  # a weight's fan-in is its row length
+            bound = 1.0 / np.sqrt(shape[1])
+            model.params[lo:hi] = rng.uniform(-bound, bound, size=hi - lo)
+    return model
 
 
 @dataclass(eq=False)
@@ -199,20 +192,20 @@ def _forward_batch(model: ModelState, batch: Batch):
             raise InputShapeError("token input must be a non-empty 1-d sequence")
         if batch.tokens.min() < 0 or batch.tokens.max() >= spec.vocab_size:
             raise InputShapeError(f"token id out of range [0, {spec.vocab_size})")
-        emb = _slot_view(model, "embedding.weight")
+        emb = model.slot("embedding.weight")
         bag = np.add.reduceat(emb[batch.tokens], batch.offsets[:-1], axis=0) / lengths[:, None]
         cache.update(lengths=lengths, bag=bag)
-        return bag @ _slot_view(model, "out.weight").T + _slot_view(model, "out.bias"), cache
+        return bag @ model.slot("out.weight").T + model.slot("out.bias"), cache
     shape = None if batch.x is None else batch.x.shape
     if shape is None or shape[1:] != (spec.input_dim,) or shape[0] == 0:
         raise InputShapeError(f"expected inputs of shape (n, {spec.input_dim}), got {shape}")
     if spec.architecture == "linear":
-        w, b = _slot_view(model, "linear.weight"), _slot_view(model, "linear.bias")
+        w, b = model.slot("linear.weight"), model.slot("linear.bias")
         return batch.x @ w.T + b, cache
-    w1 = _slot_view(model, "hidden.weight")
-    b1 = _slot_view(model, "hidden.bias")
-    w2 = _slot_view(model, "out.weight")
-    b2 = _slot_view(model, "out.bias")
+    w1 = model.slot("hidden.weight")
+    b1 = model.slot("hidden.bias")
+    w2 = model.slot("out.weight")
+    b2 = model.slot("out.bias")
     cache["a"] = a = np.tanh(batch.x @ w1.T + b1)
     return a @ w2.T + b2, cache
 
@@ -220,35 +213,29 @@ def _forward_batch(model: ModelState, batch: Batch):
 def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.ndarray:
     """Flat parameter gradient given d(loss)/d(logits) for each example."""
     arch = model.spec.architecture
-    grad = np.zeros_like(model.params)
-
-    def put(name, value):
-        lo, hi = model.layout[name]
-        grad[lo:hi] = value.ravel()
-
+    grad = ModelState(model.spec, np.zeros_like(model.params))
     x = cache["batch"].x
     if arch == "linear":
-        put("linear.weight", dlogits.T @ x)
-        put("linear.bias", dlogits.sum(axis=0))
+        grad.slot("linear.weight")[:] = dlogits.T @ x
+        grad.slot("linear.bias")[:] = dlogits.sum(axis=0)
     elif arch == "mlp":
         a = cache["a"]
-        w2 = _slot_view(model, "out.weight")
-        put("out.weight", dlogits.T @ a)
-        put("out.bias", dlogits.sum(axis=0))
-        dpre = (dlogits @ w2) * (1.0 - a * a)
-        put("hidden.weight", dpre.T @ x)
-        put("hidden.bias", dpre.sum(axis=0))
+        grad.slot("out.weight")[:] = dlogits.T @ a
+        grad.slot("out.bias")[:] = dlogits.sum(axis=0)
+        dpre = (dlogits @ model.slot("out.weight")) * (1.0 - a * a)
+        grad.slot("hidden.weight")[:] = dpre.T @ x
+        grad.slot("hidden.bias")[:] = dpre.sum(axis=0)
     else:
         lengths = cache["lengths"]
-        put("out.weight", dlogits.T @ cache["bag"])
-        put("out.bias", dlogits.sum(axis=0))
+        grad.slot("out.weight")[:] = dlogits.T @ cache["bag"]
+        grad.slot("out.bias")[:] = dlogits.sum(axis=0)
         # each token of row i gets dbag[i] / len(row i), summed per cell in row order
-        e = model.spec.embed_dim
-        dbag = dlogits @ _slot_view(model, "out.weight")
+        v, e = model.spec.vocab_size, model.spec.embed_dim
+        dbag = dlogits @ model.slot("out.weight")
         dtok = np.repeat(dbag / lengths[:, None], lengths, axis=0)
         cells = (cache["batch"].tokens[:, None] * e + np.arange(e)).ravel()
-        put("embedding.weight", np.bincount(cells, dtok.ravel(), model.spec.vocab_size * e))
-    return grad
+        grad.slot("embedding.weight")[:] = np.bincount(cells, dtok.ravel(), v * e).reshape(v, e)
+    return grad.params
 
 
 def forward_logits(model: ModelState, example: Example) -> np.ndarray:
@@ -376,7 +363,7 @@ def grad_wrt_embeddings_batch(
         denom = np.maximum(1.0 - py, 1e-300)
         dlogits = py[:, None] * probs / denom[:, None]
         dlogits[rows, batch.labels] -= py / denom
-    dbag = dlogits @ _slot_view(model, "out.weight")
+    dbag = dlogits @ model.slot("out.weight")
     return dbag / cache["lengths"][:, None]
 
 

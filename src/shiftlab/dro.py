@@ -32,6 +32,7 @@ TAU_SEARCH_LO = 1e-10
 TAU_SEARCH_HI = 1e10
 WEIGHT_CLIP = 100.0  # guards against importance-weight overflow
 METHODS = ("erm", "nonparam", "group_dro", "pdro", "rpdro")
+NORM_MODES = ("batch_level", "self_norm")  # rpdro's ratio normalization
 
 
 @dataclass

@@ -11,7 +11,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,6 +31,7 @@ from .datasets import (
     save_csv,
 )
 from .diffcore import (
+    ARCHITECTURES,
     ModelSpec,
     ModelState,
     UnsupportedArchitectureError,
@@ -90,7 +91,7 @@ DEFAULTS: Dict[str, object] = {
     "selection.loss": "auto",         # auto | nll | zero_one
     "selection.kl_threshold": math.log(10.0),
     # continual
-    "cl.method": "finetune",
+    "cl.method": "finetune",          # finetune | conatural | ewc | conatural+ewc | er | conatural+er
     "cl.tasks": 5,
     "cl.points": 400,
     "cl.sigma": 0.5,
@@ -110,8 +111,24 @@ DEFAULTS: Dict[str, object] = {
     "attack.sign_normalize": False,
     "attack.steps": 1,
     "attack.n": 200,
-    # sweep: any "sweep.<key>" with a comma-separated value list is legal
+    # sweep: "sweep.<key>" with a comma-separated value list, for any key but
+    # dataset, data.*, cl.* and attack.*
 }
+
+# the legal values of each enumerated key, defined by the module that branches on it
+CHOICES: Dict[str, Tuple[str, ...]] = {
+    "model.arch": ("auto", *ARCHITECTURES),
+    "method": dro.METHODS,
+    "norm_mode": dro.NORM_MODES,
+    "selection": ("minmax", "greedy", "last"),  # train_run
+    "selection.loss": ("auto", *selection.LOSS_KINDS),
+    "cl.method": cl.METHODS,
+    "attack.constraint": advmetrics.CONSTRAINTS,
+}
+
+# every sweep point trains on the first point's datasets, and train_run reads no
+# cl.* or attack.* key
+UNSWEPT = ("dataset", "data.", "cl.", "attack.")
 
 
 def coerce_value(text: str) -> object:
@@ -137,9 +154,12 @@ def coerce_value(text: str) -> object:
 def _check_key(key: str) -> None:
     if key in DEFAULTS:
         return
-    if key.startswith("sweep.") and key[len("sweep."):] in DEFAULTS:
-        return
-    raise ConfigError(f"unknown config key: {key!r}")
+    target = key[len("sweep."):]
+    if not key.startswith("sweep.") or target not in DEFAULTS:
+        raise ConfigError(f"unknown config key: {key!r}")
+    if target.startswith(UNSWEPT):
+        raise ConfigError(f"cannot sweep {target!r}: every sweep point trains on one "
+                          f"dataset and reads no cl.* or attack.* key")
 
 
 def parse_config(path: str) -> Dict[str, object]:
@@ -176,6 +196,9 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
     for key, value in config.items():
         _check_key(key)
         out[key] = value
+    for key, legal in CHOICES.items():
+        if out[key] not in legal:
+            raise ConfigError(f"unknown {key}: {out[key]!r} (legal: {' | '.join(legal)})")
     return out
 
 
@@ -284,8 +307,6 @@ def train_run(cfg: Dict[str, object], seed: int,
               ) -> TrainResult:
     """One full training run: optimize, checkpoint per epoch, select, evaluate."""
     cfg = resolved(cfg)
-    if cfg["method"] not in dro.METHODS:
-        raise ConfigError(f"unknown method: {cfg['method']!r}")
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
     spec = build_model_spec(cfg, train)
     model = init_params(spec, seed)
@@ -362,12 +383,7 @@ def train_run(cfg: Dict[str, object], seed: int,
 def save_model_bin(model: ModelState, path: str) -> None:
     """Flat little-endian float64 dump preceded by a length-prefixed JSON header."""
     header = {
-        "architecture": model.spec.architecture,
-        "input_dim": model.spec.input_dim,
-        "num_classes": model.spec.num_classes,
-        "hidden_units": model.spec.hidden_units,
-        "vocab_size": model.spec.vocab_size,
-        "embed_dim": model.spec.embed_dim,
+        **asdict(model.spec),
         "layout": {k: list(v) for k, v in model.layout.items()},
         "dtype": "<f8",
         "param_count": int(model.num_params),
@@ -382,19 +398,18 @@ def save_model_bin(model: ModelState, path: str) -> None:
 
 
 def load_model_bin(path: str) -> ModelState:
+    """The model save_model_bin wrote; raises ValueError when the header's
+    layout or parameter count is not the one its spec fixes."""
     with open(path, "rb") as fh:
         (length,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(length).decode("utf-8"))
         params = np.frombuffer(fh.read(), dtype="<f8").copy()
-    spec = ModelSpec(
-        header["architecture"], input_dim=header["input_dim"],
-        num_classes=header["num_classes"], hidden_units=header["hidden_units"],
-        vocab_size=header["vocab_size"], embed_dim=header["embed_dim"],
-    )
-    if params.size != header["param_count"]:
+    model = ModelState(ModelSpec(**{f.name: header[f.name] for f in fields(ModelSpec)}), params)
+    if params.size != header["param_count"] or params.size != model.spec.param_count:
         raise ValueError(f"{path}: parameter count mismatch")
-    layout = {k: tuple(v) for k, v in header["layout"].items()}
-    return ModelState(spec, params, layout)
+    if {k: tuple(v) for k, v in header["layout"].items()} != model.layout:
+        raise ValueError(f"{path}: header layout does not match its spec")
+    return model
 
 
 def _write_jsonl(rows: Sequence[dict], path: str) -> None:
@@ -503,9 +518,8 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
         raise UnsupportedArchitectureError("attack requires an embed_bag model")
     test = _generated_split({**cfg, "dataset": "distractor"}, seed, 2)
     vocab_size = model.spec.vocab_size
-    lo, hi = model.layout["embedding.weight"]
-    vectors = model.params[lo:hi].reshape(vocab_size, model.spec.embed_dim)
-    table = advmetrics.EmbeddingTable(vectors, [f"tok{i}" for i in range(vocab_size)])
+    table = advmetrics.EmbeddingTable(model.slot("embedding.weight"),
+                                      [f"tok{i}" for i in range(vocab_size)])
     oov_id = vocab_size - 1
 
     rows = pack(test.examples[:n], tokens=True)
@@ -538,6 +552,7 @@ def sweep_grid(cfg: Dict[str, object]) -> List[Dict[str, object]]:
     for key, value in cfg.items():
         if not key.startswith("sweep."):
             continue
+        _check_key(key)
         target = key[len("sweep."):]
         values = [coerce_value(v) for v in str(value).split(",")]
         axes.append((target, values))
@@ -550,11 +565,13 @@ def sweep_grid(cfg: Dict[str, object]) -> List[Dict[str, object]]:
 
 
 def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
+    """Train every grid point on the first point's datasets, then pick one
+    (point, checkpoint) against the pooled adversary records of all points."""
+    points = [resolved(point) for point in sweep_grid(cfg)]
     os.makedirs(out_dir, exist_ok=True)
-    points = sweep_grid(cfg)
     results = []
     failures = []
-    shared = build_datasets(resolved(points[0]), seed)
+    shared = build_datasets(points[0], seed)
     for i, point in enumerate(points):
         try:
             results.append((i, point, train_run(point, seed, datasets=shared)))
@@ -563,7 +580,7 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
     if results:
         runs = [(r.checkpoints, r.records) for _, _, r in results]
         best_run, best_ckpt, _ = selection.hyperparam_select(
-            runs, shared[1], loss_kind=selection_loss(resolved(points[0]))
+            runs, shared[1], points[0]["selection.kl_threshold"], selection_loss(points[0])
         )
     else:
         best_run, best_ckpt = -1, -1

@@ -18,6 +18,7 @@ from .datasets import GroupedDataset
 from .diffcore import ModelState, nll_loss_batch, zero_one_loss_batch
 
 KL_THRESHOLD_DEFAULT = math.log(10.0)
+LOSS_KINDS = ("nll", "zero_one")
 
 
 @dataclass

@@ -173,10 +173,7 @@ def test_sign_normalization_changes_the_ranking():
 def test_attack_example_changes_exactly_one_position():
     spec = ModelSpec("embed_bag", vocab_size=10, embed_dim=4)
     model = init_params(spec, seed=0)
-    lo, hi = model.layout["embedding.weight"]
-    table = EmbeddingTable(
-        model.params[lo:hi].reshape(10, 4), [f"tok{i}" for i in range(10)]
-    )
+    table = EmbeddingTable(model.slot("embedding.weight"), [f"tok{i}" for i in range(10)])
     ex = Example(input=np.array([1, 4, 7]), label=1, group=0, id=3)
     adv = attack_example(model, ex, table)
     assert adv.label == ex.label and adv.id == ex.id
@@ -342,9 +339,7 @@ def attack_setup(vocab=12, dim=4, seed=3):
     spec = ModelSpec("embed_bag", num_classes=3, vocab_size=vocab, embed_dim=dim)
     model = init_params(spec, seed=seed)
     model.params *= 10.0
-    lo, hi = model.layout["embedding.weight"]
-    table = EmbeddingTable(model.params[lo:hi].reshape(vocab, dim),
-                           [f"tok{i}" for i in range(vocab)])
+    table = EmbeddingTable(model.slot("embedding.weight"), [f"tok{i}" for i in range(vocab)])
     return model, table
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,11 @@ from shiftlab.diffcore import (
     Example,
     InputShapeError,
     ModelSpec,
+    ModelState,
     Packed,
     UnsupportedArchitectureError,
     finite_diff_check,
     fisher_diag,
-    _slot_shapes,
     forward_logits,
     forward_logits_batch,
     grad_params,
@@ -199,7 +201,7 @@ def test_embedding_grads_are_a_descent_direction():
     assert grads.shape == (3, 3)
     before = nll_loss_batch(model, [ex])[0]
     nudged = model.copy()
-    emb = nudged.slot("embedding.weight").reshape(spec.vocab_size, spec.embed_dim)
+    emb = nudged.slot("embedding.weight")
     for pos, tok in enumerate(ex.input):
         emb[tok] -= 0.05 * grads[pos]
     assert nll_loss_batch(nudged, [ex])[0] < before
@@ -214,7 +216,7 @@ def test_adversarial_embedding_grads_raise_error_probability():
     grads = grad_wrt_embeddings(model, ex, loss_kind="adversarial")
     p_before = float(softmax(forward_logits(model, ex))[ex.label])
     nudged = model.copy()
-    emb = nudged.slot("embedding.weight").reshape(spec.vocab_size, spec.embed_dim)
+    emb = nudged.slot("embedding.weight")
     for pos, tok in enumerate(ex.input):
         emb[tok] += 0.05 * grads[pos]
     p_after = float(softmax(forward_logits(nudged, ex))[ex.label])
@@ -236,10 +238,7 @@ def reference_logits_and_grad(model, batch, weights):
     """Per-example forward and backward, one example at a time."""
     spec = model.spec
 
-    def view(name):
-        shape = {n: s for n, s, _ in _slot_shapes(spec)}[name]
-        return model.slot(name).reshape(shape)
-
+    view = model.slot
     grad = np.zeros_like(model.params)
 
     def put(name, value):
@@ -323,6 +322,20 @@ def test_packed_kernels_match_per_example_loops(spec, size):
         assert_rel_close(forward_logits_batch(model, form), want_logits)
         assert_rel_close(nll_loss_batch(model, form), want_nll)
         assert_rel_close(grad_params(model, form, weights), want_grad)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["linear", "mlp", "embed_bag"])
+def test_the_spec_alone_lays_out_the_parameter_vector(spec):
+    assert [f.name for f in fields(ModelState)] == ["spec", "params"]
+    model = init_params(spec, seed=2)
+    bounds = list(model.layout.values())
+    assert bounds[0][0] == 0 and bounds[-1][1] == spec.param_count == model.num_params
+    assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+    for name, (lo, hi, shape) in spec.slots.items():
+        view = model.slot(name)
+        assert view.shape == shape
+        view[...] = 7.0  # a view: writes land in the flat vector
+        assert np.all(model.params[lo:hi] == 7.0)
 
 
 def test_take_keeps_ragged_rows_labels_and_groups():

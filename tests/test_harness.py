@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab import cli, continual as cl, dro, harness
 from shiftlab.diffcore import ModelSpec, forward_logits_batch, init_params, softmax
@@ -172,6 +175,75 @@ def test_model_bin_round_trip(tmp_path):
     assert loaded.layout == model.layout
 
 
+SPECS = st.one_of(
+    st.builds(lambda d, c: ModelSpec("linear", input_dim=d, num_classes=c),
+              st.integers(1, 6), st.integers(2, 5)),
+    st.builds(lambda d, h, c: ModelSpec("mlp", input_dim=d, hidden_units=h, num_classes=c),
+              st.integers(1, 6), st.integers(1, 6), st.integers(2, 5)),
+    st.builds(lambda v, e, c: ModelSpec("embed_bag", vocab_size=v, embed_dim=e, num_classes=c),
+              st.integers(2, 40), st.integers(1, 8), st.integers(2, 5)),
+)
+HEADER_KEYS = ["architecture", "input_dim", "num_classes", "hidden_units", "vocab_size",
+               "embed_dim", "layout", "dtype", "param_count"]
+
+
+def read_header(path):
+    with open(path, "rb") as fh:
+        (length,) = struct.unpack("<I", fh.read(4))
+        return json.loads(fh.read(length).decode("utf-8")), fh.read()
+
+
+def write_header(path, header, body):
+    blob = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<I", len(blob)) + blob + body)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(spec=SPECS, seed=st.integers(0, 2**31), specials=st.lists(st.floats(), max_size=3))
+def test_model_bin_round_trip_is_bit_exact(tmp_path, spec, seed, specials):
+    model = init_params(spec, seed)
+    model.params[:len(specials)] = specials  # nan, inf and -0.0 included
+    path = str(tmp_path / "model.bin")
+    harness.save_model_bin(model, path)
+    with open(path, "rb") as fh:
+        saved = fh.read()
+    header, _ = read_header(path)
+    assert list(header) == HEADER_KEYS
+    loaded = harness.load_model_bin(path)
+    assert loaded.spec == spec
+    assert loaded.layout == model.layout
+    assert loaded.params.tobytes() == model.params.tobytes()
+    harness.save_model_bin(loaded, path)
+    with open(path, "rb") as fh:
+        assert fh.read() == saved
+
+
+def swap_linear_slots(header, body):
+    layout = header["layout"]
+    layout["linear.weight"], layout["linear.bias"] = layout["linear.bias"], layout["linear.weight"]
+    return header, body
+
+
+def claim_wrong_count(header, body):
+    return {**header, "param_count": header["param_count"] + 1}, body
+
+
+def append_a_param(header, body):
+    # the count agrees with the data but not with the spec
+    return {**header, "param_count": header["param_count"] + 1}, body + bytes(8)
+
+
+@pytest.mark.parametrize("corrupt", [swap_linear_slots, claim_wrong_count, append_a_param])
+def test_load_model_bin_rejects_a_header_its_spec_disagrees_with(tmp_path, corrupt):
+    path = str(tmp_path / "model.bin")
+    harness.save_model_bin(init_params(ModelSpec("linear", input_dim=3), seed=1), path)
+    write_header(path, *corrupt(*read_header(path)))
+    with pytest.raises(ValueError, match="layout|parameter count"):
+        harness.load_model_bin(path)
+
+
 def test_sweep_grid_expansion():
     cfg = harness.resolved({"sweep.tau": "0.1,1.0", "sweep.lr": "0.05,0.1,0.2"})
     grid = harness.sweep_grid(cfg)
@@ -180,6 +252,51 @@ def test_sweep_grid_expansion():
         (t, l) for t in (0.1, 1.0) for l in (0.05, 0.1, 0.2)
     }
     assert harness.sweep_grid(harness.resolved({}))[0]["tau"] == harness.DEFAULTS["tau"]
+
+
+@settings(max_examples=50, deadline=None)
+@given(axes=st.dictionaries(
+    st.sampled_from(["lr", "tau", "kappa", "epochs", "batch_size", "k_window"]),
+    st.lists(st.integers(1, 1000), min_size=1, max_size=4, unique=True), max_size=4))
+def test_sweep_grid_is_the_product_of_its_axes(axes):
+    cfg = {f"sweep.{key}": ",".join(map(str, values)) for key, values in axes.items()}
+    grid = harness.sweep_grid(cfg)
+    assert len(grid) == math.prod(len(values) for values in axes.values())
+    keys = list(axes)
+    assert sorted(tuple(p[k] for k in keys) for p in grid) == sorted(product(*axes.values()))
+
+
+@pytest.mark.parametrize("axis", ["dataset", "data.sigma", "cl.lr", "attack.k"])
+def test_sweep_rejects_axes_it_cannot_vary(tmp_path, axis):
+    with pytest.raises(harness.ConfigError, match="cannot sweep"):
+        harness.apply_overrides({}, [f"sweep.{axis}=1,2"])
+    with pytest.raises(harness.ConfigError, match="cannot sweep"):
+        harness.cmd_sweep({**TINY, f"sweep.{axis}": "1,2"}, 0, str(tmp_path / "s"))
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_selects_with_the_configured_kl_threshold(tmp_path):
+    # selection=last keeps every run alive; the pooled selection then filters
+    # with the configured negative threshold, which no record survives
+    cfg = {**TINY, "method": "pdro", "selection": "last", "selection.kl_threshold": -1.0,
+           "sweep.lr": "0.05,0.1"}
+    with pytest.raises(ValueError, match="no adversary record survived"):
+        harness.cmd_sweep(cfg, 0, str(tmp_path / "s"))
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    (harness.cmd_train, "norm_mode", {"method": "rpdro", "norm_mode": "batchlevel"}),
+    (harness.cmd_train, "selection", {"selection": "minmx"}),
+    (harness.cmd_train, "model.arch", {"model.arch": "MLP"}),
+    (harness.cmd_train, "selection.loss", {"selection": "last", "selection.loss": "nl"}),
+    (harness.cmd_train, "method", {"method": "sgd"}),
+    (harness.cmd_continual, "cl.method", {"cl.method": "conatural+replay"}),
+    (harness.cmd_attack, "attack.constraint", {"attack.constraint": "kn"}),
+])
+def test_unknown_config_values_raise_before_any_output(tmp_path, command, key, bad):
+    with pytest.raises(harness.ConfigError, match=f"unknown {key}"):
+        command({**TINY, **bad}, 0, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_train_writes_artifacts(tmp_path):
