@@ -19,7 +19,6 @@ from .datasets import GroupedDataset, batches, gen_two_domain_gaussian, TwoDomai
 from .diffcore import (
     Example,
     ModelSpec,
-    ModelState,
     fisher_diag,
     grad_params,
     init_params,
@@ -228,7 +227,9 @@ def continual_train(
     gradient steps. After each task the trunk Fisher is estimated by Monte
     Carlo, renormalized, and folded into the rolling estimate used for both
     preconditioning and the anchoring penalty. All tasks are packed once into
-    one row stream; batches and the replay memory hold row ids.
+    one row stream; batches and the replay memory hold row ids. One model holds
+    the trunk and the current task's head; heads are swapped in at task
+    boundaries.
     """
     if len(tasks) < 1:
         raise ValueError("at least one task required")
@@ -238,15 +239,13 @@ def continual_train(
     task_rows = [np.arange(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
     spec = ModelSpec("mlp", input_dim=rows.x.shape[1], hidden_units=config.hidden_units,
                      num_classes=max(int(rows.labels.max()) + 1, 2))
-    # the trunk (hidden layer) precedes the head (output layer) in the spec's layout
+    # the trunk (hidden layer) precedes the head (output layer) in the spec's
+    # layout; both are views into the model's parameters
     split = spec.slots["out.weight"][0]
-    trunk = init_params(spec, config.seed).params[:split].copy()
+    model = init_params(spec, config.seed)
+    trunk, head = model.params[:split], model.params[split:]
     heads = np.stack([init_params(spec, config.seed + 1 + t).params[split:]
                       for t in range(len(tasks))])
-
-    def model_for(task: int) -> ModelState:
-        return ModelState(spec, np.concatenate([trunk, heads[task]]))
-
     rng = np.random.default_rng(config.seed + 7919)
 
     use_conatural = method.startswith("conatural")
@@ -260,11 +259,11 @@ def continual_train(
 
     accuracy_rows = []
     for task_idx, task in enumerate(tasks):
+        head[:] = heads[task_idx]
         for epoch in range(config.epochs):
             batch_seed = config.seed * 100003 + task_idx * 131 + epoch
             for idx in batches(task, config.batch_size, seed=batch_seed):
                 batch = task_rows[task_idx][idx]
-                model = model_for(task_idx)
                 combined = with_replay(batch, memory, rng) if use_er else batch
                 n = len(combined)
                 grad = grad_params(model, rows.take(combined), np.full(n, 1.0 / n))
@@ -280,14 +279,15 @@ def continual_train(
                 else:
                     trunk_update = -config.lr * trunk_grad
                 trunk += trunk_update
-                heads[task_idx] -= config.lr * head_grad
+                head -= config.lr * head_grad
                 if use_er:
                     for row in batch:
                         reservoir_add(memory, int(row), rng)
+        heads[task_idx] = head
 
         if not math.isinf(config.alpha) and (use_conatural or use_ewc):
             raw_fisher = fisher_diag(
-                model_for(task_idx), rows.take(task_rows[task_idx]), config.fisher_samples,
+                model, rows.take(task_rows[task_idx]), config.fisher_samples,
                 seed=config.seed + 31 * task_idx,
             )
             trunk_fisher, ok = fisher_renormalize(raw_fisher[:split])
@@ -296,10 +296,11 @@ def continual_train(
         trunk_ref = trunk.copy()
         seen_any_task = True
 
-        accuracy_rows.append([
-            float(1.0 - zero_one_loss_batch(model_for(t), rows.take(ids)).mean())
-            for t, ids in enumerate(task_rows)
-        ])
+        accuracy = []
+        for t, ids in enumerate(task_rows):
+            head[:] = heads[t]
+            accuracy.append(float(1.0 - zero_one_loss_batch(model, rows.take(ids)).mean()))
+        accuracy_rows.append(accuracy)
 
     matrix = np.array(accuracy_rows).T  # rows = tasks, columns = checkpoints
     return ContinualMetrics(matrix, list(range(len(tasks))))

@@ -2,8 +2,9 @@
 
 Three tiny architectures (linear, one-hidden-layer tanh MLP, mean-pooled
 embedding bag) over a single flat parameter vector, plus per-example losses,
-batch gradients, a finite-difference verification harness and Monte Carlo
-estimation of the diagonal empirical Fisher, all on packed whole-batch kernels.
+batch gradients, a finite-difference verification harness and a Monte Carlo
+diagonal empirical Fisher in closed form per layer, all on packed whole-batch
+kernels.
 """
 from __future__ import annotations
 
@@ -257,10 +258,33 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
-def nll_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
+def nll_forward(model: ModelState, batch: Batch):
+    """Per-example nll of a batch plus the forward state weighted_grad backprops."""
     batch = _packed(model, batch)
-    logits, _ = _forward_batch(model, batch)
-    return -_log_softmax(logits)[np.arange(len(batch)), batch.labels]
+    logits, state = _forward_batch(model, batch)
+    state["log_probs"] = log_probs = _log_softmax(logits)
+    return -log_probs[np.arange(len(batch)), batch.labels], state
+
+
+def weighted_grad(model: ModelState, state, weights: np.ndarray) -> np.ndarray:
+    """Gradient of sum_i weights[i] * nll(x_i, y_i) wrt the flat params, from
+    the state nll_forward returned for the same model and batch."""
+    batch = state["batch"]
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(batch),):
+        raise ValueError(
+            f"weights length {weights.shape} does not match batch size {len(batch)}"
+        )
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    dlogits = np.exp(state["log_probs"])  # softmax(logits)
+    dlogits[np.arange(len(batch)), batch.labels] -= 1.0
+    dlogits *= weights[:, None]
+    return _backward_from_dlogits(model, state, dlogits)
+
+
+def nll_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
+    return nll_forward(model, batch)[0]
 
 
 def zero_one_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
@@ -272,19 +296,7 @@ def zero_one_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
 
 def grad_params(model: ModelState, batch: Batch, weights: np.ndarray) -> np.ndarray:
     """Gradient of sum_i weights[i] * nll(x_i, y_i) wrt the flat params."""
-    batch = _packed(model, batch)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (len(batch),):
-        raise ValueError(
-            f"weights length {weights.shape} does not match batch size {len(batch)}"
-        )
-    if not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
-    logits, cache = _forward_batch(model, batch)
-    dlogits = softmax(logits)
-    dlogits[np.arange(len(batch)), batch.labels] -= 1.0
-    dlogits *= weights[:, None]
-    return _backward_from_dlogits(model, cache, dlogits)
+    return weighted_grad(model, nll_forward(model, batch)[1], weights)
 
 
 def finite_diff_check(
@@ -312,27 +324,50 @@ def finite_diff_check(
     return worst
 
 
-def per_example_grads(model: ModelState, batch: Batch) -> np.ndarray:
-    """(n, num_params) matrix of individual nll gradients."""
-    batch = _packed(model, batch)
-    out = np.empty((len(batch), model.num_params))
-    for i in range(len(batch)):
-        out[i] = grad_params(model, batch.take([i]), np.ones(1))
-    return out
-
-
 def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.ndarray:
     """Monte Carlo diagonal empirical Fisher: mean of squared nll gradients of
-    sample_count rows drawn with replacement from a dataset, examples or packed rows."""
+    sample_count rows drawn with replacement from a dataset, examples or packed rows.
+
+    One forward over the drawn rows gives every row's gradient factors; each
+    layer's sum of squared per-row gradients is then a product of squared
+    factors, sum_i (d_i^2)^T (a_i^2) (Goodfellow, arXiv:1510.01799).
+    """
     rows = dataset.packed(model.spec) if hasattr(dataset, "packed") else _packed(model, dataset)
     if len(rows) == 0:
         raise ValueError("fisher_diag requires a non-empty dataset")
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = np.random.default_rng(seed)
-    grads = per_example_grads(model, rows.take(rng.integers(0, len(rows), size=sample_count)))
-    # rows are summed in draw order
-    return (grads * grads).sum(axis=0) / sample_count
+    sample = rows.take(rng.integers(0, len(rows), size=sample_count))
+    logits, cache = _forward_batch(model, sample)
+    d = softmax(logits)
+    d[np.arange(sample_count), sample.labels] -= 1.0
+    d2 = d * d
+    out = ModelState(model.spec, np.zeros_like(model.params))
+    arch = model.spec.architecture
+    if arch == "linear":
+        out.slot("linear.weight")[:] = d2.T @ (sample.x * sample.x)
+        out.slot("linear.bias")[:] = d2.sum(axis=0)
+        return out.params / sample_count
+    feature = cache["a"] if arch == "mlp" else cache["bag"]
+    out.slot("out.weight")[:] = d2.T @ (feature * feature)
+    out.slot("out.bias")[:] = d2.sum(axis=0)
+    if arch == "mlp":
+        dpre2 = ((d @ model.slot("out.weight")) * (1.0 - feature * feature)) ** 2
+        out.slot("hidden.weight")[:] = dpre2.T @ (sample.x * sample.x)
+        out.slot("hidden.bias")[:] = dpre2.sum(axis=0)
+    else:
+        # row i's gradient at token t is count(i, t) * dbag[i] / len(row i)
+        v, e = model.spec.vocab_size, model.spec.embed_dim
+        lengths = cache["lengths"]
+        row = np.repeat(np.arange(sample_count), lengths)
+        cells, count = np.unique(row * v + sample.tokens, return_counts=True)
+        row, token = np.divmod(cells, v)
+        dbag = d @ model.slot("out.weight")
+        g = (count / lengths[row])[:, None] * dbag[row]
+        keys = (token[:, None] * e + np.arange(e)).ravel()
+        out.slot("embedding.weight")[:] = np.bincount(keys, (g * g).ravel(), v * e).reshape(v, e)
+    return out.params / sample_count
 
 
 def grad_wrt_embeddings_batch(

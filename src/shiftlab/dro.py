@@ -20,9 +20,10 @@ from .diffcore import (
     forward_logits_batch,
     grad_params,
     init_params,
-    nll_loss_batch,
+    nll_forward,
     pack,
     softmax,
+    weighted_grad,
     _forward_batch,
     _backward_from_dlogits,
     _packed,
@@ -386,10 +387,13 @@ def simultaneous_step(
     """
     if config.method not in METHODS:
         raise ValueError(f"unknown method: {config.method!r}")
+    if config.norm_mode not in NORM_MODES:
+        raise ValueError(f"unknown norm_mode: {config.norm_mode!r}")
     if config.method == "erm":
         return erm_step(model, batch, config.lr), adversary, normalizer
     batch = _packed(model, batch)
-    losses = nll_loss_batch(model, batch)
+    # one forward: the weights come from these losses, the gradient from its state
+    losses, state = nll_forward(model, batch)
     n = len(batch)
     new_adv, new_norm = adversary, normalizer
 
@@ -427,7 +431,7 @@ def simultaneous_step(
                 weights = r
             new_adv.scorer.params += config.adv_lr * new_adv.grad_f(batch, dobj_df)
 
-    model_grad = grad_params(model, batch, weights)
+    model_grad = weighted_grad(model, state, weights)
     new_model = model.copy()
     if config.lr > 0:
         new_model.params -= config.lr * model_grad

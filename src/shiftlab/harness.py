@@ -112,7 +112,7 @@ DEFAULTS: Dict[str, object] = {
     "attack.steps": 1,
     "attack.n": 200,
     # sweep: "sweep.<key>" with a comma-separated value list, for any key but
-    # dataset, data.*, cl.* and attack.*
+    # dataset, data.*, cl.*, attack.*, selection.loss and selection.kl_threshold
 }
 
 # the legal values of each enumerated key, defined by the module that branches on it
@@ -126,9 +126,17 @@ CHOICES: Dict[str, Tuple[str, ...]] = {
     "attack.constraint": advmetrics.CONSTRAINTS,
 }
 
-# every sweep point trains on the first point's datasets, and train_run reads no
-# cl.* or attack.* key
-UNSWEPT = ("dataset", "data.", "cl.", "attack.")
+# the keys (or key prefixes) a sweep cannot vary, and why
+_ONE_DATASET = "every sweep point trains on the first point's datasets"
+_ONE_SELECTION = "the pooled selection scores every point's records under one setting"
+UNSWEPT = {
+    "dataset": _ONE_DATASET,
+    "data.": _ONE_DATASET,
+    "cl.": "train_run reads no cl.* key",
+    "attack.": "train_run reads no attack.* key",
+    "selection.loss": _ONE_SELECTION,
+    "selection.kl_threshold": _ONE_SELECTION,
+}
 
 
 def coerce_value(text: str) -> object:
@@ -157,9 +165,9 @@ def _check_key(key: str) -> None:
     target = key[len("sweep."):]
     if not key.startswith("sweep.") or target not in DEFAULTS:
         raise ConfigError(f"unknown config key: {key!r}")
-    if target.startswith(UNSWEPT):
-        raise ConfigError(f"cannot sweep {target!r}: every sweep point trains on one "
-                          f"dataset and reads no cl.* or attack.* key")
+    for prefix, reason in UNSWEPT.items():
+        if target.startswith(prefix):
+            raise ConfigError(f"cannot sweep {target!r}: {reason}")
 
 
 def parse_config(path: str) -> Dict[str, object]:
@@ -399,10 +407,13 @@ def save_model_bin(model: ModelState, path: str) -> None:
 
 def load_model_bin(path: str) -> ModelState:
     """The model save_model_bin wrote; raises ValueError when the header's
-    layout or parameter count is not the one its spec fixes."""
+    dtype is not '<f8' or its layout or parameter count is not the one its
+    spec fixes."""
     with open(path, "rb") as fh:
         (length,) = struct.unpack("<I", fh.read(4))
         header = json.loads(fh.read(length).decode("utf-8"))
+        if header.get("dtype") != "<f8":
+            raise ValueError(f"{path}: dtype {header.get('dtype')!r} is not '<f8'")
         params = np.frombuffer(fh.read(), dtype="<f8").copy()
     model = ModelState(ModelSpec(**{f.name: header[f.name] for f in fields(ModelSpec)}), params)
     if params.size != header["param_count"] or params.size != model.spec.param_count:
@@ -568,6 +579,9 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
     """Train every grid point on the first point's datasets, then pick one
     (point, checkpoint) against the pooled adversary records of all points."""
     points = [resolved(point) for point in sweep_grid(cfg)]
+    if len({selection_loss(point) for point in points}) > 1:
+        raise ConfigError("selection.loss=auto resolves differently across the swept "
+                          "methods; the pooled selection needs one loss, so set it")
     os.makedirs(out_dir, exist_ok=True)
     results = []
     failures = []

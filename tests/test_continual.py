@@ -23,7 +23,16 @@ from shiftlab.continual import (
     rotated_gaussian_tasks,
     with_replay,
 )
-from shiftlab.diffcore import Example
+from shiftlab.datasets import batches
+from shiftlab.diffcore import (
+    Example,
+    ModelSpec,
+    ModelState,
+    grad_params,
+    init_params,
+    pack,
+    zero_one_loss_batch,
+)
 
 
 def cosine(a, b):
@@ -205,3 +214,28 @@ def test_continual_train_is_seed_deterministic():
     a = continual_train(tasks, "conatural", config)
     b = continual_train(tasks, "conatural", config)
     assert np.array_equal(a.accuracy_matrix, b.accuracy_matrix)
+
+
+def test_finetune_equals_a_loop_over_separate_trunk_and_head_arrays():
+    # reference: each task trains a fresh head (drawn with seed + 1 + task)
+    # on the trunk of init_params(seed), one model assembled per batch
+    tasks = rotated_gaussian_tasks(3, 60, seed=4)
+    cfg = ContinualConfig(hidden_units=4, lr=0.3, epochs=2, batch_size=8, seed=5)
+    spec = ModelSpec("mlp", input_dim=2, hidden_units=4)
+    split = spec.slots["out.weight"][0]
+    trunk = init_params(spec, cfg.seed).params[:split].copy()
+    heads = [init_params(spec, cfg.seed + 1 + t).params[split:].copy() for t in range(3)]
+    packed = [pack(task.examples, tokens=False) for task in tasks]
+    expected = np.zeros((3, 3))
+    for k, task in enumerate(tasks):
+        for epoch in range(cfg.epochs):
+            for idx in batches(task, cfg.batch_size, seed=cfg.seed * 100003 + k * 131 + epoch):
+                model = ModelState(spec, np.concatenate([trunk, heads[k]]))
+                grad = grad_params(model, packed[k].take(idx), np.full(len(idx), 1.0 / len(idx)))
+                trunk -= cfg.lr * grad[:split]
+                heads[k] -= cfg.lr * grad[split:]
+        for t in range(3):
+            model = ModelState(spec, np.concatenate([trunk, heads[t]]))
+            expected[t, k] = 1.0 - zero_one_loss_batch(model, packed[t]).mean()
+    got = continual_train(tasks, "finetune", cfg).accuracy_matrix
+    assert np.array_equal(got, expected)

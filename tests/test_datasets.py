@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab.datasets import (
     CsvFormatError,
@@ -103,6 +104,28 @@ def test_csv_round_trip_tokens(tmp_path):
     for a, b in zip(ds.examples, loaded.examples):
         assert np.array_equal(np.asarray(a.input), np.asarray(b.input))
         assert (a.label, a.group) == (b.label, b.group)
+
+
+RAGGED_ROWS = st.lists(
+    st.tuples(st.lists(st.integers(0, 10**6), min_size=1, max_size=12),  # tokens
+              st.integers(0, 5), st.integers(0, 3), st.integers(-10**9, 10**9)),
+    min_size=1, max_size=20)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=RAGGED_ROWS)
+def test_csv_round_trip_keeps_ragged_token_rows(tmp_path, rows):
+    examples = [Example(input=np.array(tokens), label=label, group=group, id=ex_id)
+                for tokens, label, group, ex_id in rows]
+    path = tmp_path / "ragged.csv"
+    save_csv(GroupedDataset(examples), path)
+    loaded = load_csv(path)
+    assert len(loaded) == len(examples)
+    for a, b in zip(examples, loaded.examples):
+        assert b.input.dtype.kind == "i" and b.input.tolist() == a.input.tolist()
+        assert (b.label, b.group, b.id) == (a.label, a.group, a.id)
+    assert loaded.num_groups == max(group for _, _, group, _ in rows) + 1
 
 
 def test_csv_format_errors(tmp_path):

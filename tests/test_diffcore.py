@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.diffcore import (
     Example,
@@ -17,10 +18,11 @@ from shiftlab.diffcore import (
     grad_params,
     grad_wrt_embeddings,
     init_params,
+    nll_forward,
     nll_loss_batch,
     pack,
-    per_example_grads,
     softmax,
+    weighted_grad,
     zero_one_loss_batch,
 )
 
@@ -144,15 +146,6 @@ def test_finite_diff_check_rejects_bad_step():
         finite_diff_check(model, batch, step=0.0)
 
 
-def test_per_example_grads_rows_sum_to_batch_grad():
-    model = init_params(ModelSpec("mlp", input_dim=2, hidden_units=3), seed=4)
-    batch = dense_batch(np.random.default_rng(3), 6, 2)
-    rows = per_example_grads(model, batch)
-    assert rows.shape == (6, model.num_params)
-    total = grad_params(model, batch, np.ones(6))
-    assert np.allclose(rows.sum(axis=0), total)
-
-
 def test_fisher_diag_is_nonnegative_and_validated():
     model = init_params(ModelSpec("linear", input_dim=2), seed=5)
     batch = dense_batch(np.random.default_rng(4), 8, 2)
@@ -165,25 +158,69 @@ def test_fisher_diag_is_nonnegative_and_validated():
         fisher_diag(model, batch, sample_count=0, seed=0)
 
 
-@pytest.mark.parametrize("arch", ["mlp", "embed_bag"])
-def test_fisher_diag_matches_a_per_row_gradient_loop(arch):
-    rng = np.random.default_rng(6)
-    if arch == "mlp":
-        model = init_params(ModelSpec("mlp", input_dim=3, hidden_units=4), seed=6)
-        examples = dense_batch(rng, 40, 3)
-    else:
-        model = init_params(ModelSpec("embed_bag", vocab_size=12, embed_dim=3), seed=6)
-        examples = [Example(input=rng.integers(0, 12, size=int(rng.integers(1, 7))),
-                            label=int(rng.integers(0, 2)), id=i) for i in range(40)]
-    idx = np.random.default_rng(11).integers(0, len(examples), size=300)
+def per_row_fisher(model, examples, idx):
+    """Mean of squared one-row nll gradients, summed in draw order."""
     reference = np.zeros(model.num_params)
     for i in idx:
         g = grad_params(model, [examples[i]], np.ones(1))
         reference += g * g
-    reference /= len(idx)
+    return reference / len(idx)
+
+
+@pytest.mark.parametrize("arch", ["linear", "mlp", "embed_bag"])
+def test_fisher_diag_matches_a_per_row_gradient_loop(arch):
+    rng = np.random.default_rng(6)
+    if arch == "embed_bag":
+        model = init_params(ModelSpec("embed_bag", vocab_size=12, embed_dim=3), seed=6)
+        examples = [Example(input=rng.integers(0, 12, size=int(rng.integers(1, 7))),
+                            label=int(rng.integers(0, 2)), id=i) for i in range(40)]
+    else:
+        model = init_params(ModelSpec(arch, input_dim=3, hidden_units=4 if arch == "mlp" else 0),
+                            seed=6)
+        examples = dense_batch(rng, 40, 3)
+    idx = np.random.default_rng(11).integers(0, len(examples), size=300)
+    reference = per_row_fisher(model, examples, idx)
     for form in (examples, pack(examples, arch == "embed_bag")):
         diag = fisher_diag(model, form, sample_count=300, seed=11)
-        np.testing.assert_allclose(diag, reference, rtol=1e-15, atol=0)
+        # closed-form sums round differently from the loop's batch-1 gradients
+        np.testing.assert_allclose(diag, reference, rtol=0, atol=1e-15 * reference.max())
+
+
+@st.composite
+def fisher_cases(draw):
+    arch = draw(st.sampled_from(["linear", "mlp", "embed_bag"]))
+    classes = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = draw(st.integers(1, 12))
+    if arch == "embed_bag":
+        spec = ModelSpec(arch, vocab_size=draw(st.integers(2, 10)),
+                         embed_dim=draw(st.integers(1, 4)), num_classes=classes)
+        inputs = [rng.integers(0, spec.vocab_size, size=int(rng.integers(1, 7)))
+                  for _ in range(rows)]
+    else:
+        spec = ModelSpec(arch, input_dim=draw(st.integers(1, 4)), num_classes=classes,
+                         hidden_units=draw(st.integers(1, 5)) if arch == "mlp" else 0)
+        inputs = [draw(st.sampled_from([0.1, 1.0, 5.0])) * rng.standard_normal(spec.input_dim)
+                  for _ in range(rows)]
+    model = init_params(spec, seed=0)
+    model.params += draw(st.sampled_from([0.0, 0.5, 3.0])) * rng.standard_normal(model.num_params)
+    examples = [Example(input=x, label=int(rng.integers(0, classes)), id=i)
+                for i, x in enumerate(inputs)]
+    return model, examples, draw(st.integers(1, 60)), draw(st.integers(0, 1000))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=fisher_cases())
+def test_fisher_diag_matches_the_per_row_loop_on_random_specs(case):
+    model, examples, sample_count, seed = case
+    idx = np.random.default_rng(seed).integers(0, len(examples), size=sample_count)
+    reference = per_row_fisher(model, examples, idx)
+    diag = fisher_diag(model, examples, sample_count, seed)
+    # both sides sum sample_count nonnegative terms in different orders, each
+    # off by at most about sample_count units in the last place of the entry,
+    # plus a few units from rounding the batched forward unlike the one-row one
+    tolerance = (sample_count + 4) * np.finfo(float).eps * reference.max()
+    np.testing.assert_allclose(diag, reference, rtol=0, atol=tolerance)
 
 
 def test_embedding_grads_require_token_model():
@@ -322,6 +359,30 @@ def test_packed_kernels_match_per_example_loops(spec, size):
         assert_rel_close(forward_logits_batch(model, form), want_logits)
         assert_rel_close(nll_loss_batch(model, form), want_nll)
         assert_rel_close(grad_params(model, form, weights), want_grad)
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["linear", "mlp", "embed_bag"])
+def test_weighted_grad_of_one_forward_equals_grad_params(spec):
+    rng = np.random.default_rng(3)
+    model = init_params(spec, seed=3)
+    model.params += 0.1 * rng.standard_normal(model.num_params)
+    tokens = spec.architecture == "embed_bag"
+    batch = pack([
+        Example(input=rng.integers(0, spec.vocab_size, size=int(rng.integers(1, 6)))
+                if tokens else rng.standard_normal(spec.input_dim),
+                label=int(rng.integers(0, spec.num_classes)), id=i)
+        for i in range(9)
+    ], tokens)
+    losses, state = nll_forward(model, batch)
+    assert np.array_equal(losses, nll_loss_batch(model, batch))
+    # one state serves any number of weightings
+    for weights in (np.full(9, 1.0 / 9), rng.uniform(-1.0, 2.0, size=9)):
+        assert np.array_equal(weighted_grad(model, state, weights),
+                              grad_params(model, batch, weights))
+    with pytest.raises(ValueError, match="does not match"):
+        weighted_grad(model, state, np.ones(8))
+    with pytest.raises(ValueError, match="finite"):
+        weighted_grad(model, state, np.r_[np.ones(8), np.inf])
 
 
 @pytest.mark.parametrize("spec", KERNEL_SPECS, ids=["linear", "mlp", "embed_bag"])

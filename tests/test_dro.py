@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftlab import diffcore, dro
 from shiftlab.datasets import TwoDomainSpec, gen_two_domain_gaussian
 from shiftlab.diffcore import Example, ModelSpec, grad_params, init_params, nll_loss_batch
 from shiftlab.dro import (
@@ -193,6 +194,17 @@ def test_rpdro_batch_weights_normalize_and_shift():
         rpdro_batch_weights(np.array([1.0, np.inf]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-50 * 1024, 50 * 1024), min_size=1, max_size=64),
+       st.integers(-10**4, 10**4))
+def test_rpdro_batch_weights_are_shift_invariant(grid, shift):
+    # scores on a 2^-10 grid plus an integer shift add without rounding, so
+    # any change comes from the weights; exp(1e4) overflows unless the
+    # largest score is subtracted first
+    f = np.array(grid) / 1024.0
+    assert np.abs(rpdro_batch_weights(f + shift) - rpdro_batch_weights(f)).max() <= 1e-15
+
+
 def test_rpdro_objective_gradient_matches_finite_differences():
     rng = np.random.default_rng(2)
     losses = rng.uniform(0, 3, size=6)
@@ -286,6 +298,39 @@ def test_simultaneous_step_rejects_other_methods():
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
     with pytest.raises(ValueError, match="unknown method"):
         simultaneous_step(model, None, [], DroConfig(method="sgd"))
+
+
+def test_simultaneous_step_rejects_an_unknown_norm_mode():
+    spec = ModelSpec("linear", input_dim=2)
+    batch = dense_batch(np.random.default_rng(0), 4)
+    cfg = DroConfig(method="rpdro", norm_mode="batchlevel")
+    with pytest.raises(ValueError, match="unknown norm_mode"):
+        simultaneous_step(init_params(spec, seed=0), RatioAdversary(init_params(spec, seed=1)),
+                          batch, cfg)
+
+
+@pytest.mark.parametrize("method, norm_mode", [
+    ("nonparam", "batch_level"), ("group_dro", "batch_level"), ("pdro", "batch_level"),
+    ("rpdro", "batch_level"), ("rpdro", "self_norm"),
+])
+def test_a_step_runs_the_model_forward_once(monkeypatch, method, norm_mode):
+    spec = ModelSpec("linear", input_dim=2)
+    model = init_params(spec, seed=4)
+    batch = diffcore.pack(dense_batch(np.random.default_rng(4), 16), tokens=False)
+    cfg = DroConfig(method=method, norm_mode=norm_mode, adv_steps_per_model_step=2)
+    adversary, normalizer = dro.initial_state(cfg, spec, batch, num_groups=1, seed=0)
+    forwards = []
+    original = diffcore._forward_batch
+
+    def spy(m, b):
+        forwards.append(m is model)
+        return original(m, b)
+
+    # dro binds the name too, for the ratio adversary's scorer
+    monkeypatch.setattr(diffcore, "_forward_batch", spy)
+    monkeypatch.setattr(dro, "_forward_batch", spy)
+    simultaneous_step(model, adversary, batch, cfg, normalizer)
+    assert forwards.count(True) == 1
 
 
 def test_simultaneous_step_erm_equals_erm_step():

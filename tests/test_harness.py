@@ -244,6 +244,15 @@ def test_load_model_bin_rejects_a_header_its_spec_disagrees_with(tmp_path, corru
         harness.load_model_bin(path)
 
 
+def test_load_model_bin_rejects_another_dtype(tmp_path):
+    path = str(tmp_path / "model.bin")
+    harness.save_model_bin(init_params(ModelSpec("linear", input_dim=3), seed=1), path)
+    header, body = read_header(path)
+    write_header(path, {**header, "dtype": "<f4"}, body)
+    with pytest.raises(ValueError, match="dtype '<f4'"):
+        harness.load_model_bin(path)
+
+
 def test_sweep_grid_expansion():
     cfg = harness.resolved({"sweep.tau": "0.1,1.0", "sweep.lr": "0.05,0.1,0.2"})
     grid = harness.sweep_grid(cfg)
@@ -266,12 +275,30 @@ def test_sweep_grid_is_the_product_of_its_axes(axes):
     assert sorted(tuple(p[k] for k in keys) for p in grid) == sorted(product(*axes.values()))
 
 
-@pytest.mark.parametrize("axis", ["dataset", "data.sigma", "cl.lr", "attack.k"])
+UNSWEPT_REASONS = {
+    "dataset": "first point's datasets",
+    "data.sigma": "first point's datasets",
+    "cl.lr": "reads no cl",
+    "attack.k": "reads no attack",
+    "selection.loss": "pooled selection",
+    "selection.kl_threshold": "pooled selection",
+}
+
+
+@pytest.mark.parametrize("axis", list(UNSWEPT_REASONS))
 def test_sweep_rejects_axes_it_cannot_vary(tmp_path, axis):
-    with pytest.raises(harness.ConfigError, match="cannot sweep"):
+    message = f"cannot sweep '{axis}': .*{UNSWEPT_REASONS[axis]}"
+    with pytest.raises(harness.ConfigError, match=message):
         harness.apply_overrides({}, [f"sweep.{axis}=1,2"])
-    with pytest.raises(harness.ConfigError, match="cannot sweep"):
+    with pytest.raises(harness.ConfigError, match=message):
         harness.cmd_sweep({**TINY, f"sweep.{axis}": "1,2"}, 0, str(tmp_path / "s"))
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_rejects_methods_whose_auto_selection_loss_differs(tmp_path):
+    cfg = {**TINY, "sweep.method": "pdro,rpdro"}
+    with pytest.raises(harness.ConfigError, match="selection.loss=auto"):
+        harness.cmd_sweep(cfg, 0, str(tmp_path / "s"))
     assert not (tmp_path / "s").exists()
 
 
