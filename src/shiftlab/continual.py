@@ -17,12 +17,11 @@ import numpy as np
 
 from .datasets import GroupedDataset, batches, gen_two_domain_gaussian, TwoDomainSpec
 from .diffcore import (
-    Example,
     ModelSpec,
+    Packed,
     fisher_diag,
     grad_params,
     init_params,
-    pack,
     zero_one_loss_batch,
 )
 
@@ -234,7 +233,9 @@ def continual_train(
     if len(tasks) < 1:
         raise ValueError("at least one task required")
     config = ContinualConfig(**{**config.__dict__, "method": method})
-    rows = pack([ex for task in tasks for ex in task.examples], tokens=False)
+    parts = [task.packed("mlp") for task in tasks]
+    rows = Packed(np.concatenate([p.labels for p in parts]),
+                  np.concatenate([p.groups for p in parts]), x=np.concatenate([p.x for p in parts]))
     starts = np.cumsum([0] + [len(task) for task in tasks])
     task_rows = [np.arange(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
     spec = ModelSpec("mlp", input_dim=rows.x.shape[1], hidden_units=config.hidden_units,
@@ -329,10 +330,8 @@ def rotated_gaussian_tasks(
         rot = np.array(
             [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
         )
-        rotated = [
-            Example(input=rot @ np.asarray(ex.input, dtype=float), label=ex.label,
-                    group=ex.group, id=ex.id)
-            for ex in base.examples
-        ]
-        tasks.append(GroupedDataset(rotated, list(base.group_names)))
+        # one stacked matmul rounds each row as rot @ x does; x @ rot.T does not
+        rows = base.packed("mlp")
+        rotated = Packed(rows.labels, rows.groups, x=np.matmul(rot, rows.x[:, :, None])[:, :, 0])
+        tasks.append(GroupedDataset.from_packed(rotated, base.group_names))
     return tasks

@@ -7,7 +7,7 @@ from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
-from .diffcore import Example, ModelSpec, ModelState, Packed, pack, zero_one_loss_batch
+from .diffcore import Example, ModelState, Packed, pack, zero_one_loss_batch
 
 
 class CsvFormatError(ValueError):
@@ -27,12 +27,26 @@ class GroupedDataset:
     def __len__(self) -> int:
         return len(self.examples)
 
+    @classmethod
+    def from_packed(cls, rows: Packed, group_names: Sequence[str]) -> "GroupedDataset":
+        """A dataset over `rows`, which it keeps as its pack. Its examples (ids 0..n-1)
+        are read-only views of the arrays, so a stray write raises instead of
+        putting them out of step with the pack."""
+        for array in (rows.labels, rows.groups, rows.x, rows.tokens, rows.offsets):
+            if array is not None:
+                array.flags.writeable = False
+        inputs = list(rows.x) if rows.x is not None else np.split(rows.tokens, rows.offsets[1:-1])
+        examples = [Example(input=x, label=label, group=group, id=i) for i, (x, label, group)
+                    in enumerate(zip(inputs, rows.labels.tolist(), rows.groups.tolist()))]
+        return cls(examples, list(group_names), {rows.x is None: rows})
+
     def subset(self, indices: Sequence[int]) -> "GroupedDataset":
         return GroupedDataset([self.examples[i] for i in indices], list(self.group_names))
 
-    def packed(self, spec: ModelSpec) -> Packed:
-        """The examples as arrays for `spec`, packed once: keep `examples` fixed."""
-        tokens = spec.architecture == "embed_bag"
+    def packed(self, architecture: str) -> Packed:
+        """The examples as arrays for a model of `architecture`, packed once: keep
+        `examples` fixed."""
+        tokens = architecture == "embed_bag"
         if tokens not in self._packs:
             self._packs[tokens] = pack(self.examples, tokens)
         return self._packs[tokens]
@@ -81,30 +95,28 @@ class GroupMetrics:
     group_counts: np.ndarray
 
 
-# Majority domain separates classes along the first axis, minority along
-# the second with opposite orientation. One linear boundary, x1 = x2, still
-# classifies all four class means correctly.
-_MAJORITY_MEANS = {0: np.array([-1.0, 0.0]), 1: np.array([1.0, 0.0])}
-_MINORITY_MEANS = {0: np.array([0.0, 1.0]), 1: np.array([0.0, -1.0])}
+# _MEANS[group, label]: the majority domain (group 0) separates classes along
+# the first axis, the minority along the second with opposite orientation. One
+# linear boundary, x1 = x2, still classifies all four class means correctly.
+_MEANS = np.array([[[-1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, -1.0]]])
 
 
 def gen_two_domain_gaussian(spec: TwoDomainSpec) -> GroupedDataset:
-    """Two Gaussian domains with orthogonal class boundaries, group = domain."""
+    """Two Gaussian domains with orthogonal class boundaries, group = domain.
+
+    Each row draws its label, then its noise, from one stream, majority rows
+    first; the inputs are then formed at once.
+    """
     rng = np.random.default_rng(spec.seed)
-    n_minority = int(round(spec.total_points * spec.minority_ratio))
-    n_majority = spec.total_points - n_minority
-    examples = []
-    next_id = 0
-    for group, count, means in (
-        (0, n_majority, _MAJORITY_MEANS),
-        (1, n_minority, _MINORITY_MEANS),
-    ):
-        for i in range(count):
-            label = int(rng.integers(0, 2))
-            x = means[label] + spec.sigma * rng.standard_normal(2)
-            examples.append(Example(input=x, label=label, group=group, id=next_id))
-            next_id += 1
-    return GroupedDataset(examples, ["majority", "minority"])
+    n = spec.total_points
+    groups = (np.arange(n) >= n - int(round(n * spec.minority_ratio))).astype(int)
+    labels = np.empty(n, dtype=int)
+    noise = np.empty((n, 2))
+    for i in range(n):
+        labels[i] = rng.integers(0, 2)
+        noise[i] = rng.standard_normal(2)
+    x = _MEANS[groups, labels] + spec.sigma * noise
+    return GroupedDataset.from_packed(Packed(labels, groups, x=x), ["majority", "minority"])
 
 
 def gen_distractor_text(spec: DistractorTextSpec) -> GroupedDataset:
@@ -114,35 +126,38 @@ def gen_distractor_text(spec: DistractorTextSpec) -> GroupedDataset:
     and `1 - bias` for label 1. The remaining vocabulary is split into a
     label-0 pool, a label-1 pool and shared noise tokens; one content position
     carries a weak genuine label signal. Groups are label x distractor-presence.
+
+    Row by row the stream gives a label, a uniform coin for the distractor,
+    seq_len noise-token indices, a pool index and the signal position. The coin
+    is one generator call; one integers() call covers the rest of the row and
+    the next row's label, so the rows come out as a row-by-row loop of single
+    draws would make them.
     """
     rng = np.random.default_rng(spec.seed)
-    v = spec.vocab_size
+    n, v, length = spec.n, spec.vocab_size, spec.seq_len
     pool_size = max(1, (v - 1) // 4)
-    pool0 = np.arange(1, 1 + pool_size)
-    pool1 = np.arange(1 + pool_size, 1 + 2 * pool_size)
     noise = np.arange(1 + 2 * pool_size, v)
     if noise.size == 0:
         raise ValueError("vocab_size too small to form token pools")
-    examples = []
-    for i in range(spec.n):
-        label = int(rng.integers(0, 2))
-        p_distract = spec.bias if label == 0 else 1.0 - spec.bias
-        has_distractor = bool(rng.random() < p_distract)
-        pool = pool0 if label == 0 else pool1
-        # exactly one content position carries the true label, the rest is noise
-        body = rng.choice(noise, size=spec.seq_len)
-        body[rng.integers(0, spec.seq_len)] = rng.choice(pool)
-        tokens = np.concatenate(([0], body)) if has_distractor else body
-        examples.append(
-            Example(
-                input=tokens.astype(int),
-                label=label,
-                group=2 * label + int(has_distractor),
-                id=i,
-            )
-        )
+    highs = np.array([noise.size] * length + [pool_size, length, 2])
+    first_label = rng.integers(0, 2)
+    coins = np.empty(n)
+    draws = np.empty((n, length + 3), dtype=int)
+    for i in range(n):
+        coins[i] = rng.random()
+        draws[i] = rng.integers(0, highs)  # the last row's next label goes unused
+    labels = np.concatenate(([first_label], draws[:-1, -1]))
+    has_distractor = coins < np.where(labels == 0, spec.bias, 1.0 - spec.bias)
+    # column 0 holds the distractor, kept only where the row has one
+    rows = np.zeros((n, length + 1), dtype=int)
+    rows[:, 1:] = noise[draws[:, :length]]
+    rows[np.arange(n), 1 + draws[:, length + 1]] = 1 + labels * pool_size + draws[:, length]
+    keep = np.ones(rows.shape, dtype=bool)
+    keep[:, 0] = has_distractor
+    offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    packed = Packed(labels, 2 * labels + has_distractor, tokens=rows[keep], offsets=offsets)
     names = ["neg/plain", "neg/distractor", "pos/plain", "pos/distractor"]
-    return GroupedDataset(examples, names)
+    return GroupedDataset.from_packed(packed, names)
 
 
 def inject_label_noise(dataset: GroupedDataset, p_noise: float, seed: int) -> GroupedDataset:
@@ -217,22 +232,22 @@ def load_csv(path) -> GroupedDataset:
 
 def batches(
     dataset: GroupedDataset, batch_size: int, seed: int = 0, shuffle: bool = True
-) -> Iterator[List[int]]:
-    """Partition example indices into batches; last batch may be short."""
+) -> Iterator[np.ndarray]:
+    """Partition example indices into int-array batches; last batch may be short."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     order = np.arange(len(dataset.examples))
     if shuffle:
         order = np.random.default_rng(seed).permutation(order)
     for start in range(0, len(order), batch_size):
-        yield [int(i) for i in order[start : start + batch_size]]
+        yield order[start : start + batch_size]
 
 
 def group_metrics(model: ModelState, dataset: GroupedDataset) -> GroupMetrics:
     """Per-group accuracy, worst-group (robust) and size-weighted average."""
     if len(dataset.examples) == 0:
         raise ValueError("group_metrics requires a non-empty dataset")
-    packed = dataset.packed(model.spec)
+    packed = dataset.packed(model.spec.architecture)
     errors = zero_one_loss_batch(model, packed)
     g = dataset.num_groups
     counts = np.bincount(packed.groups, minlength=g)

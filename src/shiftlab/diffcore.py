@@ -332,7 +332,8 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
     layer's sum of squared per-row gradients is then a product of squared
     factors, sum_i (d_i^2)^T (a_i^2) (Goodfellow, arXiv:1510.01799).
     """
-    rows = dataset.packed(model.spec) if hasattr(dataset, "packed") else _packed(model, dataset)
+    rows = (dataset.packed(model.spec.architecture) if hasattr(dataset, "packed")
+            else _packed(model, dataset))
     if len(rows) == 0:
         raise ValueError("fisher_diag requires a non-empty dataset")
     if sample_count < 1:

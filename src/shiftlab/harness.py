@@ -38,7 +38,6 @@ from .diffcore import (
     forward_logits_batch,
     init_params,
     nll_loss_batch,
-    pack,
     softmax,
 )
 
@@ -249,21 +248,19 @@ def _generated_split(cfg: Dict[str, object], seed: int, split: int) -> GroupedDa
 
 
 def build_model_spec(cfg: Dict[str, object], train: GroupedDataset) -> ModelSpec:
-    labels = [ex.label for ex in train.examples]
-    num_classes = max(max(labels) + 1, 2)
     arch = cfg["model.arch"]
-    first = np.asarray(train.examples[0].input)
     if arch == "auto":
-        arch = "embed_bag" if first.dtype.kind in "iu" else "linear"
+        arch = "embed_bag" if np.asarray(train.examples[0].input).dtype.kind in "iu" else "linear"
+    rows = train.packed(arch)
+    num_classes = max(int(rows.labels.max()) + 1, 2)
     if arch == "embed_bag":
-        vocab = max(cfg["data.vocab_size"],
-                    int(max(np.asarray(ex.input).max() for ex in train.examples)) + 1)
+        vocab = max(cfg["data.vocab_size"], int(rows.tokens.max()) + 1)
         return ModelSpec("embed_bag", num_classes=num_classes,
                          vocab_size=vocab, embed_dim=cfg["model.embed_dim"])
     if arch == "mlp":
-        return ModelSpec("mlp", input_dim=len(first), num_classes=num_classes,
+        return ModelSpec("mlp", input_dim=rows.x.shape[1], num_classes=num_classes,
                          hidden_units=cfg["model.hidden"])
-    return ModelSpec("linear", input_dim=len(first), num_classes=num_classes)
+    return ModelSpec("linear", input_dim=rows.x.shape[1], num_classes=num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +315,7 @@ def train_run(cfg: Dict[str, object], seed: int,
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
     spec = build_model_spec(cfg, train)
     model = init_params(spec, seed)
-    packed_train, packed_valid = train.packed(spec), valid.packed(spec)
+    packed_train, packed_valid = train.packed(spec.architecture), valid.packed(spec.architecture)
 
     dro_cfg = dro_config(cfg)
     adversary, normalizer = dro.initial_state(dro_cfg, spec, packed_train, train.num_groups, seed)
@@ -533,7 +530,7 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
                                       [f"tok{i}" for i in range(vocab_size)])
     oov_id = vocab_size - 1
 
-    rows = pack(test.examples[:n], tokens=True)
+    rows = test.packed("embed_bag").take(np.arange(n))
     adv = advmetrics.attack_rows(model, rows, table, cfg["attack.constraint"],
                                  cfg["attack.sign_normalize"], cfg["attack.k"], oov_id, steps)
     cuts = rows.offsets[1:-1]

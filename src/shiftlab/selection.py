@@ -70,9 +70,9 @@ def adversary_valid_kl(weights: np.ndarray) -> float:
 
 def _valid_losses(model: ModelState, valid: GroupedDataset, loss_kind: str) -> np.ndarray:
     if loss_kind == "nll":
-        return nll_loss_batch(model, valid.packed(model.spec))
+        return nll_loss_batch(model, valid.packed(model.spec.architecture))
     if loss_kind == "zero_one":
-        return zero_one_loss_batch(model, valid.packed(model.spec))
+        return zero_one_loss_batch(model, valid.packed(model.spec.architecture))
     raise ValueError(f"unknown loss_kind: {loss_kind!r}")
 
 

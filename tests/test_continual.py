@@ -23,7 +23,7 @@ from shiftlab.continual import (
     rotated_gaussian_tasks,
     with_replay,
 )
-from shiftlab.datasets import batches
+from shiftlab.datasets import TwoDomainSpec, batches, gen_two_domain_gaussian
 from shiftlab.diffcore import (
     Example,
     ModelSpec,
@@ -191,6 +191,22 @@ def test_rotated_tasks_shapes_and_rotation():
 
     assert abs(class_mean(tasks[0], 1, 0)) > abs(class_mean(tasks[0], 1, 1))
     assert abs(class_mean(tasks[2], 1, 1)) > abs(class_mean(tasks[2], 1, 0))
+
+
+@pytest.mark.parametrize("num_tasks, points, sigma, seed, max_angle",
+                         [(5, 400, 0.5, 0, math.pi / 2), (4, 101, 2.0, 7, 3.0), (2, 1, 0.0, 3, 1.0)])
+def test_rotated_tasks_match_the_per_row_rotation(num_tasks, points, sigma, seed, max_angle):
+    tasks = rotated_gaussian_tasks(num_tasks, points, sigma, seed, max_angle)
+    for t, task in enumerate(tasks):
+        base = gen_two_domain_gaussian(TwoDomainSpec(points, 0.5, sigma, seed=seed + 977 * t))
+        angle = max_angle * t / max(num_tasks - 1, 1)
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        assert len(task) == len(base)
+        for got, ex in zip(task.examples, base.examples):
+            assert (got.label, got.group, got.id) == (ex.label, ex.group, ex.id)
+            assert got.input.tobytes() == (rot @ ex.input).tobytes()
+        fresh = pack(task.examples, tokens=False)
+        assert task.packed("mlp").x.tobytes() == fresh.x.tobytes()
 
 
 @pytest.mark.parametrize("method", ["finetune", "conatural", "ewc", "er", "conatural+er"])

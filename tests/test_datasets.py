@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from shiftlab.datasets import (
     CsvFormatError,
@@ -15,7 +15,7 @@ from shiftlab.datasets import (
     load_csv,
     save_csv,
 )
-from shiftlab.diffcore import Example, ModelSpec, init_params
+from shiftlab.diffcore import Example, ModelSpec, init_params, pack
 
 
 def test_two_domain_counts_and_groups():
@@ -62,6 +62,106 @@ def test_distractor_structure():
     neg = [ex for ex in ds.examples if ex.label == 0]
     frac = np.mean([ex.group % 2 for ex in neg])
     assert abs(frac - spec.bias) < 0.06
+
+
+# -- the generators against the row-by-row loops they replaced -----------------
+
+
+def reference_two_domain(spec):
+    """gen_two_domain_gaussian as a loop drawing one row at a time."""
+    majority = {0: np.array([-1.0, 0.0]), 1: np.array([1.0, 0.0])}
+    minority = {0: np.array([0.0, 1.0]), 1: np.array([0.0, -1.0])}
+    rng = np.random.default_rng(spec.seed)
+    n_minority = int(round(spec.total_points * spec.minority_ratio))
+    examples = []
+    for group, count, means in ((0, spec.total_points - n_minority, majority),
+                                (1, n_minority, minority)):
+        for _ in range(count):
+            label = int(rng.integers(0, 2))
+            x = means[label] + spec.sigma * rng.standard_normal(2)
+            examples.append(Example(input=x, label=label, group=group, id=len(examples)))
+    return examples
+
+
+def reference_distractor(spec):
+    """gen_distractor_text as a loop drawing one row at a time."""
+    rng = np.random.default_rng(spec.seed)
+    pool_size = max(1, (spec.vocab_size - 1) // 4)
+    pool0 = np.arange(1, 1 + pool_size)
+    pool1 = np.arange(1 + pool_size, 1 + 2 * pool_size)
+    noise = np.arange(1 + 2 * pool_size, spec.vocab_size)
+    examples = []
+    for i in range(spec.n):
+        label = int(rng.integers(0, 2))
+        p_distract = spec.bias if label == 0 else 1.0 - spec.bias
+        has_distractor = bool(rng.random() < p_distract)
+        pool = pool0 if label == 0 else pool1
+        body = rng.choice(noise, size=spec.seq_len)
+        body[rng.integers(0, spec.seq_len)] = rng.choice(pool)
+        tokens = np.concatenate(([0], body)) if has_distractor else body
+        examples.append(Example(input=tokens.astype(int), label=label,
+                                group=2 * label + int(has_distractor), id=i))
+    return examples
+
+
+def assert_same_bytes(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert [type(v) for v in (a.label, a.group, a.id)] == [int, int, int]
+        assert (a.label, a.group, a.id) == (b.label, b.group, b.id)
+        assert (a.input.dtype, a.input.shape) == (b.input.dtype, b.input.shape)
+        assert a.input.tobytes() == b.input.tobytes()
+
+
+def assert_pack_is_cached(ds, architecture):
+    """The dataset came with its pack, and that pack equals pack(examples)."""
+    rows = ds.packed(architecture)
+    assert not rows.labels.flags.writeable  # built by the generator, not re-packed
+    fresh = pack(ds.examples, architecture == "embed_bag")
+    for name in ("labels", "groups", "x", "tokens", "offsets"):
+        a, b = getattr(rows, name), getattr(fresh, name)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 51, 52]) | st.integers(1, 300),
+       minority_ratio=st.sampled_from([1.0 / 51.0, 0.5, 1.0]) | st.floats(0.01, 1.0),
+       sigma=st.sampled_from([0.0, 0.5, 3.0]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, minority_ratio=1.0, sigma=0.0, seed=0)
+@example(n=1020, minority_ratio=1.0 / 51.0, sigma=0.5, seed=0)
+def test_two_domain_matches_the_row_loop_bit_for_bit(n, minority_ratio, sigma, seed):
+    spec = TwoDomainSpec(n, minority_ratio, sigma, seed=seed)
+    ds = gen_two_domain_gaussian(spec)
+    assert_same_bytes(ds.examples, reference_two_domain(spec))
+    assert_pack_is_cached(ds, "linear")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 2, 51, 52]) | st.integers(1, 300),
+       vocab_size=st.sampled_from([8, 9, 32]) | st.integers(8, 60),
+       seq_len=st.sampled_from([1, 2, 8]) | st.integers(1, 16),
+       bias=st.sampled_from([0.0, 0.5, 1.0, 0.95]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, vocab_size=8, seq_len=1, bias=0.0, seed=0)
+@example(n=2, vocab_size=8, seq_len=1, bias=1.0, seed=1)
+@example(n=2000, vocab_size=32, seq_len=8, bias=0.5, seed=291482)
+def test_distractor_matches_the_row_loop_bit_for_bit(n, vocab_size, seq_len, bias, seed):
+    spec = DistractorTextSpec(n, vocab_size, seq_len, bias, seed=seed)
+    ds = gen_distractor_text(spec)
+    assert_same_bytes(ds.examples, reference_distractor(spec))
+    assert_pack_is_cached(ds, "embed_bag")
+
+
+def test_generated_examples_are_read_only_views_of_the_pack():
+    for ds, architecture in ((gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)), "linear"),
+                             (gen_distractor_text(DistractorTextSpec(30)), "embed_bag")):
+        with pytest.raises(ValueError, match="read-only"):
+            ds.examples[3].input[0] = 1
+        rows = ds.packed(architecture)
+        assert np.shares_memory(ds.examples[3].input, rows.x if rows.x is not None else rows.tokens)
+        with pytest.raises(ValueError, match="read-only"):
+            rows.labels[0] = 1
 
 
 def test_distractor_spec_validation():
@@ -174,7 +274,7 @@ def test_batches_are_seed_deterministic():
     ds = gen_two_domain_gaussian(TwoDomainSpec(40, 0.5, 0.5, seed=6))
     a = [idx for idx in batches(ds, 8, seed=3)]
     b = [idx for idx in batches(ds, 8, seed=3)]
-    assert a == b
+    assert len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_group_metrics_against_hand_counts():

@@ -209,16 +209,31 @@ def fisher_cases(draw):
     return model, examples, draw(st.integers(1, 60)), draw(st.integers(0, 1000))
 
 
+def batched_row_fisher(model, examples, idx):
+    """Mean of squared per-row nll gradients, summed in draw order, each row's
+    gradient backpropagated with one-hot weights from one forward over the
+    drawn rows, the forward fisher_diag makes."""
+    rows = pack(examples, model.spec.architecture == "embed_bag").take(idx)
+    _, state = nll_forward(model, rows)
+    reference = np.zeros(model.num_params)
+    for k in range(len(idx)):
+        g = weighted_grad(model, state, np.eye(len(idx))[k])
+        reference += g * g
+    return reference / len(idx)
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=fisher_cases())
 def test_fisher_diag_matches_the_per_row_loop_on_random_specs(case):
     model, examples, sample_count, seed = case
     idx = np.random.default_rng(seed).integers(0, len(examples), size=sample_count)
-    reference = per_row_fisher(model, examples, idx)
+    reference = batched_row_fisher(model, examples, idx)
     diag = fisher_diag(model, examples, sample_count, seed)
-    # both sides sum sample_count nonnegative terms in different orders, each
-    # off by at most about sample_count units in the last place of the entry,
-    # plus a few units from rounding the batched forward unlike the one-row one
+    # both sides take each row's factors from the same forward, so the logits
+    # and the cancelling p_y - 1 agree; they sum sample_count nonnegative terms
+    # in different orders, each off by at most about sample_count units in the
+    # last place of the entry, plus a few units from squaring a product
+    # rather than multiplying squares
     tolerance = (sample_count + 4) * np.finfo(float).eps * reference.max()
     np.testing.assert_allclose(diag, reference, rtol=0, atol=tolerance)
 
