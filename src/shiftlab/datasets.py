@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -14,37 +14,52 @@ class CsvFormatError(ValueError):
     """Malformed dataset CSV; message names the offending line."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GroupedDataset:
-    examples: List[Example]
+    """Examples with group labels. A generated dataset (`from_packed`) holds only
+    its pack and builds `examples` when first read, as read-only views of it
+    (ids 0..n-1), so a stray write raises instead of desynchronizing the two."""
+
+    _examples: Optional[List[Example]]
     group_names: List[str] = field(default_factory=lambda: ["all"])
     _packs: Dict[bool, Packed] = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def examples(self) -> List[Example]:
+        if self._examples is None:
+            (rows,) = self._packs.values()
+            inputs = list(rows.x) if rows.x is not None else np.split(rows.tokens, rows.offsets[1:-1])
+            self._examples = list(map(Example, inputs, rows.labels.tolist(), rows.groups.tolist(),
+                                      range(len(rows))))
+        return self._examples
 
     @property
     def num_groups(self) -> int:
         return len(self.group_names)
 
+    @property
+    def is_tokens(self) -> bool:
+        """Whether the inputs are token-id rows rather than dense vectors."""
+        if self._examples is None:
+            return next(iter(self._packs))
+        return np.asarray(self._examples[0].input).dtype.kind in "iu"
+
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(next(iter(self._packs.values())) if self._examples is None else self._examples)
 
     @classmethod
     def from_packed(cls, rows: Packed, group_names: Sequence[str]) -> "GroupedDataset":
-        """A dataset over `rows`, which it keeps as its pack. Its examples (ids 0..n-1)
-        are read-only views of the arrays, so a stray write raises instead of
-        putting them out of step with the pack."""
+        """A dataset over `rows`, which it keeps, read-only, as its pack."""
         for array in (rows.labels, rows.groups, rows.x, rows.tokens, rows.offsets):
             if array is not None:
                 array.flags.writeable = False
-        inputs = list(rows.x) if rows.x is not None else np.split(rows.tokens, rows.offsets[1:-1])
-        examples = [Example(input=x, label=label, group=group, id=i) for i, (x, label, group)
-                    in enumerate(zip(inputs, rows.labels.tolist(), rows.groups.tolist()))]
-        return cls(examples, list(group_names), {rows.x is None: rows})
+        return cls(None, list(group_names), {rows.x is None: rows})
 
     def subset(self, indices: Sequence[int]) -> "GroupedDataset":
         return GroupedDataset([self.examples[i] for i in indices], list(self.group_names))
 
     def packed(self, architecture: str) -> Packed:
-        """The examples as arrays for a model of `architecture`, packed once: keep
+        """The rows as arrays for a model of `architecture`, packed once: keep
         `examples` fixed."""
         tokens = architecture == "embed_bag"
         if tokens not in self._packs:
@@ -105,7 +120,9 @@ def gen_two_domain_gaussian(spec: TwoDomainSpec) -> GroupedDataset:
     """Two Gaussian domains with orthogonal class boundaries, group = domain.
 
     Each row draws its label, then its noise, from one stream, majority rows
-    first; the inputs are then formed at once.
+    first; the inputs are then formed at once. The draws stay a loop:
+    standard_normal's ziggurat takes a varying number of words per value, so
+    the labels' draws cannot be split from the noise's.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.total_points
@@ -128,10 +145,11 @@ def gen_distractor_text(spec: DistractorTextSpec) -> GroupedDataset:
     carries a weak genuine label signal. Groups are label x distractor-presence.
 
     Row by row the stream gives a label, a uniform coin for the distractor,
-    seq_len noise-token indices, a pool index and the signal position. The coin
-    is one generator call; one integers() call covers the rest of the row and
-    the next row's label, so the rows come out as a row-by-row loop of single
-    draws would make them.
+    seq_len noise-token indices, a pool index and the signal position. After
+    the first label, one integers() call draws every row (the coin first, the
+    next row's label last). That equals a row-by-row loop of single draws: an
+    array-bounded call draws its elements in row-major order as single calls
+    would, and random() equals integers(0, 2**53) * 2**-53.
     """
     rng = np.random.default_rng(spec.seed)
     n, v, length = spec.n, spec.vocab_size, spec.seq_len
@@ -139,19 +157,15 @@ def gen_distractor_text(spec: DistractorTextSpec) -> GroupedDataset:
     noise = np.arange(1 + 2 * pool_size, v)
     if noise.size == 0:
         raise ValueError("vocab_size too small to form token pools")
-    highs = np.array([noise.size] * length + [pool_size, length, 2])
+    highs = np.array([2**53] + [noise.size] * length + [pool_size, length, 2])
     first_label = rng.integers(0, 2)
-    coins = np.empty(n)
-    draws = np.empty((n, length + 3), dtype=int)
-    for i in range(n):
-        coins[i] = rng.random()
-        draws[i] = rng.integers(0, highs)  # the last row's next label goes unused
+    draws = rng.integers(0, highs, size=(n, length + 4))  # the last row's next label goes unused
     labels = np.concatenate(([first_label], draws[:-1, -1]))
-    has_distractor = coins < np.where(labels == 0, spec.bias, 1.0 - spec.bias)
+    has_distractor = draws[:, 0] * 2.0**-53 < np.where(labels == 0, spec.bias, 1.0 - spec.bias)
     # column 0 holds the distractor, kept only where the row has one
     rows = np.zeros((n, length + 1), dtype=int)
-    rows[:, 1:] = noise[draws[:, :length]]
-    rows[np.arange(n), 1 + draws[:, length + 1]] = 1 + labels * pool_size + draws[:, length]
+    rows[:, 1:] = noise[draws[:, 1 : length + 1]]
+    rows[np.arange(n), 1 + draws[:, length + 2]] = 1 + labels * pool_size + draws[:, length + 1]
     keep = np.ones(rows.shape, dtype=bool)
     keep[:, 0] = has_distractor
     offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
@@ -165,8 +179,7 @@ def inject_label_noise(dataset: GroupedDataset, p_noise: float, seed: int) -> Gr
     if not 0 <= p_noise <= 1:
         raise ValueError("p_noise must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    labels = [ex.label for ex in dataset.examples]
-    num_classes = max(labels) + 1
+    num_classes = max(ex.label for ex in dataset.examples) + 1
     noisy = []
     for ex in dataset.examples:
         label = ex.label
@@ -177,21 +190,19 @@ def inject_label_noise(dataset: GroupedDataset, p_noise: float, seed: int) -> Gr
 
 
 def save_csv(dataset: GroupedDataset, path) -> None:
-    first = dataset.examples[0]
-    is_tokens = np.asarray(first.input).dtype.kind in "iu"
+    is_tokens = dataset.is_tokens
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if is_tokens:
             header = ["id", "tokens", "label", "group"]
         else:
-            dim = len(first.input)
+            dim = len(dataset.examples[0].input)
             header = ["id"] + [f"f{i}" for i in range(dim)] + ["label", "group"]
         writer.writerow(header)
         for ex in dataset.examples:
             group = 0 if ex.group is None else ex.group
             if is_tokens:
-                tokens = " ".join(str(t) for t in ex.input)
-                writer.writerow([ex.id, tokens, ex.label, group])
+                writer.writerow([ex.id, " ".join(str(t) for t in ex.input), ex.label, group])
             else:
                 writer.writerow([ex.id] + [repr(float(v)) for v in ex.input] + [ex.label, group])
 
@@ -236,7 +247,7 @@ def batches(
     """Partition example indices into int-array batches; last batch may be short."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    order = np.arange(len(dataset.examples))
+    order = np.arange(len(dataset))
     if shuffle:
         order = np.random.default_rng(seed).permutation(order)
     for start in range(0, len(order), batch_size):
@@ -245,7 +256,7 @@ def batches(
 
 def group_metrics(model: ModelState, dataset: GroupedDataset) -> GroupMetrics:
     """Per-group accuracy, worst-group (robust) and size-weighted average."""
-    if len(dataset.examples) == 0:
+    if len(dataset) == 0:
         raise ValueError("group_metrics requires a non-empty dataset")
     packed = dataset.packed(model.spec.architecture)
     errors = zero_one_loss_batch(model, packed)

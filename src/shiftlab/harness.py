@@ -220,7 +220,7 @@ def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, G
         train, valid, test = (_generated_split(cfg, seed, split) for split in range(3))
     else:
         full = load_csv(kind)
-        n = len(full.examples)
+        n = len(full)
         train = full.subset(range(0, int(n * 0.8)))
         valid = full.subset(range(int(n * 0.8), int(n * 0.9)))
         test = full.subset(range(int(n * 0.9), n))
@@ -234,23 +234,21 @@ def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, G
 def _generated_split(cfg: Dict[str, object], seed: int, split: int) -> GroupedDataset:
     """Split 0 (train), 1 (valid) or 2 (test) of a generated family, drawn with seed
     + split; the test split balances the domains or drops the spurious correlation."""
-    if cfg["dataset"] == "two_domain":
-        n = cfg["data.total_points"]
+    two_domain = cfg["dataset"] == "two_domain"
+    n = cfg["data.total_points" if two_domain else "data.n"]
+    size = (n, max(n // 5, 50), cfg["data.test_n"])[split]
+    if two_domain:
         ratio = cfg["data.minority_ratio"] if split < 2 else 0.5
-        return gen_two_domain_gaussian(TwoDomainSpec(
-            (n, max(n // 5, 50), cfg["data.test_n"])[split], ratio, cfg["data.sigma"],
-            seed=seed + split))
-    n = cfg["data.n"]
+        return gen_two_domain_gaussian(TwoDomainSpec(size, ratio, cfg["data.sigma"], seed=seed + split))
     bias = cfg["data.bias"] if split < 2 else 0.5
-    return gen_distractor_text(DistractorTextSpec(
-        (n, max(n // 5, 50), cfg["data.test_n"])[split], cfg["data.vocab_size"],
-        cfg["data.seq_len"], bias, seed=seed + split))
+    return gen_distractor_text(DistractorTextSpec(size, cfg["data.vocab_size"], cfg["data.seq_len"],
+                                                  bias, seed=seed + split))
 
 
 def build_model_spec(cfg: Dict[str, object], train: GroupedDataset) -> ModelSpec:
     arch = cfg["model.arch"]
     if arch == "auto":
-        arch = "embed_bag" if np.asarray(train.examples[0].input).dtype.kind in "iu" else "linear"
+        arch = "embed_bag" if train.is_tokens else "linear"
     rows = train.packed(arch)
     num_classes = max(int(rows.labels.max()) + 1, 2)
     if arch == "embed_bag":
@@ -318,10 +316,12 @@ def train_run(cfg: Dict[str, object], seed: int,
     packed_train, packed_valid = train.packed(spec.architecture), valid.packed(spec.architecture)
 
     dro_cfg = dro_config(cfg)
+    if dro_cfg.method == "pdro" and packed_train.x is None:
+        raise ConfigError("method=pdro needs dense inputs: its Gaussian adversary has no token form")
     adversary, normalizer = dro.initial_state(dro_cfg, spec, packed_train, train.num_groups, seed)
 
     checkpoints: List[ModelState] = []
-    records: List[selection.AdversaryRecord] = [selection.identity_record(len(valid.examples))]
+    records: List[selection.AdversaryRecord] = [selection.identity_record(len(valid))]
     log_rows: List[dict] = []
 
     def take_checkpoint(step: int) -> None:
@@ -505,10 +505,6 @@ def cmd_continual(cfg: Dict[str, object], seed: int, out_dir: str) -> cl.Continu
     return metrics
 
 
-def _detokenize(ids: Sequence[int]) -> str:
-    return " ".join(f"tok{int(i)}" for i in ids)
-
-
 def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
                model: Optional[ModelState] = None) -> List[dict]:
     """Attack an embedding-bag classifier with first-order substitutions on
@@ -525,25 +521,24 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     if model.spec.architecture != "embed_bag":
         raise UnsupportedArchitectureError("attack requires an embed_bag model")
     test = _generated_split({**cfg, "dataset": "distractor"}, seed, 2)
-    vocab_size = model.spec.vocab_size
-    table = advmetrics.EmbeddingTable(model.slot("embedding.weight"),
-                                      [f"tok{i}" for i in range(vocab_size)])
-    oov_id = vocab_size - 1
+    names = [f"tok{i}" for i in range(model.spec.vocab_size)]
+    table = advmetrics.EmbeddingTable(model.slot("embedding.weight"), names)
+    oov_id = len(names) - 1
 
     rows = test.packed("embed_bag").take(np.arange(n))
     adv = advmetrics.attack_rows(model, rows, table, cfg["attack.constraint"],
                                  cfg["attack.sign_normalize"], cfg["attack.k"], oov_id, steps)
-    cuts = rows.offsets[1:-1]
-    s_src = advmetrics.chrf_batch([_detokenize(ids) for ids in np.split(rows.tokens, cuts)],
-                                  [_detokenize(ids) for ids in np.split(adv.tokens, cuts)]) / 100.0
+    bounds = list(zip(rows.offsets[:-1].tolist(), rows.offsets[1:].tolist()))
+    src_words, adv_words = (np.array(names, dtype=object)[r.tokens].tolist() for r in (rows, adv))
+    s_src = advmetrics.chrf_batch([" ".join(src_words[a:b]) for a, b in bounds],
+                                  [" ".join(adv_words[a:b]) for a, b in bounds]) / 100.0
     true_label = (np.arange(n), rows.labels)
     s_base = softmax(forward_logits_batch(model, rows))[true_label]
     s_adv = softmax(forward_logits_batch(model, adv))[true_label]
     report = []
-    for ex, src, base, after in zip(test.examples, s_src.tolist(), s_base.tolist(),
-                                    s_adv.tolist()):
+    for i, (src, base, after) in enumerate(zip(s_src.tolist(), s_base.tolist(), s_adv.tolist())):
         d = advmetrics.d_tgt(base, after)
-        report.append({"id": ex.id, "s_src": src, "s_base": base, "s_adv": after,
+        report.append({"id": i, "s_src": src, "s_base": base, "s_adv": after,
                        "d_tgt": d, "success": advmetrics.success(src, d)})
     header = ["id", "s_src", "s_base", "s_adv", "d_tgt", "success"]
     _write_csv(header, [[r[k] for k in header] for r in report],
@@ -555,20 +550,12 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
 
 def sweep_grid(cfg: Dict[str, object]) -> List[Dict[str, object]]:
     """Expand sweep.<key> comma lists into the cartesian grid of configs."""
-    base = {k: v for k, v in cfg.items() if not k.startswith("sweep.")}
-    axes: List[Tuple[str, List[object]]] = []
+    grid = [{k: v for k, v in cfg.items() if not k.startswith("sweep.")}]
     for key, value in cfg.items():
-        if not key.startswith("sweep."):
-            continue
-        _check_key(key)
-        target = key[len("sweep."):]
-        values = [coerce_value(v) for v in str(value).split(",")]
-        axes.append((target, values))
-    if not axes:
-        return [base]
-    grid = [dict(base)]
-    for target, values in axes:
-        grid = [{**point, target: v} for point in grid for v in values]
+        if key.startswith("sweep."):
+            _check_key(key)
+            values = [coerce_value(v) for v in str(value).split(",")]
+            grid = [{**point, key[len("sweep."):]: v} for point in grid for v in values]
     return grid
 
 

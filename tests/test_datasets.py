@@ -153,6 +153,32 @@ def test_distractor_matches_the_row_loop_bit_for_bit(n, vocab_size, seq_len, bia
     assert_pack_is_cached(ds, "embed_bag")
 
 
+def test_distractor_matches_the_row_loop_on_20000_rows():
+    spec = DistractorTextSpec(20_000, 32, 8, 0.95, seed=2026)
+    assert_same_bytes(gen_distractor_text(spec).examples, reference_distractor(spec))
+
+
+def test_numpy_stream_facts_the_one_call_distractor_draw_rests_on():
+    """gen_distractor_text replaces a loop of random() and integers() calls by one
+    integers() call; these two generator properties make that exact."""
+    for seed in (0, 1, 2026):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal([a.random() for _ in range(2000)],
+                              b.integers(0, 2**53, size=2000) * 2.0**-53)
+        # bounds above and below 2**32 take 64- and 32-bit draws; 1 takes none
+        highs = np.array([2**53, 7, 2**40, 1, 2**32, 2**32 + 1, 3, 2**32 - 1, 2])
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        one_call = a.integers(0, highs, size=(500, highs.size))
+        assert np.array_equal(one_call, [b.integers(0, highs) for _ in range(500)])
+        # the distractor's own pattern: a coin, then a row of small bounds
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        small = np.array([23, 23, 23, 7, 8, 2])
+        one_call = a.integers(0, np.concatenate(([2**53], small)), size=(500, small.size + 1))
+        for row in one_call:
+            assert b.random() == row[0] * 2.0**-53
+            assert np.array_equal(b.integers(0, small), row[1:])
+
+
 def test_generated_examples_are_read_only_views_of_the_pack():
     for ds, architecture in ((gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)), "linear"),
                              (gen_distractor_text(DistractorTextSpec(30)), "embed_bag")):

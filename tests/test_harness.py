@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shiftlab import cli, continual as cl, dro, harness
+from shiftlab import advmetrics, cli, continual as cl, dro, harness
+from shiftlab.datasets import GroupedDataset
 from shiftlab.diffcore import ModelSpec, forward_logits_batch, init_params, softmax
 
 
@@ -462,6 +463,55 @@ def test_cmd_attack_attacks_the_build_datasets_test_split(tmp_path):
     probs = softmax(forward_logits_batch(model, test.examples[:6]))
     assert [row["s_base"] for row in report] == pytest.approx(
         [float(p[ex.label]) for p, ex in zip(probs, test.examples[:6])], rel=1e-12)
+
+
+def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
+    model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=2)
+    cfg = {"attack.n": 7, "data.test_n": 40, "attack.constraint": "knn"}
+    report = harness.cmd_attack(cfg, 5, str(tmp_path / "a"), model=model)
+    test = harness._generated_split(harness.resolved({**cfg, "dataset": "distractor"}), 5, 2)
+    rows = test.packed("embed_bag").take(np.arange(7))
+    table = advmetrics.EmbeddingTable(model.slot("embedding.weight"),
+                                      [f"tok{i}" for i in range(32)])
+    adv = advmetrics.attack_rows(model, rows, table, "knn", False, 10, 31)
+
+    def text(r):
+        return [" ".join(f"tok{t}" for t in ids) for ids in np.split(r.tokens, r.offsets[1:-1])]
+
+    want = advmetrics.chrf_batch(text(rows), text(adv)) / 100.0
+    assert [row["s_src"] for row in report] == want.tolist()
+
+
+def test_generated_data_runs_build_no_examples(tmp_path, monkeypatch):
+    """Training, attacking and continual learning on generated splits read only
+    the packs; no split's per-row Example list gets built."""
+    built = []
+    examples = GroupedDataset.examples
+    monkeypatch.setattr(GroupedDataset, "examples",
+                        property(lambda ds: built.append(len(ds)) or examples.fget(ds)))
+    small = {"data.n": 120, "data.total_points": 200, "data.minority_ratio": 0.2,
+             "data.test_n": 60, "epochs": 2, "batch_size": 32}
+    harness.train_run({**small, "dataset": "distractor", "method": "nonparam"}, 0)
+    harness.train_run({**small, "dataset": "two_domain", "method": "pdro"}, 0)
+    harness.cmd_attack({**small, "attack.n": 20}, 0, str(tmp_path / "attack"))
+    harness.cmd_continual({"cl.tasks": 2, "cl.points": 60, "cl.epochs": 1, "cl.hidden": 4,
+                           "cl.fisher_samples": 50, "cl.method": "conatural+er"},
+                          0, str(tmp_path / "cl"))
+    assert built == []
+
+
+def test_cli_rejects_pdro_on_token_data_before_training(tmp_path, capsys, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("dataset = distractor\nmethod = pdro\ndata.n = 100\ndata.test_n = 50\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("shiftlab: error: method=pdro needs dense inputs")
+    assert not (out / "run.jsonl").exists()
 
 
 def test_importing_shiftlab_loads_no_scipy_module():
