@@ -119,19 +119,24 @@ _MEANS = np.array([[[-1.0, 0.0], [1.0, 0.0]], [[0.0, 1.0], [0.0, -1.0]]])
 def gen_two_domain_gaussian(spec: TwoDomainSpec) -> GroupedDataset:
     """Two Gaussian domains with orthogonal class boundaries, group = domain.
 
-    Each row draws its label, then its noise, from one stream, majority rows
-    first; the inputs are then formed at once. The draws stay a loop:
-    standard_normal's ziggurat takes a varying number of words per value, so
-    the labels' draws cannot be split from the noise's.
+    The stream is a row loop's, majority rows first: integers(0, 2), then
+    standard_normal(2) per row. Each pass here draws two rows: PCG64 serves both
+    labels from one 64-bit word (bits 31, then 63), and standard_normal leaves the
+    held-back half alone, so their normals are contiguous however many words the
+    ziggurat takes. An odd last row takes one word and two normals.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.total_points
     groups = (np.arange(n) >= n - int(round(n * spec.minority_ratio))).astype(int)
-    labels = np.empty(n, dtype=int)
+    words = np.empty((n + 1) // 2, dtype=np.uint64)
     noise = np.empty((n, 2))
-    for i in range(n):
-        labels[i] = rng.integers(0, 2)
-        noise[i] = rng.standard_normal(2)
+    flat = noise.reshape(-1)
+    raw, normal = rng.bit_generator.random_raw, rng.standard_normal
+    for i in range(words.size):
+        words[i] = raw()
+        normal(out=flat[4 * i:4 * i + 4])  # the odd last row's slice holds 2
+    bits = (words[:, None] >> np.array([31, 63], dtype=np.uint64)) & 1
+    labels = bits.reshape(-1)[:n].astype(int)
     x = _MEANS[groups, labels] + spec.sigma * noise
     return GroupedDataset.from_packed(Packed(labels, groups, x=x), ["majority", "minority"])
 

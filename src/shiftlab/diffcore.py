@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,6 +82,10 @@ class ModelSpec:
     @property
     def param_count(self) -> int:
         return max(hi for _, hi, _ in self.slots.values())
+
+    def views(self, flat: np.ndarray) -> List[np.ndarray]:
+        """Every slot of a flat parameter-length vector as a shaped view, in layout order."""
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in self.slots.values()]
 
 
 @dataclass
@@ -183,9 +187,11 @@ def _packed(model: ModelState, batch: Batch) -> Packed:
 
 
 def _forward_batch(model: ModelState, batch: Batch):
-    """Logits for a batch plus the activation cache used by backprop."""
+    """Logits for a batch plus the activation cache used by backprop; the cache's
+    feature is the output layer's input (x, the tanh activations or the bag)."""
     batch = _packed(model, batch)
     spec = model.spec
+    *inner, w, b = spec.views(model.params)
     cache: Dict[str, object] = {"batch": batch}
     if spec.architecture == "embed_bag":
         lengths = None if batch.tokens is None else batch.offsets[1:] - batch.offsets[:-1]
@@ -193,50 +199,39 @@ def _forward_batch(model: ModelState, batch: Batch):
             raise InputShapeError("token input must be a non-empty 1-d sequence")
         if batch.tokens.min() < 0 or batch.tokens.max() >= spec.vocab_size:
             raise InputShapeError(f"token id out of range [0, {spec.vocab_size})")
-        emb = model.slot("embedding.weight")
-        bag = np.add.reduceat(emb[batch.tokens], batch.offsets[:-1], axis=0) / lengths[:, None]
-        cache.update(lengths=lengths, bag=bag)
-        return bag @ model.slot("out.weight").T + model.slot("out.bias"), cache
+        bag = np.add.reduceat(inner[0][batch.tokens], batch.offsets[:-1], axis=0) / lengths[:, None]
+        cache.update(lengths=lengths, feature=bag)
+        return bag @ w.T + b, cache
     shape = None if batch.x is None else batch.x.shape
     if shape is None or shape[1:] != (spec.input_dim,) or shape[0] == 0:
         raise InputShapeError(f"expected inputs of shape (n, {spec.input_dim}), got {shape}")
-    if spec.architecture == "linear":
-        w, b = model.slot("linear.weight"), model.slot("linear.bias")
-        return batch.x @ w.T + b, cache
-    w1 = model.slot("hidden.weight")
-    b1 = model.slot("hidden.bias")
-    w2 = model.slot("out.weight")
-    b2 = model.slot("out.bias")
-    cache["a"] = a = np.tanh(batch.x @ w1.T + b1)
-    return a @ w2.T + b2, cache
+    # a linear model has no layer below its output layer; an mlp has one
+    cache["feature"] = batch.x if not inner else np.tanh(batch.x @ inner[0].T + inner[1])
+    return cache["feature"] @ w.T + b, cache
 
 
 def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.ndarray:
-    """Flat parameter gradient given d(loss)/d(logits) for each example."""
-    arch = model.spec.architecture
-    grad = ModelState(model.spec, np.zeros_like(model.params))
-    x = cache["batch"].x
-    if arch == "linear":
-        grad.slot("linear.weight")[:] = dlogits.T @ x
-        grad.slot("linear.bias")[:] = dlogits.sum(axis=0)
-    elif arch == "mlp":
-        a = cache["a"]
-        grad.slot("out.weight")[:] = dlogits.T @ a
-        grad.slot("out.bias")[:] = dlogits.sum(axis=0)
-        dpre = (dlogits @ model.slot("out.weight")) * (1.0 - a * a)
-        grad.slot("hidden.weight")[:] = dpre.T @ x
-        grad.slot("hidden.bias")[:] = dpre.sum(axis=0)
-    else:
-        lengths = cache["lengths"]
-        grad.slot("out.weight")[:] = dlogits.T @ cache["bag"]
-        grad.slot("out.bias")[:] = dlogits.sum(axis=0)
+    """Flat parameter gradient given d(loss)/d(logits) for each example; each
+    slot's gradient is written straight into its place in one new vector."""
+    spec = model.spec
+    grad = np.empty(model.params.size)
+    *inner, gw, gb = spec.views(grad)
+    feature = cache["feature"]
+    np.matmul(dlogits.T, feature, out=gw)
+    dlogits.sum(axis=0, out=gb)
+    if spec.architecture == "mlp":
+        dpre = (dlogits @ model.slot("out.weight")) * (1.0 - feature * feature)
+        np.matmul(dpre.T, cache["batch"].x, out=inner[0])
+        dpre.sum(axis=0, out=inner[1])
+    elif spec.architecture == "embed_bag":
         # each token of row i gets dbag[i] / len(row i), summed per cell in row order
-        v, e = model.spec.vocab_size, model.spec.embed_dim
+        lengths = cache["lengths"]
+        v, e = spec.vocab_size, spec.embed_dim
         dbag = dlogits @ model.slot("out.weight")
         dtok = np.repeat(dbag / lengths[:, None], lengths, axis=0)
         cells = (cache["batch"].tokens[:, None] * e + np.arange(e)).ravel()
-        grad.slot("embedding.weight")[:] = np.bincount(cells, dtok.ravel(), v * e).reshape(v, e)
-    return grad.params
+        inner[0][:] = np.bincount(cells, dtok.ravel(), v * e).reshape(v, e)
+    return grad
 
 
 def forward_logits(model: ModelState, example: Example) -> np.ndarray:
@@ -344,22 +339,19 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
     d = softmax(logits)
     d[np.arange(sample_count), sample.labels] -= 1.0
     d2 = d * d
-    out = ModelState(model.spec, np.zeros_like(model.params))
-    arch = model.spec.architecture
-    if arch == "linear":
-        out.slot("linear.weight")[:] = d2.T @ (sample.x * sample.x)
-        out.slot("linear.bias")[:] = d2.sum(axis=0)
-        return out.params / sample_count
-    feature = cache["a"] if arch == "mlp" else cache["bag"]
-    out.slot("out.weight")[:] = d2.T @ (feature * feature)
-    out.slot("out.bias")[:] = d2.sum(axis=0)
-    if arch == "mlp":
+    spec = model.spec
+    out = np.empty(model.params.size)
+    *inner, gw, gb = spec.views(out)
+    feature = cache["feature"]
+    np.matmul(d2.T, feature * feature, out=gw)
+    d2.sum(axis=0, out=gb)
+    if spec.architecture == "mlp":
         dpre2 = ((d @ model.slot("out.weight")) * (1.0 - feature * feature)) ** 2
-        out.slot("hidden.weight")[:] = dpre2.T @ (sample.x * sample.x)
-        out.slot("hidden.bias")[:] = dpre2.sum(axis=0)
-    else:
+        np.matmul(dpre2.T, sample.x * sample.x, out=inner[0])
+        dpre2.sum(axis=0, out=inner[1])
+    elif spec.architecture == "embed_bag":
         # row i's gradient at token t is count(i, t) * dbag[i] / len(row i)
-        v, e = model.spec.vocab_size, model.spec.embed_dim
+        v, e = spec.vocab_size, spec.embed_dim
         lengths = cache["lengths"]
         row = np.repeat(np.arange(sample_count), lengths)
         cells, count = np.unique(row * v + sample.tokens, return_counts=True)
@@ -367,8 +359,8 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
         dbag = d @ model.slot("out.weight")
         g = (count / lengths[row])[:, None] * dbag[row]
         keys = (token[:, None] * e + np.arange(e)).ravel()
-        out.slot("embedding.weight")[:] = np.bincount(keys, (g * g).ravel(), v * e).reshape(v, e)
-    return out.params / sample_count
+        inner[0][:] = np.bincount(keys, (g * g).ravel(), v * e).reshape(v, e)
+    return out / sample_count
 
 
 def grad_wrt_embeddings_batch(

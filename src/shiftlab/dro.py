@@ -6,7 +6,7 @@ likelihood-ratio game with batch-level or self-normalization.
 """
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -17,7 +17,6 @@ from .diffcore import (
     ModelSpec,
     ModelState,
     Packed,
-    forward_logits_batch,
     grad_params,
     init_params,
     nll_forward,
@@ -52,9 +51,6 @@ class GaussianAdversary:
         self.mean = np.asarray(self.mean, dtype=float)
         self.mean0 = np.asarray(self.mean0, dtype=float)
 
-    def copy(self) -> "GaussianAdversary":
-        return GaussianAdversary(self.mean.copy(), self.sigma, self.mean0.copy())
-
 
 @dataclass
 class RatioAdversary:
@@ -66,49 +62,50 @@ class RatioAdversary:
 
     scorer: ModelState
 
+    def f_forward(self, batch: Batch):
+        """f(x_i, y_i) over the batch plus the forward state grad_f backprops."""
+        batch = _packed(self.scorer, batch)
+        logits, state = _forward_batch(self.scorer, batch)
+        return logits[np.arange(len(batch)), batch.labels], state
+
     def f_values(self, batch: Batch) -> np.ndarray:
-        batch = _packed(self.scorer, batch)
-        logits = forward_logits_batch(self.scorer, batch)
-        return logits[np.arange(len(batch)), batch.labels]
+        return self.f_forward(batch)[0]
 
-    def grad_f(self, batch: Batch, df: np.ndarray) -> np.ndarray:
-        """Scorer-parameter gradient of sum_i df[i] * f(x_i, y_i)."""
-        batch = _packed(self.scorer, batch)
-        logits, cache = _forward_batch(self.scorer, batch)
-        dlogits = np.zeros_like(logits)
+    def grad_f(self, state, df: np.ndarray) -> np.ndarray:
+        """Scorer-parameter gradient of sum_i df[i] * f(x_i, y_i), from the
+        forward state f_forward returned for the batch."""
+        batch = state["batch"]
+        dlogits = np.zeros((len(batch), self.scorer.spec.num_classes))
         dlogits[np.arange(len(batch)), batch.labels] = df
-        return _backward_from_dlogits(self.scorer, cache, dlogits)
-
-    def copy(self) -> "RatioAdversary":
-        return RatioAdversary(self.scorer.copy())
+        return _backward_from_dlogits(self.scorer, state, dlogits)
 
 
 @dataclass
 class RunningNormalizer:
     """Pooled mean of exp(loss/tau) over a window of recent batches.
 
-    Each record holds (log sum exp(loss/tau), count) for one batch; pooling
-    happens in log space so small temperatures do not overflow.
+    The first `size` slots of `log_sums` and `counts` hold one batch's log sum
+    exp(loss/tau) and row count each, oldest first. Pooling happens in log space
+    so small temperatures do not overflow.
     """
 
     window: int
-    records: deque = field(default_factory=deque)
+    log_sums: np.ndarray = field(init=False, repr=False)
+    counts: np.ndarray = field(init=False, repr=False)
+    size: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
+        self.log_sums = np.zeros(self.window)
+        self.counts = np.zeros(self.window, dtype=int)
 
     @property
     def log_value(self) -> float:
-        if not self.records:
+        if self.size == 0:
             return 0.0
-        log_total = _logsumexp(np.array([s for s, _ in self.records]))
-        count = sum(c for _, c in self.records)
-        return float(log_total - np.log(count))
-
-    @property
-    def value(self) -> float:
-        return float(np.exp(self.log_value))
+        log_total = _logsumexp(self.log_sums[:self.size])
+        return float(log_total - np.log(self.counts[:self.size].sum()))
 
 
 @dataclass
@@ -127,22 +124,28 @@ class DroConfig:
     reverse_kl: bool = True
     adv_steps_per_model_step: int = 1
 
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method: {self.method!r}")
+        if self.norm_mode not in NORM_MODES:
+            raise ValueError(f"unknown norm_mode: {self.norm_mode!r}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be positive, got {self.lr}")
+
 
 def erm_step(model: ModelState, batch: Batch, lr: float) -> ModelState:
     if lr <= 0:
         raise ValueError("lr must be positive")
     n = len(batch)
     grad = grad_params(model, batch, np.full(n, 1.0 / n))
-    out = model.copy()
-    out.params -= lr * grad
-    return out
+    return ModelState(model.spec, model.params - lr * grad)
 
 
 def _logsumexp(a: np.ndarray) -> float:
     """log(sum(exp(a))) with the max terms split off, as scipy computes it."""
     top = a.max()
     is_top = a == top
-    count = is_top.sum()
+    count = np.count_nonzero(is_top)
     rest = np.exp(np.where(is_top, -np.inf, a - top)).sum() / count
     return float(np.log1p(rest) + np.log(count) + top)
 
@@ -210,64 +213,57 @@ def group_dro_weights(
     return w / w.sum()
 
 
-def _log_density_ratio(adv: GaussianAdversary, x: np.ndarray) -> np.ndarray:
-    d0 = np.sum((x - adv.mean0) ** 2, axis=-1)
-    d1 = np.sum((x - adv.mean) ** 2, axis=-1)
-    return (d0 - d1) / (2.0 * adv.sigma ** 2)
-
-
-def pdro_model_weights(adv: GaussianAdversary, batch: Batch) -> np.ndarray:
-    """Importance weights q_psi(x) / q_psi0(x); exactly 1 when psi == psi0."""
-    if np.array_equal(adv.mean, adv.mean0):
+def pdro_model_weights(adv: GaussianAdversary, batch: Batch,
+                       centered: Optional[np.ndarray] = None) -> np.ndarray:
+    """Importance weights q_psi(x) / q_psi0(x); exactly 1 when psi == psi0.
+    `centered`, if given, is the batch's x - adv.mean."""
+    if adv.mean.tolist() == adv.mean0.tolist():  # np.array_equal, at a tenth of the cost
         return np.ones(len(batch))
     x = pack(batch, tokens=False).x
-    with np.errstate(over="ignore"):  # overflow saturates into the clip
-        return np.clip(np.exp(_log_density_ratio(adv, x)), 0.0, WEIGHT_CLIP)
+    if centered is None:
+        centered = x - adv.mean
+    offset = x - adv.mean0
+    sq_diff = (offset * offset).sum(axis=-1) - (centered * centered).sum(axis=-1)
+    with np.errstate(over="ignore"):  # overflow saturates into the clip; exp is never < 0
+        return np.minimum(np.exp(sq_diff / (2.0 * adv.sigma ** 2)), WEIGHT_CLIP)
 
 
 def normalizer_update(
     normalizer: RunningNormalizer, batch_losses: np.ndarray, tau: float
 ) -> RunningNormalizer:
+    """Push one batch into the window in place, evicting the oldest when full."""
     losses = np.asarray(batch_losses, dtype=float)
-    out = RunningNormalizer(normalizer.window, deque(normalizer.records, normalizer.window))
-    out.records.append((_logsumexp(losses / tau), len(losses)))
-    return out
+    if normalizer.size == normalizer.window:
+        normalizer.log_sums[:-1] = normalizer.log_sums[1:]
+        normalizer.counts[:-1] = normalizer.counts[1:]
+    else:
+        normalizer.size += 1
+    normalizer.log_sums[normalizer.size - 1] = _logsumexp(losses / tau)
+    normalizer.counts[normalizer.size - 1] = len(losses)
+    return normalizer
 
 
-def pdro_adv_step(
-    adv: GaussianAdversary,
-    batch: Batch,
-    losses: np.ndarray,
-    tau: float,
-    normalizer: RunningNormalizer,
-    adv_lr: float,
-) -> GaussianAdversary:
-    """Ascend the exp(loss/tau)-weighted Gaussian log-likelihood of the batch."""
+def pdro_adv_step(adv: GaussianAdversary, centered: np.ndarray, losses: np.ndarray, tau: float,
+                  normalizer: RunningNormalizer, adv_lr: float) -> GaussianAdversary:
+    """Ascend the exp(loss/tau)-weighted Gaussian log-likelihood of a batch
+    whose inputs less adv.mean are `centered`."""
     log_z = normalizer.log_value
-    if not np.isfinite(log_z):
+    if not math.isfinite(log_z):
         raise ValueError("normalizer must be positive and finite")
-    x = pack(batch, tokens=False).x
     w = np.exp(np.asarray(losses) / tau - log_z)
-    grad = (w[:, None] * (x - adv.mean)).sum(axis=0) / (len(batch) * adv.sigma ** 2)
-    out = adv.copy()
-    out.mean = adv.mean + adv_lr * grad
-    return out
+    grad = (w[:, None] * centered).sum(axis=0) / (len(centered) * adv.sigma ** 2)
+    return GaussianAdversary(adv.mean + adv_lr * grad, adv.sigma, adv.mean0)
 
 
-def pdro_adv_step_bare(
-    adv: GaussianAdversary,
-    batch: Batch,
-    losses: np.ndarray,
-    adv_lr: float,
-) -> GaussianAdversary:
-    """Direct ascent on the importance-sampled expected loss (no surrogate)."""
-    x = pack(batch, tokens=False).x
-    ratios = pdro_model_weights(adv, batch)
-    score = (x - adv.mean) / adv.sigma ** 2
-    grad = (ratios * np.asarray(losses))[:, None] * score
-    out = adv.copy()
-    out.mean = adv.mean + adv_lr * grad.mean(axis=0)
-    return out
+def pdro_adv_step_bare(adv: GaussianAdversary, batch: Batch, losses: np.ndarray, adv_lr: float,
+                       centered: Optional[np.ndarray] = None) -> GaussianAdversary:
+    """Direct ascent on the importance-sampled expected loss (no surrogate);
+    `centered`, if given, is the batch's x - adv.mean."""
+    if centered is None:
+        centered = pack(batch, tokens=False).x - adv.mean
+    ratios = pdro_model_weights(adv, batch, centered)
+    grad = (ratios * np.asarray(losses))[:, None] * (centered / adv.sigma ** 2)
+    return GaussianAdversary(adv.mean + adv_lr * grad.mean(axis=0), adv.sigma, adv.mean0)
 
 
 def gaussian_kl_project(adv: GaussianAdversary, kappa: float) -> GaussianAdversary:
@@ -275,16 +271,12 @@ def gaussian_kl_project(adv: GaussianAdversary, kappa: float) -> GaussianAdversa
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     diff = adv.mean - adv.mean0
-    dist = float(np.linalg.norm(diff))
-    radius = np.sqrt(2.0 * kappa) * adv.sigma
+    dist = math.sqrt(diff @ diff)  # np.linalg.norm's formula for a vector
+    radius = math.sqrt(2.0 * kappa) * adv.sigma
     if dist <= radius:
         return adv
-    out = adv.copy()
-    if radius == 0.0:
-        out.mean = adv.mean0.copy()
-    else:
-        out.mean = adv.mean0 + (radius / dist) * diff
-    return out
+    mean = adv.mean0.copy() if radius == 0.0 else adv.mean0 + (radius / dist) * diff
+    return GaussianAdversary(mean, adv.sigma, adv.mean0)
 
 
 def rpdro_batch_weights(f_values: np.ndarray) -> np.ndarray:
@@ -385,12 +377,9 @@ def simultaneous_step(
     group_dro (updated before the model step), a GaussianAdversary for pdro
     and a RatioAdversary for rpdro. In the two games both gradients use the
     pre-update state, and config.adv_steps_per_model_step extra adversary
-    updates reuse the batch with refreshed scores.
+    updates reuse the batch with refreshed scores. The step leaves the model
+    and adversary it is given alone and updates the normalizer in place.
     """
-    if config.method not in METHODS:
-        raise ValueError(f"unknown method: {config.method!r}")
-    if config.norm_mode not in NORM_MODES:
-        raise ValueError(f"unknown norm_mode: {config.norm_mode!r}")
     if config.method == "erm":
         return erm_step(model, batch, config.lr), adversary, normalizer
     batch = _packed(model, batch)
@@ -408,22 +397,26 @@ def simultaneous_step(
         new_adv = group_dro_weights(group_losses, adversary, config.eta_group)
         weights = new_adv[batch.groups] / np.maximum(counts[batch.groups], 1)
     elif config.method == "pdro":
-        weights = pdro_model_weights(adversary, batch) / n
-        for _ in range(config.adv_steps_per_model_step):
+        x = batch.x
+        # the model weights and the first adversary step share x - mean
+        centered = x - adversary.mean
+        weights = pdro_model_weights(adversary, batch, centered) / n
+        for step in range(config.adv_steps_per_model_step):
+            if step > 0:
+                centered = x - new_adv.mean
             if config.reverse_kl:
                 new_norm = normalizer_update(new_norm, losses, config.tau)
-                new_adv = pdro_adv_step(
-                    new_adv, batch, losses, config.tau, new_norm, config.adv_lr
-                )
+                new_adv = pdro_adv_step(new_adv, centered, losses, config.tau, new_norm,
+                                        config.adv_lr)
             else:
-                new_adv = pdro_adv_step_bare(new_adv, batch, losses, config.adv_lr)
+                new_adv = pdro_adv_step_bare(new_adv, batch, losses, config.adv_lr, centered)
             if config.project:
                 new_adv = gaussian_kl_project(new_adv, config.kappa)
     else:
-        # the first pass scores the pre-update adversary for both players
-        new_adv = adversary.copy()
+        # the first pass scores the pre-update adversary for both players; each
+        # pass takes f and its gradient from one scorer forward
         for step in range(max(1, config.adv_steps_per_model_step)):
-            f = new_adv.f_values(batch)
+            f, f_state = new_adv.f_forward(batch)
             if config.norm_mode == "batch_level":
                 _, r, dobj_df = rpdro_objective(losses, f, config.tau)
             else:
@@ -431,10 +424,8 @@ def simultaneous_step(
                 r = np.clip(np.exp(f), 0.0, WEIGHT_CLIP) / n
             if step == 0:
                 weights = r
-            new_adv.scorer.params += config.adv_lr * new_adv.grad_f(batch, dobj_df)
+            params = new_adv.scorer.params + config.adv_lr * new_adv.grad_f(f_state, dobj_df)
+            new_adv = RatioAdversary(ModelState(new_adv.scorer.spec, params))
 
     model_grad = weighted_grad(model, state, weights)
-    new_model = model.copy()
-    if config.lr > 0:
-        new_model.params -= config.lr * model_grad
-    return new_model, new_adv, new_norm
+    return ModelState(model.spec, model.params - config.lr * model_grad), new_adv, new_norm

@@ -310,12 +310,12 @@ def train_run(cfg: Dict[str, object], seed: int,
               ) -> TrainResult:
     """One full training run: optimize, checkpoint per epoch, select, evaluate."""
     cfg = resolved(cfg)
+    dro_cfg = dro_config(cfg)
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
     spec = build_model_spec(cfg, train)
     model = init_params(spec, seed)
     packed_train, packed_valid = train.packed(spec.architecture), valid.packed(spec.architecture)
 
-    dro_cfg = dro_config(cfg)
     if dro_cfg.method == "pdro" and packed_train.x is None:
         raise ConfigError("method=pdro needs dense inputs: its Gaussian adversary has no token form")
     adversary, normalizer = dro.initial_state(dro_cfg, spec, packed_train, train.num_groups, seed)
@@ -347,7 +347,7 @@ def train_run(cfg: Dict[str, object], seed: int,
             model, adversary, normalizer = dro.simultaneous_step(
                 model, adversary, packed_train.take(idx), dro_cfg, normalizer
             )
-            if not np.all(np.isfinite(model.params)):
+            if not np.isfinite(model.params).all():
                 raise DivergenceError(f"non-finite parameters at epoch {epoch}")
             step += 1
             if every > 0 and step % every == 0:
@@ -566,6 +566,8 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
     if len({selection_loss(point) for point in points}) > 1:
         raise ConfigError("selection.loss=auto resolves differently across the swept "
                           "methods; the pooled selection needs one loss, so set it")
+    for point in points:
+        dro_config(point)  # reject a bad point before any point trains
     os.makedirs(out_dir, exist_ok=True)
     results = []
     failures = []

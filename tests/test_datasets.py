@@ -179,6 +179,75 @@ def test_numpy_stream_facts_the_one_call_distractor_draw_rests_on():
             assert np.array_equal(b.integers(0, small), row[1:])
 
 
+def words_taken(rng, draw):
+    """64-bit words that draw(rng) takes from the stream of rng's PCG64."""
+    probe = np.random.PCG64()
+    probe.state = rng.bit_generator.state
+    draw(rng)
+    words = 0
+    while probe.state["state"] != rng.bit_generator.state["state"]:
+        probe.random_raw()
+        words += 1
+    return words
+
+
+def seeds_whose_first_row_rejects(count):
+    """Seeds whose first row-loop row takes more than one word per normal: a
+    ziggurat rejection before the second row's label is drawn."""
+    found = []
+    for seed in range(10_000):
+        rng = np.random.default_rng(seed)
+        rng.integers(0, 2)
+        if words_taken(rng, lambda r: r.standard_normal(2)) > 2:
+            found.append(seed)
+            if len(found) == count:
+                return found
+    raise AssertionError("no seed with an early ziggurat rejection")
+
+
+ZIGGURAT_SEEDS = seeds_whose_first_row_rejects(3)
+
+
+def test_numpy_stream_facts_the_paired_two_domain_draw_rests_on():
+    """gen_two_domain_gaussian draws two rows with one random_raw() word and
+    one standard_normal(4) call; these generator properties make that exact."""
+    for seed in (0, 1, 2026, *ZIGGURAT_SEEDS):
+        # integers(0, 2) is bit 31, then bit 63, of one 64-bit word
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(300):
+            word = b.bit_generator.random_raw()
+            assert a.integers(0, 2) == (word >> 31) & 1
+            assert a.integers(0, 2) == word >> 63
+        assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
+        # standard_normal leaves the held-back half alone, whatever it takes
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(300):
+            word = b.bit_generator.random_raw()
+            assert a.integers(0, 2) == (word >> 31) & 1
+            assert np.array_equal(a.standard_normal(2), b.standard_normal(2))
+            assert a.integers(0, 2) == word >> 63
+        assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
+        # one standard_normal(4) equals two standard_normal(2) calls
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(300):
+            assert np.array_equal(a.standard_normal(4),
+                                  np.concatenate((b.standard_normal(2), b.standard_normal(2))))
+        assert a.bit_generator.random_raw() == b.bit_generator.random_raw()
+
+
+@pytest.mark.parametrize("minority_ratio", [1.0 / 51.0, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 51, 10_000])
+def test_paired_two_domain_draw_matches_the_row_loop(n, minority_ratio):
+    for seed in (0, *ZIGGURAT_SEEDS):
+        for sigma in (0.0, 0.8):
+            spec = TwoDomainSpec(n, minority_ratio, sigma, seed=seed)
+            rows = gen_two_domain_gaussian(spec).packed("linear")
+            want = pack(reference_two_domain(spec), tokens=False)
+            for name in ("labels", "groups", "x"):
+                a, b = getattr(rows, name), getattr(want, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def test_generated_examples_are_read_only_views_of_the_pack():
     for ds, architecture in ((gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)), "linear"),
                              (gen_distractor_text(DistractorTextSpec(30)), "embed_bag")):

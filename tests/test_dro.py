@@ -1,14 +1,16 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab import diffcore, dro
-from shiftlab.datasets import TwoDomainSpec, gen_two_domain_gaussian
+from shiftlab.datasets import TwoDomainSpec, batches, gen_two_domain_gaussian
 from shiftlab.diffcore import Example, ModelSpec, grad_params, init_params, nll_loss_batch
 from shiftlab.dro import (
     DroConfig,
+    METHODS,
     GaussianAdversary,
     RatioAdversary,
     RunningNormalizer,
@@ -141,13 +143,13 @@ def test_kl_projection_radius():
 
 def test_normalizer_window_and_log_space_stability():
     norm = RunningNormalizer(window=2)
-    assert norm.value == 1.0
+    assert norm.log_value == 0.0
     norm = normalizer_update(norm, np.array([1.0, 2.0]), tau=1.0)
     expected = np.mean(np.exp([1.0, 2.0]))
-    assert norm.value == pytest.approx(expected)
+    assert np.exp(norm.log_value) == pytest.approx(expected)
     norm = normalizer_update(norm, np.array([3.0]), tau=1.0)
     norm = normalizer_update(norm, np.array([4.0]), tau=1.0)
-    assert len(norm.records) == 2  # the first batch fell out of the window
+    assert norm.size == 2  # the first batch fell out of the window
     # tiny temperatures overflow exp(loss/tau); pooling must stay finite in log space
     tiny = normalizer_update(RunningNormalizer(window=3), np.array([2.0, 4.0]), tau=1e-3)
     assert np.isfinite(tiny.log_value)
@@ -165,7 +167,8 @@ def test_pdro_adv_step_moves_toward_hard_examples():
     ]
     losses = np.array([0.1, 5.0])
     norm = normalizer_update(RunningNormalizer(window=1), losses, tau=1.0)
-    stepped = pdro_adv_step(adv, batch, losses, 1.0, norm, adv_lr=0.5)
+    x = np.stack([ex.input for ex in batch])
+    stepped = pdro_adv_step(adv, x - adv.mean, losses, 1.0, norm, adv_lr=0.5)
     assert stepped.mean[0] > 0.0
     assert np.array_equal(adv.mean, np.zeros(2))  # input untouched
 
@@ -277,7 +280,7 @@ def test_simultaneous_step_pdro_updates_both_players():
     new_model, new_adv, new_norm = simultaneous_step(model, adv, batch, cfg, norm)
     assert not np.array_equal(new_model.params, model.params)
     assert not np.array_equal(new_adv.mean, adv.mean)
-    assert len(new_norm.records) == 1
+    assert new_norm.size == 1
     # projection keeps the adversary inside the kl ball
     radius = np.sqrt(2.0 * cfg.kappa) * adv.sigma
     assert np.linalg.norm(new_adv.mean - adv.mean0) <= radius + 1e-12
@@ -303,10 +306,9 @@ def test_simultaneous_step_rejects_other_methods():
 def test_simultaneous_step_rejects_an_unknown_norm_mode():
     spec = ModelSpec("linear", input_dim=2)
     batch = dense_batch(np.random.default_rng(0), 4)
-    cfg = DroConfig(method="rpdro", norm_mode="batchlevel")
     with pytest.raises(ValueError, match="unknown norm_mode"):
         simultaneous_step(init_params(spec, seed=0), RatioAdversary(init_params(spec, seed=1)),
-                          batch, cfg)
+                          batch, DroConfig(method="rpdro", norm_mode="batchlevel"))
 
 
 @pytest.mark.parametrize("method, norm_mode", [
@@ -381,8 +383,8 @@ def test_ratio_adversary_scores_selected_head():
     assert f.shape == (4,)
     # grad of sum df * f moves f in the df direction
     df = np.array([1.0, -1.0, 0.5, 0.0])
-    g = adv.grad_f(batch, df)
-    bumped = adv.copy()
+    g = adv.grad_f(adv.f_forward(batch)[1], df)
+    bumped = RatioAdversary(adv.scorer.copy())
     bumped.scorer.params += 1e-6 * g
     assert np.dot(bumped.f_values(batch) - f, df) > 0
 
@@ -434,3 +436,190 @@ def test_nonparam_tau_matches_bisection(n, seed, log_scale, fraction):
     assert TAU_SEARCH_LO < tau < TAU_SEARCH_HI
     assert abs(kl_from_uniform(weights) - kappa) <= 1e-12
     assert abs(tau - bisection_tau(losses, kappa)) <= 1e-9 * tau
+
+
+# -- the dense step engine against the per-step arithmetic it replaced --------
+
+
+def reference_logsumexp(a):
+    top = a.max()
+    is_top = a == top
+    count = is_top.sum()
+    rest = np.exp(np.where(is_top, -np.inf, a - top)).sum() / count
+    return float(np.log1p(rest) + np.log(count) + top)
+
+
+class DequeNormalizer:
+    """The former normalizer: a window deque of (log-sum-exp, count) records."""
+
+    def __init__(self, window):
+        self.records = deque(maxlen=window)
+
+    def push(self, losses, tau):
+        self.records.append((reference_logsumexp(losses / tau), len(losses)))
+
+    @property
+    def log_value(self):
+        if not self.records:
+            return 0.0
+        log_total = reference_logsumexp(np.array([s for s, _ in self.records]))
+        return float(log_total - np.log(sum(c for _, c in self.records)))
+
+
+def reference_linear_step(params, x, labels, lr, weights_of_losses):
+    """The former linear forward, backward and copy-then-subtract update, with
+    the per-example weights taken from the losses."""
+    c = 2
+    w, b = params[:c * x.shape[1]].reshape(c, -1), params[c * x.shape[1]:]
+    logits = x @ w.T + b
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    rows = np.arange(len(x))
+    losses = -log_probs[rows, labels]
+    weights = weights_of_losses(losses)
+    dlogits = np.exp(log_probs)
+    dlogits[rows, labels] -= 1.0
+    dlogits *= weights[:, None]
+    grad = np.zeros_like(params)
+    grad[:w.size].reshape(w.shape)[:] = dlogits.T @ x
+    grad[w.size:] = dlogits.sum(axis=0)
+    out = params.copy()
+    out -= lr * grad
+    return out, losses
+
+
+def reference_pdro_step(params, mean, norm, x, labels, cfg, sigma, mean0):
+    """The former pdro branch: weights, adversary steps, projection, copies."""
+    n = len(x)
+
+    def ratios(m):
+        if np.array_equal(m, mean0):
+            return np.ones(n)
+        d0 = np.sum((x - mean0) ** 2, axis=-1)
+        d1 = np.sum((x - m) ** 2, axis=-1)
+        with np.errstate(over="ignore"):
+            return np.clip(np.exp((d0 - d1) / (2.0 * sigma ** 2)), 0.0, WEIGHT_CLIP)
+
+    model_weights = ratios(mean)
+    params, losses = reference_linear_step(params, x, labels, cfg.lr, lambda _: model_weights / n)
+    for _ in range(cfg.adv_steps_per_model_step):
+        if cfg.reverse_kl:
+            norm.push(losses, cfg.tau)
+            w = np.exp(losses / cfg.tau - norm.log_value)
+            grad = (w[:, None] * (x - mean)).sum(axis=0) / (n * sigma ** 2)
+            mean = mean.copy() + cfg.adv_lr * grad
+        else:
+            grad = (ratios(mean) * losses)[:, None] * ((x - mean) / sigma ** 2)
+            mean = mean.copy() + cfg.adv_lr * grad.mean(axis=0)
+        if cfg.project:
+            diff = mean - mean0
+            dist = float(np.linalg.norm(diff))
+            radius = np.sqrt(2.0 * cfg.kappa) * sigma
+            if dist > radius:
+                mean = mean0.copy() if radius == 0.0 else mean0 + (radius / dist) * diff
+    return params, mean, model_weights
+
+
+def criterion_02_batches(steps):
+    ds = gen_two_domain_gaussian(TwoDomainSpec(10_000, 1.0 / 51.0, 0.8, seed=0))
+    rows = ds.packed("linear")
+    idx = [i for epoch in range(2) for i in batches(ds, 32, seed=epoch)][:steps]
+    return rows, idx
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # an unprojected mean runs off
+@pytest.mark.parametrize("adv_steps", [1, 2])
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("reverse_kl", [True, False])
+def test_pdro_step_engine_matches_the_former_arithmetic(reverse_kl, project, adv_steps):
+    rows, idx = criterion_02_batches(300)
+    spec = ModelSpec("linear", input_dim=2)
+    cfg = DroConfig(method="pdro", lr=0.1, tau=0.1, kappa=math.log(10.0), k_window=5,
+                    adv_lr=0.5, adv_sigma_scale=0.4, project=project, reverse_kl=reverse_kl,
+                    adv_steps_per_model_step=adv_steps)
+    model = init_params(spec, seed=0)
+    adv, norm = dro.initial_state(cfg, spec, rows, num_groups=2, seed=0)
+    params, mean, ref_norm = model.params.copy(), adv.mean.copy(), DequeNormalizer(5)
+    clipped = 0
+    for i in idx:
+        batch = rows.take(i)
+        model, adv, norm = simultaneous_step(model, adv, batch, cfg, norm)
+        params, mean, weights = reference_pdro_step(params, mean, ref_norm, batch.x,
+                                                    batch.labels, cfg, adv.sigma, adv.mean0)
+        clipped += int((weights == WEIGHT_CLIP).sum())
+    assert np.array_equal(model.params, params)
+    assert np.array_equal(adv.mean, mean)
+    assert norm.log_value == ref_norm.log_value
+    if reverse_kl:
+        assert norm.size == 5
+    if project:
+        assert clipped > 0  # the run reaches the weight clip
+
+
+def test_erm_step_engine_matches_the_former_arithmetic():
+    rows, idx = criterion_02_batches(300)
+    model = init_params(ModelSpec("linear", input_dim=2), seed=0)
+    params = model.params.copy()
+    cfg = DroConfig(method="erm", lr=0.1)
+    for i in idx:
+        batch = rows.take(i)
+        model, _, _ = simultaneous_step(model, None, batch, cfg)
+        params, _ = reference_linear_step(params, batch.x, batch.labels, cfg.lr,
+                                          lambda losses: np.full(len(losses), 1.0 / len(losses)))
+    assert np.array_equal(model.params, params)
+
+
+def test_normalizer_evicts_the_oldest_batch_first():
+    norm, ref = RunningNormalizer(window=3), DequeNormalizer(3)
+    rng = np.random.default_rng(0)
+    for size in range(1, 9):  # each batch's row count names it
+        losses = rng.uniform(0.0, 3.0, size=size)
+        assert normalizer_update(norm, losses, tau=0.2) is norm
+        ref.push(losses, 0.2)
+        assert norm.counts[:norm.size].tolist() == [c for _, c in ref.records]
+        assert norm.log_sums[:norm.size].tolist() == [s for s, _ in ref.records]
+        assert norm.log_value == ref.log_value
+    assert norm.counts.tolist() == [6, 7, 8]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_simultaneous_step_leaves_its_model_and_adversary_alone(method):
+    spec = ModelSpec("linear", input_dim=2)
+    model = init_params(spec, seed=9)
+    batch = diffcore.pack(dense_batch(np.random.default_rng(9), 16), tokens=False)
+    cfg = DroConfig(method=method, tau=0.5, adv_lr=0.5, adv_steps_per_model_step=2)
+    adversary, normalizer = dro.initial_state(cfg, spec, batch, num_groups=2, seed=0)
+    if method == "pdro":  # off psi0, so that the ratios are computed
+        adversary = GaussianAdversary(adversary.mean + 0.3, adversary.sigma, adversary.mean0)
+    if method == "group_dro":
+        batch.groups[::2] = 1
+    before = model.params.copy()
+    arrays = {"pdro": lambda a: (a.mean, a.mean0), "rpdro": lambda a: (a.scorer.params,),
+              "group_dro": lambda a: (a,)}.get(method, lambda a: ())
+    adv_before = [a.copy() for a in arrays(adversary)]
+    new_model, new_adv, _ = simultaneous_step(model, adversary, batch, cfg, normalizer)
+    assert np.array_equal(model.params, before)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(adversary), adv_before))
+    assert not np.array_equal(new_model.params, before)
+    if method in ("pdro", "rpdro", "group_dro"):
+        assert not all(np.array_equal(a, b) for a, b in zip(arrays(new_adv), adv_before))
+
+
+@pytest.mark.parametrize("adv_steps", [1, 3])
+def test_rpdro_forwards_the_scorer_once_per_adversary_pass(monkeypatch, adv_steps):
+    spec = ModelSpec("linear", input_dim=2)
+    model = init_params(spec, seed=4)
+    batch = diffcore.pack(dense_batch(np.random.default_rng(4), 16), tokens=False)
+    cfg = DroConfig(method="rpdro", adv_steps_per_model_step=adv_steps)
+    adversary, _ = dro.initial_state(cfg, spec, batch, num_groups=1, seed=0)
+    scorers = []
+    original = diffcore._forward_batch
+
+    def spy(m, b):
+        scorers.append(m is not model)
+        return original(m, b)
+
+    monkeypatch.setattr(diffcore, "_forward_batch", spy)
+    monkeypatch.setattr(dro, "_forward_batch", spy)
+    simultaneous_step(model, adversary, batch, cfg)
+    assert scorers.count(True) == adv_steps

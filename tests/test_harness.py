@@ -514,6 +514,25 @@ def test_cli_rejects_pdro_on_token_data_before_training(tmp_path, capsys, monkey
     assert not (out / "run.jsonl").exists()
 
 
+@pytest.mark.parametrize("lr", [0.0, -0.1])
+@pytest.mark.parametrize("method", dro.METHODS)
+def test_cli_rejects_a_nonpositive_lr_for_every_method_before_any_output(
+        tmp_path, capsys, monkeypatch, method, lr):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
+    monkeypatch.setattr(dro, "erm_step", no_step)
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(f"dataset = two_domain\nmethod = {method}\nlr = {lr}\n")
+    for command in ("train", "sweep"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"shiftlab: error: lr must be positive, got {lr}"]
+        assert not out.exists() or not any(out.iterdir())
+
+
 def test_importing_shiftlab_loads_no_scipy_module():
     import shiftlab
 
