@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,9 +83,15 @@ class ModelSpec:
     def param_count(self) -> int:
         return max(hi for _, hi, _ in self.slots.values())
 
-    def views(self, flat: np.ndarray) -> List[np.ndarray]:
-        """Every slot of a flat parameter-length vector as a shaped view, in layout order."""
-        return [flat[lo:hi].reshape(shape) for lo, hi, shape in self.slots.values()]
+    @cached_property
+    def head(self) -> Tuple[str, str]:
+        """Names of the output layer's weight and bias slots."""
+        layer = "linear" if self.architecture == "linear" else "out"
+        return f"{layer}.weight", f"{layer}.bias"
+
+    def views(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
+        """Every slot of a flat parameter-length vector as a shaped view, by name."""
+        return {name: flat[lo:hi].reshape(shape) for name, (lo, hi, shape) in self.slots.items()}
 
 
 @dataclass
@@ -112,8 +118,7 @@ class ModelState:
 
     def slot(self, name: str) -> np.ndarray:
         """Slot `name` as a shaped view into params."""
-        lo, hi, shape = self.spec.slots[name]
-        return self.params[lo:hi].reshape(shape)
+        return self.spec.views(self.params)[name]
 
     def copy(self) -> "ModelState":
         return ModelState(self.spec, self.params.copy())
@@ -191,7 +196,8 @@ def _forward_batch(model: ModelState, batch: Batch):
     feature is the output layer's input (x, the tanh activations or the bag)."""
     batch = _packed(model, batch)
     spec = model.spec
-    *inner, w, b = spec.views(model.params)
+    views = spec.views(model.params)
+    w, b = views[spec.head[0]], views[spec.head[1]]
     cache: Dict[str, object] = {"batch": batch}
     if spec.architecture == "embed_bag":
         lengths = None if batch.tokens is None else batch.offsets[1:] - batch.offsets[:-1]
@@ -199,14 +205,17 @@ def _forward_batch(model: ModelState, batch: Batch):
             raise InputShapeError("token input must be a non-empty 1-d sequence")
         if batch.tokens.min() < 0 or batch.tokens.max() >= spec.vocab_size:
             raise InputShapeError(f"token id out of range [0, {spec.vocab_size})")
-        bag = np.add.reduceat(inner[0][batch.tokens], batch.offsets[:-1], axis=0) / lengths[:, None]
+        emb = views["embedding.weight"]
+        bag = np.add.reduceat(emb[batch.tokens], batch.offsets[:-1], axis=0) / lengths[:, None]
         cache.update(lengths=lengths, feature=bag)
         return bag @ w.T + b, cache
     shape = None if batch.x is None else batch.x.shape
     if shape is None or shape[1:] != (spec.input_dim,) or shape[0] == 0:
         raise InputShapeError(f"expected inputs of shape (n, {spec.input_dim}), got {shape}")
-    # a linear model has no layer below its output layer; an mlp has one
-    cache["feature"] = batch.x if not inner else np.tanh(batch.x @ inner[0].T + inner[1])
+    if spec.architecture == "linear":
+        cache["feature"] = batch.x
+    else:
+        cache["feature"] = np.tanh(batch.x @ views["hidden.weight"].T + views["hidden.bias"])
     return cache["feature"] @ w.T + b, cache
 
 
@@ -215,14 +224,15 @@ def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.
     slot's gradient is written straight into its place in one new vector."""
     spec = model.spec
     grad = np.empty(model.params.size)
-    *inner, gw, gb = spec.views(grad)
+    views = spec.views(grad)
+    w, b = spec.head
     feature = cache["feature"]
-    np.matmul(dlogits.T, feature, out=gw)
-    dlogits.sum(axis=0, out=gb)
+    np.matmul(dlogits.T, feature, out=views[w])
+    dlogits.sum(axis=0, out=views[b])
     if spec.architecture == "mlp":
         dpre = (dlogits @ model.slot("out.weight")) * (1.0 - feature * feature)
-        np.matmul(dpre.T, cache["batch"].x, out=inner[0])
-        dpre.sum(axis=0, out=inner[1])
+        np.matmul(dpre.T, cache["batch"].x, out=views["hidden.weight"])
+        dpre.sum(axis=0, out=views["hidden.bias"])
     elif spec.architecture == "embed_bag":
         # each token of row i gets dbag[i] / len(row i), summed per cell in row order
         lengths = cache["lengths"]
@@ -230,7 +240,7 @@ def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.
         dbag = dlogits @ model.slot("out.weight")
         dtok = np.repeat(dbag / lengths[:, None], lengths, axis=0)
         cells = (cache["batch"].tokens[:, None] * e + np.arange(e)).ravel()
-        inner[0][:] = np.bincount(cells, dtok.ravel(), v * e).reshape(v, e)
+        views["embedding.weight"][:] = np.bincount(cells, dtok.ravel(), v * e).reshape(v, e)
     return grad
 
 
@@ -341,14 +351,15 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
     d2 = d * d
     spec = model.spec
     out = np.empty(model.params.size)
-    *inner, gw, gb = spec.views(out)
+    views = spec.views(out)
+    w, b = spec.head
     feature = cache["feature"]
-    np.matmul(d2.T, feature * feature, out=gw)
-    d2.sum(axis=0, out=gb)
+    np.matmul(d2.T, feature * feature, out=views[w])
+    d2.sum(axis=0, out=views[b])
     if spec.architecture == "mlp":
         dpre2 = ((d @ model.slot("out.weight")) * (1.0 - feature * feature)) ** 2
-        np.matmul(dpre2.T, sample.x * sample.x, out=inner[0])
-        dpre2.sum(axis=0, out=inner[1])
+        np.matmul(dpre2.T, sample.x * sample.x, out=views["hidden.weight"])
+        dpre2.sum(axis=0, out=views["hidden.bias"])
     elif spec.architecture == "embed_bag":
         # row i's gradient at token t is count(i, t) * dbag[i] / len(row i)
         v, e = spec.vocab_size, spec.embed_dim
@@ -359,7 +370,7 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
         dbag = d @ model.slot("out.weight")
         g = (count / lengths[row])[:, None] * dbag[row]
         keys = (token[:, None] * e + np.arange(e)).ravel()
-        inner[0][:] = np.bincount(keys, (g * g).ravel(), v * e).reshape(v, e)
+        views["embedding.weight"][:] = np.bincount(keys, (g * g).ravel(), v * e).reshape(v, e)
     return out / sample_count
 
 

@@ -108,7 +108,7 @@ class RunningNormalizer:
         return float(log_total - np.log(self.counts[:self.size].sum()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DroConfig:
     method: str = "erm"
     lr: float = 0.1
@@ -255,12 +255,10 @@ def pdro_adv_step(adv: GaussianAdversary, centered: np.ndarray, losses: np.ndarr
     return GaussianAdversary(adv.mean + adv_lr * grad, adv.sigma, adv.mean0)
 
 
-def pdro_adv_step_bare(adv: GaussianAdversary, batch: Batch, losses: np.ndarray, adv_lr: float,
-                       centered: Optional[np.ndarray] = None) -> GaussianAdversary:
-    """Direct ascent on the importance-sampled expected loss (no surrogate);
-    `centered`, if given, is the batch's x - adv.mean."""
-    if centered is None:
-        centered = pack(batch, tokens=False).x - adv.mean
+def pdro_adv_step_bare(adv: GaussianAdversary, batch: Batch, centered: np.ndarray,
+                       losses: np.ndarray, adv_lr: float) -> GaussianAdversary:
+    """Direct ascent on the importance-sampled expected loss (no surrogate) of
+    a batch whose inputs less adv.mean are `centered`."""
     ratios = pdro_model_weights(adv, batch, centered)
     grad = (ratios * np.asarray(losses))[:, None] * (centered / adv.sigma ** 2)
     return GaussianAdversary(adv.mean + adv_lr * grad.mean(axis=0), adv.sigma, adv.mean0)
@@ -409,7 +407,7 @@ def simultaneous_step(
                 new_adv = pdro_adv_step(new_adv, centered, losses, config.tau, new_norm,
                                         config.adv_lr)
             else:
-                new_adv = pdro_adv_step_bare(new_adv, batch, losses, config.adv_lr, centered)
+                new_adv = pdro_adv_step_bare(new_adv, batch, centered, losses, config.adv_lr)
             if config.project:
                 new_adv = gaussian_kl_project(new_adv, config.kappa)
     else:

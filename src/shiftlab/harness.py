@@ -347,7 +347,7 @@ def train_run(cfg: Dict[str, object], seed: int,
             model, adversary, normalizer = dro.simultaneous_step(
                 model, adversary, packed_train.take(idx), dro_cfg, normalizer
             )
-            if not np.isfinite(model.params).all():
+            if not np.all(np.isfinite(model.params)):
                 raise DivergenceError(f"non-finite parameters at epoch {epoch}")
             step += 1
             if every > 0 and step % every == 0:

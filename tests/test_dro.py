@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import deque
 
@@ -179,7 +180,8 @@ def test_pdro_adv_step_bare_also_ascends():
         Example(input=np.array([-1.0, 0.0]), label=0, id=0),
         Example(input=np.array([4.0, 0.0]), label=0, id=1),
     ]
-    stepped = pdro_adv_step_bare(adv, batch, np.array([0.1, 5.0]), adv_lr=0.5)
+    x = np.stack([ex.input for ex in batch])
+    stepped = pdro_adv_step_bare(adv, batch, x - adv.mean, np.array([0.1, 5.0]), adv_lr=0.5)
     assert stepped.mean[0] > 0.0
 
 
@@ -298,9 +300,15 @@ def test_simultaneous_step_rpdro_updates_scorer():
 
 
 def test_simultaneous_step_rejects_other_methods():
+    # DroConfig rejects the method when built and is frozen, so no step can receive it
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
     with pytest.raises(ValueError, match="unknown method"):
         simultaneous_step(model, None, [], DroConfig(method="sgd"))
+    cfg = DroConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.method = "sgd"
+    with pytest.raises(ValueError, match="unknown method"):
+        dataclasses.replace(cfg, method="sgd")
 
 
 def test_simultaneous_step_rejects_an_unknown_norm_mode():
@@ -309,6 +317,10 @@ def test_simultaneous_step_rejects_an_unknown_norm_mode():
     with pytest.raises(ValueError, match="unknown norm_mode"):
         simultaneous_step(init_params(spec, seed=0), RatioAdversary(init_params(spec, seed=1)),
                           batch, DroConfig(method="rpdro", norm_mode="batchlevel"))
+    cfg = DroConfig(method="rpdro")
+    for name, value in [("norm_mode", "batchlevel"), ("lr", 0.0)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
 
 
 @pytest.mark.parametrize("method, norm_mode", [
