@@ -246,16 +246,27 @@ def load_csv(path) -> GroupedDataset:
     return GroupedDataset(examples, [f"group{i}" for i in range(num_groups)])
 
 
+def epoch_order(n: int, seed: int = 0, shuffle: bool = True) -> np.ndarray:
+    """The order in which an epoch visits rows 0..n-1: a seeded permutation,
+    or 0..n-1 itself without shuffling."""
+    order = np.arange(n)
+    return np.random.default_rng(seed).permutation(order) if shuffle else order
+
+
+def batch_starts(n: int, batch_size: int) -> range:
+    """The first position of each batch_size batch of an n-row epoch order;
+    the last batch may be short."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    return range(0, n, batch_size)
+
+
 def batches(
     dataset: GroupedDataset, batch_size: int, seed: int = 0, shuffle: bool = True
 ) -> Iterator[np.ndarray]:
     """Partition example indices into int-array batches; last batch may be short."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    order = np.arange(len(dataset))
-    if shuffle:
-        order = np.random.default_rng(seed).permutation(order)
-    for start in range(0, len(order), batch_size):
+    order = epoch_order(len(dataset), seed, shuffle)
+    for start in batch_starts(len(order), batch_size):
         yield order[start : start + batch_size]
 
 

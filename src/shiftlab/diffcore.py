@@ -24,6 +24,10 @@ class UnsupportedArchitectureError(TypeError):
     """Operation called on an architecture that does not support it."""
 
 
+class NonFiniteWeightsError(ValueError):
+    """A weighted gradient was asked for with a NaN or infinite weight."""
+
+
 ARCHITECTURES = ("linear", "mlp", "embed_bag")
 
 
@@ -165,6 +169,16 @@ class Packed:
         return Packed(self.labels[idx], self.groups[idx],
                       tokens=self.tokens[flat], offsets=offsets)
 
+    def rows(self, start: int, stop: int) -> "Packed":
+        """Rows start..stop-1 without a copy: views of the dense rows, or of the
+        token rows with their offsets rebased to start at 0."""
+        labels, groups = self.labels[start:stop], self.groups[start:stop]
+        if self.x is not None:
+            return Packed(labels, groups, x=self.x[start:stop])
+        offsets = self.offsets[start:stop + 1]
+        return Packed(labels, groups, tokens=self.tokens[offsets[0]:offsets[-1]],
+                      offsets=offsets - offsets[0])
+
 
 Batch = Union[Sequence[Example], Packed]
 
@@ -268,7 +282,8 @@ def nll_forward(model: ModelState, batch: Batch):
     batch = _packed(model, batch)
     logits, state = _forward_batch(model, batch)
     state["log_probs"] = log_probs = _log_softmax(logits)
-    return -log_probs[np.arange(len(batch)), batch.labels], state
+    state["rows"] = rows = np.arange(len(batch))
+    return -log_probs[rows, batch.labels], state
 
 
 def weighted_grad(model: ModelState, state, weights: np.ndarray) -> np.ndarray:
@@ -281,9 +296,9 @@ def weighted_grad(model: ModelState, state, weights: np.ndarray) -> np.ndarray:
             f"weights length {weights.shape} does not match batch size {len(batch)}"
         )
     if not np.isfinite(weights).all():
-        raise ValueError("weights must be finite")
+        raise NonFiniteWeightsError("weights must be finite")
     dlogits = np.exp(state["log_probs"])  # softmax(logits)
-    dlogits[np.arange(len(batch)), batch.labels] -= 1.0
+    dlogits[state["rows"], batch.labels] -= 1.0
     dlogits *= weights[:, None]
     return _backward_from_dlogits(model, state, dlogits)
 

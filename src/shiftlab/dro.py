@@ -85,14 +85,16 @@ class RunningNormalizer:
     """Pooled mean of exp(loss/tau) over a window of recent batches.
 
     The first `size` slots of `log_sums` and `counts` hold one batch's log sum
-    exp(loss/tau) and row count each, oldest first. Pooling happens in log space
-    so small temperatures do not overflow.
+    exp(loss/tau) and row count each, oldest first, and `rows` is the sum of
+    those counts. Pooling happens in log space so small temperatures do not
+    overflow.
     """
 
     window: int
     log_sums: np.ndarray = field(init=False, repr=False)
     counts: np.ndarray = field(init=False, repr=False)
     size: int = field(default=0, init=False)
+    rows: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.window < 1:
@@ -105,7 +107,7 @@ class RunningNormalizer:
         if self.size == 0:
             return 0.0
         log_total = _logsumexp(self.log_sums[:self.size])
-        return float(log_total - np.log(self.counts[:self.size].sum()))
+        return float(log_total - np.log(self.rows))
 
 
 @dataclass(frozen=True)
@@ -146,8 +148,11 @@ def _logsumexp(a: np.ndarray) -> float:
     top = a.max()
     is_top = a == top
     count = np.count_nonzero(is_top)
-    rest = np.exp(np.where(is_top, -np.inf, a - top)).sum() / count
-    return float(np.log1p(rest) + np.log(count) + top)
+    shifted = a - top
+    shifted[is_top] = -np.inf
+    log_rest = np.log1p(np.exp(shifted).sum() / count)
+    # log(1) is +0.0, and log1p of a sum of exps is >= +0.0, so adding it moves no bit
+    return float((log_rest if count == 1 else log_rest + np.log(count)) + top)
 
 
 def _tilted_kl(losses: np.ndarray, tau: float) -> Tuple[float, np.ndarray]:
@@ -228,29 +233,29 @@ def pdro_model_weights(adv: GaussianAdversary, batch: Batch,
         return np.minimum(np.exp(sq_diff / (2.0 * adv.sigma ** 2)), WEIGHT_CLIP)
 
 
-def normalizer_update(
-    normalizer: RunningNormalizer, batch_losses: np.ndarray, tau: float
-) -> RunningNormalizer:
-    """Push one batch into the window in place, evicting the oldest when full."""
-    losses = np.asarray(batch_losses, dtype=float)
+def normalizer_update(normalizer: RunningNormalizer, scaled: np.ndarray) -> RunningNormalizer:
+    """Push one batch's float array of loss/tau into the window in place,
+    evicting the oldest batch when full."""
     if normalizer.size == normalizer.window:
+        normalizer.rows -= int(normalizer.counts[0])
         normalizer.log_sums[:-1] = normalizer.log_sums[1:]
         normalizer.counts[:-1] = normalizer.counts[1:]
     else:
         normalizer.size += 1
-    normalizer.log_sums[normalizer.size - 1] = _logsumexp(losses / tau)
-    normalizer.counts[normalizer.size - 1] = len(losses)
+    normalizer.log_sums[normalizer.size - 1] = _logsumexp(scaled)
+    normalizer.counts[normalizer.size - 1] = len(scaled)
+    normalizer.rows += len(scaled)
     return normalizer
 
 
-def pdro_adv_step(adv: GaussianAdversary, centered: np.ndarray, losses: np.ndarray, tau: float,
+def pdro_adv_step(adv: GaussianAdversary, centered: np.ndarray, scaled: np.ndarray,
                   normalizer: RunningNormalizer, adv_lr: float) -> GaussianAdversary:
     """Ascend the exp(loss/tau)-weighted Gaussian log-likelihood of a batch
-    whose inputs less adv.mean are `centered`."""
+    whose inputs less adv.mean are `centered` and whose loss/tau are `scaled`."""
     log_z = normalizer.log_value
     if not math.isfinite(log_z):
         raise ValueError("normalizer must be positive and finite")
-    w = np.exp(np.asarray(losses) / tau - log_z)
+    w = np.exp(scaled - log_z)
     grad = (w[:, None] * centered).sum(axis=0) / (len(centered) * adv.sigma ** 2)
     return GaussianAdversary(adv.mean + adv_lr * grad, adv.sigma, adv.mean0)
 
@@ -399,13 +404,13 @@ def simultaneous_step(
         # the model weights and the first adversary step share x - mean
         centered = x - adversary.mean
         weights = pdro_model_weights(adversary, batch, centered) / n
+        scaled = losses / config.tau  # the normalizer and the adversary step share it
         for step in range(config.adv_steps_per_model_step):
             if step > 0:
                 centered = x - new_adv.mean
             if config.reverse_kl:
-                new_norm = normalizer_update(new_norm, losses, config.tau)
-                new_adv = pdro_adv_step(new_adv, centered, losses, config.tau, new_norm,
-                                        config.adv_lr)
+                new_norm = normalizer_update(new_norm, scaled)
+                new_adv = pdro_adv_step(new_adv, centered, scaled, new_norm, config.adv_lr)
             else:
                 new_adv = pdro_adv_step_bare(new_adv, batch, centered, losses, config.adv_lr)
             if config.project:

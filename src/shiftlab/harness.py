@@ -22,7 +22,8 @@ from .datasets import (
     GroupedDataset,
     GroupMetrics,
     TwoDomainSpec,
-    batches,
+    batch_starts,
+    epoch_order,
     gen_distractor_text,
     gen_two_domain_gaussian,
     group_metrics,
@@ -34,6 +35,7 @@ from .diffcore import (
     ARCHITECTURES,
     ModelSpec,
     ModelState,
+    NonFiniteWeightsError,
     UnsupportedArchitectureError,
     forward_logits_batch,
     init_params,
@@ -308,7 +310,11 @@ def selection_loss(cfg: Dict[str, object]) -> str:
 def train_run(cfg: Dict[str, object], seed: int,
               datasets: Optional[Tuple[GroupedDataset, GroupedDataset, GroupedDataset]] = None,
               ) -> TrainResult:
-    """One full training run: optimize, checkpoint per epoch, select, evaluate."""
+    """One full training run: optimize, checkpoint every `checkpoint_every`
+    steps (once per epoch when that is 0), select, evaluate.
+
+    Raises DivergenceError when the parameters, a step's example weights or the
+    validation loss stop being finite."""
     cfg = resolved(cfg)
     dro_cfg = dro_config(cfg)
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
@@ -340,14 +346,19 @@ def train_run(cfg: Dict[str, object], seed: int,
             "adversary_kl": None if record is None else record.kl_estimate,
         })
 
-    every = int(cfg["checkpoint_every"])
+    every, batch_size = int(cfg["checkpoint_every"]), cfg["batch_size"]
     step = 0
     for epoch in range(cfg["epochs"]):
-        for idx in batches(train, cfg["batch_size"], seed=seed * 1000 + epoch):
-            model, adversary, normalizer = dro.simultaneous_step(
-                model, adversary, packed_train.take(idx), dro_cfg, normalizer
-            )
-            if not np.all(np.isfinite(model.params)):
+        # one gather per epoch; each batch is a slice of it, the rows batches() yields
+        shuffled = packed_train.take(epoch_order(len(train), seed=seed * 1000 + epoch))
+        for start in batch_starts(len(shuffled), batch_size):
+            try:
+                model, adversary, normalizer = dro.simultaneous_step(
+                    model, adversary, shuffled.rows(start, start + batch_size), dro_cfg, normalizer
+                )
+            except NonFiniteWeightsError as err:
+                raise DivergenceError(f"non-finite example weights at step {step + 1}") from err
+            if not np.isfinite(model.params).all():
                 raise DivergenceError(f"non-finite parameters at epoch {epoch}")
             step += 1
             if every > 0 and step % every == 0:

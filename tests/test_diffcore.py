@@ -426,6 +426,27 @@ def test_take_keeps_ragged_rows_labels_and_groups():
     assert dense.take([1]).x.tolist() == [[1.0, 0.0]]
 
 
+@pytest.mark.parametrize("tokens", [False, True])
+@pytest.mark.parametrize("batch_size", [1, 4, 10, 11, 32])
+def test_rows_equal_take_of_the_same_range(tokens, batch_size):
+    # 10 rows: every batch size but 1 and 10 leaves a short last batch
+    rng = np.random.default_rng(3)
+    batch = [Example(input=rng.integers(0, 9, size=int(rng.integers(1, 5))) if tokens
+                     else rng.standard_normal(3), label=i % 2, group=i % 3, id=i)
+             for i in range(10)]
+    packed = pack(batch, tokens)
+    for start in range(0, 10, batch_size):
+        part = packed.rows(start, start + batch_size)
+        want = packed.take(np.arange(start, min(start + batch_size, 10)))
+        for name in ("labels", "groups", "x", "tokens", "offsets"):
+            got, ref = getattr(part, name), getattr(want, name)
+            assert (got is None) == (ref is None)
+            if ref is not None:
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        rows = part.tokens if tokens else part.x
+        assert np.shares_memory(rows, packed.tokens if tokens else packed.x)  # a view
+
+
 def test_bad_token_rows_raise_through_both_entry_forms():
     model = init_params(ModelSpec("embed_bag", vocab_size=4, embed_dim=2), seed=0)
     ok = Example(input=np.array([1, 2]), label=0)

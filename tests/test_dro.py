@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftlab import diffcore, dro
 from shiftlab.datasets import TwoDomainSpec, batches, gen_two_domain_gaussian
@@ -145,14 +145,14 @@ def test_kl_projection_radius():
 def test_normalizer_window_and_log_space_stability():
     norm = RunningNormalizer(window=2)
     assert norm.log_value == 0.0
-    norm = normalizer_update(norm, np.array([1.0, 2.0]), tau=1.0)
+    norm = normalizer_update(norm, np.array([1.0, 2.0]) / 1.0)
     expected = np.mean(np.exp([1.0, 2.0]))
     assert np.exp(norm.log_value) == pytest.approx(expected)
-    norm = normalizer_update(norm, np.array([3.0]), tau=1.0)
-    norm = normalizer_update(norm, np.array([4.0]), tau=1.0)
+    norm = normalizer_update(norm, np.array([3.0]) / 1.0)
+    norm = normalizer_update(norm, np.array([4.0]) / 1.0)
     assert norm.size == 2  # the first batch fell out of the window
     # tiny temperatures overflow exp(loss/tau); pooling must stay finite in log space
-    tiny = normalizer_update(RunningNormalizer(window=3), np.array([2.0, 4.0]), tau=1e-3)
+    tiny = normalizer_update(RunningNormalizer(window=3), np.array([2.0, 4.0]) / 1e-3)
     assert np.isfinite(tiny.log_value)
     assert tiny.log_value == pytest.approx(4.0 / 1e-3 - np.log(2), rel=1e-9)
     with pytest.raises(ValueError):
@@ -167,9 +167,9 @@ def test_pdro_adv_step_moves_toward_hard_examples():
         Example(input=np.array([4.0, 0.0]), label=0, id=1),
     ]
     losses = np.array([0.1, 5.0])
-    norm = normalizer_update(RunningNormalizer(window=1), losses, tau=1.0)
+    norm = normalizer_update(RunningNormalizer(window=1), losses / 1.0)
     x = np.stack([ex.input for ex in batch])
-    stepped = pdro_adv_step(adv, x - adv.mean, losses, 1.0, norm, adv_lr=0.5)
+    stepped = pdro_adv_step(adv, x - adv.mean, losses / 1.0, norm, adv_lr=0.5)
     assert stepped.mean[0] > 0.0
     assert np.array_equal(adv.mean, np.zeros(2))  # input untouched
 
@@ -586,12 +586,28 @@ def test_normalizer_evicts_the_oldest_batch_first():
     rng = np.random.default_rng(0)
     for size in range(1, 9):  # each batch's row count names it
         losses = rng.uniform(0.0, 3.0, size=size)
-        assert normalizer_update(norm, losses, tau=0.2) is norm
+        assert normalizer_update(norm, losses / 0.2) is norm
         ref.push(losses, 0.2)
         assert norm.counts[:norm.size].tolist() == [c for _, c in ref.records]
         assert norm.log_sums[:norm.size].tolist() == [s for s, _ in ref.records]
         assert norm.log_value == ref.log_value
+        assert norm.rows == norm.counts[:norm.size].sum()
     assert norm.counts.tolist() == [6, 7, 8]
+
+
+@given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64), st.integers(0, 64),
+       st.booleans())
+@example([2.5], 0, False)  # one element
+@example([-1e3, 1e3, 0.0], 0, True)  # all equal
+@example([1e3, -1e3, 7.0, 1e3], 2, False)  # ties
+def test_logsumexp_equals_the_former_formula(values, ties, all_equal):
+    a = np.array(values)
+    a[:ties] = a.max()  # ties extra copies of the max
+    if all_equal:
+        a[:] = a[0]
+    before = a.copy()
+    assert dro._logsumexp(a) == reference_logsumexp(a)
+    assert np.array_equal(a, before)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab import advmetrics, cli, continual as cl, dro, harness
-from shiftlab.datasets import GroupedDataset
-from shiftlab.diffcore import ModelSpec, forward_logits_batch, init_params, softmax
+from shiftlab.datasets import GroupedDataset, batches
+from shiftlab.diffcore import ModelSpec, Packed, forward_logits_batch, init_params, softmax
 
 
 def test_coerce_value():
@@ -531,6 +531,67 @@ def test_cli_rejects_a_nonpositive_lr_for_every_method_before_any_output(
         err = capsys.readouterr().err.splitlines()
         assert err == [f"shiftlab: error: lr must be positive, got {lr}"]
         assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cfg", [
+    {"dataset": "two_domain", "data.total_points": 150, "batch_size": 32, "method": "pdro"},
+    {"dataset": "distractor", "data.n": 150, "batch_size": 64, "method": "nonparam"},
+])
+def test_train_run_gathers_each_epoch_once_and_steps_on_the_batches_rows(monkeypatch, cfg):
+    cfg = {**cfg, "data.test_n": 50, "epochs": 3, "checkpoint_every": 2}
+    seed = 4
+    datasets = harness.build_datasets(harness.resolved(cfg), seed)
+    train = datasets[0]
+    packed_train = train.packed("embed_bag" if train.is_tokens else "linear")
+    expected = [packed_train.take(idx) for epoch in range(cfg["epochs"])
+                for idx in batches(train, cfg["batch_size"], seed=seed * 1000 + epoch)]
+    gathers, stepped = [], []
+    take, step = Packed.take, dro.simultaneous_step
+
+    def counted_take(rows, idx):
+        gathers.append(len(idx))
+        return take(rows, idx)
+
+    def recorded_step(model, adversary, batch, *rest):
+        stepped.append(batch)
+        return step(model, adversary, batch, *rest)
+
+    monkeypatch.setattr(Packed, "take", counted_take)
+    monkeypatch.setattr(dro, "simultaneous_step", recorded_step)
+    harness.train_run(cfg, seed, datasets=datasets)
+    assert gathers == [len(train)] * cfg["epochs"]
+    assert len(stepped) == len(expected) and len(expected[-1]) < cfg["batch_size"]
+    for got, want in zip(stepped, expected):
+        for name in ("labels", "groups", "x", "tokens", "offsets"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert (a is None and b is None) or np.array_equal(a, b)
+
+
+CRITERION_02_PDRO = ("dataset = two_domain\ndata.sigma = 0.8\nmodel.arch = linear\nlr = 0.1\n"
+                     "batch_size = 32\nepochs = 10\nk_window = 5\nkappa = 2.302585092994046\n"
+                     "method = pdro\ntau = 0.1\nadv_lr = 0.5\nadv_sigma_scale = 0.4\n")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_a_diverging_adversary_aborts_the_run_and_fails_only_its_sweep_point(tmp_path, capsys):
+    # unprojected, the seed-3 adversary's mean runs off and its ratio weights turn NaN
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(CRITERION_02_PDRO)
+    out = tmp_path / "run"
+    argv = ["--config", str(cfg_path), "--seed", "3"]
+    assert cli.main(["train", *argv, "--set", "project=false", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("shiftlab: error: non-finite example weights at step ")
+    (row,) = [json.loads(line) for line in (out / "run.jsonl").read_text().splitlines()]
+    assert row["aborted"] is True and row["seed"] == 3
+    assert row["reason"] == err[-1][len("shiftlab: error: "):]
+
+    sweep = tmp_path / "sweep"
+    assert cli.main(["sweep", *argv, "--set", "sweep.project=true,false", "--out", str(sweep)]) == 0
+    *points, last = [json.loads(line) for line in (sweep / "run.jsonl").read_text().splitlines()]
+    assert last == {"failures": [{"point": 1, "error": row["reason"]}]}
+    (point,) = points
+    assert (point["point"], point["params"], point["selected"]) == (0, {"project": True}, True)
 
 
 def test_importing_shiftlab_loads_no_scipy_module():
