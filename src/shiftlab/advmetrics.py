@@ -1,22 +1,21 @@
 """Perturbation-evaluation math and attack primitives.
 
 Character n-gram F-score, relative target-score decrease and attack success,
-out-of-vocabulary character scrambling, nearest-neighbor substitution
-constraints and exhaustive first-order substitution search. The F-score and
-the attack work on all pairs or token rows of a split at once; the
-one-example functions are one-row calls into them.
+nearest-neighbor substitution constraints and exhaustive first-order
+substitution search. The F-score and the attack work on all pairs or token
+rows of a split at once; the one-example functions are one-row calls into them.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .diffcore import Example, ModelState, Packed, grad_wrt_embeddings_batch, pack
 
-CONSTRAINTS = ("none", "knn", "charswap-oov")
+CONSTRAINTS = ("none", "knn")
 
 # chrF pairs and searched token positions per block: fixed blocks bound the
 # temporaries of the whole-split kernels
@@ -26,16 +25,6 @@ _TOKEN_BLOCK = 256
 
 class NoCandidateError(ValueError):
     """The substitution constraint admitted no candidate pair."""
-
-
-@dataclass(frozen=True)
-class CharSwapConfig:
-    max_scrambling: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_scrambling < 1:
-            raise ValueError("max_scrambling must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -168,28 +157,6 @@ def success(s_src: float, d_tgt_val: float) -> float:
     return s_src + d_tgt_val
 
 
-def char_swap_oov(word: str, vocab: Set[str], config: CharSwapConfig) -> str:
-    """Scramble a word until it falls outside the vocabulary.
-
-    Words longer than 3 characters get up to max_scrambling adjacent-letter
-    swaps at a position drawn from [1, L-3]; if still in vocabulary (or the
-    word is short) the last character is repeated until out of vocabulary.
-    """
-    if not word:
-        raise ValueError("word must be non-empty")
-    rng = np.random.default_rng(config.seed)
-    out = word
-    if len(word) > 3:
-        for _ in range(config.max_scrambling):
-            pos = int(rng.integers(1, len(word) - 3 + 1))
-            out = out[:pos] + out[pos + 1] + out[pos] + out[pos + 2 :]
-            if out not in vocab:
-                return out
-    while out in vocab:
-        out = out + out[-1]
-    return out
-
-
 def knn_candidates(token_id: int, table: EmbeddingTable, k: int = 10) -> List[int]:
     """Ids of the k nearest vectors by Euclidean distance, excluding self.
 
@@ -206,23 +173,14 @@ def knn_candidates(token_id: int, table: EmbeddingTable, k: int = 10) -> List[in
     return [int(i) for i in order if i != token_id][:k]
 
 
-def _candidate_table(
-    table: EmbeddingTable, constraint: str, k: int, oov_id: Optional[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(vocab, m) admitted substitutes of each token id, in the order they are
-    scored, and a (vocab,) mask of the ids that admit any."""
+def _candidate_table(table: EmbeddingTable, constraint: str, k: int) -> np.ndarray:
+    """(vocab, m) admitted substitutes of each token id, in the order they are scored."""
     vocab = table.vectors.shape[0]
-    admits = np.ones(vocab, dtype=bool)
     if constraint == "none":
         ids = np.arange(vocab - 1)
-        return ids + (ids >= np.arange(vocab)[:, None]), admits
+        return ids + (ids >= np.arange(vocab)[:, None])
     if constraint == "knn":
-        return table.neighbours(k), admits
-    if constraint == "charswap-oov":
-        if oov_id is None:
-            raise ValueError("charswap-oov constraint requires oov_id")
-        admits[oov_id] = False
-        return np.full((vocab, 1), oov_id), admits
+        return table.neighbours(k)
     raise ValueError(f"unknown constraint: {constraint!r}")
 
 
@@ -235,7 +193,6 @@ def _substitute_rows(
     constraint: str,
     sign_normalize: bool,
     k: int,
-    oov_id: Optional[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Best single-token substitution of each token row under a first-order
     loss model. Row i is tokens[offsets[i]:offsets[i + 1]]; the token at flat
@@ -249,7 +206,7 @@ def _substitute_rows(
     vocab = vectors.shape[0]
     if tokens.size and not 0 <= tokens.min() <= tokens.max() < vocab:
         raise ValueError("token_id out of range")
-    candidates, admits = _candidate_table(table, constraint, k, oov_id)
+    candidates = _candidate_table(table, constraint, k)
     lengths = np.diff(offsets)
     if candidates.shape[1] == 0 or lengths.min(initial=1) < 1:
         raise NoCandidateError("no admissible substitution candidates")
@@ -264,10 +221,10 @@ def _substitute_rows(
         # one (candidates, dim) @ (dim,) product per position, as for a single position
         diff = vectors[cand] - vectors[tok][:, None, :]
         scores = np.matmul(diff, grads[grad_rows[block]][:, :, None])[:, :, 0]
-        high = scores.max(axis=1)
-        top[block] = np.where(admits[tok], high, -np.inf)
+        top[block] = high = scores.max(axis=1)
         best[block] = np.where(scores == high[:, None], cand, vocab).min(axis=1)
     row_top = np.maximum.reduceat(top, offsets[:-1])
+    # an infinite gradient can score every candidate of a row -inf
     if np.isneginf(row_top).any():
         raise NoCandidateError("no admissible substitution candidates")
     # the first position of each row that reaches the row's top score
@@ -283,7 +240,6 @@ def first_order_substitution(
     constraint: str = "none",
     sign_normalize: bool = False,
     k: int = 10,
-    oov_id: Optional[int] = None,
 ) -> Tuple[int, int]:
     """Best single-token substitution of one sequence, with one gradient per
     position: the one-row case of the split-wide search. Maximizes
@@ -295,7 +251,7 @@ def first_order_substitution(
     if grads.shape != (ids.size, table.vectors.shape[1]):
         raise ValueError("position_grads shape must be (positions, embed_dim)")
     pos, tok = _substitute_rows(grads, np.arange(ids.size), ids, np.array([0, ids.size]),
-                                table, constraint, sign_normalize, k, oov_id)
+                                table, constraint, sign_normalize, k)
     return int(pos[0]), int(tok[0])
 
 
@@ -306,7 +262,6 @@ def attack_rows(
     constraint: str = "none",
     sign_normalize: bool = False,
     k: int = 10,
-    oov_id: Optional[int] = None,
     steps: int = 1,
 ) -> Packed:
     """`steps` rounds of one first-order substitution in every token row at
@@ -317,7 +272,7 @@ def attack_rows(
     for _ in range(steps):
         grads = grad_wrt_embeddings_batch(model, adv, loss_kind="adversarial")
         pos, tok = _substitute_rows(grads, row_of, adv.tokens, adv.offsets, table,
-                                    constraint, sign_normalize, k, oov_id)
+                                    constraint, sign_normalize, k)
         adv.tokens[adv.offsets[:-1] + pos] = tok
     return adv
 
@@ -329,10 +284,8 @@ def attack_example(
     constraint: str = "none",
     sign_normalize: bool = False,
     k: int = 10,
-    oov_id: Optional[int] = None,
 ) -> Example:
     """One first-order substitution applied to a token-sequence example:
     attack_rows of one row."""
-    rows = attack_rows(model, pack([example], tokens=True), table, constraint,
-                       sign_normalize, k, oov_id)
+    rows = attack_rows(model, pack([example], tokens=True), table, constraint, sign_normalize, k)
     return Example(input=rows.tokens, label=example.label, group=example.group, id=example.id)

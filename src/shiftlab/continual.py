@@ -333,5 +333,5 @@ def rotated_gaussian_tasks(
         # one stacked matmul rounds each row as rot @ x does; x @ rot.T does not
         rows = base.packed("mlp")
         rotated = Packed(rows.labels, rows.groups, x=np.matmul(rot, rows.x[:, :, None])[:, :, 0])
-        tasks.append(GroupedDataset.from_packed(rotated, base.group_names))
+        tasks.append(GroupedDataset(rotated, base.group_names))
     return tasks

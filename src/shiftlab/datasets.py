@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Iterator, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .diffcore import Example, ModelState, Packed, pack, zero_one_loss_batch
+from .diffcore import Example, InputShapeError, ModelState, Packed, pack, zero_one_loss_batch
 
 
 class CsvFormatError(ValueError):
@@ -16,22 +17,35 @@ class CsvFormatError(ValueError):
 
 @dataclass(eq=False)
 class GroupedDataset:
-    """Examples with group labels. A generated dataset (`from_packed`) holds only
-    its pack and builds `examples` when first read, as read-only views of it
-    (ids 0..n-1), so a stray write raises instead of desynchronizing the two."""
+    """Rows with group labels: one read-only pack plus an id per row (0..n-1 by
+    default). A list of examples is packed at once, as token rows when the first
+    input is integer-typed and as dense rows otherwise; `examples` is built when
+    first read, as read-only views of the pack."""
 
-    _examples: Optional[List[Example]]
+    rows: Union[Packed, Sequence[Example]]
     group_names: List[str] = field(default_factory=lambda: ["all"])
-    _packs: Dict[bool, Packed] = field(default_factory=dict, repr=False, compare=False)
+    ids: Optional[np.ndarray] = None
 
-    @property
+    def __post_init__(self):
+        if not isinstance(self.rows, Packed):
+            examples = list(self.rows)
+            tokens = bool(examples) and np.asarray(examples[0].input).dtype.kind in "iu"
+            self.rows = pack(examples, tokens)
+            if self.ids is None:
+                self.ids = [ex.id for ex in examples]
+        self.ids = np.arange(len(self.rows)) if self.ids is None else np.asarray(self.ids, dtype=int)
+        self.group_names = list(self.group_names)
+        rows = self.rows
+        for array in (self.ids, rows.labels, rows.groups, rows.x, rows.tokens, rows.offsets):
+            if array is not None:
+                array.flags.writeable = False
+
+    @cached_property
     def examples(self) -> List[Example]:
-        if self._examples is None:
-            (rows,) = self._packs.values()
-            inputs = list(rows.x) if rows.x is not None else np.split(rows.tokens, rows.offsets[1:-1])
-            self._examples = list(map(Example, inputs, rows.labels.tolist(), rows.groups.tolist(),
-                                      range(len(rows))))
-        return self._examples
+        rows = self.rows
+        inputs = list(rows.x) if rows.x is not None else np.split(rows.tokens, rows.offsets[1:-1])
+        return list(map(Example, inputs, rows.labels.tolist(), rows.groups.tolist(),
+                        self.ids.tolist()))
 
     @property
     def num_groups(self) -> int:
@@ -40,31 +54,22 @@ class GroupedDataset:
     @property
     def is_tokens(self) -> bool:
         """Whether the inputs are token-id rows rather than dense vectors."""
-        if self._examples is None:
-            return next(iter(self._packs))
-        return np.asarray(self._examples[0].input).dtype.kind in "iu"
+        return self.rows.x is None
 
     def __len__(self) -> int:
-        return len(next(iter(self._packs.values())) if self._examples is None else self._examples)
-
-    @classmethod
-    def from_packed(cls, rows: Packed, group_names: Sequence[str]) -> "GroupedDataset":
-        """A dataset over `rows`, which it keeps, read-only, as its pack."""
-        for array in (rows.labels, rows.groups, rows.x, rows.tokens, rows.offsets):
-            if array is not None:
-                array.flags.writeable = False
-        return cls(None, list(group_names), {rows.x is None: rows})
+        return len(self.rows)
 
     def subset(self, indices: Sequence[int]) -> "GroupedDataset":
-        return GroupedDataset([self.examples[i] for i in indices], list(self.group_names))
+        idx = np.asarray(indices, dtype=int)
+        return GroupedDataset(self.rows.take(idx), self.group_names, self.ids[idx])
 
     def packed(self, architecture: str) -> Packed:
-        """The rows as arrays for a model of `architecture`, packed once: keep
-        `examples` fixed."""
-        tokens = architecture == "embed_bag"
-        if tokens not in self._packs:
-            self._packs[tokens] = pack(self.examples, tokens)
-        return self._packs[tokens]
+        """The rows, for a model of `architecture`; raises InputShapeError when
+        that architecture reads the other form (token ids or dense vectors)."""
+        if (architecture == "embed_bag") != self.is_tokens:
+            raise InputShapeError(f"{architecture} models cannot read this dataset's "
+                                  f"{'token-id' if self.is_tokens else 'dense'} rows")
+        return self.rows
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ def gen_two_domain_gaussian(spec: TwoDomainSpec) -> GroupedDataset:
     bits = (words[:, None] >> np.array([31, 63], dtype=np.uint64)) & 1
     labels = bits.reshape(-1)[:n].astype(int)
     x = _MEANS[groups, labels] + spec.sigma * noise
-    return GroupedDataset.from_packed(Packed(labels, groups, x=x), ["majority", "minority"])
+    return GroupedDataset(Packed(labels, groups, x=x), ["majority", "minority"])
 
 
 def gen_distractor_text(spec: DistractorTextSpec) -> GroupedDataset:
@@ -176,7 +181,7 @@ def gen_distractor_text(spec: DistractorTextSpec) -> GroupedDataset:
     offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
     packed = Packed(labels, 2 * labels + has_distractor, tokens=rows[keep], offsets=offsets)
     names = ["neg/plain", "neg/distractor", "pos/plain", "pos/distractor"]
-    return GroupedDataset.from_packed(packed, names)
+    return GroupedDataset(packed, names)
 
 
 def inject_label_noise(dataset: GroupedDataset, p_noise: float, seed: int) -> GroupedDataset:
@@ -184,32 +189,28 @@ def inject_label_noise(dataset: GroupedDataset, p_noise: float, seed: int) -> Gr
     if not 0 <= p_noise <= 1:
         raise ValueError("p_noise must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    num_classes = max(ex.label for ex in dataset.examples) + 1
-    noisy = []
-    for ex in dataset.examples:
-        label = ex.label
+    labels = dataset.rows.labels.copy()
+    num_classes = int(labels.max()) + 1
+    for i in range(labels.size):
         if rng.random() < p_noise:
-            label = int(rng.integers(0, num_classes))
-        noisy.append(Example(input=ex.input, label=label, group=ex.group, id=ex.id))
-    return GroupedDataset(noisy, list(dataset.group_names))
+            labels[i] = rng.integers(0, num_classes)
+    return GroupedDataset(replace(dataset.rows, labels=labels), dataset.group_names, dataset.ids)
 
 
 def save_csv(dataset: GroupedDataset, path) -> None:
-    is_tokens = dataset.is_tokens
+    rows = dataset.rows
+    if dataset.is_tokens:
+        header = ["id", "tokens", "label", "group"]
+        tokens, offsets = rows.tokens.tolist(), rows.offsets.tolist()
+        inputs = [[" ".join(map(str, tokens[a:b]))] for a, b in zip(offsets, offsets[1:])]
+    else:
+        header = ["id"] + [f"f{i}" for i in range(rows.x.shape[1])] + ["label", "group"]
+        inputs = [list(map(repr, x)) for x in rows.x.tolist()]
+    columns = zip(dataset.ids.tolist(), inputs, rows.labels.tolist(), rows.groups.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if is_tokens:
-            header = ["id", "tokens", "label", "group"]
-        else:
-            dim = len(dataset.examples[0].input)
-            header = ["id"] + [f"f{i}" for i in range(dim)] + ["label", "group"]
         writer.writerow(header)
-        for ex in dataset.examples:
-            group = 0 if ex.group is None else ex.group
-            if is_tokens:
-                writer.writerow([ex.id, " ".join(str(t) for t in ex.input), ex.label, group])
-            else:
-                writer.writerow([ex.id] + [repr(float(v)) for v in ex.input] + [ex.label, group])
+        writer.writerows([ex_id, *values, label, group] for ex_id, values, label, group in columns)
 
 
 def load_csv(path) -> GroupedDataset:
@@ -225,25 +226,31 @@ def load_csv(path) -> GroupedDataset:
         is_tokens = "tokens" in col
         feature_cols = [i for i, name in enumerate(header) if name.startswith("f")]
         has_group = "group" in col
-        examples = []
+        keys, inputs = [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise CsvFormatError(f"{path}: line {lineno}: expected {len(header)} fields")
-            try:
-                ex_id = int(row[col["id"]]) if "id" in col else lineno - 2
-                label = int(row[col["label"]])
-                group = int(row[col["group"]]) if has_group else 0
+            try:  # (id, label, group) as int64, where a larger value overflows
+                keys.append(np.array([int(row[col["id"]]) if "id" in col else lineno - 2,
+                                      int(row[col["label"]]),
+                                      int(row[col["group"]]) if has_group else 0], dtype=int))
                 if is_tokens:
-                    x = np.array([int(t) for t in row[col["tokens"]].split()], dtype=int)
+                    inputs.append(np.array([int(t) for t in row[col["tokens"]].split()], dtype=int))
                 else:
-                    x = np.array([float(row[i]) for i in feature_cols])
-            except ValueError as err:
+                    inputs.append([float(row[i]) for i in feature_cols])
+            except (ValueError, OverflowError) as err:
                 raise CsvFormatError(f"{path}: line {lineno}: {err}") from None
-            examples.append(Example(input=x, label=label, group=group, id=ex_id))
-    if not examples:
+            if keys[-1][1:].min() < 0:
+                raise CsvFormatError(f"{path}: line {lineno}: label and group must be >= 0")
+    if not keys:
         raise CsvFormatError(f"{path}: no data rows")
-    num_groups = max(0 if ex.group is None else ex.group for ex in examples) + 1
-    return GroupedDataset(examples, [f"group{i}" for i in range(num_groups)])
+    ids, labels, groups = np.array(keys).T.copy()
+    if is_tokens:
+        offsets = np.cumsum([0] + [seq.size for seq in inputs])
+        rows = Packed(labels, groups, tokens=np.concatenate(inputs), offsets=offsets)
+    else:
+        rows = Packed(labels, groups, x=np.array(inputs, dtype=float))
+    return GroupedDataset(rows, [f"group{i}" for i in range(groups.max() + 1)], ids)
 
 
 def epoch_order(n: int, seed: int = 0, shuffle: bool = True) -> np.ndarray:

@@ -107,7 +107,7 @@ DEFAULTS: Dict[str, object] = {
     "cl.fisher_samples": 1000,
     "cl.grad_noise": 0.0,
     # attack
-    "attack.constraint": "none",      # none | knn | charswap-oov
+    "attack.constraint": "none",      # none | knn
     "attack.k": 10,
     "attack.sign_normalize": False,
     "attack.steps": 1,
@@ -534,11 +534,10 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     test = _generated_split({**cfg, "dataset": "distractor"}, seed, 2)
     names = [f"tok{i}" for i in range(model.spec.vocab_size)]
     table = advmetrics.EmbeddingTable(model.slot("embedding.weight"), names)
-    oov_id = len(names) - 1
 
     rows = test.packed("embed_bag").take(np.arange(n))
     adv = advmetrics.attack_rows(model, rows, table, cfg["attack.constraint"],
-                                 cfg["attack.sign_normalize"], cfg["attack.k"], oov_id, steps)
+                                 cfg["attack.sign_normalize"], cfg["attack.k"], steps)
     bounds = list(zip(rows.offsets[:-1].tolist(), rows.offsets[1:].tolist()))
     src_words, adv_words = (np.array(names, dtype=object)[r.tokens].tolist() for r in (rows, adv))
     s_src = advmetrics.chrf_batch([" ".join(src_words[a:b]) for a, b in bounds],

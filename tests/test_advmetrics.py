@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftlab.advmetrics import (
-    CharSwapConfig,
     EmbeddingTable,
     NoCandidateError,
     attack_example,
     attack_rows,
-    char_swap_oov,
     chrf,
     chrf_batch,
     d_tgt,
@@ -64,30 +62,6 @@ def test_success_sum_and_bounds():
         success(1.5, 0.0)
     with pytest.raises(ValueError):
         success(0.5, -0.1)
-
-
-def test_char_swap_leaves_vocabulary():
-    vocab = {"example", "exmaple", "short", "shortt"}
-    out = char_swap_oov("example", vocab, CharSwapConfig(seed=0))
-    assert out not in vocab
-    assert out != "example"
-
-
-def test_char_swap_short_word_repeats_last_char():
-    vocab = {"cat", "catt"}
-    out = char_swap_oov("cat", vocab, CharSwapConfig(seed=1))
-    assert out == "cattt"
-    with pytest.raises(ValueError):
-        char_swap_oov("", vocab, CharSwapConfig())
-    with pytest.raises(ValueError):
-        CharSwapConfig(max_scrambling=0)
-
-
-def test_char_swap_preserves_first_and_last_characters():
-    word = "scrambled"
-    out = char_swap_oov(word, {word}, CharSwapConfig(seed=2))
-    if len(out) == len(word):  # swap succeeded without padding
-        assert out[0] == word[0] and out[-1] == word[-1]
 
 
 def test_embedding_table_validation():
@@ -146,12 +120,11 @@ def test_first_order_substitution_constraints_and_errors():
     vectors = np.array([[0.0], [1.0], [2.0]])
     table = EmbeddingTable(vectors, list("abc"))
     grads = np.ones((1, 1))
-    pos, tok = first_order_substitution(grads, [0], table, constraint="charswap-oov", oov_id=2)
-    assert (pos, tok) == (0, 2)
-    with pytest.raises(NoCandidateError):
-        first_order_substitution(grads, [2], table, constraint="charswap-oov", oov_id=2)
-    with pytest.raises(ValueError):
-        first_order_substitution(grads, [0], table, constraint="charswap-oov")
+    assert first_order_substitution(grads, [0], table, constraint="knn", k=1) == (0, 1)
+    with pytest.raises(NoCandidateError):  # a one-token vocabulary has no substitute
+        first_order_substitution(grads, [0], EmbeddingTable(vectors[:1], ["a"]))
+    with pytest.raises(NoCandidateError):  # every candidate scores -inf
+        first_order_substitution(-np.inf * grads, [0], table)
     with pytest.raises(ValueError):
         first_order_substitution(grads, [0], table, constraint="mystery")
     with pytest.raises(ValueError):
@@ -289,45 +262,37 @@ def test_chrf_batch_across_blocks_and_wide_alphabets():
 # -- the split-wide attack against the per-example loop it replaced -----------
 
 
-def reference_candidates(token_id, table, constraint, k, oov_id):
+def reference_candidates(token_id, table, constraint, k):
     if constraint == "none":
         return [i for i in range(table.vectors.shape[0]) if i != token_id]
     if constraint == "knn":
         if not 0 <= token_id < table.vectors.shape[0]:
             raise ValueError("token_id out of range")
         return table.neighbours(k)[token_id]
-    if constraint == "charswap-oov":
-        if oov_id is None:
-            raise ValueError("charswap-oov constraint requires oov_id")
-        return [oov_id] if oov_id != token_id else []
     raise ValueError(f"unknown constraint: {constraint!r}")
 
 
-def reference_substitution(grads, current_ids, table, constraint, sign_normalize, k, oov_id):
+def reference_substitution(grads, current_ids, table, constraint, sign_normalize, k):
     """One position and one candidate list at a time."""
     grads = np.asarray(grads, dtype=float)
     if sign_normalize:
         grads = np.sign(grads)
     best = None
     for pos, tok in enumerate(current_ids):
-        candidates = np.asarray(reference_candidates(int(tok), table, constraint, k, oov_id))
-        if candidates.size == 0:
-            continue
+        candidates = np.asarray(reference_candidates(int(tok), table, constraint, k))
         scores = (table.vectors[candidates] - table.vectors[int(tok)]) @ grads[pos]
         top = scores.max()
         key = (-top, pos, int(candidates[scores == top].min()))
         if best is None or key < best:
             best = key
-    if best is None:
-        raise NoCandidateError("no admissible substitution candidates")
     return best[1], best[2]
 
 
-def reference_attack(model, example, table, constraint, sign_normalize, k, oov_id):
+def reference_attack(model, example, table, constraint, sign_normalize, k):
     """One example, one substitution."""
     grads = grad_wrt_embeddings(model, example, loss_kind="adversarial")
     pos, tok = reference_substitution(grads, list(example.input), table, constraint,
-                                      sign_normalize, k, oov_id)
+                                      sign_normalize, k)
     new_ids = np.array(example.input, dtype=int).copy()
     new_ids[pos] = tok
     return Example(input=new_ids, label=example.label, group=example.group, id=example.id)
@@ -345,10 +310,9 @@ def attack_setup(vocab=12, dim=4, seed=3):
 
 @pytest.mark.parametrize("steps", [1, 3])
 @pytest.mark.parametrize("sign_normalize", [False, True])
-@pytest.mark.parametrize("constraint", ["none", "knn", "charswap-oov"])
+@pytest.mark.parametrize("constraint", ["none", "knn"])
 def test_attack_rows_matches_per_example_loop(constraint, sign_normalize, steps):
     model, table = attack_setup()
-    oov_id = 11  # also a noise token, so some positions admit no candidate
     # ragged rows: seq_len 8, plus the distractor token 0 in front of about half
     data = gen_distractor_text(DistractorTextSpec(300, 12, 8, 0.5, seed=4))
     lengths = {len(ex.input) for ex in data.examples}
@@ -357,27 +321,15 @@ def test_attack_rows_matches_per_example_loop(constraint, sign_normalize, steps)
         want = []
         for ex in examples:
             for _ in range(steps):
-                ex = reference_attack(model, ex, table, constraint, sign_normalize, 3, oov_id)
+                ex = reference_attack(model, ex, table, constraint, sign_normalize, 3)
             want.append(ex.input)
         rows = pack(examples, tokens=True)
-        got = attack_rows(model, rows, table, constraint, sign_normalize, 3, oov_id, steps)
+        got = attack_rows(model, rows, table, constraint, sign_normalize, 3, steps)
         assert np.array_equal(got.offsets, rows.offsets)
         assert np.array_equal(got.tokens, np.concatenate(want))
         assert np.array_equal(rows.tokens, pack(examples, tokens=True).tokens)  # input kept
-    one = attack_example(model, data.examples[7], table, constraint, sign_normalize, 3, oov_id)
-    two = reference_attack(model, data.examples[7], table, constraint, sign_normalize, 3, oov_id)
+    one = attack_example(model, data.examples[7], table, constraint, sign_normalize, 3)
+    two = reference_attack(model, data.examples[7], table, constraint, sign_normalize, 3)
     assert np.array_equal(one.input, two.input)
     assert (one.label, one.group, one.id) == (two.label, two.group, two.id)
 
-
-def test_attack_rows_raises_when_a_row_admits_no_candidate():
-    model, table = attack_setup()
-    stuck = Example(input=np.array([11, 11]), label=0)
-    free = Example(input=np.array([3, 11]), label=1)
-    with pytest.raises(NoCandidateError):
-        reference_attack(model, stuck, table, "charswap-oov", False, 3, 11)
-    for examples in ([stuck], [free, stuck]):
-        with pytest.raises(NoCandidateError):
-            attack_rows(model, pack(examples, tokens=True), table, "charswap-oov", oov_id=11)
-    got = attack_rows(model, pack([free], tokens=True), table, "charswap-oov", oov_id=11)
-    assert got.tokens.tolist() == [11, 11]

@@ -249,8 +249,11 @@ def test_paired_two_domain_draw_matches_the_row_loop(n, minority_ratio):
 
 
 def test_generated_examples_are_read_only_views_of_the_pack():
+    listed = GroupedDataset([Example(input=np.full(2, float(i)), label=i % 2, id=7 * i)
+                             for i in range(5)])
     for ds, architecture in ((gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)), "linear"),
-                             (gen_distractor_text(DistractorTextSpec(30)), "embed_bag")):
+                             (gen_distractor_text(DistractorTextSpec(30)), "embed_bag"),
+                             (listed, "mlp")):
         with pytest.raises(ValueError, match="read-only"):
             ds.examples[3].input[0] = 1
         rows = ds.packed(architecture)
@@ -344,6 +347,14 @@ def test_csv_format_errors(tmp_path):
     with pytest.raises(CsvFormatError, match="line 2"):
         load_csv(bad_value)
 
+    for name, rows, message in (("label", "0,1.0,-1,0\n", "line 2: .*label"),
+                                ("group", "0,1.0,1,0\n1,2.0,0,-1\n", "line 3: .*group"),
+                                ("id", f"{2**64},1.0,1,0\n", "line 2: .*too large")):
+        bad_int = tmp_path / f"bad_{name}.csv"
+        bad_int.write_text("id,f0,label,group\n" + rows)
+        with pytest.raises(CsvFormatError, match=message):
+            load_csv(bad_int)
+
     header_only = tmp_path / "header.csv"
     header_only.write_text("id,f0,label,group\n")
     with pytest.raises(CsvFormatError, match="no data"):
@@ -394,6 +405,7 @@ def test_group_metrics_against_hand_counts():
 
 def test_subset_keeps_group_names():
     ds = gen_two_domain_gaussian(TwoDomainSpec(20, 0.5, 0.5, seed=7))
-    sub = ds.subset([0, 3, 5])
-    assert len(sub) == 3
+    sub = ds.subset([0, 3, 5]).subset([1, 2])
+    assert len(sub) == 2
+    assert [ex.id for ex in sub.examples] == [3, 5]
     assert sub.group_names == ds.group_names

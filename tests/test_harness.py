@@ -11,8 +11,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab import advmetrics, cli, continual as cl, dro, harness
-from shiftlab.datasets import GroupedDataset, batches
-from shiftlab.diffcore import ModelSpec, Packed, forward_logits_batch, init_params, softmax
+from shiftlab.datasets import GroupedDataset, batches, save_csv
+from shiftlab.diffcore import (
+    InputShapeError, ModelSpec, Packed, forward_logits_batch, init_params, softmax,
+)
 
 
 def test_coerce_value():
@@ -320,6 +322,7 @@ def test_sweep_selects_with_the_configured_kl_threshold(tmp_path):
     (harness.cmd_train, "method", {"method": "sgd"}),
     (harness.cmd_continual, "cl.method", {"cl.method": "conatural+replay"}),
     (harness.cmd_attack, "attack.constraint", {"attack.constraint": "kn"}),
+    (harness.cmd_attack, "attack.constraint", {"attack.constraint": "charswap-oov"}),
 ])
 def test_unknown_config_values_raise_before_any_output(tmp_path, command, key, bad):
     with pytest.raises(harness.ConfigError, match=f"unknown {key}"):
@@ -473,7 +476,7 @@ def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
     rows = test.packed("embed_bag").take(np.arange(7))
     table = advmetrics.EmbeddingTable(model.slot("embedding.weight"),
                                       [f"tok{i}" for i in range(32)])
-    adv = advmetrics.attack_rows(model, rows, table, "knn", False, 10, 31)
+    adv = advmetrics.attack_rows(model, rows, table, "knn", False, 10)
 
     def text(r):
         return [" ".join(f"tok{t}" for t in ids) for ids in np.split(r.tokens, r.offsets[1:-1])]
@@ -483,21 +486,49 @@ def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
 
 
 def test_generated_data_runs_build_no_examples(tmp_path, monkeypatch):
-    """Training, attacking and continual learning on generated splits read only
-    the packs; no split's per-row Example list gets built."""
+    """Training (also with label noise and on gen-data CSVs), attacking and
+    continual learning on generated splits read only the packs; no split's
+    per-row Example list gets built."""
     built = []
-    examples = GroupedDataset.examples
+    examples = GroupedDataset.examples.func
     monkeypatch.setattr(GroupedDataset, "examples",
-                        property(lambda ds: built.append(len(ds)) or examples.fget(ds)))
+                        property(lambda ds: built.append(len(ds)) or examples(ds)))
     small = {"data.n": 120, "data.total_points": 200, "data.minority_ratio": 0.2,
              "data.test_n": 60, "epochs": 2, "batch_size": 32}
     harness.train_run({**small, "dataset": "distractor", "method": "nonparam"}, 0)
     harness.train_run({**small, "dataset": "two_domain", "method": "pdro"}, 0)
+    harness.train_run({**small, "dataset": "two_domain", "data.p_noise": 0.2}, 0)
+    for family in ("two_domain", "distractor"):
+        harness.cmd_gen_data({**small, "dataset": family}, 0, str(tmp_path / family))
+        harness.train_run({**small, "dataset": str(tmp_path / family / "train.csv")}, 0)
     harness.cmd_attack({**small, "attack.n": 20}, 0, str(tmp_path / "attack"))
     harness.cmd_continual({"cl.tasks": 2, "cl.points": 60, "cl.epochs": 1, "cl.hidden": 4,
                            "cl.fisher_samples": 50, "cl.method": "conatural+er"},
                           0, str(tmp_path / "cl"))
     assert built == []
+
+
+def test_an_architecture_that_reads_the_other_input_form_raises_before_any_output(
+        tmp_path, capsys, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
+    # features in [0, 9) would pass for token ids if the rows were cast to int
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 9, size=(200, 2))
+    rows = Packed((x[:, 0] > x[:, 1]).astype(int), np.zeros(200, dtype=int), x=x)
+    save_csv(GroupedDataset(rows), tmp_path / "dense.csv")
+    cfg = {"dataset": str(tmp_path / "dense.csv"), "model.arch": "embed_bag"}
+    with pytest.raises(InputShapeError, match="embed_bag models cannot read .* dense rows"):
+        harness.train_run(cfg, 0)
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("".join(f"{key} = {value}\n" for key, value in cfg.items()))
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("shiftlab: error: embed_bag models cannot read")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_rejects_pdro_on_token_data_before_training(tmp_path, capsys, monkeypatch):
