@@ -15,10 +15,12 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .datasets import GroupedDataset, batches, gen_two_domain_gaussian, TwoDomainSpec
+from .datasets import (GroupedDataset, TwoDomainSpec, batch_starts, epoch_order,
+                       gen_two_domain_gaussian)
 from .diffcore import (
     ModelSpec,
     Packed,
+    batch_constants,
     fisher_diag,
     grad_params,
     init_params,
@@ -67,13 +69,13 @@ def conatural_delta(grad: np.ndarray, fisher: FisherState, lr: float) -> np.ndar
     grad = np.asarray(grad, dtype=float)
     if grad.shape != fisher.diag.shape:
         raise ValueError("gradient and Fisher diagonal lengths must match")
-    grad_norm = float(np.linalg.norm(grad))
+    grad_norm = math.sqrt(grad @ grad)  # np.linalg.norm's formula for a vector
     if grad_norm == 0.0:
         return np.zeros_like(grad)
     if math.isinf(fisher.alpha):
         return -lr * grad
     raw = grad / (fisher.diag + fisher.alpha + EPSILON)
-    delta = raw * (grad_norm / np.linalg.norm(raw))
+    delta = raw * (grad_norm / math.sqrt(raw @ raw))
     return -lr * delta
 
 
@@ -226,10 +228,10 @@ def continual_train(
     gradient steps. After each task the trunk Fisher is estimated by Monte
     Carlo, renormalized, and folded into the rolling estimate used for both
     preconditioning and the anchoring penalty. All tasks are packed once into
-    one row stream; batches and the replay memory hold row ids. One model holds
-    the trunk and the current task's head; heads are swapped in at task
-    boundaries.
-    """
+    one row stream; the replay memory holds row ids. Each task epoch gathers its
+    rows once, in `epoch_order`, and a step reads its batch as a view of that, or
+    gathers batch and replay rows anew. One model holds the trunk and the current
+    task's head; heads are swapped in at task boundaries."""
     if len(tasks) < 1:
         raise ValueError("at least one task required")
     config = ContinualConfig(**{**config.__dict__, "method": method})
@@ -237,7 +239,7 @@ def continual_train(
     rows = Packed(np.concatenate([p.labels for p in parts]),
                   np.concatenate([p.groups for p in parts]), x=np.concatenate([p.x for p in parts]))
     starts = np.cumsum([0] + [len(task) for task in tasks])
-    task_rows = [np.arange(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+    bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
     spec = ModelSpec("mlp", input_dim=rows.x.shape[1], hidden_units=config.hidden_units,
                      num_classes=max(int(rows.labels.max()) + 1, 2))
     # the trunk (hidden layer) precedes the head (output layer) in the spec's
@@ -259,15 +261,18 @@ def continual_train(
     seen_any_task = False
 
     accuracy_rows = []
-    for task_idx, task in enumerate(tasks):
+    for task_idx, (lo, hi) in enumerate(bounds):
         head[:] = heads[task_idx]
         for epoch in range(config.epochs):
             batch_seed = config.seed * 100003 + task_idx * 131 + epoch
-            for idx in batches(task, config.batch_size, seed=batch_seed):
-                batch = task_rows[task_idx][idx]
+            order = lo + epoch_order(hi - lo, batch_seed)
+            shuffled = rows.take(order)
+            for start in batch_starts(len(order), config.batch_size):
+                stop = start + config.batch_size
+                batch = order[start:stop]
                 combined = with_replay(batch, memory, rng) if use_er else batch
-                n = len(combined)
-                grad = grad_params(model, rows.take(combined), np.full(n, 1.0 / n))
+                step_rows = shuffled.rows(start, stop) if combined is batch else rows.take(combined)
+                grad = grad_params(model, step_rows, batch_constants(len(combined))[1])
                 if config.grad_noise > 0:
                     scale = config.grad_noise * np.linalg.norm(grad)
                     grad = grad + scale * rng.standard_normal(grad.size) / np.sqrt(grad.size)
@@ -282,14 +287,13 @@ def continual_train(
                 trunk += trunk_update
                 head -= config.lr * head_grad
                 if use_er:
-                    for row in batch:
-                        reservoir_add(memory, int(row), rng)
+                    for row in batch.tolist():
+                        reservoir_add(memory, row, rng)
         heads[task_idx] = head
 
         if not math.isinf(config.alpha) and (use_conatural or use_ewc):
             raw_fisher = fisher_diag(
-                model, rows.take(task_rows[task_idx]), config.fisher_samples,
-                seed=config.seed + 31 * task_idx,
+                model, rows.rows(lo, hi), config.fisher_samples, seed=config.seed + 31 * task_idx,
             )
             trunk_fisher, ok = fisher_renormalize(raw_fisher[:split])
             if ok:
@@ -298,9 +302,9 @@ def continual_train(
         seen_any_task = True
 
         accuracy = []
-        for t, ids in enumerate(task_rows):
+        for t, (first, last) in enumerate(bounds):
             head[:] = heads[t]
-            accuracy.append(float(1.0 - zero_one_loss_batch(model, rows.take(ids)).mean()))
+            accuracy.append(float(1.0 - zero_one_loss_batch(model, rows.rows(first, last)).mean()))
         accuracy_rows.append(accuracy)
 
     matrix = np.array(accuracy_rows).T  # rows = tasks, columns = checkpoints

@@ -9,7 +9,7 @@ kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Dict, Optional, Sequence, Tuple, Union
 
@@ -93,9 +93,10 @@ class ModelSpec:
         layer = "linear" if self.architecture == "linear" else "out"
         return f"{layer}.weight", f"{layer}.bias"
 
-    def views(self, flat: np.ndarray) -> Dict[str, np.ndarray]:
-        """Every slot of a flat parameter-length vector as a shaped view, by name."""
-        return {name: flat[lo:hi].reshape(shape) for name, (lo, hi, shape) in self.slots.items()}
+    def view(self, flat: np.ndarray, name: str) -> np.ndarray:
+        """Slot `name` of a flat parameter-length vector as a shaped view."""
+        lo, hi, shape = self.slots[name]
+        return flat[lo:hi].reshape(shape)
 
 
 @dataclass
@@ -122,7 +123,7 @@ class ModelState:
 
     def slot(self, name: str) -> np.ndarray:
         """Slot `name` as a shaped view into params."""
-        return self.spec.views(self.params)[name]
+        return self.spec.view(self.params, name)
 
     def copy(self) -> "ModelState":
         return ModelState(self.spec, self.params.copy())
@@ -130,6 +131,15 @@ class ModelState:
     @property
     def num_params(self) -> int:
         return self.params.size
+
+
+@lru_cache(maxsize=64)
+def batch_constants(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The row index np.arange(n) and the uniform weights np.full(n, 1 / n) of
+    an n-row batch, read-only and shared by every caller with this n."""
+    rows, weights = np.arange(n), np.full(n, 1.0 / n)
+    rows.flags.writeable = weights.flags.writeable = False
+    return rows, weights
 
 
 def init_params(spec: ModelSpec, seed: int) -> ModelState:
@@ -209,9 +219,8 @@ def _forward_batch(model: ModelState, batch: Batch):
     """Logits for a batch plus the activation cache used by backprop; the cache's
     feature is the output layer's input (x, the tanh activations or the bag)."""
     batch = _packed(model, batch)
-    spec = model.spec
-    views = spec.views(model.params)
-    w, b = views[spec.head[0]], views[spec.head[1]]
+    spec, params = model.spec, model.params
+    w, b = spec.view(params, spec.head[0]), spec.view(params, spec.head[1])
     cache: Dict[str, object] = {"batch": batch}
     if spec.architecture == "embed_bag":
         lengths = None if batch.tokens is None else batch.offsets[1:] - batch.offsets[:-1]
@@ -219,7 +228,7 @@ def _forward_batch(model: ModelState, batch: Batch):
             raise InputShapeError("token input must be a non-empty 1-d sequence")
         if batch.tokens.min() < 0 or batch.tokens.max() >= spec.vocab_size:
             raise InputShapeError(f"token id out of range [0, {spec.vocab_size})")
-        emb = views["embedding.weight"]
+        emb = spec.view(params, "embedding.weight")
         bag = np.add.reduceat(emb[batch.tokens], batch.offsets[:-1], axis=0) / lengths[:, None]
         cache.update(lengths=lengths, feature=bag)
         return bag @ w.T + b, cache
@@ -229,7 +238,8 @@ def _forward_batch(model: ModelState, batch: Batch):
     if spec.architecture == "linear":
         cache["feature"] = batch.x
     else:
-        cache["feature"] = np.tanh(batch.x @ views["hidden.weight"].T + views["hidden.bias"])
+        cache["feature"] = np.tanh(batch.x @ spec.view(params, "hidden.weight").T
+                                   + spec.view(params, "hidden.bias"))
     return cache["feature"] @ w.T + b, cache
 
 
@@ -238,15 +248,14 @@ def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.
     slot's gradient is written straight into its place in one new vector."""
     spec = model.spec
     grad = np.empty(model.params.size)
-    views = spec.views(grad)
     w, b = spec.head
     feature = cache["feature"]
-    np.matmul(dlogits.T, feature, out=views[w])
-    dlogits.sum(axis=0, out=views[b])
+    np.matmul(dlogits.T, feature, out=spec.view(grad, w))
+    np.add.reduce(dlogits, axis=0, out=spec.view(grad, b))
     if spec.architecture == "mlp":
         dpre = (dlogits @ model.slot("out.weight")) * (1.0 - feature * feature)
-        np.matmul(dpre.T, cache["batch"].x, out=views["hidden.weight"])
-        dpre.sum(axis=0, out=views["hidden.bias"])
+        np.matmul(dpre.T, cache["batch"].x, out=spec.view(grad, "hidden.weight"))
+        np.add.reduce(dpre, axis=0, out=spec.view(grad, "hidden.bias"))
     elif spec.architecture == "embed_bag":
         # each token of row i gets dbag[i] / len(row i), summed per cell in row order
         lengths = cache["lengths"]
@@ -254,7 +263,8 @@ def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.
         dbag = dlogits @ model.slot("out.weight")
         dtok = np.repeat(dbag / lengths[:, None], lengths, axis=0)
         cells = (cache["batch"].tokens[:, None] * e + np.arange(e)).ravel()
-        views["embedding.weight"][:] = np.bincount(cells, dtok.ravel(), v * e).reshape(v, e)
+        spec.view(grad, "embedding.weight")[:] = np.bincount(
+            cells, dtok.ravel(), v * e).reshape(v, e)
     return grad
 
 
@@ -269,8 +279,8 @@ def forward_logits_batch(model: ModelState, batch: Batch) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -282,7 +292,7 @@ def nll_forward(model: ModelState, batch: Batch):
     batch = _packed(model, batch)
     logits, state = _forward_batch(model, batch)
     state["log_probs"] = log_probs = _log_softmax(logits)
-    state["rows"] = rows = np.arange(len(batch))
+    state["rows"] = rows = batch_constants(len(batch))[0]
     return -log_probs[rows, batch.labels], state
 
 
@@ -326,9 +336,7 @@ def finite_diff_check(
     if step <= 0:
         raise ValueError("step must be positive")
     batch = _packed(model, batch)
-    n = len(batch)
-    weights = np.full(n, 1.0 / n)
-    analytic = grad_params(model, batch, weights)
+    analytic = grad_params(model, batch, batch_constants(len(batch))[1])
     worst = 0.0
     params = model.params
     for j in range(params.size):
@@ -366,15 +374,14 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
     d2 = d * d
     spec = model.spec
     out = np.empty(model.params.size)
-    views = spec.views(out)
     w, b = spec.head
     feature = cache["feature"]
-    np.matmul(d2.T, feature * feature, out=views[w])
-    d2.sum(axis=0, out=views[b])
+    np.matmul(d2.T, feature * feature, out=spec.view(out, w))
+    d2.sum(axis=0, out=spec.view(out, b))
     if spec.architecture == "mlp":
         dpre2 = ((d @ model.slot("out.weight")) * (1.0 - feature * feature)) ** 2
-        np.matmul(dpre2.T, sample.x * sample.x, out=views["hidden.weight"])
-        dpre2.sum(axis=0, out=views["hidden.bias"])
+        np.matmul(dpre2.T, sample.x * sample.x, out=spec.view(out, "hidden.weight"))
+        dpre2.sum(axis=0, out=spec.view(out, "hidden.bias"))
     elif spec.architecture == "embed_bag":
         # row i's gradient at token t is count(i, t) * dbag[i] / len(row i)
         v, e = spec.vocab_size, spec.embed_dim
@@ -385,7 +392,8 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
         dbag = d @ model.slot("out.weight")
         g = (count / lengths[row])[:, None] * dbag[row]
         keys = (token[:, None] * e + np.arange(e)).ravel()
-        views["embedding.weight"][:] = np.bincount(keys, (g * g).ravel(), v * e).reshape(v, e)
+        spec.view(out, "embedding.weight")[:] = np.bincount(
+            keys, (g * g).ravel(), v * e).reshape(v, e)
     return out / sample_count
 
 

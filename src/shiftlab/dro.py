@@ -17,6 +17,7 @@ from .diffcore import (
     ModelSpec,
     ModelState,
     Packed,
+    batch_constants,
     grad_params,
     init_params,
     nll_forward,
@@ -66,7 +67,7 @@ class RatioAdversary:
         """f(x_i, y_i) over the batch plus the forward state grad_f backprops."""
         batch = _packed(self.scorer, batch)
         logits, state = _forward_batch(self.scorer, batch)
-        return logits[np.arange(len(batch)), batch.labels], state
+        return logits[batch_constants(len(batch))[0], batch.labels], state
 
     def f_values(self, batch: Batch) -> np.ndarray:
         return self.f_forward(batch)[0]
@@ -76,7 +77,7 @@ class RatioAdversary:
         forward state f_forward returned for the batch."""
         batch = state["batch"]
         dlogits = np.zeros((len(batch), self.scorer.spec.num_classes))
-        dlogits[np.arange(len(batch)), batch.labels] = df
+        dlogits[batch_constants(len(batch))[0], batch.labels] = df
         return _backward_from_dlogits(self.scorer, state, dlogits)
 
 
@@ -127,30 +128,36 @@ class DroConfig:
     adv_steps_per_model_step: int = 1
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method: {self.method!r}")
-        if self.norm_mode not in NORM_MODES:
-            raise ValueError(f"unknown norm_mode: {self.norm_mode!r}")
-        if not self.lr > 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        for ok, problem in (
+            (self.method in METHODS, f"unknown method: {self.method!r}"),
+            (self.norm_mode in NORM_MODES, f"unknown norm_mode: {self.norm_mode!r}"),
+            (self.lr > 0, f"lr must be positive, got {self.lr}"),
+            (self.method != "pdro" or self.tau > 0, f"pdro needs tau > 0, got {self.tau}"),
+            (self.method != "rpdro" or self.tau >= 0, f"rpdro needs tau >= 0, got {self.tau}"),
+            (self.method != "pdro" or self.adv_sigma_scale > 0,
+             f"adv_sigma_scale must be positive, got {self.adv_sigma_scale}"),
+            (self.adv_steps_per_model_step >= 1,
+             f"adv_steps must be >= 1, got {self.adv_steps_per_model_step}"),
+        ):
+            if not ok:
+                raise ValueError(problem)
 
 
 def erm_step(model: ModelState, batch: Batch, lr: float) -> ModelState:
     if lr <= 0:
         raise ValueError("lr must be positive")
-    n = len(batch)
-    grad = grad_params(model, batch, np.full(n, 1.0 / n))
+    grad = grad_params(model, batch, batch_constants(len(batch))[1])
     return ModelState(model.spec, model.params - lr * grad)
 
 
 def _logsumexp(a: np.ndarray) -> float:
     """log(sum(exp(a))) with the max terms split off, as scipy computes it."""
-    top = a.max()
+    top = np.maximum.reduce(a)
     is_top = a == top
     count = np.count_nonzero(is_top)
     shifted = a - top
     shifted[is_top] = -np.inf
-    log_rest = np.log1p(np.exp(shifted).sum() / count)
+    log_rest = np.log1p(np.add.reduce(np.exp(shifted)) / count)
     # log(1) is +0.0, and log1p of a sum of exps is >= +0.0, so adding it moves no bit
     return float((log_rest if count == 1 else log_rest + np.log(count)) + top)
 
@@ -228,9 +235,9 @@ def pdro_model_weights(adv: GaussianAdversary, batch: Batch,
     if centered is None:
         centered = x - adv.mean
     offset = x - adv.mean0
-    sq_diff = (offset * offset).sum(axis=-1) - (centered * centered).sum(axis=-1)
-    with np.errstate(over="ignore"):  # overflow saturates into the clip; exp is never < 0
-        return np.minimum(np.exp(sq_diff / (2.0 * adv.sigma ** 2)), WEIGHT_CLIP)
+    sq_diff = np.add.reduce(offset * offset, axis=-1) - np.add.reduce(centered * centered, axis=-1)
+    # exp(709) is finite and far above the clip: nothing overflows, and NaN stays NaN
+    return np.minimum(np.exp(np.minimum(sq_diff / (2.0 * adv.sigma ** 2), 709.0)), WEIGHT_CLIP)
 
 
 def normalizer_update(normalizer: RunningNormalizer, scaled: np.ndarray) -> RunningNormalizer:
@@ -256,7 +263,7 @@ def pdro_adv_step(adv: GaussianAdversary, centered: np.ndarray, scaled: np.ndarr
     if not math.isfinite(log_z):
         raise ValueError("normalizer must be positive and finite")
     w = np.exp(scaled - log_z)
-    grad = (w[:, None] * centered).sum(axis=0) / (len(centered) * adv.sigma ** 2)
+    grad = np.add.reduce(w[:, None] * centered, axis=0) / (len(centered) * adv.sigma ** 2)
     return GaussianAdversary(adv.mean + adv_lr * grad, adv.sigma, adv.mean0)
 
 
@@ -418,7 +425,7 @@ def simultaneous_step(
     else:
         # the first pass scores the pre-update adversary for both players; each
         # pass takes f and its gradient from one scorer forward
-        for step in range(max(1, config.adv_steps_per_model_step)):
+        for step in range(config.adv_steps_per_model_step):
             f, f_state = new_adv.f_forward(batch)
             if config.norm_mode == "batch_level":
                 _, r, dobj_df = rpdro_objective(losses, f, config.tau)

@@ -208,6 +208,8 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
     for key, legal in CHOICES.items():
         if out[key] not in legal:
             raise ConfigError(f"unknown {key}: {out[key]!r} (legal: {' | '.join(legal)})")
+    if out["checkpoint_every"] < 0:
+        raise ConfigError(f"checkpoint_every must be >= 0, got {out['checkpoint_every']}")
     return out
 
 
@@ -473,6 +475,7 @@ def cmd_gen_data(cfg: Dict[str, object], seed: int, out_dir: str) -> None:
 
 def cmd_train(cfg: Dict[str, object], seed: int, out_dir: str) -> TrainResult:
     cfg = resolved(cfg)
+    dro_config(cfg)  # reject a bad method setting before any output
     os.makedirs(out_dir, exist_ok=True)
     try:
         result = train_run(cfg, seed)

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from shiftlab import continual
 from shiftlab.continual import (
     ContinualConfig,
     ContinualMetrics,
@@ -28,6 +30,7 @@ from shiftlab.diffcore import (
     Example,
     ModelSpec,
     ModelState,
+    Packed,
     grad_params,
     init_params,
     pack,
@@ -255,3 +258,84 @@ def test_finetune_equals_a_loop_over_separate_trunk_and_head_arrays():
             expected[t, k] = 1.0 - zero_one_loss_batch(model, packed[t]).mean()
     got = continual_train(tasks, "finetune", cfg).accuracy_matrix
     assert np.array_equal(got, expected)
+
+
+def reference_conatural_delta(grad, fisher, lr):
+    """The former conatural_delta, with both norms from np.linalg.norm."""
+    grad = np.asarray(grad, dtype=float)
+    grad_norm = float(np.linalg.norm(grad))
+    if grad_norm == 0.0:
+        return np.zeros_like(grad)
+    if math.isinf(fisher.alpha):
+        return -lr * grad
+    raw = grad / (fisher.diag + fisher.alpha + 1e-12)
+    return -lr * (raw * (grad_norm / np.linalg.norm(raw)))
+
+
+@st.composite
+def conatural_cases(draw):
+    size = draw(st.sampled_from([1, 2, 5, 24, 65, 1000, 4099]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grad = draw(st.sampled_from([1e-100, 1e-3, 1.0, 1e100])) * rng.standard_normal(size)
+    if draw(st.booleans()):
+        grad[rng.integers(0, size)] = 0.0
+    diag = rng.exponential(draw(st.sampled_from([1e-6, 1.0, 1e6])), size)
+    alpha = draw(st.sampled_from([0.0, 0.3, 1.0, math.inf]))
+    return grad, FisherState(diag, 0.9, alpha), draw(st.sampled_from([1e-3, 0.1, 0.3]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=conatural_cases())
+def test_conatural_delta_equals_the_linalg_norm_form(case):
+    grad, fisher, lr = case
+    got = conatural_delta(grad, fisher, lr)
+    assert np.array_equal(got, reference_conatural_delta(grad, fisher, lr))
+    zero = np.zeros_like(grad)
+    assert np.array_equal(conatural_delta(zero, fisher, lr),
+                          reference_conatural_delta(zero, fisher, lr))
+
+
+@pytest.mark.parametrize("method", ["finetune", "er"])
+def test_continual_train_gathers_each_task_epoch_once(monkeypatch, method):
+    # 3 tasks of 30 rows in batches of 8 (short last batches), a small memory that
+    # fills and then replaces; each step must see the rows of a reference loop of
+    # batches -> with_replay -> take, with uniform weights
+    tasks = rotated_gaussian_tasks(3, 30, sigma=0.4, seed=6)
+    cfg = ContinualConfig(hidden_units=4, epochs=2, batch_size=8, replay_capacity=10, seed=2)
+    every = pack([ex for task in tasks for ex in task.examples], tokens=False)
+    rng = np.random.default_rng(cfg.seed + 7919)
+    memory = ReplayMemory(cfg.replay_capacity)
+    expected, replay_steps, lo = [], 0, 0
+    for k, task in enumerate(tasks):
+        for epoch in range(cfg.epochs):
+            for idx in batches(task, cfg.batch_size, seed=cfg.seed * 100003 + k * 131 + epoch):
+                batch = lo + idx
+                combined = with_replay(batch, memory, rng) if method == "er" else batch
+                replay_steps += combined is not batch
+                expected.append(every.take(combined))
+                if method == "er":
+                    for row in batch:
+                        reservoir_add(memory, int(row), rng)
+        lo += len(task)
+
+    seen, takes = [], []
+    original_grad, original_take = continual.grad_params, Packed.take
+
+    def spy_grad(model, rows, weights):
+        seen.append((rows.x.copy(), rows.labels.copy(), np.array(weights)))
+        return original_grad(model, rows, weights)
+
+    def spy_take(self, idx):
+        takes.append(len(idx))
+        return original_take(self, idx)
+
+    monkeypatch.setattr(continual, "grad_params", spy_grad)
+    monkeypatch.setattr(Packed, "take", spy_take)
+    continual_train(tasks, method, cfg)
+    assert len(seen) == len(expected) == 3 * cfg.epochs * 4
+    for (x, labels, weights), want in zip(seen, expected):
+        assert np.array_equal(x, want.x) and np.array_equal(labels, want.labels)
+        assert np.array_equal(weights, np.full(len(want), 1.0 / len(want)))
+    assert replay_steps == (0 if method == "finetune" else len(expected) - 1)
+    assert len(takes) == 3 * cfg.epochs + replay_steps
+    assert takes[:1] == [30]

@@ -11,6 +11,8 @@ from shiftlab.diffcore import (
     ModelState,
     Packed,
     UnsupportedArchitectureError,
+    _log_softmax,
+    batch_constants,
     finite_diff_check,
     fisher_diag,
     forward_logits,
@@ -480,3 +482,68 @@ def test_dense_shape_errors_through_both_entry_forms():
     for form in (narrow, pack(narrow, tokens=False)):
         with pytest.raises(InputShapeError):
             grad_params(model, form, np.ones(1))
+
+
+ALL_SPECS = [
+    *KERNEL_SPECS,
+    ModelSpec("linear", input_dim=1, num_classes=2),
+    ModelSpec("mlp", input_dim=2, hidden_units=1, num_classes=5),
+    ModelSpec("embed_bag", vocab_size=2, embed_dim=1, num_classes=2),
+]
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda spec: spec.architecture)
+def test_view_equals_the_former_slice_of_every_slot(spec):
+    flat = np.random.default_rng(0).standard_normal(spec.param_count)
+    for name, (lo, hi, shape) in spec.slots.items():
+        view, former = spec.view(flat, name), flat[lo:hi].reshape(shape)
+        assert view.shape == former.shape and np.array_equal(view, former)
+        assert np.shares_memory(view, flat)
+        view[...] = -1.0 - lo  # a write through the view reaches the flat vector
+        assert np.all(flat[lo:hi] == -1.0 - lo)
+        assert np.all(np.delete(flat, np.arange(lo, hi)) != -1.0 - lo)
+    assert not hasattr(spec, "views")
+
+
+def reference_log_softmax(logits):
+    """The former _log_softmax, through the ndarray reduction methods."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
+@st.composite
+def logit_arrays(draw):
+    n, c = draw(st.integers(1, 40)), draw(st.integers(2, 5))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0, 700.0]))
+    values = draw(st.lists(st.floats(-1.0, 1.0), min_size=n * c, max_size=n * c))
+    logits = scale * np.array(values).reshape(n, c)
+    if draw(st.booleans()):  # ties with the row maximum
+        logits[:, -1] = logits.max(axis=1)
+    return logits
+
+
+@settings(max_examples=200, deadline=None)
+@given(logits=logit_arrays())
+def test_log_softmax_equals_the_former_formula(logits):
+    before = logits.copy()
+    got = _log_softmax(logits)
+    assert got.shape == logits.shape and np.array_equal(got, reference_log_softmax(logits))
+    assert np.array_equal(logits, before)
+
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_batch_constants_are_shared_read_only_arrays(n):
+    rows, weights = batch_constants(n)
+    assert np.array_equal(rows, np.arange(n)) and rows.dtype == np.arange(n).dtype
+    assert np.array_equal(weights, np.full(n, 1.0 / n))
+    assert batch_constants(n)[0] is rows and batch_constants(n)[1] is weights
+    for array in (rows, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 5
+    # the nll state hands the shared index to weighted_grad, which only reads it
+    model = init_params(ModelSpec("linear", input_dim=2), seed=0)
+    batch = pack(dense_batch(np.random.default_rng(n), n, 2), tokens=False)
+    losses, state = nll_forward(model, batch)
+    assert state["rows"] is rows
+    assert np.array_equal(weighted_grad(model, state, weights), grad_params(model, batch, weights))
+    assert np.array_equal(rows, np.arange(n)) and np.array_equal(weights, np.full(n, 1.0 / n))

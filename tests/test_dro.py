@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from collections import deque
 
 import numpy as np
@@ -121,6 +122,38 @@ def test_pdro_weights_are_clipped():
     batch = [Example(input=np.array([50.0, 0.0]), label=0, id=0)]
     weights = pdro_model_weights(adv, batch)
     assert weights[0] == WEIGHT_CLIP
+
+
+def reference_pdro_model_weights(adv, x):
+    """The former pdro_model_weights: ndarray sums and exp under np.errstate."""
+    centered, offset = x - adv.mean, x - adv.mean0
+    sq_diff = (offset * offset).sum(axis=-1) - (centered * centered).sum(axis=-1)
+    with np.errstate(over="ignore"):
+        return np.minimum(np.exp(sq_diff / (2.0 * adv.sigma ** 2)), WEIGHT_CLIP)
+
+
+@pytest.mark.parametrize("shift, sigma", [(50.0, 1.0), (1e3, 1.0), (40.0, 0.05), (1e150, 1.0),
+                                          (3.0, 1.0), (-60.0, 0.5)])
+def test_pdro_weights_that_overflowed_return_the_clip_without_a_warning(shift, sigma):
+    rng = np.random.default_rng(7)
+    x = np.vstack([rng.standard_normal((20, 2)), [[shift, 0.0], [shift, 1.0]]])
+    adv = GaussianAdversary(np.array([shift, 0.0]), sigma, np.zeros(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = pdro_model_weights(adv, diffcore.Packed(np.zeros(22, dtype=int),
+                                                      np.zeros(22, dtype=int), x=x))
+    assert np.array_equal(got, reference_pdro_model_weights(adv, x))
+    exponent = ((x * x).sum(axis=1) - ((x - adv.mean) ** 2).sum(axis=1)) / (2 * sigma ** 2)
+    assert np.all(got[exponent > 709.0] == WEIGHT_CLIP)
+    assert (exponent > 709.0).any() == (abs(shift) >= 40.0)
+
+
+def test_pdro_weights_propagate_nan():
+    adv = GaussianAdversary(np.array([1.0, 0.0]), 1.0, np.zeros(2))
+    x = np.array([[np.nan, 0.0], [0.5, 0.5]])
+    got = pdro_model_weights(adv, diffcore.Packed(np.zeros(2, dtype=int),
+                                                  np.zeros(2, dtype=int), x=x))
+    assert np.isnan(got[0]) and got[1] == reference_pdro_model_weights(adv, x)[1]
 
 
 def test_gaussian_adversary_validation():

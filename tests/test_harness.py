@@ -564,6 +564,53 @@ def test_cli_rejects_a_nonpositive_lr_for_every_method_before_any_output(
         assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"method": "pdro", "tau": 0}, "pdro needs tau > 0, got 0"),
+    ({"method": "pdro", "tau": -0.1}, "pdro needs tau > 0, got -0.1"),
+    ({"method": "rpdro", "tau": -0.1}, "rpdro needs tau >= 0, got -0.1"),
+    ({"method": "pdro", "adv_sigma_scale": 0}, "adv_sigma_scale must be positive, got 0"),
+    ({"method": "pdro", "adv_sigma_scale": -0.5}, "adv_sigma_scale must be positive, got -0.5"),
+    ({"method": "pdro", "adv_steps": 0}, "adv_steps must be >= 1, got 0"),
+    ({"method": "rpdro", "adv_steps": 0}, "adv_steps must be >= 1, got 0"),
+    ({"method": "erm", "adv_steps": -1}, "adv_steps must be >= 1, got -1"),
+], ids=["pdro-tau0", "pdro-tau-neg", "rpdro-tau-neg", "pdro-sigma0", "pdro-sigma-neg",
+        "pdro-steps0", "rpdro-steps0", "erm-steps-neg"])
+def test_game_settings_that_break_the_game_raise_before_any_output(
+        tmp_path, capsys, monkeypatch, bad, message):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
+    with pytest.raises(ValueError, match=message):
+        harness.dro_config(harness.resolved({**TINY, **bad}))
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("".join(f"{key} = {value}\n" for key, value in {**TINY, **bad}.items()))
+    for command in ("train", "sweep"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"shiftlab: error: {message}"]
+        assert not out.exists()
+
+
+def test_rpdro_accepts_tau_zero():
+    cfg = harness.dro_config(harness.resolved({"method": "rpdro", "tau": 0}))
+    assert cfg.tau == 0 and cfg.adv_steps_per_model_step == 1
+
+
+@pytest.mark.parametrize("command, bad", [
+    (harness.cmd_train, {"checkpoint_every": -1}),
+    (harness.cmd_sweep, {"sweep.checkpoint_every": "2,-3"}),
+], ids=["train", "sweep"])
+def test_a_negative_checkpoint_every_raises_before_any_output(tmp_path, monkeypatch, command, bad):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
+    with pytest.raises(harness.ConfigError, match="checkpoint_every must be >= 0, got -"):
+        command({**TINY, **bad}, 0, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cfg", [
     {"dataset": "two_domain", "data.total_points": 150, "batch_size": 32, "method": "pdro"},
     {"dataset": "distractor", "data.n": 150, "batch_size": 64, "method": "nonparam"},
