@@ -228,10 +228,10 @@ def continual_train(
     gradient steps. After each task the trunk Fisher is estimated by Monte
     Carlo, renormalized, and folded into the rolling estimate used for both
     preconditioning and the anchoring penalty. All tasks are packed once into
-    one row stream; the replay memory holds row ids. Each task epoch gathers its
-    rows once, in `epoch_order`, and a step reads its batch as a view of that, or
-    gathers batch and replay rows anew. One model holds the trunk and the current
-    task's head; heads are swapped in at task boundaries."""
+    one row stream; the replay memory holds row ids. Without replay, each task
+    epoch gathers its rows once, in `epoch_order`, and a step reads its batch as a
+    view of that; with replay, each step gathers its batch and replay rows. One
+    model holds the trunk and the current task's head, swapped in per task."""
     if len(tasks) < 1:
         raise ValueError("at least one task required")
     config = ContinualConfig(**{**config.__dict__, "method": method})
@@ -266,13 +266,12 @@ def continual_train(
         for epoch in range(config.epochs):
             batch_seed = config.seed * 100003 + task_idx * 131 + epoch
             order = lo + epoch_order(hi - lo, batch_seed)
-            shuffled = rows.take(order)
+            shuffled = None if use_er else rows.take(order)
             for start in batch_starts(len(order), config.batch_size):
-                stop = start + config.batch_size
-                batch = order[start:stop]
-                combined = with_replay(batch, memory, rng) if use_er else batch
-                step_rows = shuffled.rows(start, stop) if combined is batch else rows.take(combined)
-                grad = grad_params(model, step_rows, batch_constants(len(combined))[1])
+                batch = order[start:start + config.batch_size]
+                step_rows = (rows.take(with_replay(batch, memory, rng)) if use_er
+                             else shuffled.rows(start, start + config.batch_size))
+                grad = grad_params(model, step_rows, batch_constants(len(step_rows))[1])
                 if config.grad_noise > 0:
                     scale = config.grad_noise * np.linalg.norm(grad)
                     grad = grad + scale * rng.standard_normal(grad.size) / np.sqrt(grad.size)

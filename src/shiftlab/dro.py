@@ -236,8 +236,11 @@ def pdro_model_weights(adv: GaussianAdversary, batch: Batch,
         centered = x - adv.mean
     offset = x - adv.mean0
     sq_diff = np.add.reduce(offset * offset, axis=-1) - np.add.reduce(centered * centered, axis=-1)
-    # exp(709) is finite and far above the clip: nothing overflows, and NaN stays NaN
-    return np.minimum(np.exp(np.minimum(sq_diff / (2.0 * adv.sigma ** 2), 709.0)), WEIGHT_CLIP)
+    # clamped to [-1000, 709] * 2 sigma^2, the quotient stays finite, and exp of it gives 0
+    # or a value far above the clip wherever the unclamped one did; NaN stays NaN
+    two_var = 2.0 * adv.sigma ** 2
+    clamped = np.maximum(np.minimum(sq_diff, 709.0 * two_var), -1000.0 * two_var)
+    return np.minimum(np.exp(clamped / two_var), WEIGHT_CLIP)
 
 
 def normalizer_update(normalizer: RunningNormalizer, scaled: np.ndarray) -> RunningNormalizer:

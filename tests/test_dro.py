@@ -132,8 +132,10 @@ def reference_pdro_model_weights(adv, x):
         return np.minimum(np.exp(sq_diff / (2.0 * adv.sigma ** 2)), WEIGHT_CLIP)
 
 
+# (1e153, 0.05): sq_diff is finite but sq_diff / (2 sigma^2) overflowed, to inf on the
+# shifted rows and to -inf on the others
 @pytest.mark.parametrize("shift, sigma", [(50.0, 1.0), (1e3, 1.0), (40.0, 0.05), (1e150, 1.0),
-                                          (3.0, 1.0), (-60.0, 0.5)])
+                                          (1e153, 0.05), (3.0, 1.0), (-60.0, 0.5)])
 def test_pdro_weights_that_overflowed_return_the_clip_without_a_warning(shift, sigma):
     rng = np.random.default_rng(7)
     x = np.vstack([rng.standard_normal((20, 2)), [[shift, 0.0], [shift, 1.0]]])
@@ -143,8 +145,9 @@ def test_pdro_weights_that_overflowed_return_the_clip_without_a_warning(shift, s
         got = pdro_model_weights(adv, diffcore.Packed(np.zeros(22, dtype=int),
                                                       np.zeros(22, dtype=int), x=x))
     assert np.array_equal(got, reference_pdro_model_weights(adv, x))
-    exponent = ((x * x).sum(axis=1) - ((x - adv.mean) ** 2).sum(axis=1)) / (2 * sigma ** 2)
-    assert np.all(got[exponent > 709.0] == WEIGHT_CLIP)
+    with np.errstate(over="ignore"):
+        exponent = ((x * x).sum(axis=1) - ((x - adv.mean) ** 2).sum(axis=1)) / (2 * sigma ** 2)
+    assert np.all(got[exponent > 709.0] == WEIGHT_CLIP) and np.all(got[exponent < -1000.0] == 0)
     assert (exponent > 709.0).any() == (abs(shift) >= 40.0)
 
 

@@ -140,15 +140,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the fingerprint JSON here")
     parser.add_argument("--against", help="compare with this fingerprint JSON")
-    parser.add_argument("--keep", help="run in this (new or empty) directory and keep it")
     args = parser.parse_args(argv)
-    with contextlib.ExitStack() as stack:
-        if args.keep:
-            work = Path(args.keep)
-            work.mkdir(parents=True, exist_ok=True)
-        else:
-            work = Path(stack.enter_context(tempfile.TemporaryDirectory(prefix="fingerprint-")))
-        result = fingerprint(work.resolve())
+    with tempfile.TemporaryDirectory(prefix="fingerprint-") as work:
+        result = fingerprint(Path(work).resolve())
     if args.out:
         Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"{len(result['commands'])} commands, {len(result['files'])} files")
