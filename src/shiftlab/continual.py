@@ -51,11 +51,10 @@ class FisherState:
 
 def initial_fisher(num_params: int, gamma: float = 0.9, alpha: float = 1.0) -> FisherState:
     """Start the rolling estimate at (alpha/gamma) I so damping is counted once."""
-    if math.isinf(alpha):
-        diag = np.zeros(num_params)
-    else:
-        diag = np.full(num_params, alpha / gamma)
-    return FisherState(diag, gamma, alpha)
+    fisher = FisherState(np.zeros(num_params), gamma, alpha)  # checks gamma before the division
+    if not math.isinf(alpha):
+        fisher.diag[:] = alpha / gamma
+    return fisher
 
 
 def conatural_delta(grad: np.ndarray, fisher: FisherState, lr: float) -> np.ndarray:
@@ -199,7 +198,6 @@ def average_accuracy(metrics: ContinualMetrics) -> float:
 
 @dataclass
 class ContinualConfig:
-    method: str = "finetune"
     hidden_units: int = 16
     lr: float = 0.1
     epochs: int = 3
@@ -211,10 +209,6 @@ class ContinualConfig:
     fisher_samples: int = 1000
     grad_noise: float = 0.0
     seed: int = 0
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method: {self.method!r}")
 
 
 def continual_train(
@@ -234,7 +228,8 @@ def continual_train(
     model holds the trunk and the current task's head, swapped in per task."""
     if len(tasks) < 1:
         raise ValueError("at least one task required")
-    config = ContinualConfig(**{**config.__dict__, "method": method})
+    if method not in METHODS:
+        raise ValueError(f"unknown method: {method!r}")
     parts = [task.packed("mlp") for task in tasks]
     rows = Packed(np.concatenate([p.labels for p in parts]),
                   np.concatenate([p.groups for p in parts]), x=np.concatenate([p.x for p in parts]))

@@ -121,11 +121,11 @@ class DroConfig:
     adv_lr: float = 0.05
     adv_sigma_scale: float = 1.0
     eta_group: float = 0.1
-    beta_selfnorm: float = 1.0
+    beta: float = 1.0
     norm_mode: str = "batch_level"
     project: bool = True
     reverse_kl: bool = True
-    adv_steps_per_model_step: int = 1
+    adv_steps: int = 1
 
     def __post_init__(self):
         for ok, problem in (
@@ -136,8 +136,7 @@ class DroConfig:
             (self.method != "rpdro" or self.tau >= 0, f"rpdro needs tau >= 0, got {self.tau}"),
             (self.method != "pdro" or self.adv_sigma_scale > 0,
              f"adv_sigma_scale must be positive, got {self.adv_sigma_scale}"),
-            (self.adv_steps_per_model_step >= 1,
-             f"adv_steps must be >= 1, got {self.adv_steps_per_model_step}"),
+            (self.adv_steps >= 1, f"adv_steps must be >= 1, got {self.adv_steps}"),
         ):
             if not ok:
                 raise ValueError(problem)
@@ -389,9 +388,9 @@ def simultaneous_step(
     The adversary is None for erm and nonparam, the group mixture for
     group_dro (updated before the model step), a GaussianAdversary for pdro
     and a RatioAdversary for rpdro. In the two games both gradients use the
-    pre-update state, and config.adv_steps_per_model_step extra adversary
-    updates reuse the batch with refreshed scores. The step leaves the model
-    and adversary it is given alone and updates the normalizer in place.
+    pre-update state, and the config.adv_steps adversary updates all reuse
+    the batch, each with refreshed scores. The step leaves the model and
+    adversary it is given alone and updates the normalizer in place.
     """
     if config.method == "erm":
         return erm_step(model, batch, config.lr), adversary, normalizer
@@ -415,7 +414,7 @@ def simultaneous_step(
         centered = x - adversary.mean
         weights = pdro_model_weights(adversary, batch, centered) / n
         scaled = losses / config.tau  # the normalizer and the adversary step share it
-        for step in range(config.adv_steps_per_model_step):
+        for step in range(config.adv_steps):
             if step > 0:
                 centered = x - new_adv.mean
             if config.reverse_kl:
@@ -428,12 +427,12 @@ def simultaneous_step(
     else:
         # the first pass scores the pre-update adversary for both players; each
         # pass takes f and its gradient from one scorer forward
-        for step in range(config.adv_steps_per_model_step):
+        for step in range(config.adv_steps):
             f, f_state = new_adv.f_forward(batch)
             if config.norm_mode == "batch_level":
                 _, r, dobj_df = rpdro_objective(losses, f, config.tau)
             else:
-                _, dobj_df = rpdro_selfnorm_objective(losses, f, config.tau, config.beta_selfnorm)
+                _, dobj_df = rpdro_selfnorm_objective(losses, f, config.tau, config.beta)
                 r = np.clip(np.exp(f), 0.0, WEIGHT_CLIP) / n
             if step == 0:
                 weights = r

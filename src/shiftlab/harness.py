@@ -52,8 +52,14 @@ class DivergenceError(RuntimeError):
     """Training produced a non-finite loss."""
 
 
+# the cl.* key of each ContinualConfig field but seed, which a run takes from its own seed
+CONTINUAL_KEYS = {f.name: "cl." + {"hidden_units": "hidden", "replay_capacity": "capacity"}.get(f.name, f.name)
+                  for f in fields(cl.ContinualConfig) if f.name != "seed"}
+
 # Every legal config key with its default. Values are parsed with the same
-# coercion as --set overrides, so the table doubles as documentation.
+# coercion as --set overrides, so the table doubles as documentation. The
+# method settings take their defaults from the dataclasses that read them:
+# every DroConfig field under its own name, and CONTINUAL_KEYS.
 DEFAULTS: Dict[str, object] = {
     # data
     "dataset": "two_domain",          # two_domain | distractor | path to CSV
@@ -71,41 +77,20 @@ DEFAULTS: Dict[str, object] = {
     "model.hidden": 8,
     "model.embed_dim": 8,
     # optimization
-    "method": "erm",                  # erm | nonparam | group_dro | pdro | rpdro
-    "lr": 0.1,
     "batch_size": 64,
     "epochs": 10,
-    "tau": 0.1,
-    "kappa": 1.0,
-    "k_window": 5,
-    "adv_lr": 0.05,
-    "adv_steps": 1,
-    "adv_sigma_scale": 1.0,
     "checkpoint_every": 0,
-    "eta_group": 0.1,
-    "beta": 1.0,
-    "norm_mode": "batch_level",       # batch_level | self_norm
-    "project": True,
-    "reverse_kl": True,
+    **asdict(dro.DroConfig()),
     # selection
     "selection": "minmax",            # minmax | greedy | last
     "selection.loss": "auto",         # auto | nll | zero_one
-    "selection.kl_threshold": math.log(10.0),
+    "selection.kl_threshold": selection.KL_THRESHOLD_DEFAULT,
     # continual
     "cl.method": "finetune",          # finetune | conatural | ewc | conatural+ewc | er | conatural+er
     "cl.tasks": 5,
     "cl.points": 400,
     "cl.sigma": 0.5,
-    "cl.hidden": 16,
-    "cl.lr": 0.1,
-    "cl.epochs": 3,
-    "cl.batch_size": 16,
-    "cl.alpha": 1.0,
-    "cl.gamma": 0.9,
-    "cl.ewc_lambda": 1.0,
-    "cl.capacity": 200,
-    "cl.fisher_samples": 1000,
-    "cl.grad_noise": 0.0,
+    **{key: getattr(cl.ContinualConfig, name) for name, key in CONTINUAL_KEYS.items()},
     # attack
     "attack.constraint": "none",      # none | knn
     "attack.k": 10,
@@ -281,25 +266,11 @@ class TrainResult:
 
 
 def dro_config(cfg: Dict[str, object]) -> dro.DroConfig:
-    return dro.DroConfig(
-        method=cfg["method"], lr=cfg["lr"], tau=cfg["tau"], kappa=cfg["kappa"],
-        k_window=cfg["k_window"], adv_lr=cfg["adv_lr"],
-        adv_sigma_scale=cfg["adv_sigma_scale"], eta_group=cfg["eta_group"],
-        beta_selfnorm=cfg["beta"], norm_mode=cfg["norm_mode"],
-        project=cfg["project"], reverse_kl=cfg["reverse_kl"],
-        adv_steps_per_model_step=cfg["adv_steps"],
-    )
+    return dro.DroConfig(**{f.name: cfg[f.name] for f in fields(dro.DroConfig)})
 
 
 def continual_config(cfg: Dict[str, object], seed: int) -> cl.ContinualConfig:
-    return cl.ContinualConfig(
-        method=cfg["cl.method"], hidden_units=cfg["cl.hidden"], lr=cfg["cl.lr"],
-        epochs=cfg["cl.epochs"], batch_size=cfg["cl.batch_size"],
-        alpha=cfg["cl.alpha"], gamma=cfg["cl.gamma"],
-        ewc_lambda=cfg["cl.ewc_lambda"], replay_capacity=cfg["cl.capacity"],
-        fisher_samples=cfg["cl.fisher_samples"], grad_noise=cfg["cl.grad_noise"],
-        seed=seed,
-    )
+    return cl.ContinualConfig(**{name: cfg[key] for name, key in CONTINUAL_KEYS.items()}, seed=seed)
 
 
 def selection_loss(cfg: Dict[str, object]) -> str:
@@ -330,6 +301,7 @@ def train_run(cfg: Dict[str, object], seed: int,
 
     checkpoints: List[ModelState] = []
     records: List[selection.AdversaryRecord] = [selection.identity_record(len(valid))]
+    own_records: List[Optional[selection.AdversaryRecord]] = []  # one per checkpoint, or None
     log_rows: List[dict] = []
 
     def take_checkpoint(step: int) -> None:
@@ -338,6 +310,7 @@ def train_run(cfg: Dict[str, object], seed: int,
         record = None if raw is None else selection.make_record(len(records), raw)
         if record is not None:
             records.append(record)
+        own_records.append(record)
         vm = group_metrics(model, valid)
         mean_valid_loss = float(nll_loss_batch(model, packed_valid).mean())
         if not math.isfinite(mean_valid_loss):
@@ -375,8 +348,7 @@ def train_run(cfg: Dict[str, object], seed: int,
         chosen = len(checkpoints) - 1
     elif cfg["selection"] == "greedy":
         state = selection.SelectionState(records=[records[0]])
-        for i, ckpt in enumerate(checkpoints):
-            rec = records[i + 1] if i + 1 < len(records) else None
+        for i, (ckpt, rec) in enumerate(zip(checkpoints, own_records)):
             state = selection.greedy_minmax_update(
                 state, ckpt, i, rec, valid,
                 cfg["selection.kl_threshold"], loss_kind,
@@ -462,26 +434,30 @@ def _metrics_rows(name: str, metrics: GroupMetrics) -> List[List[object]]:
 # commands
 
 
+def _out(out_dir: str, name: str) -> str:
+    """out_dir/name, making out_dir at a command's first write, so a command
+    that fails before it writes leaves no directory."""
+    os.makedirs(out_dir, exist_ok=True)
+    return os.path.join(out_dir, name)
+
+
 def cmd_gen_data(cfg: Dict[str, object], seed: int, out_dir: str) -> None:
     cfg = resolved(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     train, valid, test = build_datasets(cfg, seed)
     for name, ds in (("train", train), ("valid", valid), ("test", test)):
-        save_csv(ds, os.path.join(out_dir, f"{name}.csv"))
+        save_csv(ds, _out(out_dir, f"{name}.csv"))
     manifest = {"seed": seed, "config": {k: cfg[k] for k in sorted(cfg) if k.startswith("data") or k == "dataset"}}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(_out(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
 
 
 def cmd_train(cfg: Dict[str, object], seed: int, out_dir: str) -> TrainResult:
     cfg = resolved(cfg)
-    dro_config(cfg)  # reject a bad method setting before any output
-    os.makedirs(out_dir, exist_ok=True)
     try:
         result = train_run(cfg, seed)
     except DivergenceError as err:
         _write_jsonl([{"aborted": True, "reason": str(err), "seed": seed}],
-                     os.path.join(out_dir, "run.jsonl"))
+                     _out(out_dir, "run.jsonl"))
         raise
     rows = list(result.log_rows)
     rows.append({
@@ -489,33 +465,32 @@ def cmd_train(cfg: Dict[str, object], seed: int, out_dir: str) -> TrainResult:
         "test_robust_acc": result.test_metrics.robust_accuracy,
         "test_average_acc": result.test_metrics.average_accuracy,
     })
-    _write_jsonl(rows, os.path.join(out_dir, "run.jsonl"))
+    _write_jsonl(rows, _out(out_dir, "run.jsonl"))
     _write_csv(["split", "metric", "value"],
                _metrics_rows("valid", result.valid_metrics)
                + _metrics_rows("test", result.test_metrics),
-               os.path.join(out_dir, "metrics.csv"))
-    save_model_bin(result.model, os.path.join(out_dir, "model.bin"))
+               _out(out_dir, "metrics.csv"))
+    save_model_bin(result.model, _out(out_dir, "model.bin"))
     _write_csv(["epoch", "valid_loss", "robust_acc", "average_acc"],
                [[r["step"], r["loss"], r["robust_acc"], r["average_acc"]]
                 for r in result.log_rows],
-               os.path.join(out_dir, "plotdata_training.csv"))
+               _out(out_dir, "plotdata_training.csv"))
     return result
 
 
 def cmd_continual(cfg: Dict[str, object], seed: int, out_dir: str) -> cl.ContinualMetrics:
     cfg = resolved(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     tasks = cl.rotated_gaussian_tasks(cfg["cl.tasks"], cfg["cl.points"],
                                       cfg["cl.sigma"], seed=seed)
     metrics = cl.continual_train(tasks, cfg["cl.method"], continual_config(cfg, seed))
     num_tasks, num_ckpts = metrics.accuracy_matrix.shape
     _write_csv(["task"] + [f"ckpt{c}" for c in range(num_ckpts)],
                [[t] + list(metrics.accuracy_matrix[t]) for t in range(num_tasks)],
-               os.path.join(out_dir, "plotdata_accuracy.csv"))
+               _out(out_dir, "plotdata_accuracy.csv"))
     _write_csv(["metric", "value"],
                [["average_accuracy", cl.average_accuracy(metrics)],
                 ["average_forgetting", cl.average_forgetting(metrics)]],
-               os.path.join(out_dir, "metrics.csv"))
+               _out(out_dir, "metrics.csv"))
     return metrics
 
 
@@ -529,7 +504,6 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
         raise ConfigError(f"attack.n must lie in [1, data.test_n={cfg['data.test_n']}], got {n}")
     if steps < 1:
         raise ConfigError(f"attack.steps must be >= 1, got {steps}")
-    os.makedirs(out_dir, exist_ok=True)
     if model is None:
         model = train_run({**cfg, "dataset": "distractor", "model.arch": "embed_bag"}, seed).model
     if model.spec.architecture != "embed_bag":
@@ -555,9 +529,9 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
                        "d_tgt": d, "success": advmetrics.success(src, d)})
     header = ["id", "s_src", "s_base", "s_adv", "d_tgt", "success"]
     _write_csv(header, [[r[k] for k in header] for r in report],
-               os.path.join(out_dir, "metrics.csv"))
+               _out(out_dir, "metrics.csv"))
     means = {k: float(np.mean([r[k] for r in report])) for k in header[1:]}
-    _write_jsonl(report + [{"final": True, **means}], os.path.join(out_dir, "run.jsonl"))
+    _write_jsonl(report + [{"final": True, **means}], _out(out_dir, "run.jsonl"))
     return report
 
 
@@ -581,7 +555,6 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
                           "methods; the pooled selection needs one loss, so set it")
     for point in points:
         dro_config(point)  # reject a bad point before any point trains
-    os.makedirs(out_dir, exist_ok=True)
     results = []
     failures = []
     shared = build_datasets(points[0], seed)
@@ -609,14 +582,13 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
                        "average_acc": result.test_metrics.average_accuracy,
                        "selected": i == best_run, "chosen_checkpoint": best_ckpt if i == best_run else None})
     _write_csv(["point", "params", "test_robust_acc", "test_average_acc", "selected"],
-               rows, os.path.join(out_dir, "metrics.csv"))
-    _write_jsonl(report + [{"failures": failures}], os.path.join(out_dir, "run.jsonl"))
+               rows, _out(out_dir, "metrics.csv"))
+    _write_jsonl(report + [{"failures": failures}], _out(out_dir, "run.jsonl"))
     return report
 
 
 def cmd_report(run_dirs: Sequence[str], out_dir: str) -> List[dict]:
     """Join the metrics of several runs into one ranked table."""
-    os.makedirs(out_dir, exist_ok=True)
     summary = []
     for run in run_dirs:
         path = os.path.join(run, "metrics.csv")
@@ -632,5 +604,5 @@ def cmd_report(run_dirs: Sequence[str], out_dir: str) -> List[dict]:
     summary.sort(key=lambda r: -r.get("robust_accuracy", 0.0))
     header = ["run", "robust_accuracy", "average_accuracy"]
     rows = [[r.get(h, "") for h in header] for r in summary]
-    _write_csv(header, rows, os.path.join(out_dir, "report.csv"))
+    _write_csv(header, rows, _out(out_dir, "report.csv"))
     return summary

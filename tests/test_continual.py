@@ -51,6 +51,12 @@ def test_fisher_state_validation():
         FisherState(np.ones(2), alpha=-1.0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5])
+def test_initial_fisher_checks_gamma_before_dividing_by_it(gamma):
+    with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+        initial_fisher(3, gamma=gamma)
+
+
 def test_initial_fisher_accounts_for_damping_once():
     fisher = initial_fisher(3, gamma=0.5, alpha=2.0)
     assert np.allclose(fisher.diag, 4.0)
@@ -173,9 +179,10 @@ def test_forgetting_metrics_on_hand_matrix():
         forgetting(metrics, task=0, t=0)
 
 
-def test_continual_config_rejects_unknown_method():
-    with pytest.raises(ValueError):
-        ContinualConfig(method="lwf")
+def test_continual_train_rejects_unknown_method():
+    tasks = rotated_gaussian_tasks(2, 20, sigma=0.4, seed=0)
+    with pytest.raises(ValueError, match="unknown method: 'lwf'"):
+        continual_train(tasks, "lwf", ContinualConfig())
 
 
 def test_rotated_tasks_shapes_and_rotation():

@@ -367,7 +367,7 @@ def test_a_step_runs_the_model_forward_once(monkeypatch, method, norm_mode):
     spec = ModelSpec("linear", input_dim=2)
     model = init_params(spec, seed=4)
     batch = diffcore.pack(dense_batch(np.random.default_rng(4), 16), tokens=False)
-    cfg = DroConfig(method=method, norm_mode=norm_mode, adv_steps_per_model_step=2)
+    cfg = DroConfig(method=method, norm_mode=norm_mode, adv_steps=2)
     adversary, normalizer = dro.initial_state(cfg, spec, batch, num_groups=1, seed=0)
     forwards = []
     original = diffcore._forward_batch
@@ -550,7 +550,7 @@ def reference_pdro_step(params, mean, norm, x, labels, cfg, sigma, mean0):
 
     model_weights = ratios(mean)
     params, losses = reference_linear_step(params, x, labels, cfg.lr, lambda _: model_weights / n)
-    for _ in range(cfg.adv_steps_per_model_step):
+    for _ in range(cfg.adv_steps):
         if cfg.reverse_kl:
             norm.push(losses, cfg.tau)
             w = np.exp(losses / cfg.tau - norm.log_value)
@@ -584,7 +584,7 @@ def test_pdro_step_engine_matches_the_former_arithmetic(reverse_kl, project, adv
     spec = ModelSpec("linear", input_dim=2)
     cfg = DroConfig(method="pdro", lr=0.1, tau=0.1, kappa=math.log(10.0), k_window=5,
                     adv_lr=0.5, adv_sigma_scale=0.4, project=project, reverse_kl=reverse_kl,
-                    adv_steps_per_model_step=adv_steps)
+                    adv_steps=adv_steps)
     model = init_params(spec, seed=0)
     adv, norm = dro.initial_state(cfg, spec, rows, num_groups=2, seed=0)
     params, mean, ref_norm = model.params.copy(), adv.mean.copy(), DequeNormalizer(5)
@@ -651,7 +651,7 @@ def test_simultaneous_step_leaves_its_model_and_adversary_alone(method):
     spec = ModelSpec("linear", input_dim=2)
     model = init_params(spec, seed=9)
     batch = diffcore.pack(dense_batch(np.random.default_rng(9), 16), tokens=False)
-    cfg = DroConfig(method=method, tau=0.5, adv_lr=0.5, adv_steps_per_model_step=2)
+    cfg = DroConfig(method=method, tau=0.5, adv_lr=0.5, adv_steps=2)
     adversary, normalizer = dro.initial_state(cfg, spec, batch, num_groups=2, seed=0)
     if method == "pdro":  # off psi0, so that the ratios are computed
         adversary = GaussianAdversary(adversary.mean + 0.3, adversary.sigma, adversary.mean0)
@@ -674,7 +674,7 @@ def test_rpdro_forwards_the_scorer_once_per_adversary_pass(monkeypatch, adv_step
     spec = ModelSpec("linear", input_dim=2)
     model = init_params(spec, seed=4)
     batch = diffcore.pack(dense_batch(np.random.default_rng(4), 16), tokens=False)
-    cfg = DroConfig(method="rpdro", adv_steps_per_model_step=adv_steps)
+    cfg = DroConfig(method="rpdro", adv_steps=adv_steps)
     adversary, _ = dro.initial_state(cfg, spec, batch, num_groups=1, seed=0)
     scorers = []
     original = diffcore._forward_batch

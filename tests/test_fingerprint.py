@@ -30,3 +30,8 @@ def test_the_command_list_has_unique_outputs_and_covers_every_command():
         "gen-data", "train", "attack", "continual", "sweep"}
     committed = json.loads((TOOL.parent / "fingerprint.json").read_text())
     assert set(committed["commands"]) == {*names, "report"}
+
+
+def test_the_commands_reproduce_the_committed_fingerprint(tmp_path):
+    committed = json.loads((TOOL.parent / "fingerprint.json").read_text())
+    assert fingerprint.differences(committed, fingerprint.fingerprint(tmp_path)) == []

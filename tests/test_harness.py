@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shiftlab import advmetrics, cli, continual as cl, dro, harness
+from shiftlab import advmetrics, cli, continual as cl, dro, harness, selection
 from shiftlab.datasets import GroupedDataset, batches, save_csv
 from shiftlab.diffcore import (
     InputShapeError, ModelSpec, Packed, forward_logits_batch, init_params, softmax,
@@ -154,6 +155,27 @@ def test_train_run_raises_when_no_record_survives(mode):
     cfg = {**TINY, "method": "pdro", "selection": mode, "selection.kl_threshold": -1.0}
     with pytest.raises(ValueError, match="no adversary record survived"):
         harness.train_run(cfg, seed=0)
+
+
+def test_greedy_selection_scores_each_checkpoint_with_its_own_adversary(monkeypatch):
+    # the second checkpoint's adversary gives no record, as a pdro adversary
+    # whose validation weights all vanish does
+    real_weights, real_update = dro.adversary_valid_weights, selection.greedy_minmax_update
+    weight_calls, pairs = [], []
+
+    def weights(*args):
+        weight_calls.append(args)
+        return None if len(weight_calls) == 2 else real_weights(*args)
+
+    def update(state, model, model_id, record, *args):
+        pairs.append((model_id, None if record is None else record.id))
+        return real_update(state, model, model_id, record, *args)
+
+    monkeypatch.setattr(dro, "adversary_valid_weights", weights)
+    monkeypatch.setattr(selection, "greedy_minmax_update", update)
+    harness.train_run({**TINY, "data.total_points": 1000, "epochs": 4, "method": "pdro",
+                       "selection": "greedy"}, seed=0)
+    assert pairs == [(0, 1), (1, None), (2, 2), (3, 3)]
 
 
 def test_default_keys_build_the_dataclass_defaults():
@@ -592,9 +614,39 @@ def test_game_settings_that_break_the_game_raise_before_any_output(
         assert not out.exists()
 
 
+SMALL_TEXT = {"data.n": 100, "data.test_n": 50, "epochs": 1}
+SMALL_CL = {"cl.tasks": 2, "cl.points": 40, "cl.fisher_samples": 20}
+
+
+@pytest.mark.parametrize("command, bad, message", [
+    ("train", {**SMALL_TEXT, "dataset": "distractor", "method": "pdro"},
+     "method=pdro needs dense inputs"),
+    ("train", {**SMALL_TEXT, "dataset": "distractor", "model.arch": "linear"},
+     "linear models cannot read this dataset's token-id rows"),
+    ("train", {"dataset": "no_label.csv"}, "no_label.csv: line 1: missing 'label' column"),
+    ("continual", {**SMALL_CL, "cl.batch_size": 0}, "batch_size must be >= 1"),
+    ("continual", {**SMALL_CL, "cl.gamma": 0}, r"gamma must lie in \(0, 1\]"),
+    ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 40},
+     "k must be smaller than the vocabulary size"),
+    ("gen-data", {"dataset": "distractor", "data.n": 0}, "n must be positive"),
+    ("sweep", {**SMALL_TEXT, "dataset": "distractor", "method": "pdro", "sweep.tau": "0.1,0.5"},
+     "method=pdro needs dense inputs"),
+], ids=["train-pdro-tokens", "train-linear-tokens", "train-csv-no-label", "continual-batch0",
+        "continual-gamma0", "attack-knn-k40", "gen-data-n0", "sweep-pdro-tokens"])
+def test_a_command_that_fails_before_writing_leaves_no_directory(
+        tmp_path, capsys, monkeypatch, command, bad, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no_label.csv").write_text("id,f0,f1\n0,1.0,2.0\n")
+    (tmp_path / "cfg").write_text("".join(f"{key} = {value}\n" for key, value in bad.items()))
+    assert cli.main([command, "--config", "cfg", "--out", "out"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and re.match(f"shiftlab: error: {message}", err[0])
+    assert not (tmp_path / "out").exists()
+
+
 def test_rpdro_accepts_tau_zero():
     cfg = harness.dro_config(harness.resolved({"method": "rpdro", "tau": 0}))
-    assert cfg.tau == 0 and cfg.adv_steps_per_model_step == 1
+    assert cfg.tau == 0 and cfg.adv_steps == 1
 
 
 @pytest.mark.parametrize("command, bad", [
