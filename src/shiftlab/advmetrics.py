@@ -165,8 +165,8 @@ def knn_candidates(token_id: int, table: EmbeddingTable, k: int = 10) -> List[in
     n = table.vectors.shape[0]
     if not 0 <= token_id < n:
         raise ValueError("token_id out of range")
-    if k >= n:
-        raise ValueError("k must be smaller than the vocabulary size")
+    if not 1 <= k < n:
+        raise ValueError(f"k must be smaller than the vocabulary size and >= 1, got {k}")
     dists = np.linalg.norm(table.vectors - table.vectors[token_id], axis=1)
     ids = np.arange(n)
     order = np.lexsort((ids, dists))

@@ -172,7 +172,6 @@ class ContinualMetrics:
     """accuracy_matrix[task][checkpoint]; checkpoints follow task order."""
 
     accuracy_matrix: np.ndarray
-    task_order: List[int]
 
 
 def forgetting(metrics: ContinualMetrics, task: int, t: int) -> float:
@@ -302,7 +301,7 @@ def continual_train(
         accuracy_rows.append(accuracy)
 
     matrix = np.array(accuracy_rows).T  # rows = tasks, columns = checkpoints
-    return ContinualMetrics(matrix, list(range(len(tasks))))
+    return ContinualMetrics(matrix)
 
 
 def rotated_gaussian_tasks(

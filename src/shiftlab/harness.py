@@ -1,18 +1,21 @@
 """Experiment orchestration: configs, training runs, sweeps, and file output.
 
-The only module with side effects. Every run is fully determined by
+Writes every output file through a temporary file (_write_atomic), except the
+dataset CSVs, which datasets.save_csv writes in place. Every run is fully determined by
 (config, seed); outputs are a JSON-lines run log, a metrics CSV, a flat
 binary parameter dump with a JSON header, and plot-data CSVs.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import numbers
 import os
 import struct
 from dataclasses import asdict, dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -112,6 +115,10 @@ CHOICES: Dict[str, Tuple[str, ...]] = {
     "attack.constraint": advmetrics.CONSTRAINTS,
 }
 
+# the type a key's value must have, by the type of its default; a bool is no number here
+_KINDS = ((bool, "true or false"), (numbers.Integral, "an integer"),
+          (numbers.Real, "a number"), (str, "a string"))
+
 # the keys (or key prefixes) a sweep cannot vary, and why
 _ONE_DATASET = "every sweep point trains on the first point's datasets"
 _ONE_SELECTION = "the pooled selection scores every point's records under one setting"
@@ -161,15 +168,11 @@ def parse_config(path: str) -> Dict[str, object]:
     out: Dict[str, object] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            if "=" not in stripped:
+            item = line.split("#", 1)[0].strip()
+            if item and "=" not in item:
                 raise ConfigError(f"{path}: line {lineno}: expected key=value")
-            key, value = stripped.split("=", 1)
-            key = key.strip()
-            _check_key(key)
-            out[key] = coerce_value(value)
+            if item:
+                out = apply_overrides(out, [item])
     return out
 
 
@@ -178,8 +181,7 @@ def apply_overrides(config: Dict[str, object], overrides: Sequence[str]) -> Dict
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        key = key.strip()
+        key, value = (part.strip() for part in item.split("=", 1))
         _check_key(key)
         out[key] = coerce_value(value)
     return out
@@ -190,11 +192,16 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
     for key, value in config.items():
         _check_key(key)
         out[key] = value
+    for key, default in DEFAULTS.items():
+        kind, name = next(k for k in _KINDS if isinstance(default, k[0]))
+        if not isinstance(out[key], kind) or isinstance(out[key], bool) != (kind is bool):
+            raise ConfigError(f"{key} must be {name}, got {out[key]!r}")
     for key, legal in CHOICES.items():
         if out[key] not in legal:
             raise ConfigError(f"unknown {key}: {out[key]!r} (legal: {' | '.join(legal)})")
-    if out["checkpoint_every"] < 0:
-        raise ConfigError(f"checkpoint_every must be >= 0, got {out['checkpoint_every']}")
+    for key, low in (("checkpoint_every", 0), ("epochs", 1)):
+        if out[key] < low:
+            raise ConfigError(f"{key} must be >= {low}, got {out[key]}")
     return out
 
 
@@ -379,12 +386,7 @@ def save_model_bin(model: ModelState, path: str) -> None:
         "param_count": int(model.num_params),
     }
     blob = json.dumps(header).encode("utf-8")
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(model.params.astype("<f8").tobytes())
-    os.replace(tmp, path)
+    _write_atomic(path, struct.pack("<I", len(blob)) + blob + model.params.astype("<f8").tobytes())
 
 
 def load_model_bin(path: str) -> ModelState:
@@ -405,21 +407,22 @@ def load_model_bin(path: str) -> ModelState:
     return model
 
 
-def _write_jsonl(rows: Sequence[dict], path: str) -> None:
+def _write_atomic(path: str, data: Union[str, bytes]) -> None:
+    """Write str (as UTF-8) or bytes to path + '.tmp', then move it over path."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    with open(tmp, "wb") as fh:
+        fh.write(data.encode("utf-8") if isinstance(data, str) else data)
     os.replace(tmp, path)
+
+
+def _write_jsonl(rows: Sequence[dict], path: str) -> None:
+    _write_atomic(path, "".join(json.dumps(row) + "\n" for row in rows))
 
 
 def _write_csv(header: Sequence[str], rows: Sequence[Sequence[object]], path: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    _write_atomic(path, text.getvalue())
 
 
 def _metrics_rows(name: str, metrics: GroupMetrics) -> List[List[object]]:
@@ -447,8 +450,7 @@ def cmd_gen_data(cfg: Dict[str, object], seed: int, out_dir: str) -> None:
     for name, ds in (("train", train), ("valid", valid), ("test", test)):
         save_csv(ds, _out(out_dir, f"{name}.csv"))
     manifest = {"seed": seed, "config": {k: cfg[k] for k in sorted(cfg) if k.startswith("data") or k == "dataset"}}
-    with open(_out(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, default=str)
+    _write_atomic(_out(out_dir, "manifest.json"), json.dumps(manifest, indent=2, default=str))
 
 
 def cmd_train(cfg: Dict[str, object], seed: int, out_dir: str) -> TrainResult:
@@ -499,22 +501,25 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     """Attack an embedding-bag classifier with first-order substitutions on
     the first attack.n rows of the test split, all rows at once."""
     cfg = resolved(cfg)
-    n, steps = cfg["attack.n"], cfg["attack.steps"]
+    n, steps, k = cfg["attack.n"], cfg["attack.steps"], cfg["attack.k"]
     if not 1 <= n <= cfg["data.test_n"]:
         raise ConfigError(f"attack.n must lie in [1, data.test_n={cfg['data.test_n']}], got {n}")
     if steps < 1:
         raise ConfigError(f"attack.steps must be >= 1, got {steps}")
+    if model is not None and model.spec.architecture != "embed_bag":
+        raise UnsupportedArchitectureError("attack requires an embed_bag model")
+    vocab = cfg["data.vocab_size"] if model is None else model.spec.vocab_size
+    if cfg["attack.constraint"] == "knn" and not 1 <= k < vocab:
+        raise ConfigError(f"k must be smaller than the vocabulary size and >= 1, got attack.k={k}")
     if model is None:
         model = train_run({**cfg, "dataset": "distractor", "model.arch": "embed_bag"}, seed).model
-    if model.spec.architecture != "embed_bag":
-        raise UnsupportedArchitectureError("attack requires an embed_bag model")
     test = _generated_split({**cfg, "dataset": "distractor"}, seed, 2)
     names = [f"tok{i}" for i in range(model.spec.vocab_size)]
     table = advmetrics.EmbeddingTable(model.slot("embedding.weight"), names)
 
     rows = test.packed("embed_bag").take(np.arange(n))
     adv = advmetrics.attack_rows(model, rows, table, cfg["attack.constraint"],
-                                 cfg["attack.sign_normalize"], cfg["attack.k"], steps)
+                                 cfg["attack.sign_normalize"], k, steps)
     bounds = list(zip(rows.offsets[:-1].tolist(), rows.offsets[1:].tolist()))
     src_words, adv_words = (np.array(names, dtype=object)[r.tokens].tolist() for r in (rows, adv))
     s_src = advmetrics.chrf_batch([" ".join(src_words[a:b]) for a, b in bounds],
@@ -528,8 +533,7 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
         report.append({"id": i, "s_src": src, "s_base": base, "s_adv": after,
                        "d_tgt": d, "success": advmetrics.success(src, d)})
     header = ["id", "s_src", "s_base", "s_adv", "d_tgt", "success"]
-    _write_csv(header, [[r[k] for k in header] for r in report],
-               _out(out_dir, "metrics.csv"))
+    _write_csv(header, [[r[k] for k in header] for r in report], _out(out_dir, "metrics.csv"))
     means = {k: float(np.mean([r[k] for r in report])) for k in header[1:]}
     _write_jsonl(report + [{"final": True, **means}], _out(out_dir, "run.jsonl"))
     return report
@@ -555,34 +559,30 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
                           "methods; the pooled selection needs one loss, so set it")
     for point in points:
         dro_config(point)  # reject a bad point before any point trains
-    results = []
-    failures = []
     shared = build_datasets(points[0], seed)
+    swept = [k[len("sweep."):] for k in cfg if k.startswith("sweep.")]
+    runs, failures = {}, []  # runs: point index -> TrainResult of each point that trained
     for i, point in enumerate(points):
         try:
-            results.append((i, point, train_run(point, seed, datasets=shared)))
+            runs[i] = train_run(point, seed, datasets=shared)
         except DivergenceError as err:
             failures.append({"point": i, "error": str(err)})
-    if results:
-        runs = [(r.checkpoints, r.records) for _, _, r in results]
-        best_run, best_ckpt, _ = selection.hyperparam_select(
-            runs, shared[1], points[0]["selection.kl_threshold"], selection_loss(points[0])
-        )
-    else:
-        best_run, best_ckpt = -1, -1
-    ranked = sorted(results, key=lambda item: -item[2].test_metrics.robust_accuracy)
-    rows = []
-    report = []
-    for i, point, result in ranked:
-        swept = {k[len("sweep."):]: point[k[len("sweep."):]] for k in cfg if k.startswith("sweep.")}
-        rows.append([i, json.dumps(swept), result.test_metrics.robust_accuracy,
-                     result.test_metrics.average_accuracy, i == best_run])
-        report.append({"point": i, "params": swept,
-                       "robust_acc": result.test_metrics.robust_accuracy,
-                       "average_acc": result.test_metrics.average_accuracy,
-                       "selected": i == best_run, "chosen_checkpoint": best_ckpt if i == best_run else None})
+    records = {i: {"point": i, "params": {k: points[i][k] for k in swept},
+                   "robust_acc": r.test_metrics.robust_accuracy,
+                   "average_acc": r.test_metrics.average_accuracy,
+                   "selected": False, "chosen_checkpoint": None} for i, r in runs.items()}
+    if runs:
+        run, ckpt, model = selection.hyperparam_select(
+            [(r.checkpoints, r.records) for r in runs.values()], shared[1],
+            points[0]["selection.kl_threshold"], selection_loss(points[0]))
+        test = group_metrics(model, shared[2])  # the chosen checkpoint's, not its run's choice
+        records[list(runs)[run]].update(  # run counts only the points that trained
+            robust_acc=test.robust_accuracy, average_acc=test.average_accuracy,
+            selected=True, chosen_checkpoint=ckpt)
+    report = sorted(records.values(), key=lambda r: -r["robust_acc"])
     _write_csv(["point", "params", "test_robust_acc", "test_average_acc", "selected"],
-               rows, _out(out_dir, "metrics.csv"))
+               [[r["point"], json.dumps(r["params"]), r["robust_acc"], r["average_acc"], r["selected"]]
+                for r in report], _out(out_dir, "metrics.csv"))
     _write_jsonl(report + [{"failures": failures}], _out(out_dir, "run.jsonl"))
     return report
 

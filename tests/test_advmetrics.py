@@ -76,8 +76,9 @@ def test_knn_candidates_hand_case():
     assert knn_candidates(1, table, k=2) == [0, 2]  # tie at distance 1 -> lower id
     with pytest.raises(ValueError):
         knn_candidates(5, table, k=1)
-    with pytest.raises(ValueError):
-        knn_candidates(0, table, k=4)
+    for k in (4, 0, -1):
+        with pytest.raises(ValueError, match="k must be smaller than the vocabulary size and >= 1"):
+            knn_candidates(0, table, k=k)
 
 
 def naive_substitution(grads, current_ids, table, candidates_for, sign_normalize=False):

@@ -170,7 +170,7 @@ def test_forgetting_metrics_on_hand_matrix():
             [0.1, 0.2, 0.9],
         ]
     )
-    metrics = ContinualMetrics(matrix, [0, 1, 2])
+    metrics = ContinualMetrics(matrix)
     assert forgetting(metrics, task=0, t=2) == pytest.approx(0.4)
     assert forgetting(metrics, task=1, t=2) == pytest.approx(0.1)
     assert average_forgetting(metrics) == pytest.approx(0.25)
@@ -226,7 +226,6 @@ def test_continual_train_matrix_shape(method):
     metrics = continual_train(tasks, method, config)
     assert metrics.accuracy_matrix.shape == (3, 3)
     assert np.all(metrics.accuracy_matrix >= 0) and np.all(metrics.accuracy_matrix <= 1)
-    assert metrics.task_order == [0, 1, 2]
 
 
 def test_continual_train_requires_tasks():

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab import advmetrics, cli, continual as cl, dro, harness, selection
-from shiftlab.datasets import GroupedDataset, batches, save_csv
+from shiftlab.datasets import GroupedDataset, batches, group_metrics, save_csv
 from shiftlab.diffcore import (
     InputShapeError, ModelSpec, Packed, forward_logits_batch, init_params, softmax,
 )
@@ -422,6 +423,64 @@ def test_cmd_sweep_selects_a_point(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+def _metrics_csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_a_diverged_sweep_point_does_not_move_the_selected_flag(tmp_path):
+    # point 0 diverges, so the pooled choice's run index counts points 1 and 2 only
+    cfg = {"data.total_points": 600, "epochs": 2}
+    report = harness.cmd_sweep({**cfg, "sweep.lr": "inf,0.1,0.05"}, 0, str(tmp_path / "s"))
+    shared = harness.build_datasets(harness.resolved(cfg), 0)
+    runs = [harness.train_run({**cfg, "lr": lr}, 0, datasets=shared) for lr in (0.1, 0.05)]
+    run, ckpt, _ = selection.hyperparam_select([(r.checkpoints, r.records) for r in runs], shared[1])
+    assert [(r["point"], r["chosen_checkpoint"]) for r in report if r["selected"]] == [(run + 1, ckpt)]
+    rows = _metrics_csv_rows(tmp_path / "s" / "metrics.csv")
+    assert [row["point"] for row in rows if row["selected"] == "True"] == [str(run + 1)]
+    assert [row["point"] for row in rows] == [str(r["point"]) for r in report]
+
+
+def test_the_selected_sweep_row_reports_the_chosen_checkpoints_test_accuracy(tmp_path, monkeypatch):
+    cfg = {"data.total_points": 2000, "epochs": 6, "method": "pdro", "data.sigma": 0.8,
+           "adv_sigma_scale": 0.4}
+    results, train_run = [], harness.train_run
+
+    def kept_run(*args, **kwargs):
+        results.append(train_run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(harness, "train_run", kept_run)
+    report = harness.cmd_sweep({**cfg, "sweep.adv_lr": "0.05,0.5,2.0"}, 0, str(tmp_path / "s"))
+    (row,) = [r for r in report if r["selected"]]
+    chosen = results[row["point"]]
+    # the pooled choice is not the checkpoint this point's own run chose
+    assert row["chosen_checkpoint"] != chosen.chosen_index
+    test = harness.build_datasets(harness.resolved(cfg), 0)[2]
+    want = group_metrics(chosen.checkpoints[row["chosen_checkpoint"]], test)
+    assert (row["robust_acc"], row["average_acc"]) == (want.robust_accuracy, want.average_accuracy)
+    (csv_row,) = [r for r in _metrics_csv_rows(tmp_path / "s" / "metrics.csv") if r["selected"] == "True"]
+    assert float(csv_row["test_robust_acc"]) == want.robust_accuracy
+    assert [r["robust_acc"] for r in report] == sorted((r["robust_acc"] for r in report), reverse=True)
+
+
+def test_every_harness_output_is_moved_into_place_from_a_temporary_file(tmp_path, monkeypatch):
+    moved, replace = [], os.replace
+
+    def recorded_replace(src, dst):
+        moved.append((src, dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recorded_replace)
+    harness.cmd_gen_data(TINY, 0, str(tmp_path / "gen"))
+    harness.cmd_train(TINY, 0, str(tmp_path / "train"))
+    written = {str(p) for p in tmp_path.rglob("*") if p.is_file()}
+    datasets = {str(tmp_path / "gen" / f"{split}.csv") for split in ("train", "valid", "test")}
+    assert [src for src, dst in moved] == [dst + ".tmp" for src, dst in moved]
+    assert sorted(dst for _, dst in moved) == sorted(written - datasets)
+
+
 def test_cmd_report_ranks_runs(tmp_path):
     runs = []
     for seed in (0, 1):
@@ -627,14 +686,36 @@ SMALL_CL = {"cl.tasks": 2, "cl.points": 40, "cl.fisher_samples": 20}
     ("continual", {**SMALL_CL, "cl.batch_size": 0}, "batch_size must be >= 1"),
     ("continual", {**SMALL_CL, "cl.gamma": 0}, r"gamma must lie in \(0, 1\]"),
     ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 40},
-     "k must be smaller than the vocabulary size"),
+     "k must be smaller than the vocabulary size and >= 1, got attack.k=40"),
+    ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": -1},
+     "k must be smaller than the vocabulary size and >= 1, got attack.k=-1"),
+    ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 0},
+     "k must be smaller than the vocabulary size and >= 1, got attack.k=0"),
     ("gen-data", {"dataset": "distractor", "data.n": 0}, "n must be positive"),
     ("sweep", {**SMALL_TEXT, "dataset": "distractor", "method": "pdro", "sweep.tau": "0.1,0.5"},
      "method=pdro needs dense inputs"),
+    ("train", {"lr": "fast"}, "lr must be a number, got 'fast'"),
+    ("train", {"lr": "true"}, "lr must be a number, got True"),
+    ("train", {"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+    ("train", {"data.total_points": "x"}, "data.total_points must be an integer, got 'x'"),
+    ("attack", {"attack.n": "x"}, "attack.n must be an integer, got 'x'"),
+    ("attack", {"attack.sign_normalize": 1}, "attack.sign_normalize must be true or false, got 1"),
+    ("continual", {"cl.lr": "x"}, "cl.lr must be a number, got 'x'"),
+    ("train", {"epochs": 0, "selection": "last"}, "epochs must be >= 1, got 0"),
+    ("train", {"epochs": 0, "selection": "greedy"}, "epochs must be >= 1, got 0"),
+    ("train", {"epochs": 0, "selection": "minmax"}, "epochs must be >= 1, got 0"),
+    ("sweep", {"sweep.epochs": "2,0"}, "epochs must be >= 1, got 0"),
 ], ids=["train-pdro-tokens", "train-linear-tokens", "train-csv-no-label", "continual-batch0",
-        "continual-gamma0", "attack-knn-k40", "gen-data-n0", "sweep-pdro-tokens"])
+        "continual-gamma0", "attack-knn-k40", "attack-knn-k-neg", "attack-knn-k0", "gen-data-n0",
+        "sweep-pdro-tokens", "train-lr-text", "train-lr-bool", "train-epochs-float",
+        "train-points-text", "attack-n-text", "attack-sign-int", "continual-lr-text",
+        "train-epochs0-last", "train-epochs0-greedy", "train-epochs0-minmax", "sweep-epochs0"])
 def test_a_command_that_fails_before_writing_leaves_no_directory(
         tmp_path, capsys, monkeypatch, command, bad, message):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no_label.csv").write_text("id,f0,f1\n0,1.0,2.0\n")
     (tmp_path / "cfg").write_text("".join(f"{key} = {value}\n" for key, value in bad.items()))
