@@ -7,7 +7,6 @@ rows of a split at once; the one-example functions are one-row calls into them.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
@@ -53,7 +52,7 @@ class EmbeddingTable:
 
 
 def _normalize_ws(text: str) -> str:
-    return re.sub(r"\s+", " ", text.strip())
+    return " ".join(text.split())
 
 
 def chrf(reference: str, hypothesis: str, max_n: int = 6, beta: float = 2.0) -> float:

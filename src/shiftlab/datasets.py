@@ -282,10 +282,13 @@ def group_metrics(model: ModelState, dataset: GroupedDataset) -> GroupMetrics:
     if len(dataset) == 0:
         raise ValueError("group_metrics requires a non-empty dataset")
     packed = dataset.packed(model.spec.architecture)
-    errors = zero_one_loss_batch(model, packed)
-    g = dataset.num_groups
-    counts = np.bincount(packed.groups, minlength=g)
-    correct = np.bincount(packed.groups, weights=1.0 - errors, minlength=g)
+    return metrics_from_errors(zero_one_loss_batch(model, packed), packed.groups, dataset.num_groups)
+
+
+def metrics_from_errors(errors: np.ndarray, groups: np.ndarray, num_groups: int) -> GroupMetrics:
+    """group_metrics of a 0-1 loss row whose examples belong to `groups`."""
+    counts = np.bincount(groups, minlength=num_groups)
+    correct = np.bincount(groups, weights=1.0 - errors, minlength=num_groups)
     with np.errstate(invalid="ignore"):
         per_group = np.where(counts > 0, correct / np.maximum(counts, 1), np.nan)
     robust = float(np.min(per_group[counts > 0]))

@@ -317,11 +317,22 @@ def nll_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
     return nll_forward(model, batch)[0]
 
 
+def _misclassified(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    # np.argmax breaks ties toward the lowest class index
+    return (logits.argmax(axis=-1) != labels).astype(float)
+
+
 def zero_one_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
     batch = _packed(model, batch)
     logits, _ = _forward_batch(model, batch)
-    # np.argmax breaks ties toward the lowest class index
-    return (logits.argmax(axis=-1) != batch.labels).astype(float)
+    return _misclassified(logits, batch.labels)
+
+
+def logit_losses(logits: np.ndarray, labels: np.ndarray) -> Dict[str, np.ndarray]:
+    """Both per-example loss rows of one forward's logits, by loss kind: "nll"
+    as nll_forward computes it and "zero_one" as zero_one_loss_batch does."""
+    rows = batch_constants(len(labels))[0]
+    return {"nll": -_log_softmax(logits)[rows, labels], "zero_one": _misclassified(logits, labels)}
 
 
 def grad_params(model: ModelState, batch: Batch, weights: np.ndarray) -> np.ndarray:

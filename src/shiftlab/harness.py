@@ -32,6 +32,7 @@ from .datasets import (
     group_metrics,
     inject_label_noise,
     load_csv,
+    metrics_from_errors,
     save_csv,
 )
 from .diffcore import (
@@ -42,7 +43,7 @@ from .diffcore import (
     UnsupportedArchitectureError,
     forward_logits_batch,
     init_params,
-    nll_loss_batch,
+    logit_losses,
     softmax,
 )
 
@@ -199,7 +200,8 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
     for key, legal in CHOICES.items():
         if out[key] not in legal:
             raise ConfigError(f"unknown {key}: {out[key]!r} (legal: {' | '.join(legal)})")
-    for key, low in (("checkpoint_every", 0), ("epochs", 1)):
+    for key, low in (("checkpoint_every", 0), ("epochs", 1), ("cl.epochs", 1),
+                     ("cl.batch_size", 1), ("cl.fisher_samples", 1)):
         if out[key] < low:
             raise ConfigError(f"{key} must be >= {low}, got {out[key]}")
     return out
@@ -269,6 +271,7 @@ class TrainResult:
     chosen_index: int
     valid_metrics: GroupMetrics
     test_metrics: GroupMetrics
+    valid_losses: List[np.ndarray]  # each checkpoint's validation loss row of selection_loss
     log_rows: List[dict] = field(default_factory=list)
 
 
@@ -306,9 +309,12 @@ def train_run(cfg: Dict[str, object], seed: int,
         raise ConfigError("method=pdro needs dense inputs: its Gaussian adversary has no token form")
     adversary, normalizer = dro.initial_state(dro_cfg, spec, packed_train, train.num_groups, seed)
 
+    loss_kind = selection_loss(cfg)
     checkpoints: List[ModelState] = []
     records: List[selection.AdversaryRecord] = [selection.identity_record(len(valid))]
     own_records: List[Optional[selection.AdversaryRecord]] = []  # one per checkpoint, or None
+    valid_losses: List[np.ndarray] = []  # one per checkpoint, of loss_kind
+    valid_metrics: List[GroupMetrics] = []  # one per checkpoint
     log_rows: List[dict] = []
 
     def take_checkpoint(step: int) -> None:
@@ -318,8 +324,13 @@ def train_run(cfg: Dict[str, object], seed: int,
         if record is not None:
             records.append(record)
         own_records.append(record)
-        vm = group_metrics(model, valid)
-        mean_valid_loss = float(nll_loss_batch(model, packed_valid).mean())
+        # the one validation forward of this checkpoint: selection scores its
+        # cached row, and the chosen checkpoint reports its cached metrics
+        losses = logit_losses(forward_logits_batch(checkpoints[-1], packed_valid), packed_valid.labels)
+        vm = metrics_from_errors(losses["zero_one"], packed_valid.groups, valid.num_groups)
+        valid_losses.append(losses[loss_kind])
+        valid_metrics.append(vm)
+        mean_valid_loss = float(losses["nll"].mean())
         if not math.isfinite(mean_valid_loss):
             raise DivergenceError(f"non-finite validation loss at step {step}")
         log_rows.append({
@@ -350,26 +361,25 @@ def train_run(cfg: Dict[str, object], seed: int,
     if every > 0 and step % every != 0:
         take_checkpoint(step)
 
-    loss_kind = selection_loss(cfg)
     if cfg["selection"] == "last":
         chosen = len(checkpoints) - 1
     elif cfg["selection"] == "greedy":
         state = selection.SelectionState(records=[records[0]])
-        for i, (ckpt, rec) in enumerate(zip(checkpoints, own_records)):
+        for i, (ckpt, rec, row) in enumerate(zip(checkpoints, own_records, valid_losses)):
             state = selection.greedy_minmax_update(
                 state, ckpt, i, rec, valid,
-                cfg["selection.kl_threshold"], loss_kind,
+                cfg["selection.kl_threshold"], loss_kind, row,
             )
         chosen = state.best_model_id
     else:
         chosen, _ = selection.minmax_select(
-            checkpoints, records, valid, cfg["selection.kl_threshold"], loss_kind
+            checkpoints, records, valid, cfg["selection.kl_threshold"], loss_kind, valid_losses
         )
     best = checkpoints[chosen]
     return TrainResult(
         model=best, checkpoints=checkpoints, records=records, chosen_index=chosen,
-        valid_metrics=group_metrics(best, valid),
-        test_metrics=group_metrics(best, test), log_rows=log_rows,
+        valid_metrics=valid_metrics[chosen], test_metrics=group_metrics(best, test),
+        valid_losses=valid_losses, log_rows=log_rows,
     )
 
 
@@ -574,7 +584,8 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
     if runs:
         run, ckpt, model = selection.hyperparam_select(
             [(r.checkpoints, r.records) for r in runs.values()], shared[1],
-            points[0]["selection.kl_threshold"], selection_loss(points[0]))
+            points[0]["selection.kl_threshold"], selection_loss(points[0]),
+            [r.valid_losses for r in runs.values()])
         test = group_metrics(model, shared[2])  # the chosen checkpoint's, not its run's choice
         records[list(runs)[run]].update(  # run counts only the points that trained
             robust_acc=test.robust_accuracy, average_acc=test.average_accuracy,
@@ -588,7 +599,9 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
 
 
 def cmd_report(run_dirs: Sequence[str], out_dir: str) -> List[dict]:
-    """Join the metrics of several runs into one ranked table."""
+    """Join the test metrics of several train runs into one ranked table. A
+    directory without metrics.csv is skipped; one whose metrics.csv has no
+    test row (a sweep or continual run) raises ConfigError."""
     summary = []
     for run in run_dirs:
         path = os.path.join(run, "metrics.csv")
@@ -600,6 +613,8 @@ def cmd_report(run_dirs: Sequence[str], out_dir: str) -> List[dict]:
         for row in entries[1:]:
             if len(row) == 3 and row[0] == "test":
                 record[row[1]] = float(row[2]) if row[2] else math.nan
+        if len(record) == 1:
+            raise ConfigError(f"{path} has no test,<metric>,<value> row: report reads train runs only")
         summary.append(record)
     summary.sort(key=lambda r: -r.get("robust_accuracy", 0.0))
     header = ["run", "robust_accuracy", "average_accuracy"]

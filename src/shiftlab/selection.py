@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .datasets import GroupedDataset
-from .diffcore import ModelState, nll_loss_batch, zero_one_loss_batch
+from .diffcore import ModelState, forward_logits_batch, logit_losses
 
 KL_THRESHOLD_DEFAULT = math.log(10.0)
 LOSS_KINDS = ("nll", "zero_one")
@@ -69,11 +69,11 @@ def adversary_valid_kl(weights: np.ndarray) -> float:
 
 
 def _valid_losses(model: ModelState, valid: GroupedDataset, loss_kind: str) -> np.ndarray:
-    if loss_kind == "nll":
-        return nll_loss_batch(model, valid.packed(model.spec.architecture))
-    if loss_kind == "zero_one":
-        return zero_one_loss_batch(model, valid.packed(model.spec.architecture))
-    raise ValueError(f"unknown loss_kind: {loss_kind!r}")
+    """One checkpoint's validation loss row of loss_kind, from one forward."""
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss_kind: {loss_kind!r}")
+    packed = valid.packed(model.spec.architecture)
+    return logit_losses(forward_logits_batch(model, packed), packed.labels)[loss_kind]
 
 
 def surviving_records(
@@ -97,15 +97,19 @@ def minmax_select(
     valid: GroupedDataset,
     kl_threshold: float = KL_THRESHOLD_DEFAULT,
     loss_kind: str = "nll",
+    losses: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[int, ModelState]:
     """Checkpoint minimizing the worst weighted validation loss.
 
     Records above the KL threshold are dropped first; the identity record
-    guarantees a survivor. Returns (checkpoint index, model).
+    guarantees a survivor. `losses`, when given, holds each checkpoint's
+    validation loss row of loss_kind and spares its forward. Returns
+    (checkpoint index, model).
     """
     if not checkpoints:
         raise ValueError("at least one checkpoint required")
-    _, best_idx, model = hyperparam_select([(checkpoints, records)], valid, kl_threshold, loss_kind)
+    _, best_idx, model = hyperparam_select([(checkpoints, records)], valid, kl_threshold, loss_kind,
+                                           None if losses is None else [losses])
     return best_idx, model
 
 
@@ -117,6 +121,7 @@ class SelectionState:
     best_model_id: int = -1
     best_model_snapshot: Optional[ModelState] = None
     best_value: float = math.inf
+    best_losses: Optional[np.ndarray] = None  # the incumbent's validation loss row
 
 
 def greedy_minmax_update(
@@ -127,13 +132,16 @@ def greedy_minmax_update(
     valid: GroupedDataset,
     kl_threshold: float = KL_THRESHOLD_DEFAULT,
     loss_kind: str = "nll",
+    new_losses: Optional[np.ndarray] = None,
 ) -> SelectionState:
     """Fold one checkpoint into the greedy criterion.
 
     Appends the new adversary record, then keeps the new model only if its
     worst weighted loss over all surviving records improves strictly on the
-    stored best. Only the candidate and the incumbent exist at once. Raises
-    ValueError when no record survives the KL filter.
+    stored best. Only the candidate and the incumbent exist at once. The new
+    model's validation loss row is `new_losses` when given, else one forward;
+    the incumbent's is kept in the state. Raises ValueError when no record
+    survives the KL filter.
     """
     records = list(state.records)
     if new_record is not None:
@@ -141,19 +149,19 @@ def greedy_minmax_update(
     kept = surviving_records(records, kl_threshold)
     if not kept:
         raise ValueError("no adversary record survived the KL filter")
-    losses = _valid_losses(new_model, valid, loss_kind)
+    losses = _valid_losses(new_model, valid, loss_kind) if new_losses is None else new_losses
     value = robust_valid_loss(losses, kept)
     out = SelectionState(
-        records, state.best_model_id, state.best_model_snapshot, state.best_value
+        records, state.best_model_id, state.best_model_snapshot, state.best_value, state.best_losses
     )
     # re-score the incumbent too: new records can raise its worst case
     if out.best_model_snapshot is not None and new_record is not None:
-        inc_losses = _valid_losses(out.best_model_snapshot, valid, loss_kind)
-        out.best_value = robust_valid_loss(inc_losses, kept)
+        out.best_value = robust_valid_loss(out.best_losses, kept)
     if out.best_model_snapshot is None or value < out.best_value:
         out.best_model_id = new_model_id
         out.best_model_snapshot = new_model.copy()
         out.best_value = value
+        out.best_losses = losses
     return out
 
 
@@ -162,12 +170,15 @@ def hyperparam_select(
     valid: GroupedDataset,
     kl_threshold: float = KL_THRESHOLD_DEFAULT,
     loss_kind: str = "nll",
+    losses: Optional[Sequence[Sequence[np.ndarray]]] = None,
 ) -> Tuple[int, int, ModelState]:
     """Pick the best (run, checkpoint) against the pooled adversary records.
 
     All runs' surviving records form one pool; every checkpoint of every run
-    is scored against that pool. Returns (run index, checkpoint index, model).
-    With a single run this reduces to minmax_select.
+    is scored against that pool, by its validation loss row of loss_kind:
+    losses[run][checkpoint] when `losses` is given, else one forward each.
+    Returns (run index, checkpoint index, model). With a single run this
+    reduces to minmax_select.
     """
     if not runs:
         raise ValueError("at least one run required")
@@ -178,9 +189,10 @@ def hyperparam_select(
         raise ValueError("no adversary record survived the KL filter")
     best = None
     for run_idx, (checkpoints, _) in enumerate(runs):
-        for ckpt_idx, model in enumerate(checkpoints):
-            losses = _valid_losses(model, valid, loss_kind)
-            value = robust_valid_loss(losses, pooled)
+        rows = losses[run_idx] if losses is not None else (
+            _valid_losses(model, valid, loss_kind) for model in checkpoints)
+        for ckpt_idx, (model, row) in enumerate(zip(checkpoints, rows, strict=True)):
+            value = robust_valid_loss(row, pooled)
             if best is None or value < best[0]:
                 best = (value, run_idx, ckpt_idx, model)
     return best[1], best[2], best[3]

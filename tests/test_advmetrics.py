@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from shiftlab.advmetrics import (
     EmbeddingTable,
     NoCandidateError,
+    _normalize_ws,
     attack_example,
     attack_rows,
     chrf,
@@ -234,6 +235,34 @@ def test_chrf_batch_equals_counter_chrf(pairs, max_n, beta):
     assert [chrf(r, h, max_n, beta) for r, h in pairs] == want
     with pytest.raises(ValueError):
         chrf_batch(refs, hyps, max_n=0)
+
+
+# every code point str.split and str.strip treat as whitespace
+SPACES = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def regex_normalize_ws(text):
+    return re.sub(r"\s+", " ", text.strip())
+
+
+def test_normalize_ws_matches_the_regex_on_every_whitespace_code_point():
+    assert len(SPACES) == 29
+    for c in SPACES:
+        for text in (c, f"a{c}b", f"{c}a{c}{c}b{c}", c * 3):
+            assert _normalize_ws(text) == regex_normalize_ws(text)
+    mixed = "".join(SPACES)
+    text = f"{mixed}x{mixed[::-1]}y{mixed[5:9]}z{mixed}"
+    assert _normalize_ws(text) == regex_normalize_ws(text) == "x y z"
+    # every code point in one string: no other character counts as whitespace
+    every = "".join(map(chr, range(0x110000)))
+    assert _normalize_ws(every) == regex_normalize_ws(every)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from(SPACES) | st.sampled_from("ab\u200b\ufeff") | st.characters(),
+               max_size=40))
+def test_normalize_ws_matches_the_regex_on_mixed_text(text):
+    assert _normalize_ws(text) == regex_normalize_ws(text)
 
 
 def test_chrf_batch_across_blocks_and_wide_alphabets():

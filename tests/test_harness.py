@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from shiftlab import advmetrics, cli, continual as cl, dro, harness, selection
+from shiftlab import advmetrics, cli, continual as cl, diffcore, dro, harness, selection
 from shiftlab.datasets import GroupedDataset, batches, group_metrics, save_csv
 from shiftlab.diffcore import (
     InputShapeError, ModelSpec, Packed, forward_logits_batch, init_params, softmax,
@@ -143,6 +143,53 @@ def test_train_run_records_adversaries():
     result = harness.train_run({**TINY, "method": "rpdro", "adv_lr": 1.0}, seed=1)
     assert len(result.records) == 3  # identity + one per epoch checkpoint
     assert result.records[0].kl_estimate == 0.0
+
+
+def _forward_spy(monkeypatch):
+    """The batch of every diffcore._forward_batch call, in call order."""
+    batches_seen, forward = [], diffcore._forward_batch
+
+    def spy(model, batch):
+        batches_seen.append(batch)
+        return forward(model, batch)
+
+    monkeypatch.setattr(diffcore, "_forward_batch", spy)
+    return batches_seen
+
+
+@pytest.mark.parametrize("mode", ["minmax", "greedy", "last"])
+def test_train_run_forwards_validation_once_per_checkpoint(monkeypatch, mode):
+    cfg = {**TINY, "method": "pdro", "selection": mode, "checkpoint_every": 3}
+    datasets = harness.build_datasets(harness.resolved(cfg), 0)
+    valid, test = datasets[1].rows, datasets[2].rows
+    seen = _forward_spy(monkeypatch)
+    result = harness.train_run(cfg, 0, datasets=datasets)
+    assert len(result.checkpoints) == len(result.valid_losses) == 7
+    assert sum(batch is valid for batch in seen) == len(result.checkpoints)
+    assert sum(batch is test for batch in seen) == 1
+    # the chosen checkpoint's cached metrics are those a fresh forward gives
+    want = group_metrics(result.model, datasets[1])
+    got = result.valid_metrics
+    assert got.robust_accuracy == want.robust_accuracy
+    assert got.average_accuracy == want.average_accuracy
+    assert np.array_equal(got.per_group_accuracy, want.per_group_accuracy, equal_nan=True)
+    assert np.array_equal(got.group_counts, want.group_counts)
+
+
+def test_cmd_sweep_makes_no_validation_forward_for_the_pooled_choice(tmp_path, monkeypatch):
+    built, build = [], harness.build_datasets
+
+    def kept_build(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_datasets", kept_build)
+    seen = _forward_spy(monkeypatch)
+    harness.cmd_sweep({**TINY, "method": "pdro", "sweep.tau": "0.1,0.5"}, 0, str(tmp_path / "s"))
+    (shared,) = built
+    # two points of two checkpoints each; a test forward per point and one for the choice
+    assert sum(batch is shared[1].rows for batch in seen) == 4
+    assert sum(batch is shared[2].rows for batch in seen) == 3
 
 
 def test_train_run_rejects_unknown_method():
@@ -494,6 +541,23 @@ def test_cmd_report_ranks_runs(tmp_path):
     assert (tmp_path / "rep" / "report.csv").exists()
 
 
+@pytest.mark.parametrize("kind", ["sweep", "continual"])
+def test_report_over_a_run_without_test_rows_fails_before_writing(tmp_path, capsys, kind):
+    train_dir, other = tmp_path / "train", tmp_path / kind
+    harness.cmd_train({**TINY, "method": "erm"}, 0, str(train_dir))
+    if kind == "sweep":
+        harness.cmd_sweep({**TINY, "sweep.lr": "0.1,0.05"}, 0, str(other))
+    else:
+        harness.cmd_continual(SMALL_CL, 0, str(other))
+    rep = tmp_path / "rep"
+    argv = ["report", "--runs", str(train_dir), str(other), str(tmp_path / "missing"), "--out", str(rep)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"shiftlab: error: {other / 'metrics.csv'} has no test,<metric>,<value> row: "
+                   "report reads train runs only"]
+    assert not rep.exists()
+
+
 def test_cli_train_and_report(tmp_path):
     cfg_path = tmp_path / "cfg"
     cfg_path.write_text(
@@ -683,7 +747,11 @@ SMALL_CL = {"cl.tasks": 2, "cl.points": 40, "cl.fisher_samples": 20}
     ("train", {**SMALL_TEXT, "dataset": "distractor", "model.arch": "linear"},
      "linear models cannot read this dataset's token-id rows"),
     ("train", {"dataset": "no_label.csv"}, "no_label.csv: line 1: missing 'label' column"),
-    ("continual", {**SMALL_CL, "cl.batch_size": 0}, "batch_size must be >= 1"),
+    ("continual", {**SMALL_CL, "cl.batch_size": 0}, "cl.batch_size must be >= 1, got 0"),
+    ("continual", {**SMALL_CL, "cl.epochs": 0}, "cl.epochs must be >= 1, got 0"),
+    ("continual", {**SMALL_CL, "cl.fisher_samples": 0}, "cl.fisher_samples must be >= 1, got 0"),
+    ("continual", {**SMALL_CL, "cl.method": "conatural", "cl.fisher_samples": -2},
+     "cl.fisher_samples must be >= 1, got -2"),
     ("continual", {**SMALL_CL, "cl.gamma": 0}, r"gamma must lie in \(0, 1\]"),
     ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 40},
      "k must be smaller than the vocabulary size and >= 1, got attack.k=40"),
@@ -706,8 +774,8 @@ SMALL_CL = {"cl.tasks": 2, "cl.points": 40, "cl.fisher_samples": 20}
     ("train", {"epochs": 0, "selection": "minmax"}, "epochs must be >= 1, got 0"),
     ("sweep", {"sweep.epochs": "2,0"}, "epochs must be >= 1, got 0"),
 ], ids=["train-pdro-tokens", "train-linear-tokens", "train-csv-no-label", "continual-batch0",
-        "continual-gamma0", "attack-knn-k40", "attack-knn-k-neg", "attack-knn-k0", "gen-data-n0",
-        "sweep-pdro-tokens", "train-lr-text", "train-lr-bool", "train-epochs-float",
+        "continual-epochs0", "continual-fisher0", "continual-fisher-neg", "continual-gamma0",
+        "attack-knn-k40", "attack-knn-k-neg", "attack-knn-k0", "gen-data-n0", "sweep-pdro-tokens", "train-lr-text", "train-lr-bool", "train-epochs-float",
         "train-points-text", "attack-n-text", "attack-sign-int", "continual-lr-text",
         "train-epochs0-last", "train-epochs0-greedy", "train-epochs0-minmax", "sweep-epochs0"])
 def test_a_command_that_fails_before_writing_leaves_no_directory(

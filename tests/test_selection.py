@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from shiftlab.datasets import GroupedDataset, TwoDomainSpec, gen_two_domain_gaussian
-from shiftlab.diffcore import ModelSpec, ModelState, init_params, nll_loss_batch
+from shiftlab.diffcore import (
+    ModelSpec, ModelState, init_params, nll_loss_batch, zero_one_loss_batch,
+)
 from shiftlab.selection import (
     AdversaryRecord,
     SelectionState,
+    _valid_losses,
     adversary_valid_kl,
     greedy_minmax_update,
     hyperparam_select,
@@ -189,3 +192,41 @@ def test_hyperparam_select_pools_records_across_runs(valid_set):
             if best is None or value < best[0]:
                 best = (value, ri, ci)
     assert (run_idx, ckpt_idx) == (best[1], best[2])
+
+
+@pytest.mark.parametrize("loss_kind", ["nll", "zero_one"])
+def test_cached_rows_select_as_the_forward_does(valid_set, loss_kind):
+    rng = np.random.default_rng(5)
+    n = len(valid_set)
+    for trial in range(10):
+        runs = []
+        for r in range(int(rng.integers(1, 4))):
+            checkpoints = random_checkpoints(int(rng.integers(1, 6)), seed=100 * trial + 10 * r)
+            records = [identity_record(n)] + [make_record(i + 1, rng.uniform(0.0, 3.0, n) ** 3)
+                                              for i in range(int(rng.integers(0, 4)))]
+            runs.append((checkpoints, records))
+        rows = [[_valid_losses(m, valid_set, loss_kind) for m in ckpts] for ckpts, _ in runs]
+        kl = float(rng.uniform(0.05, 1.0))
+        assert (hyperparam_select(runs, valid_set, kl, loss_kind, rows)
+                == hyperparam_select(runs, valid_set, kl, loss_kind))
+        (checkpoints, records), losses = runs[0], rows[0]
+        assert (minmax_select(checkpoints, records, valid_set, kl, loss_kind, losses)
+                == minmax_select(checkpoints, records, valid_set, kl, loss_kind))
+        cached = forwarded = SelectionState(records=[records[0]])
+        for i, (model, row) in enumerate(zip(checkpoints, losses)):
+            record = records[i] if 0 < i < len(records) else None
+            cached = greedy_minmax_update(cached, model, i, record, valid_set, kl, loss_kind, row)
+            forwarded = greedy_minmax_update(forwarded, model, i, record, valid_set, kl, loss_kind)
+            assert (cached.best_model_id, cached.best_value) == (forwarded.best_model_id,
+                                                                forwarded.best_value)
+            assert np.array_equal(cached.best_losses, forwarded.best_losses)
+
+
+def test_valid_losses_are_the_kernels_rows(valid_set):
+    model = random_checkpoints(1, seed=9)[0]
+    packed = valid_set.packed("linear")
+    assert np.array_equal(_valid_losses(model, valid_set, "nll"), nll_loss_batch(model, packed))
+    assert np.array_equal(_valid_losses(model, valid_set, "zero_one"),
+                          zero_one_loss_batch(model, packed))
+    with pytest.raises(ValueError, match="unknown loss_kind"):
+        _valid_losses(model, valid_set, "hinge")
