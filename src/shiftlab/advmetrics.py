@@ -7,8 +7,8 @@ rows of a split at once; the one-example functions are one-row calls into them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,8 +33,6 @@ class EmbeddingTable:
 
     vectors: np.ndarray
     vocabulary: List[str]
-    _neighbours: Dict[int, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vectors = np.array(self.vectors, dtype=float)
@@ -44,11 +42,8 @@ class EmbeddingTable:
             raise ValueError("vector rows must match vocabulary size")
 
     def neighbours(self, k: int) -> np.ndarray:
-        """(vocab, k) ids whose row t is knn_candidates(t, self, k), built once per k."""
-        if k not in self._neighbours:
-            self._neighbours[k] = np.array(
-                [knn_candidates(t, self, k) for t in range(len(self.vocabulary))])
-        return self._neighbours[k]
+        """(vocab, k) ids whose row t is knn_candidates(t, self, k)."""
+        return np.array([knn_candidates(t, self, k) for t in range(len(self.vocabulary))])
 
 
 def _normalize_ws(text: str) -> str:
@@ -188,24 +183,22 @@ def _substitute_rows(
     grad_rows: np.ndarray,
     tokens: np.ndarray,
     offsets: np.ndarray,
-    table: EmbeddingTable,
-    constraint: str,
+    vectors: np.ndarray,
+    candidates: np.ndarray,
     sign_normalize: bool,
-    k: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Best single-token substitution of each token row under a first-order
     loss model. Row i is tokens[offsets[i]:offsets[i + 1]]; the token at flat
-    position j is scored against the gradient grads[grad_rows[j]].
+    position j is scored against the gradient grads[grad_rows[j]], and token t
+    may become any id of candidates[t] (a _candidate_table over `vectors`).
 
     Maximizes (e_new - e_current) . grad over all admitted (position, token)
     pairs of a row; ties go to the lowest position, then the lowest token id.
     Returns (position within the row, token id) arrays, one entry per row.
     """
-    vectors = table.vectors
     vocab = vectors.shape[0]
     if tokens.size and not 0 <= tokens.min() <= tokens.max() < vocab:
         raise ValueError("token_id out of range")
-    candidates = _candidate_table(table, constraint, k)
     lengths = np.diff(offsets)
     if candidates.shape[1] == 0 or lengths.min(initial=1) < 1:
         raise NoCandidateError("no admissible substitution candidates")
@@ -250,7 +243,7 @@ def first_order_substitution(
     if grads.shape != (ids.size, table.vectors.shape[1]):
         raise ValueError("position_grads shape must be (positions, embed_dim)")
     pos, tok = _substitute_rows(grads, np.arange(ids.size), ids, np.array([0, ids.size]),
-                                table, constraint, sign_normalize, k)
+                                table.vectors, _candidate_table(table, constraint, k), sign_normalize)
     return int(pos[0]), int(tok[0])
 
 
@@ -268,10 +261,11 @@ def attack_rows(
     mean-pooled bag has one gradient per row, shared by its positions."""
     adv = Packed(rows.labels, rows.groups, tokens=rows.tokens.copy(), offsets=rows.offsets)
     row_of = np.repeat(np.arange(len(adv)), np.diff(adv.offsets))
+    candidates = _candidate_table(table, constraint, k)
     for _ in range(steps):
         grads = grad_wrt_embeddings_batch(model, adv, loss_kind="adversarial")
-        pos, tok = _substitute_rows(grads, row_of, adv.tokens, adv.offsets, table,
-                                    constraint, sign_normalize, k)
+        pos, tok = _substitute_rows(grads, row_of, adv.tokens, adv.offsets, table.vectors,
+                                    candidates, sign_normalize)
         adv.tokens[adv.offsets[:-1] + pos] = tok
     return adv
 

@@ -245,14 +245,12 @@ def continual_train(
                       for t in range(len(tasks))])
     rng = np.random.default_rng(config.seed + 7919)
 
-    use_conatural = method.startswith("conatural")
-    use_ewc = method.endswith("ewc")
-    use_er = method.endswith("er") and not method.endswith("ewc")
+    rules = method.split("+")
+    use_conatural, use_ewc, use_er = ("conatural" in rules, "ewc" in rules, "er" in rules)
 
     fisher = initial_fisher(split, config.gamma, config.alpha)
     trunk_ref = trunk.copy()
     memory = ReplayMemory(config.replay_capacity) if use_er else None
-    seen_any_task = False
 
     accuracy_rows = []
     for task_idx, (lo, hi) in enumerate(bounds):
@@ -270,10 +268,10 @@ def continual_train(
                     scale = config.grad_noise * np.linalg.norm(grad)
                     grad = grad + scale * rng.standard_normal(grad.size) / np.sqrt(grad.size)
                 trunk_grad, head_grad = grad[:split], grad[split:]
-                if use_ewc and seen_any_task:
+                if use_ewc and task_idx > 0:
                     _, penalty_grad = ewc_loss(trunk, trunk_ref, fisher.diag, config.ewc_lambda)
                     trunk_grad += penalty_grad
-                if use_conatural and seen_any_task:
+                if use_conatural and task_idx > 0:
                     trunk_update = conatural_delta(trunk_grad, fisher, config.lr)
                 else:
                     trunk_update = -config.lr * trunk_grad
@@ -292,7 +290,6 @@ def continual_train(
             if ok:
                 fisher = rolling_fisher_update(fisher, trunk_fisher)
         trunk_ref = trunk.copy()
-        seen_any_task = True
 
         accuracy = []
         for t, (first, last) in enumerate(bounds):

@@ -18,7 +18,6 @@ from .diffcore import (
     ModelState,
     Packed,
     batch_constants,
-    grad_params,
     init_params,
     nll_forward,
     pack,
@@ -143,10 +142,7 @@ class DroConfig:
 
 
 def erm_step(model: ModelState, batch: Batch, lr: float) -> ModelState:
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    grad = grad_params(model, batch, batch_constants(len(batch))[1])
-    return ModelState(model.spec, model.params - lr * grad)
+    return simultaneous_step(model, None, batch, DroConfig(lr=lr))[0]
 
 
 def _logsumexp(a: np.ndarray) -> float:
@@ -228,8 +224,6 @@ def pdro_model_weights(adv: GaussianAdversary, batch: Batch,
                        centered: Optional[np.ndarray] = None) -> np.ndarray:
     """Importance weights q_psi(x) / q_psi0(x); exactly 1 when psi == psi0.
     `centered`, if given, is the batch's x - adv.mean."""
-    if adv.mean.tolist() == adv.mean0.tolist():  # np.array_equal, at a tenth of the cost
-        return np.ones(len(batch))
     x = pack(batch, tokens=False).x
     if centered is None:
         centered = x - adv.mean
@@ -392,15 +386,15 @@ def simultaneous_step(
     the batch, each with refreshed scores. The step leaves the model and
     adversary it is given alone and updates the normalizer in place.
     """
-    if config.method == "erm":
-        return erm_step(model, batch, config.lr), adversary, normalizer
     batch = _packed(model, batch)
     # one forward: the weights come from these losses, the gradient from its state
     losses, state = nll_forward(model, batch)
     n = len(batch)
     new_adv, new_norm = adversary, normalizer
 
-    if config.method == "nonparam":
+    if config.method == "erm":
+        weights = batch_constants(n)[1]
+    elif config.method == "nonparam":
         weights, _ = nonparam_weights(losses, config.kappa)
     elif config.method == "group_dro":
         counts = np.bincount(batch.groups, minlength=len(adversary))

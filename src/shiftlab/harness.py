@@ -464,7 +464,6 @@ def cmd_gen_data(cfg: Dict[str, object], seed: int, out_dir: str) -> None:
 
 
 def cmd_train(cfg: Dict[str, object], seed: int, out_dir: str) -> TrainResult:
-    cfg = resolved(cfg)
     try:
         result = train_run(cfg, seed)
     except DivergenceError as err:

@@ -23,16 +23,15 @@ LOSS_KINDS = ("nll", "zero_one")
 
 @dataclass
 class AdversaryRecord:
-    """Per-validation-example weights of one adversary snapshot, mean 1."""
+    """Per-validation-example weights of one adversary snapshot, mean 1, and their KL."""
 
     id: int
     valid_weights: np.ndarray
-    kl_estimate: float = 0.0
+    kl_estimate: float = field(init=False)
 
     def __post_init__(self):
         self.valid_weights = np.asarray(self.valid_weights, dtype=float)
-        if np.any(self.valid_weights < 0):
-            raise ValueError("weights must be nonnegative")
+        self.kl_estimate = adversary_valid_kl(self.valid_weights)  # rejects negative weights
         mean = self.valid_weights.mean()
         if abs(mean - 1.0) > 1e-9:
             raise ValueError("weights must have mean 1")
@@ -50,13 +49,12 @@ def normalize_weights(raw: np.ndarray) -> np.ndarray:
 
 
 def make_record(record_id: int, raw_weights: np.ndarray) -> AdversaryRecord:
-    w = normalize_weights(raw_weights)
-    return AdversaryRecord(record_id, w, adversary_valid_kl(w))
+    return AdversaryRecord(record_id, normalize_weights(raw_weights))
 
 
 def identity_record(n: int, record_id: int = 0) -> AdversaryRecord:
     """The unmoved-adversary record: all-ones weights, KL exactly 0."""
-    return AdversaryRecord(record_id, np.ones(n), 0.0)
+    return AdversaryRecord(record_id, np.ones(n))
 
 
 def adversary_valid_kl(weights: np.ndarray) -> float:

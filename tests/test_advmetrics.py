@@ -363,3 +363,19 @@ def test_attack_rows_matches_per_example_loop(constraint, sign_normalize, steps)
     assert np.array_equal(one.input, two.input)
     assert (one.label, one.group, one.id) == (two.label, two.group, two.id)
 
+
+def test_attack_rows_builds_the_neighbour_table_once(monkeypatch):
+    model, table = attack_setup()
+    rows = pack(gen_distractor_text(DistractorTextSpec(40, 12, 8, 0.5, seed=4)).examples,
+                tokens=True)
+    calls = []
+    neighbours = EmbeddingTable.neighbours
+
+    def counted(self, k):
+        calls.append(k)
+        return neighbours(self, k)
+
+    monkeypatch.setattr(EmbeddingTable, "neighbours", counted)
+    attack_rows(model, rows, table, constraint="knn", k=3, steps=3)
+    assert calls == [3]
+

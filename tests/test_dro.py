@@ -391,6 +391,25 @@ def test_simultaneous_step_erm_equals_erm_step():
     assert adv is None and norm is None
 
 
+def test_simultaneous_step_erm_takes_the_shared_weighted_step(monkeypatch):
+    model = init_params(ModelSpec("linear", input_dim=2), seed=7)
+    batch = dense_batch(np.random.default_rng(7), 16)
+    grads = []
+    weighted_grad = dro.weighted_grad
+
+    def counted(model, state, weights):
+        grads.append(weights.tolist())
+        return weighted_grad(model, state, weights)
+
+    def no_erm_step(*args, **kwargs):
+        raise AssertionError("erm_step ran")
+
+    monkeypatch.setattr(dro, "weighted_grad", counted)
+    monkeypatch.setattr(dro, "erm_step", no_erm_step)
+    simultaneous_step(model, None, batch, DroConfig(method="erm", lr=0.3))
+    assert grads == [[1.0 / 16] * 16]
+
+
 def test_simultaneous_step_nonparam_descends_the_worst_case_weights():
     model = init_params(ModelSpec("linear", input_dim=2), seed=8)
     batch = dense_batch(np.random.default_rng(8), 16)

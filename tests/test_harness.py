@@ -698,7 +698,6 @@ def test_cli_rejects_a_nonpositive_lr_for_every_method_before_any_output(
         raise AssertionError("a training step ran")
 
     monkeypatch.setattr(dro, "simultaneous_step", no_step)
-    monkeypatch.setattr(dro, "erm_step", no_step)
     cfg_path = tmp_path / "cfg"
     cfg_path.write_text(f"dataset = two_domain\nmethod = {method}\nlr = {lr}\n")
     for command in ("train", "sweep"):

@@ -76,6 +76,14 @@ def test_surviving_records_filters_by_kl():
     assert kept == [low]
 
 
+def test_a_record_built_directly_derives_its_kl_from_its_weights():
+    w = np.zeros(20)
+    w[0] = 20.0  # one-hot over 20 rows: kl = log 20
+    ident, sharp = identity_record(20), AdversaryRecord(1, w)
+    assert sharp.kl_estimate == pytest.approx(math.log(20))
+    assert surviving_records([ident, sharp], math.log(10)) == [ident]
+
+
 def test_robust_valid_loss_is_the_max_weighted_mean():
     losses = np.array([1.0, 2.0, 3.0, 4.0])
     recs = [
