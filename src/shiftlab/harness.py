@@ -192,6 +192,8 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
     out = dict(DEFAULTS)
     for key, value in config.items():
         _check_key(key)
+        if key not in DEFAULTS:
+            raise ConfigError(f"{key}: only the sweep command reads sweep.* keys")
         out[key] = value
     for key, default in DEFAULTS.items():
         kind, name = next(k for k in _KINDS if isinstance(default, k[0]))
@@ -200,10 +202,19 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
     for key, legal in CHOICES.items():
         if out[key] not in legal:
             raise ConfigError(f"unknown {key}: {out[key]!r} (legal: {' | '.join(legal)})")
-    for key, low in (("checkpoint_every", 0), ("epochs", 1), ("cl.epochs", 1),
-                     ("cl.batch_size", 1), ("cl.fisher_samples", 1)):
-        if out[key] < low:
+    # counts and nonnegative settings whose library check would name another
+    # argument or fire only after work has started; NaN fails too
+    for key, low in (("checkpoint_every", 0), ("epochs", 1), ("batch_size", 1), ("k_window", 1),
+                     ("kappa", 0), ("eta_group", 0), ("beta", 0), ("data.total_points", 1),
+                     ("data.n", 1), ("data.test_n", 1), ("data.seq_len", 1), ("data.sigma", 0),
+                     ("model.hidden", 1), ("model.embed_dim", 1), ("cl.tasks", 1), ("cl.points", 1),
+                     ("cl.sigma", 0), ("cl.hidden", 1), ("cl.epochs", 1), ("cl.batch_size", 1),
+                     ("cl.alpha", 0), ("cl.ewc_lambda", 0), ("cl.capacity", 1),
+                     ("cl.fisher_samples", 1), ("cl.grad_noise", 0), ("attack.steps", 1)):
+        if not out[key] >= low:
             raise ConfigError(f"{key} must be >= {low}, got {out[key]}")
+    if not out["cl.lr"] > 0:
+        raise ConfigError(f"cl.lr must be > 0, got {out['cl.lr']}")
     return out
 
 
@@ -513,8 +524,6 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     n, steps, k = cfg["attack.n"], cfg["attack.steps"], cfg["attack.k"]
     if not 1 <= n <= cfg["data.test_n"]:
         raise ConfigError(f"attack.n must lie in [1, data.test_n={cfg['data.test_n']}], got {n}")
-    if steps < 1:
-        raise ConfigError(f"attack.steps must be >= 1, got {steps}")
     if model is not None and model.spec.architecture != "embed_bag":
         raise UnsupportedArchitectureError("attack requires an embed_bag model")
     vocab = cfg["data.vocab_size"] if model is None else model.spec.vocab_size

@@ -104,8 +104,6 @@ def minmax_select(
     validation loss row of loss_kind and spares its forward. Returns
     (checkpoint index, model).
     """
-    if not checkpoints:
-        raise ValueError("at least one checkpoint required")
     _, best_idx, model = hyperparam_select([(checkpoints, records)], valid, kl_threshold, loss_kind,
                                            None if losses is None else [losses])
     return best_idx, model
@@ -193,4 +191,6 @@ def hyperparam_select(
             value = robust_valid_loss(row, pooled)
             if best is None or value < best[0]:
                 best = (value, run_idx, ckpt_idx, model)
+    if best is None:
+        raise ValueError("at least one checkpoint required")
     return best[1], best[2], best[3]

@@ -327,8 +327,7 @@ def test_load_model_bin_rejects_another_dtype(tmp_path):
 
 
 def test_sweep_grid_expansion():
-    cfg = harness.resolved({"sweep.tau": "0.1,1.0", "sweep.lr": "0.05,0.1,0.2"})
-    grid = harness.sweep_grid(cfg)
+    grid = harness.sweep_grid({"sweep.tau": "0.1,1.0", "sweep.lr": "0.05,0.1,0.2"})
     assert len(grid) == 6
     assert {(p["tau"], p["lr"]) for p in grid} == {
         (t, l) for t in (0.1, 1.0) for l in (0.05, 0.1, 0.2)
@@ -738,6 +737,17 @@ def test_game_settings_that_break_the_game_raise_before_any_output(
 
 SMALL_TEXT = {"data.n": 100, "data.test_n": 50, "epochs": 1}
 SMALL_CL = {"cl.tasks": 2, "cl.points": 40, "cl.fisher_samples": 20}
+# (command, key, floor) of each floor of resolved not covered below, on a command
+# that would otherwise start work
+BELOW_FLOOR = [
+    ("train", "batch_size", 1), ("train", "k_window", 1), ("train", "kappa", 0),
+    ("train", "eta_group", 0), ("train", "beta", 0), ("gen-data", "data.total_points", 1),
+    ("train", "data.test_n", 1), ("gen-data", "data.seq_len", 1), ("gen-data", "data.sigma", 0),
+    ("train", "model.hidden", 1), ("train", "model.embed_dim", 1), ("continual", "cl.tasks", 1),
+    ("continual", "cl.points", 1), ("continual", "cl.sigma", 0), ("continual", "cl.hidden", 1),
+    ("continual", "cl.alpha", 0), ("continual", "cl.ewc_lambda", 0), ("continual", "cl.capacity", 1),
+    ("continual", "cl.grad_noise", 0), ("attack", "attack.steps", 1),
+]
 
 
 @pytest.mark.parametrize("command, bad, message", [
@@ -758,7 +768,7 @@ SMALL_CL = {"cl.tasks": 2, "cl.points": 40, "cl.fisher_samples": 20}
      "k must be smaller than the vocabulary size and >= 1, got attack.k=-1"),
     ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 0},
      "k must be smaller than the vocabulary size and >= 1, got attack.k=0"),
-    ("gen-data", {"dataset": "distractor", "data.n": 0}, "n must be positive"),
+    ("gen-data", {"dataset": "distractor", "data.n": 0}, "data.n must be >= 1, got 0"),
     ("sweep", {**SMALL_TEXT, "dataset": "distractor", "method": "pdro", "sweep.tau": "0.1,0.5"},
      "method=pdro needs dense inputs"),
     ("train", {"lr": "fast"}, "lr must be a number, got 'fast'"),
@@ -772,17 +782,29 @@ SMALL_CL = {"cl.tasks": 2, "cl.points": 40, "cl.fisher_samples": 20}
     ("train", {"epochs": 0, "selection": "greedy"}, "epochs must be >= 1, got 0"),
     ("train", {"epochs": 0, "selection": "minmax"}, "epochs must be >= 1, got 0"),
     ("sweep", {"sweep.epochs": "2,0"}, "epochs must be >= 1, got 0"),
+    *[(command, {key: floor - 1}, f"{key} must be >= {floor}, got {floor - 1}")
+      for command, key, floor in BELOW_FLOOR],
+    ("train", {"kappa": "nan"}, "kappa must be >= 0, got nan"),
+    ("continual", {"cl.lr": -1}, "cl.lr must be > 0, got -1"),
+    ("continual", {"cl.method": "er", "cl.lr": 0}, "cl.lr must be > 0, got 0"),
+    ("continual", {"cl.lr": "nan"}, "cl.lr must be > 0, got nan"),
+    ("train", {"sweep.lr": "0.01,1.0"}, r"sweep\.lr: only the sweep command reads sweep\.\* keys"),
+    ("gen-data", {"sweep.epochs": "1,2"}, r"sweep\.epochs: only the sweep command reads sweep\.\* keys"),
 ], ids=["train-pdro-tokens", "train-linear-tokens", "train-csv-no-label", "continual-batch0",
         "continual-epochs0", "continual-fisher0", "continual-fisher-neg", "continual-gamma0",
         "attack-knn-k40", "attack-knn-k-neg", "attack-knn-k0", "gen-data-n0", "sweep-pdro-tokens", "train-lr-text", "train-lr-bool", "train-epochs-float",
         "train-points-text", "attack-n-text", "attack-sign-int", "continual-lr-text",
-        "train-epochs0-last", "train-epochs0-greedy", "train-epochs0-minmax", "sweep-epochs0"])
+        "train-epochs0-last", "train-epochs0-greedy", "train-epochs0-minmax", "sweep-epochs0",
+        *[f"{command}-{key}-below" for command, key, _ in BELOW_FLOOR], "train-kappa-nan",
+        "continual-lr-neg", "continual-er-lr0", "continual-lr-nan", "train-sweep-key",
+        "gen-data-sweep-key"])
 def test_a_command_that_fails_before_writing_leaves_no_directory(
         tmp_path, capsys, monkeypatch, command, bad, message):
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran")
 
     monkeypatch.setattr(dro, "simultaneous_step", no_step)
+    monkeypatch.setattr(cl, "grad_params", no_step)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no_label.csv").write_text("id,f0,f1\n0,1.0,2.0\n")
     (tmp_path / "cfg").write_text("".join(f"{key} = {value}\n" for key, value in bad.items()))

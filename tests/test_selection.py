@@ -182,6 +182,15 @@ def test_hyperparam_select_single_run_reduces_to_minmax(valid_set):
         hyperparam_select([], valid_set)
 
 
+def test_selection_without_a_checkpoint_raises_a_value_error(valid_set):
+    records = [identity_record(len(valid_set.examples))]
+    for select in (lambda: hyperparam_select([([], records)], valid_set),
+                   lambda: hyperparam_select([([], records), ([], records)], valid_set),
+                   lambda: minmax_select([], records, valid_set)):
+        with pytest.raises(ValueError, match="at least one checkpoint required"):
+            select()
+
+
 def test_hyperparam_select_pools_records_across_runs(valid_set):
     n = len(valid_set.examples)
     run_a = (random_checkpoints(2, seed=60), [identity_record(n)])
