@@ -67,6 +67,7 @@ def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
         ("train", "train-rpdro-selfnorm", (*DISTRACTOR, "method=rpdro", "norm_mode=self_norm",
                                            "adv_steps=3"), 0),
         ("train", "train-rpdro-last", (*TWO_DOMAIN, "method=rpdro", "selection=last"), 4),
+        ("train", "train-rpdro-greedy", (*TWO_DOMAIN, "method=rpdro", "selection=greedy"), 0),
     ]
     for data in CSV_SETS:
         for method in ("erm", "nonparam", "rpdro"):
@@ -87,6 +88,7 @@ def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
         ("continual", "continual-noise", ("cl.method=conatural+er", "cl.grad_noise=0.1"), 2),
         ("continual", "continual-alpha-inf", ("cl.method=conatural", "cl.alpha=inf"), 2),
         ("sweep", "sweep-pdro", (*pdro, "sweep.tau=0.1,0.5", "sweep.adv_lr=0.05,0.5"), 0),
+        ("sweep", "sweep-rpdro", (*TWO_DOMAIN, "method=rpdro", "sweep.tau=0,0.5"), 0),
     ]
     return out
 
