@@ -328,6 +328,9 @@ def zero_one_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
     return _misclassified(logits, batch.labels)
 
 
+LOSS_KINDS = ("nll", "zero_one")  # the keys of logit_losses
+
+
 def logit_losses(logits: np.ndarray, labels: np.ndarray) -> Dict[str, np.ndarray]:
     """Both per-example loss rows of one forward's logits, by loss kind: "nll"
     as nll_forward computes it and "zero_one" as zero_one_loss_batch does."""

@@ -37,6 +37,7 @@ from .datasets import (
 )
 from .diffcore import (
     ARCHITECTURES,
+    LOSS_KINDS,
     ModelSpec,
     ModelState,
     NonFiniteWeightsError,
@@ -111,7 +112,7 @@ CHOICES: Dict[str, Tuple[str, ...]] = {
     "method": dro.METHODS,
     "norm_mode": dro.NORM_MODES,
     "selection": ("minmax", "greedy", "last"),  # train_run
-    "selection.loss": ("auto", *selection.LOSS_KINDS),
+    "selection.loss": ("auto", *LOSS_KINDS),
     "cl.method": cl.METHODS,
     "attack.constraint": advmetrics.CONSTRAINTS,
 }
@@ -377,15 +378,12 @@ def train_run(cfg: Dict[str, object], seed: int,
     elif cfg["selection"] == "greedy":
         state = selection.SelectionState(records=[records[0]])
         for i, (ckpt, rec, row) in enumerate(zip(checkpoints, own_records, valid_losses)):
-            state = selection.greedy_minmax_update(
-                state, ckpt, i, rec, valid,
-                cfg["selection.kl_threshold"], loss_kind, row,
-            )
+            state = selection.greedy_minmax_update(state, ckpt, i, rec, row,
+                                                   cfg["selection.kl_threshold"])
         chosen = state.best_model_id
     else:
-        chosen, _ = selection.minmax_select(
-            checkpoints, records, valid, cfg["selection.kl_threshold"], loss_kind, valid_losses
-        )
+        chosen, _ = selection.minmax_select(checkpoints, records, valid_losses,
+                                            cfg["selection.kl_threshold"])
     best = checkpoints[chosen]
     return TrainResult(
         model=best, checkpoints=checkpoints, records=records, chosen_index=chosen,
@@ -590,12 +588,11 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
                    "average_acc": r.test_metrics.average_accuracy,
                    "selected": False, "chosen_checkpoint": None} for i, r in runs.items()}
     if runs:
-        run, ckpt, model = selection.hyperparam_select(
-            [(r.checkpoints, r.records) for r in runs.values()], shared[1],
-            points[0]["selection.kl_threshold"], selection_loss(points[0]),
-            [r.valid_losses for r in runs.values()])
-        test = group_metrics(model, shared[2])  # the chosen checkpoint's, not its run's choice
-        records[list(runs)[run]].update(  # run counts only the points that trained
+        run, ckpt = selection.hyperparam_select([(r.valid_losses, r.records) for r in runs.values()],
+                                                points[0]["selection.kl_threshold"])
+        point = list(runs)[run]  # run counts only the points that trained
+        test = group_metrics(runs[point].checkpoints[ckpt], shared[2])  # not its run's choice
+        records[point].update(
             robust_acc=test.robust_accuracy, average_acc=test.average_accuracy,
             selected=True, chosen_checkpoint=ckpt)
     report = sorted(records.values(), key=lambda r: -r["robust_acc"])

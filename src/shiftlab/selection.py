@@ -4,7 +4,8 @@ Each adversary snapshot is reduced to its per-example validation weights.
 Checkpoints are ranked by their maximum weighted validation loss over the
 adversaries whose estimated KL from the data distribution stays under a
 threshold; the identity adversary always survives, so plain validation loss
-lower-bounds the criterion.
+lower-bounds the criterion. Selection scores the validation loss rows its
+caller cached, one per checkpoint, and runs no model.
 """
 from __future__ import annotations
 
@@ -14,11 +15,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .datasets import GroupedDataset
-from .diffcore import ModelState, forward_logits_batch, logit_losses
+from .diffcore import ModelState
 
 KL_THRESHOLD_DEFAULT = math.log(10.0)
-LOSS_KINDS = ("nll", "zero_one")
 
 
 @dataclass
@@ -66,14 +65,6 @@ def adversary_valid_kl(weights: np.ndarray) -> float:
     return float(np.sum(w[nonzero] * np.log(w[nonzero])) / len(w))
 
 
-def _valid_losses(model: ModelState, valid: GroupedDataset, loss_kind: str) -> np.ndarray:
-    """One checkpoint's validation loss row of loss_kind, from one forward."""
-    if loss_kind not in LOSS_KINDS:
-        raise ValueError(f"unknown loss_kind: {loss_kind!r}")
-    packed = valid.packed(model.spec.architecture)
-    return logit_losses(forward_logits_batch(model, packed), packed.labels)[loss_kind]
-
-
 def surviving_records(
     records: Sequence[AdversaryRecord], kl_threshold: float
 ) -> List[AdversaryRecord]:
@@ -92,21 +83,19 @@ def robust_valid_loss(
 def minmax_select(
     checkpoints: Sequence[ModelState],
     records: Sequence[AdversaryRecord],
-    valid: GroupedDataset,
+    losses: Sequence[np.ndarray],
     kl_threshold: float = KL_THRESHOLD_DEFAULT,
-    loss_kind: str = "nll",
-    losses: Optional[Sequence[np.ndarray]] = None,
 ) -> Tuple[int, ModelState]:
     """Checkpoint minimizing the worst weighted validation loss.
 
     Records above the KL threshold are dropped first; the identity record
-    guarantees a survivor. `losses`, when given, holds each checkpoint's
-    validation loss row of loss_kind and spares its forward. Returns
-    (checkpoint index, model).
+    guarantees a survivor. losses[i] is checkpoints[i]'s validation loss row.
+    Returns (checkpoint index, model).
     """
-    _, best_idx, model = hyperparam_select([(checkpoints, records)], valid, kl_threshold, loss_kind,
-                                           None if losses is None else [losses])
-    return best_idx, model
+    if len(losses) != len(checkpoints):
+        raise ValueError(f"{len(losses)} loss rows for {len(checkpoints)} checkpoints")
+    _, best_idx = hyperparam_select([(losses, records)], kl_threshold)
+    return best_idx, checkpoints[best_idx]
 
 
 @dataclass
@@ -125,19 +114,16 @@ def greedy_minmax_update(
     new_model: ModelState,
     new_model_id: int,
     new_record: Optional[AdversaryRecord],
-    valid: GroupedDataset,
+    new_losses: np.ndarray,
     kl_threshold: float = KL_THRESHOLD_DEFAULT,
-    loss_kind: str = "nll",
-    new_losses: Optional[np.ndarray] = None,
 ) -> SelectionState:
     """Fold one checkpoint into the greedy criterion.
 
     Appends the new adversary record, then keeps the new model only if its
     worst weighted loss over all surviving records improves strictly on the
     stored best. Only the candidate and the incumbent exist at once. The new
-    model's validation loss row is `new_losses` when given, else one forward;
-    the incumbent's is kept in the state. Raises ValueError when no record
-    survives the KL filter.
+    model's validation loss row is `new_losses`; the incumbent's is kept in
+    the state. Raises ValueError when no record survives the KL filter.
     """
     records = list(state.records)
     if new_record is not None:
@@ -145,8 +131,7 @@ def greedy_minmax_update(
     kept = surviving_records(records, kl_threshold)
     if not kept:
         raise ValueError("no adversary record survived the KL filter")
-    losses = _valid_losses(new_model, valid, loss_kind) if new_losses is None else new_losses
-    value = robust_valid_loss(losses, kept)
+    value = robust_valid_loss(new_losses, kept)
     out = SelectionState(
         records, state.best_model_id, state.best_model_snapshot, state.best_value, state.best_losses
     )
@@ -157,24 +142,20 @@ def greedy_minmax_update(
         out.best_model_id = new_model_id
         out.best_model_snapshot = new_model.copy()
         out.best_value = value
-        out.best_losses = losses
+        out.best_losses = new_losses
     return out
 
 
 def hyperparam_select(
-    runs: Sequence[Tuple[Sequence[ModelState], Sequence[AdversaryRecord]]],
-    valid: GroupedDataset,
+    runs: Sequence[Tuple[Sequence[np.ndarray], Sequence[AdversaryRecord]]],
     kl_threshold: float = KL_THRESHOLD_DEFAULT,
-    loss_kind: str = "nll",
-    losses: Optional[Sequence[Sequence[np.ndarray]]] = None,
-) -> Tuple[int, int, ModelState]:
+) -> Tuple[int, int]:
     """Pick the best (run, checkpoint) against the pooled adversary records.
 
-    All runs' surviving records form one pool; every checkpoint of every run
-    is scored against that pool, by its validation loss row of loss_kind:
-    losses[run][checkpoint] when `losses` is given, else one forward each.
-    Returns (run index, checkpoint index, model). With a single run this
-    reduces to minmax_select.
+    Each run is (one validation loss row per checkpoint, its records). All
+    runs' surviving records form one pool; every checkpoint of every run is
+    scored against that pool by its row. Returns (run index, checkpoint
+    index). With a single run this reduces to minmax_select.
     """
     if not runs:
         raise ValueError("at least one run required")
@@ -183,14 +164,9 @@ def hyperparam_select(
         pooled.extend(surviving_records(records, kl_threshold))
     if not pooled:
         raise ValueError("no adversary record survived the KL filter")
-    best = None
-    for run_idx, (checkpoints, _) in enumerate(runs):
-        rows = losses[run_idx] if losses is not None else (
-            _valid_losses(model, valid, loss_kind) for model in checkpoints)
-        for ckpt_idx, (model, row) in enumerate(zip(checkpoints, rows, strict=True)):
-            value = robust_valid_loss(row, pooled)
-            if best is None or value < best[0]:
-                best = (value, run_idx, ckpt_idx, model)
-    if best is None:
+    # (value, run, checkpoint): min keeps the first of equal values
+    scored = [(robust_valid_loss(row, pooled), run_idx, ckpt_idx)
+              for run_idx, (rows, _) in enumerate(runs) for ckpt_idx, row in enumerate(rows)]
+    if not scored:
         raise ValueError("at least one checkpoint required")
-    return best[1], best[2], best[3]
+    return min(scored)[1:]

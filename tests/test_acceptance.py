@@ -522,7 +522,7 @@ def test_selection_filter_and_greedy_footprint():
     for i in range(6):
         ckpt = init_params(ModelSpec("linear", input_dim=2), seed=i)
         rec = make_record(i + 2, rng.uniform(0.5, 1.5, n))
-        state = greedy_minmax_update(state, ckpt, i, rec, valid)
+        state = greedy_minmax_update(state, ckpt, i, rec, nll_loss_batch(ckpt, valid.rows))
         stored = sum(
             1 for v in vars(state).values()
             if hasattr(v, "params")

@@ -176,6 +176,18 @@ def test_train_run_forwards_validation_once_per_checkpoint(monkeypatch, mode):
     assert np.array_equal(got.group_counts, want.group_counts)
 
 
+@pytest.mark.parametrize("method, kernel", [("pdro", diffcore.nll_loss_batch),
+                                             ("rpdro", diffcore.zero_one_loss_batch)])
+def test_valid_losses_are_the_selection_loss_kernels_rows(method, kernel):
+    # selection.loss=auto scores rpdro by zero_one and every other method by nll
+    cfg = {**TINY, "method": method, "checkpoint_every": 5}
+    datasets = harness.build_datasets(harness.resolved(cfg), 0)
+    result = harness.train_run(cfg, 0, datasets=datasets)
+    assert len(result.valid_losses) == len(result.checkpoints) == 4
+    for ckpt, row in zip(result.checkpoints, result.valid_losses):
+        assert np.array_equal(row, kernel(ckpt, datasets[1].rows))
+
+
 def test_cmd_sweep_makes_no_validation_forward_for_the_pooled_choice(tmp_path, monkeypatch):
     built, build = [], harness.build_datasets
 
@@ -481,7 +493,7 @@ def test_a_diverged_sweep_point_does_not_move_the_selected_flag(tmp_path):
     report = harness.cmd_sweep({**cfg, "sweep.lr": "inf,0.1,0.05"}, 0, str(tmp_path / "s"))
     shared = harness.build_datasets(harness.resolved(cfg), 0)
     runs = [harness.train_run({**cfg, "lr": lr}, 0, datasets=shared) for lr in (0.1, 0.05)]
-    run, ckpt, _ = selection.hyperparam_select([(r.checkpoints, r.records) for r in runs], shared[1])
+    run, ckpt = selection.hyperparam_select([(r.valid_losses, r.records) for r in runs])
     assert [(r["point"], r["chosen_checkpoint"]) for r in report if r["selected"]] == [(run + 1, ckpt)]
     rows = _metrics_csv_rows(tmp_path / "s" / "metrics.csv")
     assert [row["point"] for row in rows if row["selected"] == "True"] == [str(run + 1)]

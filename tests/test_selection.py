@@ -3,14 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from shiftlab.datasets import GroupedDataset, TwoDomainSpec, gen_two_domain_gaussian
-from shiftlab.diffcore import (
-    ModelSpec, ModelState, init_params, nll_loss_batch, zero_one_loss_batch,
-)
+from shiftlab.datasets import TwoDomainSpec, gen_two_domain_gaussian
+from shiftlab.diffcore import ModelSpec, ModelState, init_params, nll_loss_batch
 from shiftlab.selection import (
     AdversaryRecord,
     SelectionState,
-    _valid_losses,
     adversary_valid_kl,
     greedy_minmax_update,
     hyperparam_select,
@@ -30,6 +27,10 @@ def valid_set():
 
 def random_checkpoints(n, seed=0):
     return [init_params(ModelSpec("linear", input_dim=2), seed=seed + i) for i in range(n)]
+
+
+def nll_rows(checkpoints, valid_set):
+    return [nll_loss_batch(ckpt, valid_set.examples) for ckpt in checkpoints]
 
 
 def test_normalize_weights_mean_one():
@@ -101,7 +102,8 @@ def test_minmax_select_matches_brute_force(valid_set):
     records = [identity_record(len(valid_set.examples))]
     for i in range(3):
         records.append(make_record(i + 1, rng.uniform(0.1, 2.0, len(valid_set.examples))))
-    idx, model = minmax_select(checkpoints, records, valid_set, kl_threshold=10.0)
+    idx, model = minmax_select(checkpoints, records, nll_rows(checkpoints, valid_set),
+                               kl_threshold=10.0)
     scores = []
     for ckpt in checkpoints:
         losses = nll_loss_batch(ckpt, valid_set.examples)
@@ -109,28 +111,32 @@ def test_minmax_select_matches_brute_force(valid_set):
     assert idx == int(np.argmin(scores))
     assert model is checkpoints[idx]
     with pytest.raises(ValueError):
-        minmax_select([], records, valid_set)
+        minmax_select([], records, [])
+    with pytest.raises(ValueError, match="4 loss rows for 5 checkpoints"):
+        minmax_select(checkpoints, records, nll_rows(checkpoints[1:], valid_set))
 
 
 def test_minmax_select_requires_a_survivor(valid_set):
     heavy = make_record(1, np.eye(len(valid_set.examples))[0])  # kl = log n
+    checkpoints = random_checkpoints(2)
     with pytest.raises(ValueError):
-        minmax_select(random_checkpoints(2), [heavy], valid_set, kl_threshold=0.1)
+        minmax_select(checkpoints, [heavy], nll_rows(checkpoints, valid_set), kl_threshold=0.1)
 
 
 def test_greedy_requires_a_survivor(valid_set):
     heavy = make_record(1, np.eye(len(valid_set.examples))[0])  # kl = log n
     state = SelectionState(records=[identity_record(len(valid_set.examples))])
+    model = random_checkpoints(1)[0]
     with pytest.raises(ValueError, match="no adversary record survived"):
-        greedy_minmax_update(state, random_checkpoints(1)[0], 0, heavy, valid_set,
+        greedy_minmax_update(state, model, 0, heavy, nll_loss_batch(model, valid_set.examples),
                              kl_threshold=-1.0)
 
 
 def test_greedy_without_adversaries_matches_plain_validation(valid_set):
     checkpoints = random_checkpoints(4, seed=20)
     state = SelectionState(records=[identity_record(len(valid_set.examples))])
-    for i, ckpt in enumerate(checkpoints):
-        state = greedy_minmax_update(state, ckpt, i, None, valid_set)
+    for i, (ckpt, row) in enumerate(zip(checkpoints, nll_rows(checkpoints, valid_set))):
+        state = greedy_minmax_update(state, ckpt, i, None, row)
     mean_losses = [
         float(nll_loss_batch(c, valid_set.examples).mean()) for c in checkpoints
     ]
@@ -141,9 +147,9 @@ def test_greedy_state_holds_at_most_one_snapshot(valid_set):
     rng = np.random.default_rng(2)
     checkpoints = random_checkpoints(6, seed=30)
     state = SelectionState(records=[identity_record(len(valid_set.examples))])
-    for i, ckpt in enumerate(checkpoints):
+    for i, (ckpt, row) in enumerate(zip(checkpoints, nll_rows(checkpoints, valid_set))):
         rec = make_record(i + 1, rng.uniform(0.5, 1.5, len(valid_set.examples)))
-        state = greedy_minmax_update(state, ckpt, i, rec, valid_set)
+        state = greedy_minmax_update(state, ckpt, i, rec, row)
         stored = [v for v in vars(state).values() if isinstance(v, ModelState)]
         assert len(stored) <= 1
         assert not any(isinstance(r, ModelState) for r in state.records)
@@ -154,15 +160,16 @@ def test_greedy_state_holds_at_most_one_snapshot(valid_set):
 def test_greedy_rescores_incumbent_when_new_records_arrive(valid_set):
     n = len(valid_set.examples)
     checkpoints = random_checkpoints(2, seed=40)
+    rows = nll_rows(checkpoints, valid_set)
     state = SelectionState(records=[identity_record(n)])
-    state = greedy_minmax_update(state, checkpoints[0], 0, None, valid_set)
+    state = greedy_minmax_update(state, checkpoints[0], 0, None, rows[0])
     # a new adversary concentrated on hard examples raises the incumbent's worst case
-    losses = nll_loss_batch(checkpoints[0], valid_set.examples)
+    losses = rows[0]
     spike = np.full(n, 0.01)
     spike[np.argsort(losses)[-12:]] = 5.0
     rec = make_record(1, spike)
     assert rec.kl_estimate <= math.log(10)
-    state = greedy_minmax_update(state, checkpoints[1], 1, rec, valid_set)
+    state = greedy_minmax_update(state, checkpoints[1], 1, rec, rows[1])
     chosen = checkpoints[state.best_model_id]
     chosen_losses = nll_loss_batch(chosen, valid_set.examples)
     kept = surviving_records(state.records, math.log(10))
@@ -174,19 +181,19 @@ def test_hyperparam_select_single_run_reduces_to_minmax(valid_set):
     checkpoints = random_checkpoints(4, seed=50)
     records = [identity_record(len(valid_set.examples))]
     records.append(make_record(1, rng.uniform(0.2, 1.8, len(valid_set.examples))))
-    run_idx, ckpt_idx, model = hyperparam_select([(checkpoints, records)], valid_set)
-    expected_idx, _ = minmax_select(checkpoints, records, valid_set)
-    assert (run_idx, ckpt_idx) == (0, expected_idx)
+    rows = nll_rows(checkpoints, valid_set)
+    expected_idx, model = minmax_select(checkpoints, records, rows)
+    assert hyperparam_select([(rows, records)]) == (0, expected_idx)
     assert model is checkpoints[expected_idx]
     with pytest.raises(ValueError):
-        hyperparam_select([], valid_set)
+        hyperparam_select([])
 
 
 def test_selection_without_a_checkpoint_raises_a_value_error(valid_set):
     records = [identity_record(len(valid_set.examples))]
-    for select in (lambda: hyperparam_select([([], records)], valid_set),
-                   lambda: hyperparam_select([([], records), ([], records)], valid_set),
-                   lambda: minmax_select([], records, valid_set)):
+    for select in (lambda: hyperparam_select([([], records)]),
+                   lambda: hyperparam_select([([], records), ([], records)]),
+                   lambda: minmax_select([], records, [])):
         with pytest.raises(ValueError, match="at least one checkpoint required"):
             select()
 
@@ -199,7 +206,8 @@ def test_hyperparam_select_pools_records_across_runs(valid_set):
         random_checkpoints(2, seed=70),
         [identity_record(n), make_record(1, rng.uniform(0.1, 3.0, n))],
     )
-    run_idx, ckpt_idx, _ = hyperparam_select([run_a, run_b], valid_set)
+    run_idx, ckpt_idx = hyperparam_select(
+        [(nll_rows(ckpts, valid_set), records) for ckpts, records in (run_a, run_b)])
     pooled = run_a[1] + run_b[1]
     best = None
     for ri, (ckpts, _) in enumerate([run_a, run_b]):
@@ -209,41 +217,3 @@ def test_hyperparam_select_pools_records_across_runs(valid_set):
             if best is None or value < best[0]:
                 best = (value, ri, ci)
     assert (run_idx, ckpt_idx) == (best[1], best[2])
-
-
-@pytest.mark.parametrize("loss_kind", ["nll", "zero_one"])
-def test_cached_rows_select_as_the_forward_does(valid_set, loss_kind):
-    rng = np.random.default_rng(5)
-    n = len(valid_set)
-    for trial in range(10):
-        runs = []
-        for r in range(int(rng.integers(1, 4))):
-            checkpoints = random_checkpoints(int(rng.integers(1, 6)), seed=100 * trial + 10 * r)
-            records = [identity_record(n)] + [make_record(i + 1, rng.uniform(0.0, 3.0, n) ** 3)
-                                              for i in range(int(rng.integers(0, 4)))]
-            runs.append((checkpoints, records))
-        rows = [[_valid_losses(m, valid_set, loss_kind) for m in ckpts] for ckpts, _ in runs]
-        kl = float(rng.uniform(0.05, 1.0))
-        assert (hyperparam_select(runs, valid_set, kl, loss_kind, rows)
-                == hyperparam_select(runs, valid_set, kl, loss_kind))
-        (checkpoints, records), losses = runs[0], rows[0]
-        assert (minmax_select(checkpoints, records, valid_set, kl, loss_kind, losses)
-                == minmax_select(checkpoints, records, valid_set, kl, loss_kind))
-        cached = forwarded = SelectionState(records=[records[0]])
-        for i, (model, row) in enumerate(zip(checkpoints, losses)):
-            record = records[i] if 0 < i < len(records) else None
-            cached = greedy_minmax_update(cached, model, i, record, valid_set, kl, loss_kind, row)
-            forwarded = greedy_minmax_update(forwarded, model, i, record, valid_set, kl, loss_kind)
-            assert (cached.best_model_id, cached.best_value) == (forwarded.best_model_id,
-                                                                forwarded.best_value)
-            assert np.array_equal(cached.best_losses, forwarded.best_losses)
-
-
-def test_valid_losses_are_the_kernels_rows(valid_set):
-    model = random_checkpoints(1, seed=9)[0]
-    packed = valid_set.packed("linear")
-    assert np.array_equal(_valid_losses(model, valid_set, "nll"), nll_loss_batch(model, packed))
-    assert np.array_equal(_valid_losses(model, valid_set, "zero_one"),
-                          zero_one_loss_batch(model, packed))
-    with pytest.raises(ValueError, match="unknown loss_kind"):
-        _valid_losses(model, valid_set, "hinge")
