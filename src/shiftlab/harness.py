@@ -214,6 +214,11 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
                      ("cl.fisher_samples", 1), ("cl.grad_noise", 0), ("attack.steps", 1)):
         if not out[key] >= low:
             raise ConfigError(f"{key} must be >= {low}, got {out[key]}")
+    # fractions, checked by key here rather than by the library field they become
+    for key, zero_ok in (("data.p_noise", True), ("data.minority_ratio", False),
+                         ("data.bias", True), ("cl.gamma", False)):
+        if not (0 <= out[key] if zero_ok else 0 < out[key]) or not out[key] <= 1:
+            raise ConfigError(f"{key} must lie in {'[' if zero_ok else '('}0, 1], got {out[key]}")
     if not out["cl.lr"] > 0:
         raise ConfigError(f"cl.lr must be > 0, got {out['cl.lr']}")
     return out
@@ -234,6 +239,9 @@ def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, G
         train = full.subset(range(0, int(n * 0.8)))
         valid = full.subset(range(int(n * 0.8), int(n * 0.9)))
         test = full.subset(range(int(n * 0.9), n))
+        if not min(len(train), len(valid), len(test)):
+            raise ConfigError(f"{kind}: the 80/10/10 split gives {len(train)}/{len(valid)}/"
+                              f"{len(test)} train/valid/test rows; every split needs one")
     p_noise = cfg["data.p_noise"]
     if p_noise > 0:
         train = inject_label_noise(train, p_noise, seed + 3)

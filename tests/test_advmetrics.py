@@ -296,9 +296,7 @@ def reference_candidates(token_id, table, constraint, k):
     if constraint == "none":
         return [i for i in range(table.vectors.shape[0]) if i != token_id]
     if constraint == "knn":
-        if not 0 <= token_id < table.vectors.shape[0]:
-            raise ValueError("token_id out of range")
-        return table.neighbours(k)[token_id]
+        return knn_candidates(token_id, table, k)
     raise ValueError(f"unknown constraint: {constraint!r}")
 
 

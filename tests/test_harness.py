@@ -773,7 +773,7 @@ BELOW_FLOOR = [
     ("continual", {**SMALL_CL, "cl.fisher_samples": 0}, "cl.fisher_samples must be >= 1, got 0"),
     ("continual", {**SMALL_CL, "cl.method": "conatural", "cl.fisher_samples": -2},
      "cl.fisher_samples must be >= 1, got -2"),
-    ("continual", {**SMALL_CL, "cl.gamma": 0}, r"gamma must lie in \(0, 1\]"),
+    ("continual", {**SMALL_CL, "cl.gamma": 0}, r"cl.gamma must lie in \(0, 1\], got 0"),
     ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 40},
      "k must be smaller than the vocabulary size and >= 1, got attack.k=40"),
     ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": -1},
@@ -802,6 +802,17 @@ BELOW_FLOOR = [
     ("continual", {"cl.lr": "nan"}, "cl.lr must be > 0, got nan"),
     ("train", {"sweep.lr": "0.01,1.0"}, r"sweep\.lr: only the sweep command reads sweep\.\* keys"),
     ("gen-data", {"sweep.epochs": "1,2"}, r"sweep\.epochs: only the sweep command reads sweep\.\* keys"),
+    ("gen-data", {"data.p_noise": 2}, r"data.p_noise must lie in \[0, 1\], got 2"),
+    ("gen-data", {"data.p_noise": "nan"}, r"data.p_noise must lie in \[0, 1\], got nan"),
+    ("train", {"data.minority_ratio": 0}, r"data.minority_ratio must lie in \(0, 1\], got 0"),
+    ("gen-data", {"dataset": "distractor", "data.bias": 1.5},
+     r"data.bias must lie in \[0, 1\], got 1.5"),
+    ("continual", {**SMALL_CL, "cl.gamma": 2}, r"cl.gamma must lie in \(0, 1\], got 2"),
+    ("continual", {**SMALL_CL, "cl.gamma": "nan"}, r"cl.gamma must lie in \(0, 1\], got nan"),
+    ("train", {"dataset": "tiny5.csv"},
+     "tiny5.csv: the 80/10/10 split gives 4/0/1 train/valid/test rows; every split needs one"),
+    ("train", {"dataset": "tiny1.csv"},
+     "tiny1.csv: the 80/10/10 split gives 0/0/1 train/valid/test rows; every split needs one"),
 ], ids=["train-pdro-tokens", "train-linear-tokens", "train-csv-no-label", "continual-batch0",
         "continual-epochs0", "continual-fisher0", "continual-fisher-neg", "continual-gamma0",
         "attack-knn-k40", "attack-knn-k-neg", "attack-knn-k0", "gen-data-n0", "sweep-pdro-tokens", "train-lr-text", "train-lr-bool", "train-epochs-float",
@@ -809,7 +820,9 @@ BELOW_FLOOR = [
         "train-epochs0-last", "train-epochs0-greedy", "train-epochs0-minmax", "sweep-epochs0",
         *[f"{command}-{key}-below" for command, key, _ in BELOW_FLOOR], "train-kappa-nan",
         "continual-lr-neg", "continual-er-lr0", "continual-lr-nan", "train-sweep-key",
-        "gen-data-sweep-key"])
+        "gen-data-sweep-key", "gen-data-noise2", "gen-data-noise-nan", "train-ratio0",
+        "gen-data-bias1.5", "continual-gamma2", "continual-gamma-nan", "train-csv-5rows",
+        "train-csv-1row"])
 def test_a_command_that_fails_before_writing_leaves_no_directory(
         tmp_path, capsys, monkeypatch, command, bad, message):
     def no_step(*args, **kwargs):
@@ -819,6 +832,9 @@ def test_a_command_that_fails_before_writing_leaves_no_directory(
     monkeypatch.setattr(cl, "grad_params", no_step)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "no_label.csv").write_text("id,f0,f1\n0,1.0,2.0\n")
+    for n in (1, 5):
+        rows = "".join(f"{i},{i % 2},0,1.0,2.0\n" for i in range(n))
+        (tmp_path / f"tiny{n}.csv").write_text("id,label,group,f0,f1\n" + rows)
     (tmp_path / "cfg").write_text("".join(f"{key} = {value}\n" for key, value in bad.items()))
     assert cli.main([command, "--config", "cfg", "--out", "out"]) == 1
     err = capsys.readouterr().err.splitlines()
