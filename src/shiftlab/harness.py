@@ -599,7 +599,8 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
         run, ckpt = selection.hyperparam_select([(r.valid_losses, r.records) for r in runs.values()],
                                                 points[0]["selection.kl_threshold"])
         point = list(runs)[run]  # run counts only the points that trained
-        test = group_metrics(runs[point].checkpoints[ckpt], shared[2])  # not its run's choice
+        chosen = runs[point].checkpoints[ckpt]  # the pooled choice, not its run's own choice
+        test = group_metrics(chosen, shared[2])
         records[point].update(
             robust_acc=test.robust_accuracy, average_acc=test.average_accuracy,
             selected=True, chosen_checkpoint=ckpt)

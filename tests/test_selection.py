@@ -164,9 +164,8 @@ def test_greedy_rescores_incumbent_when_new_records_arrive(valid_set):
     state = SelectionState(records=[identity_record(n)])
     state = greedy_minmax_update(state, checkpoints[0], 0, None, rows[0])
     # a new adversary concentrated on hard examples raises the incumbent's worst case
-    losses = rows[0]
     spike = np.full(n, 0.01)
-    spike[np.argsort(losses)[-12:]] = 5.0
+    spike[np.argsort(rows[0])[-12:]] = 5.0
     rec = make_record(1, spike)
     assert rec.kl_estimate <= math.log(10)
     state = greedy_minmax_update(state, checkpoints[1], 1, rec, rows[1])
