@@ -105,34 +105,65 @@ def _chrf_block(references: Sequence[str], hypotheses: Sequence[str],
 
 def _ngram_matches(texts: Sequence[str], lengths: np.ndarray, max_n: int) -> np.ndarray:
     """(pairs, max_n) clipped n-gram match counts; texts are the pairs'
-    references followed by their hypotheses in the same order."""
-    pairs = len(texts) // 2
+    references followed by their hypotheses in the same order.
+
+    Each character gets one key: its pair, then the symbols of the window of
+    the largest order that starts at it. One sort of the keys makes the
+    windows of each pair that share an order-n gram a run, for every n."""
+    pairs, size = len(texts) // 2, int(lengths.sum())
+    width = min(max_n, lengths.max(initial=0))
+    if width == 0:
+        return np.zeros((pairs, max_n), dtype=int)
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    chars, rank = np.unique(codes, return_inverse=True)
-    # each character's pair, side (0 reference, 1 hypothesis) and the number
-    # of characters left in its text from it on
+    ordered = np.sort(codes)  # np.unique(codes) takes several times as long
+    chars = ordered[np.append(True, ordered[1:] != ordered[:-1])]
+    # a symbol is 1 + its character's rank; past the end of its text a window
+    # reads 0 for a reference and alphabet - 1 for a hypothesis, so that it
+    # agrees with no window of the other side
+    alphabet = len(chars) + 2
     owner = np.repeat(np.arange(len(texts)), lengths)
-    pair, side = owner % pairs, owner // pairs
-    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(codes.size)
-    out = np.zeros((pairs, max_n), dtype=int)
-    gram, span = rank.astype(np.int64), len(chars)  # gram ids lie in [0, span)
-    for n in range(1, min(max_n, lengths.max(initial=0)) + 1):
-        if n > 1:
-            if span * len(chars) * 2 * pairs >= 2 ** 62:
-                gram = np.unique(gram, return_inverse=True)[1].astype(np.int64)
-                span = int(gram.max()) + 1
-            # the order-n gram at i is the order n-1 gram at i, then character i + n - 1
-            m = codes.size - n + 1
-            gram[:m] = gram[:m] * len(chars) + rank[n - 1:]
-            span *= len(chars)
-        valid = left >= n
-        keys = ((pair[valid] * span + gram[valid]) << 1) | side[valid]
-        uniq, counts = np.unique(keys, return_counts=True)
-        # a (pair, gram) in both texts is its reference key then its hypothesis key
-        both = (uniq[1:] >> 1) == (uniq[:-1] >> 1)
-        out[:, n - 1] = np.bincount((uniq[:-1][both] >> 1) // span,
-                                    np.minimum(counts[:-1], counts[1:])[both], pairs)
-    return out
+    side = owner >= pairs  # True for a hypothesis
+    # each text is followed by `width` padding symbols: the window of
+    # character i is symbols[at[i]:at[i] + width]
+    at = np.arange(size) + width * owner
+    symbols = np.zeros(size + width * len(texts), dtype=np.int64)
+    symbols[lengths[:pairs].sum() + width * pairs:] = alphabet - 1
+    symbols[at] = np.searchsorted(chars, codes) + 1
+    key, span = owner - pairs * side, pairs
+    for j in range(width):
+        key, span = _append_digit(key, span, symbols[at + j], alphabet)
+    # the index as the last digit: the sorted keys give their order as well
+    key, span = _append_digit(key, span, np.arange(size), size)
+    order = np.sort(key) % size
+    at, pair = at[order], owner[order] % pairs
+    hypotheses = np.concatenate(([0], np.cumsum(side[order])))
+    # starts[n - 1, k]: sorted character k begins a run of windows whose pair
+    # and first n symbols agree, one order-n gram of one pair
+    starts = np.empty((width, size), dtype=bool)
+    starts[:, 0] = True
+    boundary = pair[1:] != pair[:-1]
+    for j in range(width):
+        column = symbols[at + j]
+        boundary |= column[1:] != column[:-1]
+        starts[j, 1:] = boundary
+    runs = np.flatnonzero(starts)
+    gram = np.repeat(np.arange(width), np.count_nonzero(starts, axis=1))  # n - 1
+    row = gram * size
+    first, end = runs - row, np.append(runs[1:], width * size) - row
+    hyp = hypotheses[end] - hypotheses[first]
+    counts = np.bincount(pair[first] * max_n + gram, np.minimum(end - first - hyp, hyp),
+                         pairs * max_n)
+    return counts.reshape(pairs, max_n).astype(int)
+
+
+def _append_digit(key: np.ndarray, span: int, digit: np.ndarray, radix: int):
+    """(key * radix + digit, its span) for keys in [0, span) and digits in
+    [0, radix); the keys are first renumbered densely, which keeps their
+    order, when the result could pass the int64 range."""
+    if span * radix > 2 ** 63:
+        key = np.unique(key, return_inverse=True)[1]
+        span = int(key.max()) + 1
+    return key * radix + digit, span * radix
 
 
 def d_tgt(s_base: float, s_adv: float) -> float:

@@ -265,9 +265,31 @@ def test_normalize_ws_matches_the_regex_on_mixed_text(text):
     assert _normalize_ws(text) == regex_normalize_ws(text)
 
 
-def test_chrf_batch_across_blocks_and_wide_alphabets():
+def test_chrf_batch_on_attack_shaped_rows_equals_counter_chrf():
+    # 150 rows of tok<i> words, each hypothesis with one word swapped, as the
+    # attack scores them; the pairs span 3 blocks
+    rng = np.random.default_rng(3)
+    refs, hyps = [], []
+    for _ in range(150):
+        words = [f"tok{i}" for i in rng.integers(0, 40, size=int(rng.integers(1, 16)))]
+        refs.append(" ".join(words))
+        words[int(rng.integers(0, len(words)))] = f"tok{int(rng.integers(0, 40))}"
+        hyps.append(" ".join(words))
+    want = [counter_chrf(r, h) for r, h in zip(refs, hyps)]
+    assert chrf_batch(refs, hyps).tolist() == want
+
+
+def test_chrf_batch_across_blocks_and_wide_alphabets(monkeypatch):
     # 150 pairs span several blocks; thousands of distinct code points make
-    # order-6 gram ids outgrow int64 unless they are renumbered
+    # order-6 window keys outgrow int64 unless they are renumbered
+    renumbered = []  # chrF calls np.unique only to renumber keys
+    unique = np.unique
+
+    def spy(*args, **kwargs):
+        renumbered.append(True)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
     rng = np.random.default_rng(8)
     refs, hyps = [], []
     for i in range(150):
@@ -284,6 +306,7 @@ def test_chrf_batch_across_blocks_and_wide_alphabets():
     for max_n in (1, 4, 6):
         want = [counter_chrf(r, h, max_n) for r, h in zip(refs, hyps)]
         assert chrf_batch(refs, hyps, max_n).tolist() == want
+    assert renumbered
     assert chrf_batch([], [], 6).shape == (0,)
     with pytest.raises(ValueError):
         chrf_batch(["a"], [], 6)
