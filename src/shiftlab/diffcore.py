@@ -229,7 +229,8 @@ def _forward_batch(model: ModelState, batch: Batch):
         if batch.tokens.min() < 0 or batch.tokens.max() >= spec.vocab_size:
             raise InputShapeError(f"token id out of range [0, {spec.vocab_size})")
         emb = spec.view(params, "embedding.weight")
-        bag = np.add.reduceat(emb[batch.tokens], batch.offsets[:-1], axis=0) / lengths[:, None]
+        rows = np.take(emb, batch.tokens, axis=0)  # the copy emb[batch.tokens] makes, faster
+        bag = np.add.reduceat(rows, batch.offsets[:-1], axis=0) / lengths[:, None]
         cache.update(lengths=lengths, feature=bag)
         return bag @ w.T + b, cache
     shape = None if batch.x is None else batch.x.shape

@@ -157,13 +157,15 @@ def _logsumexp(a: np.ndarray) -> float:
     return float((log_rest if count == 1 else log_rest + np.log(count)) + top)
 
 
-def _tilted_kl(losses: np.ndarray, tau: float) -> Tuple[float, np.ndarray]:
-    """KL(q* || uniform) and q* for q* proportional to exp(loss/tau) over the batch."""
+def _tilted_kl(shifted: np.ndarray, tau: float) -> Tuple[float, np.ndarray]:
+    """KL(q* || uniform) and q* for q* proportional to exp(loss/tau) over the
+    batch, given shifted = losses - losses.max()."""
     # shift before scaling: losses / tau can be large while their spread is not
-    w = np.exp((losses - losses.max()) / tau)
+    w = np.exp(shifted / tau)
     w /= w.sum()
-    nonzero = w > 0
-    return float(np.sum(w[nonzero] * np.log(len(losses) * w[nonzero]))), w
+    # 0 log 0 = 0; with no weight underflowed to 0, w itself holds the same terms
+    terms = w if w.all() else w[w > 0]
+    return float(np.sum(terms * np.log(len(w) * terms))), w
 
 
 def nonparam_weights(losses: np.ndarray, kappa: float) -> Tuple[np.ndarray, float]:
@@ -179,15 +181,16 @@ def nonparam_weights(losses: np.ndarray, kappa: float) -> Tuple[np.ndarray, floa
         raise ValueError("losses must be finite")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
+    shifted = losses - losses.max()
     if kappa == 0 or np.ptp(losses) == 0:
         # zero radius or constant losses: the KL is 0 everywhere reachable
         tau = TAU_SEARCH_HI if kappa == 0 else TAU_SEARCH_LO
-        return _tilted_kl(losses, tau)[1], tau
+        return _tilted_kl(shifted, tau)[1], tau
 
-    kl, w = _tilted_kl(losses, TAU_SEARCH_LO)
+    kl, w = _tilted_kl(shifted, TAU_SEARCH_LO)
     if kl <= kappa:
         return w, TAU_SEARCH_LO
-    kl, w = _tilted_kl(losses, TAU_SEARCH_HI)
+    kl, w = _tilted_kl(shifted, TAU_SEARCH_HI)
     if kl >= kappa:
         return w, TAU_SEARCH_HI
     lo, hi = np.log(TAU_SEARCH_LO), np.log(TAU_SEARCH_HI)
@@ -196,7 +199,7 @@ def nonparam_weights(losses: np.ndarray, kappa: float) -> Tuple[np.ndarray, floa
     last = False
     for _ in range(200):
         tau = min(max(np.exp(u), TAU_SEARCH_LO), TAU_SEARCH_HI)
-        kl, w = _tilted_kl(losses, tau)
+        kl, w = _tilted_kl(shifted, tau)
         lo, hi = (u, hi) if kl > kappa else (lo, u)
         var = w @ (losses - w @ losses) ** 2
         step = (kl - kappa) * tau ** 2 / var if var > 0 else np.inf

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import warnings
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -503,6 +504,74 @@ def test_nonparam_tau_matches_bisection(n, seed, log_scale, fraction):
     assert TAU_SEARCH_LO < tau < TAU_SEARCH_HI
     assert abs(kl_from_uniform(weights) - kappa) <= 1e-12
     assert abs(tau - bisection_tau(losses, kappa)) <= 1e-9 * tau
+
+
+def reference_tilted_kl(losses, tau):
+    w = np.exp((losses - losses.max()) / tau)
+    w /= w.sum()
+    nonzero = w > 0
+    return float(np.sum(w[nonzero] * np.log(len(losses) * w[nonzero]))), w
+
+
+def reference_nonparam_weights(losses, kappa):
+    """The solver before it shifted the losses once per call, verbatim; returns
+    (weights, tau, KL evaluations)."""
+    evals = 0
+
+    def tilted_kl(losses, tau):
+        nonlocal evals
+        evals += 1
+        return reference_tilted_kl(losses, tau)
+
+    losses = np.asarray(losses, dtype=float)
+    if kappa == 0 or np.ptp(losses) == 0:
+        tau = TAU_SEARCH_HI if kappa == 0 else TAU_SEARCH_LO
+        return tilted_kl(losses, tau)[1], tau, evals
+
+    kl, w = tilted_kl(losses, TAU_SEARCH_LO)
+    if kl <= kappa:
+        return w, TAU_SEARCH_LO, evals
+    kl, w = tilted_kl(losses, TAU_SEARCH_HI)
+    if kl >= kappa:
+        return w, TAU_SEARCH_HI, evals
+    lo, hi = np.log(TAU_SEARCH_LO), np.log(TAU_SEARCH_HI)
+    u = float(np.clip(np.log(np.std(losses) / np.sqrt(2.0 * kappa)), lo, hi))
+    last = False
+    for _ in range(200):
+        tau = min(max(np.exp(u), TAU_SEARCH_LO), TAU_SEARCH_HI)
+        kl, w = tilted_kl(losses, tau)
+        lo, hi = (u, hi) if kl > kappa else (lo, u)
+        var = w @ (losses - w @ losses) ** 2
+        step = (kl - kappa) * tau ** 2 / var if var > 0 else np.inf
+        if last or u + step == u or abs(kl - kappa) <= 1e-15:
+            break
+        inside = lo < u + step < hi
+        last = inside and abs(step) <= 1e-8
+        u = u + step if inside else 0.5 * (lo + hi)
+    return w, float(tau), evals
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3) | st.sampled_from([0.0, 0.5, 1.0]), min_size=1,
+                max_size=64),
+       st.floats(0.0, 5.0) | st.sampled_from([0.0, 1e-12, 0.05]))
+@example([1.0, 2.0, 3.0], 5.0)  # tau at its floor: all but the top weight are 0
+@example([-1000.0, 1000.0, 999.0], 0.6)  # the bottom weight underflows at tau*
+@example([0.5, 0.5, 1.0, 1.0], 0.1)  # ties
+def test_nonparam_weights_equal_the_former_solver_bit_for_bit(losses, kappa):
+    losses = np.array(losses)
+    want_w, want_tau, want_evals = reference_nonparam_weights(losses, kappa)
+    with mock.patch.object(dro, "_tilted_kl", wraps=dro._tilted_kl) as tilted_kl:
+        w, tau = nonparam_weights(losses, kappa)
+    assert w.tobytes() == want_w.tobytes()
+    assert np.float64(tau).tobytes() == np.float64(want_tau).tobytes()
+    assert tilted_kl.call_count == want_evals
+
+
+def test_nonparam_weights_can_underflow_to_zero_inside_the_bracket():
+    weights, tau = nonparam_weights(np.array([-1000.0, 1000.0, 999.0]), 0.6)
+    assert TAU_SEARCH_LO < tau < TAU_SEARCH_HI
+    assert weights[0] == 0.0 < weights[1:].min()
 
 
 # -- the dense step engine against the per-step arithmetic it replaced --------
