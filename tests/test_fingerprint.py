@@ -32,6 +32,11 @@ def test_the_command_list_has_unique_outputs_and_covers_every_command():
     assert set(committed["commands"]) == {*names, "report"}
 
 
+def test_report_joins_a_fixed_tuple_of_train_runs():
+    trained = {name for command, name, _, _ in fingerprint.commands() if command == "train"}
+    assert set(fingerprint.REPORT_RUNS) <= trained
+
+
 def test_the_commands_reproduce_the_committed_fingerprint(tmp_path):
     committed = json.loads((TOOL.parent / "fingerprint.json").read_text())
     assert fingerprint.differences(committed, fingerprint.fingerprint(tmp_path)) == []

@@ -38,6 +38,12 @@ TOY = ("dataset=two_domain", "data.sigma=0.8", "batch_size=32", "kappa=2.3025850
 CL_BENCH = ("cl.hidden=8", "cl.lr=0.3", "cl.epochs=5", "cl.alpha=0.3", "cl.fisher_samples=500")
 CL_METHODS = ("finetune", "conatural", "ewc", "conatural+ewc", "er", "conatural+er")
 CSV_SETS = ("gen-two_domain", "gen-two_domain-noise", "gen-distractor", "gen-distractor-noise")
+METHODS = ("erm", "nonparam", "group_dro", "pdro", "rpdro")
+# the runs `report` joins, fixed so that adding a train command leaves
+# report.csv alone; train-distractor-pdro exits 1 and leaves no directory,
+# which report skips
+REPORT_RUNS = tuple(f"train-{data}-{method}" for data in ("two_domain", "distractor")
+                    for method in METHODS)
 
 
 def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
@@ -49,9 +55,9 @@ def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
         ("gen-data", "gen-distractor-noise", (*DISTRACTOR, "data.p_noise=0.2"), 0),
         ("gen-data", "gen-two_domain-seed5", TWO_DOMAIN, 5),
     ]
-    for method in ("erm", "nonparam", "group_dro", "pdro", "rpdro"):
+    for method in METHODS:
         out.append(("train", f"train-two_domain-{method}", (*TWO_DOMAIN, f"method={method}"), 0))
-    for method in ("erm", "nonparam", "group_dro", "pdro", "rpdro"):  # pdro exits 1 here
+    for method in METHODS:  # pdro exits 1 here
         out.append(("train", f"train-distractor-{method}", (*DISTRACTOR, f"method={method}"), 0))
     pdro = (*TWO_DOMAIN, "method=pdro", "data.sigma=0.8", "adv_sigma_scale=0.4", "adv_lr=0.5")
     out += [
@@ -113,8 +119,7 @@ def fingerprint(work: Path) -> Dict[str, dict]:
             with contextlib.redirect_stderr(stderr):
                 code = cli.main(argv)
             runs[name] = {"exit": code, "stderr": stderr.getvalue().strip()}
-        trained = [name for name in runs if name.startswith("train-")]
-        report = ["report", "--runs", *trained, "--out", "report"]
+        report = ["report", "--runs", *REPORT_RUNS, "--out", "report"]
         runs["report"] = {"exit": cli.main(report), "stderr": ""}
     finally:
         os.chdir(cwd)
