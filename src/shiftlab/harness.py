@@ -499,7 +499,7 @@ def cmd_train(cfg: Dict[str, object], seed: int, out_dir: str) -> TrainResult:
                + _metrics_rows("test", result.test_metrics),
                _out(out_dir, "metrics.csv"))
     save_model_bin(result.model, _out(out_dir, "model.bin"))
-    _write_csv(["epoch", "valid_loss", "robust_acc", "average_acc"],
+    _write_csv(["step", "valid_loss", "robust_acc", "average_acc"],
                [[r["step"], r["loss"], r["robust_acc"], r["average_acc"]]
                 for r in result.log_rows],
                _out(out_dir, "plotdata_training.csv"))

@@ -420,6 +420,11 @@ def test_cmd_train_writes_artifacts(tmp_path):
     final = json.loads(lines[-1])
     assert final["final"] is True
     assert final["test_robust_acc"] == result.test_metrics.robust_accuracy
+    # the training plot's first column is each checkpoint's step count
+    plot = (out / "plotdata_training.csv").read_text().splitlines()
+    assert plot[0] == "step,valid_loss,robust_acc,average_acc"
+    assert [row.split(",")[0] for row in plot[1:]] == [
+        str(json.loads(line)["step"]) for line in lines[:-1]]
 
 
 def test_cmd_train_records_divergence(tmp_path):
