@@ -2,8 +2,9 @@
 
 Character n-gram F-score, relative target-score decrease and attack success,
 nearest-neighbor substitution constraints and exhaustive first-order
-substitution search. The F-score and the attack work on all pairs or token
-rows of a split at once; the one-example functions are one-row calls into them.
+substitution search. The F-score and the attack work on all pairs or packed
+token rows of a split at once; chrf, first_order_substitution and
+attack_example are one-row calls into them.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .diffcore import Example, ModelState, Packed, grad_wrt_embeddings_batch, pack
+from .diffcore import ModelState, Packed, grad_wrt_embeddings_batch
 
 CONSTRAINTS = ("none", "knn")
 
@@ -303,13 +304,12 @@ def attack_rows(
 
 def attack_example(
     model: ModelState,
-    example: Example,
+    row: Packed,
     table: EmbeddingTable,
     constraint: str = "none",
     sign_normalize: bool = False,
     k: int = 10,
-) -> Example:
-    """One first-order substitution applied to a token-sequence example:
-    attack_rows of one row."""
-    rows = attack_rows(model, pack([example], tokens=True), table, constraint, sign_normalize, k)
-    return Example(input=rows.tokens, label=example.label, group=example.group, id=example.id)
+) -> Packed:
+    """One first-order substitution applied to a one-row token batch:
+    attack_rows of that row."""
+    return attack_rows(model, row, table, constraint, sign_normalize, k)

@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .diffcore import Example, InputShapeError, ModelState, Packed, pack, zero_one_loss_batch
+from .diffcore import InputShapeError, ModelState, Packed, zero_one_loss_batch
 
 
 class CsvFormatError(ValueError):
@@ -17,35 +16,20 @@ class CsvFormatError(ValueError):
 
 @dataclass(eq=False)
 class GroupedDataset:
-    """Rows with group labels: one read-only pack plus an id per row (0..n-1 by
-    default). A list of examples is packed at once, as token rows when the first
-    input is integer-typed and as dense rows otherwise; `examples` is built when
-    first read, as read-only views of the pack."""
+    """Packed rows with group labels, made read-only, plus an id per row
+    (0..n-1 by default)."""
 
-    rows: Union[Packed, Sequence[Example]]
+    rows: Packed
     group_names: List[str] = field(default_factory=lambda: ["all"])
     ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not isinstance(self.rows, Packed):
-            examples = list(self.rows)
-            tokens = bool(examples) and np.asarray(examples[0].input).dtype.kind in "iu"
-            self.rows = pack(examples, tokens)
-            if self.ids is None:
-                self.ids = [ex.id for ex in examples]
         self.ids = np.arange(len(self.rows)) if self.ids is None else np.asarray(self.ids, dtype=int)
         self.group_names = list(self.group_names)
         rows = self.rows
         for array in (self.ids, rows.labels, rows.groups, rows.x, rows.tokens, rows.offsets):
             if array is not None:
                 array.flags.writeable = False
-
-    @cached_property
-    def examples(self) -> List[Example]:
-        rows = self.rows
-        inputs = list(rows.x) if rows.x is not None else np.split(rows.tokens, rows.offsets[1:-1])
-        return list(map(Example, inputs, rows.labels.tolist(), rows.groups.tolist(),
-                        self.ids.tolist()))
 
     @property
     def num_groups(self) -> int:

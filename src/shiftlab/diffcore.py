@@ -10,14 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 
 class InputShapeError(ValueError):
-    """Example is incompatible with the model spec."""
+    """Packed rows are incompatible with the model spec."""
 
 
 class UnsupportedArchitectureError(TypeError):
@@ -100,16 +99,6 @@ class ModelSpec:
 
 
 @dataclass
-class Example:
-    """A single labeled example: dense features or a token-id sequence."""
-
-    input: np.ndarray
-    label: int
-    group: Optional[int] = None
-    id: int = 0
-
-
-@dataclass
 class ModelState:
     """Model spec plus the flat parameter vector the spec lays out."""
 
@@ -155,8 +144,9 @@ def init_params(spec: ModelSpec, seed: int) -> ModelState:
 
 @dataclass(eq=False)
 class Packed:
-    """Examples as arrays: dense rows `x (n, d)`, or token rows in CSR form
-    (row i is tokens[offsets[i]:offsets[i + 1]])."""
+    """Labeled rows as arrays, the one batch type every kernel takes: dense
+    rows `x (n, d)`, or token rows in CSR form (row i is
+    tokens[offsets[i]:offsets[i + 1]])."""
 
     labels: np.ndarray
     groups: np.ndarray
@@ -190,35 +180,9 @@ class Packed:
                       offsets=offsets - offsets[0])
 
 
-Batch = Union[Sequence[Example], Packed]
-
-
-def pack(batch: Batch, tokens: bool) -> Packed:
-    """Arrays of a sequence of examples; a Packed batch is returned as is."""
-    if isinstance(batch, Packed):
-        return batch
-    labels = np.array([ex.label for ex in batch], dtype=int)
-    groups = np.array([0 if ex.group is None else ex.group for ex in batch], dtype=int)
-    if not tokens:
-        try:
-            return Packed(labels, groups, x=np.array([ex.input for ex in batch], dtype=float))
-        except ValueError:
-            raise InputShapeError("dense inputs must share one shape") from None
-    seqs = [np.asarray(ex.input, dtype=int) for ex in batch]
-    if not seqs or any(ids.ndim != 1 or ids.size == 0 for ids in seqs):
-        raise InputShapeError("token input must be a non-empty 1-d sequence")
-    offsets = np.fromiter(accumulate((ids.size for ids in seqs), initial=0), dtype=int)
-    return Packed(labels, groups, tokens=np.concatenate(seqs), offsets=offsets)
-
-
-def _packed(model: ModelState, batch: Batch) -> Packed:
-    return pack(batch, model.spec.architecture == "embed_bag")
-
-
-def _forward_batch(model: ModelState, batch: Batch):
+def _forward_batch(model: ModelState, batch: Packed):
     """Logits for a batch plus the activation cache used by backprop; the cache's
     feature is the output layer's input (x, the tanh activations or the bag)."""
-    batch = _packed(model, batch)
     spec, params = model.spec, model.params
     w, b = spec.view(params, spec.head[0]), spec.view(params, spec.head[1])
     cache: Dict[str, object] = {"batch": batch}
@@ -269,12 +233,12 @@ def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.
     return grad
 
 
-def forward_logits(model: ModelState, example: Example) -> np.ndarray:
-    logits, _ = _forward_batch(model, [example])
-    return logits[0]
+def forward_logits(model: ModelState, row: Packed) -> np.ndarray:
+    """The logits of a one-row batch."""
+    return _forward_batch(model, row)[0][0]
 
 
-def forward_logits_batch(model: ModelState, batch: Batch) -> np.ndarray:
+def forward_logits_batch(model: ModelState, batch: Packed) -> np.ndarray:
     logits, _ = _forward_batch(model, batch)
     return logits
 
@@ -288,9 +252,8 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
-def nll_forward(model: ModelState, batch: Batch):
+def nll_forward(model: ModelState, batch: Packed):
     """Per-example nll of a batch plus the forward state weighted_grad backprops."""
-    batch = _packed(model, batch)
     logits, state = _forward_batch(model, batch)
     state["log_probs"] = log_probs = _log_softmax(logits)
     state["rows"] = rows = batch_constants(len(batch))[0]
@@ -314,7 +277,7 @@ def weighted_grad(model: ModelState, state, weights: np.ndarray) -> np.ndarray:
     return _backward_from_dlogits(model, state, dlogits)
 
 
-def nll_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
+def nll_loss_batch(model: ModelState, batch: Packed) -> np.ndarray:
     return nll_forward(model, batch)[0]
 
 
@@ -323,8 +286,7 @@ def _misclassified(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (logits.argmax(axis=-1) != labels).astype(float)
 
 
-def zero_one_loss_batch(model: ModelState, batch: Batch) -> np.ndarray:
-    batch = _packed(model, batch)
+def zero_one_loss_batch(model: ModelState, batch: Packed) -> np.ndarray:
     logits, _ = _forward_batch(model, batch)
     return _misclassified(logits, batch.labels)
 
@@ -339,18 +301,17 @@ def logit_losses(logits: np.ndarray, labels: np.ndarray) -> Dict[str, np.ndarray
     return {"nll": -_log_softmax(logits)[rows, labels], "zero_one": _misclassified(logits, labels)}
 
 
-def grad_params(model: ModelState, batch: Batch, weights: np.ndarray) -> np.ndarray:
+def grad_params(model: ModelState, batch: Packed, weights: np.ndarray) -> np.ndarray:
     """Gradient of sum_i weights[i] * nll(x_i, y_i) wrt the flat params."""
     return weighted_grad(model, nll_forward(model, batch)[1], weights)
 
 
 def finite_diff_check(
-    model: ModelState, batch: Batch, step: float = 1e-5
+    model: ModelState, batch: Packed, step: float = 1e-5
 ) -> float:
     """Max relative error of grad_params against central differences."""
     if step <= 0:
         raise ValueError("step must be positive")
-    batch = _packed(model, batch)
     analytic = grad_params(model, batch, batch_constants(len(batch))[1])
     worst = 0.0
     params = model.params
@@ -367,16 +328,14 @@ def finite_diff_check(
     return worst
 
 
-def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.ndarray:
+def fisher_diag(model: ModelState, rows: Packed, sample_count: int, seed: int) -> np.ndarray:
     """Monte Carlo diagonal empirical Fisher: mean of squared nll gradients of
-    sample_count rows drawn with replacement from a dataset, examples or packed rows.
+    sample_count rows drawn with replacement from packed rows.
 
     One forward over the drawn rows gives every row's gradient factors; each
     layer's sum of squared per-row gradients is then a product of squared
     factors, sum_i (d_i^2)^T (a_i^2) (Goodfellow, arXiv:1510.01799).
     """
-    rows = (dataset.packed(model.spec.architecture) if hasattr(dataset, "packed")
-            else _packed(model, dataset))
     if len(rows) == 0:
         raise ValueError("fisher_diag requires a non-empty dataset")
     if sample_count < 1:
@@ -384,8 +343,9 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
     rng = np.random.default_rng(seed)
     sample = rows.take(rng.integers(0, len(rows), size=sample_count))
     logits, cache = _forward_batch(model, sample)
+    index = batch_constants(sample_count)[0]
     d = softmax(logits)
-    d[np.arange(sample_count), sample.labels] -= 1.0
+    d[index, sample.labels] -= 1.0
     d2 = d * d
     spec = model.spec
     out = np.empty(model.params.size)
@@ -401,7 +361,7 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
         # row i's gradient at token t is count(i, t) * dbag[i] / len(row i)
         v, e = spec.vocab_size, spec.embed_dim
         lengths = cache["lengths"]
-        row = np.repeat(np.arange(sample_count), lengths)
+        row = np.repeat(index, lengths)
         cells, count = np.unique(row * v + sample.tokens, return_counts=True)
         row, token = np.divmod(cells, v)
         dbag = d @ model.slot("out.weight")
@@ -413,7 +373,7 @@ def fisher_diag(model: ModelState, dataset, sample_count: int, seed: int) -> np.
 
 
 def grad_wrt_embeddings_batch(
-    model: ModelState, batch: Batch, loss_kind: str = "nll"
+    model: ModelState, batch: Packed, loss_kind: str = "nll"
 ) -> np.ndarray:
     """(rows, embed_dim) gradients of each row's loss wrt its input embedding
     vectors; a mean-pooled bag gives every position of row i the same row i.
@@ -427,10 +387,9 @@ def grad_wrt_embeddings_batch(
         )
     if loss_kind not in ("nll", "adversarial"):
         raise ValueError(f"unknown loss_kind: {loss_kind!r}")
-    batch = _packed(model, batch)
     logits, cache = _forward_batch(model, batch)
     probs = softmax(logits)
-    rows = np.arange(len(batch))
+    rows = batch_constants(len(batch))[0]
     if loss_kind == "nll":
         dlogits = probs
         dlogits[rows, batch.labels] -= 1.0
@@ -444,10 +403,7 @@ def grad_wrt_embeddings_batch(
     return dbag / cache["lengths"][:, None]
 
 
-def grad_wrt_embeddings(
-    model: ModelState, example: Example, loss_kind: str = "nll"
-) -> np.ndarray:
-    """(positions, embed_dim) gradients of one example's loss wrt its input
+def grad_wrt_embeddings(model: ModelState, row: Packed, loss_kind: str = "nll") -> np.ndarray:
+    """(positions, embed_dim) gradients of a one-row batch's loss wrt its input
     embedding vectors: its row of grad_wrt_embeddings_batch at every position."""
-    grads = grad_wrt_embeddings_batch(model, [example], loss_kind)
-    return np.repeat(grads, np.asarray(example.input).size, axis=0)
+    return np.repeat(grad_wrt_embeddings_batch(model, row, loss_kind), row.tokens.size, axis=0)

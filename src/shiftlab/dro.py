@@ -13,19 +13,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .diffcore import (
-    Batch,
     ModelSpec,
     ModelState,
     Packed,
     batch_constants,
     init_params,
     nll_forward,
-    pack,
     softmax,
     weighted_grad,
     _forward_batch,
     _backward_from_dlogits,
-    _packed,
 )
 
 TAU_SEARCH_LO = 1e-10
@@ -62,13 +59,12 @@ class RatioAdversary:
 
     scorer: ModelState
 
-    def f_forward(self, batch: Batch):
+    def f_forward(self, batch: Packed):
         """f(x_i, y_i) over the batch plus the forward state grad_f backprops."""
-        batch = _packed(self.scorer, batch)
         logits, state = _forward_batch(self.scorer, batch)
         return logits[batch_constants(len(batch))[0], batch.labels], state
 
-    def f_values(self, batch: Batch) -> np.ndarray:
+    def f_values(self, batch: Packed) -> np.ndarray:
         return self.f_forward(batch)[0]
 
     def grad_f(self, state, df: np.ndarray) -> np.ndarray:
@@ -141,7 +137,7 @@ class DroConfig:
                 raise ValueError(problem)
 
 
-def erm_step(model: ModelState, batch: Batch, lr: float) -> ModelState:
+def erm_step(model: ModelState, batch: Packed, lr: float) -> ModelState:
     return simultaneous_step(model, None, batch, DroConfig(lr=lr))[0]
 
 
@@ -223,11 +219,11 @@ def group_dro_weights(
     return w / w.sum()
 
 
-def pdro_model_weights(adv: GaussianAdversary, batch: Batch,
+def pdro_model_weights(adv: GaussianAdversary, batch: Packed,
                        centered: Optional[np.ndarray] = None) -> np.ndarray:
     """Importance weights q_psi(x) / q_psi0(x); exactly 1 when psi == psi0.
     `centered`, if given, is the batch's x - adv.mean."""
-    x = pack(batch, tokens=False).x
+    x = batch.x
     if centered is None:
         centered = x - adv.mean
     offset = x - adv.mean0
@@ -266,7 +262,7 @@ def pdro_adv_step(adv: GaussianAdversary, centered: np.ndarray, scaled: np.ndarr
     return GaussianAdversary(adv.mean + adv_lr * grad, adv.sigma, adv.mean0)
 
 
-def pdro_adv_step_bare(adv: GaussianAdversary, batch: Batch, centered: np.ndarray,
+def pdro_adv_step_bare(adv: GaussianAdversary, batch: Packed, centered: np.ndarray,
                        losses: np.ndarray, adv_lr: float) -> GaussianAdversary:
     """Direct ascent on the importance-sampled expected loss (no surrogate) of
     a batch whose inputs less adv.mean are `centered`."""
@@ -376,7 +372,7 @@ def adversary_valid_weights(method: str, adversary, valid: Packed) -> Optional[n
 def simultaneous_step(
     model: ModelState,
     adversary,
-    batch: Batch,
+    batch: Packed,
     config: DroConfig,
     normalizer: Optional[RunningNormalizer] = None,
 ):
@@ -389,7 +385,6 @@ def simultaneous_step(
     the batch, each with refreshed scores. The step leaves the model and
     adversary it is given alone and updates the normalizer in place.
     """
-    batch = _packed(model, batch)
     # one forward: the weights come from these losses, the gradient from its state
     losses, state = nll_forward(model, batch)
     n = len(batch)

@@ -258,25 +258,30 @@ def _generated_split(cfg: Dict[str, object], seed: int, split: int) -> GroupedDa
     if two_domain:
         ratio = cfg["data.minority_ratio"] if split < 2 else 0.5
         return gen_two_domain_gaussian(TwoDomainSpec(size, ratio, cfg["data.sigma"], seed=seed + split))
+    if cfg["data.vocab_size"] < 8:  # the generator's floor; CSV data takes any value
+        raise ConfigError(f"data.vocab_size must be >= 8 for generated text, got {cfg['data.vocab_size']}")
     bias = cfg["data.bias"] if split < 2 else 0.5
     return gen_distractor_text(DistractorTextSpec(size, cfg["data.vocab_size"], cfg["data.seq_len"],
                                                   bias, seed=seed + split))
 
 
-def build_model_spec(cfg: Dict[str, object], train: GroupedDataset) -> ModelSpec:
+def build_model_spec(cfg: Dict[str, object], *splits: GroupedDataset) -> ModelSpec:
+    """The configured model for the splits' rows. The class count and the
+    vocabulary cover every split: a CSV's later rows may hold a label or a
+    token that its train split lacks."""
     arch = cfg["model.arch"]
     if arch == "auto":
-        arch = "embed_bag" if train.is_tokens else "linear"
-    rows = train.packed(arch)
-    num_classes = max(int(rows.labels.max()) + 1, 2)
+        arch = "embed_bag" if splits[0].is_tokens else "linear"
+    rows = [split.packed(arch) for split in splits]
+    num_classes = max(*(int(r.labels.max()) + 1 for r in rows), 2)
     if arch == "embed_bag":
-        vocab = max(cfg["data.vocab_size"], int(rows.tokens.max()) + 1)
+        vocab = max(cfg["data.vocab_size"], *(int(r.tokens.max()) + 1 for r in rows))
         return ModelSpec("embed_bag", num_classes=num_classes,
                          vocab_size=vocab, embed_dim=cfg["model.embed_dim"])
     if arch == "mlp":
-        return ModelSpec("mlp", input_dim=rows.x.shape[1], num_classes=num_classes,
+        return ModelSpec("mlp", input_dim=rows[0].x.shape[1], num_classes=num_classes,
                          hidden_units=cfg["model.hidden"])
-    return ModelSpec("linear", input_dim=rows.x.shape[1], num_classes=num_classes)
+    return ModelSpec("linear", input_dim=rows[0].x.shape[1], num_classes=num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +326,7 @@ def train_run(cfg: Dict[str, object], seed: int,
     cfg = resolved(cfg)
     dro_cfg = dro_config(cfg)
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
-    spec = build_model_spec(cfg, train)
+    spec = build_model_spec(cfg, train, valid, test)
     model = init_params(spec, seed)
     packed_train, packed_valid = train.packed(spec.architecture), valid.packed(spec.architecture)
 

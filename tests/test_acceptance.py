@@ -12,6 +12,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import conftest
+from conftest import packed_rows
 from shiftlab import harness
 from shiftlab.advmetrics import EmbeddingTable, chrf, first_order_substitution
 from shiftlab.continual import (
@@ -29,7 +30,6 @@ from shiftlab.continual import (
 )
 from shiftlab.datasets import GroupedDataset, batches
 from shiftlab.diffcore import (
-    Example,
     ModelSpec,
     finite_diff_check,
     fisher_diag,
@@ -86,17 +86,15 @@ def test_gradient_correctness_across_architectures():
             model.params += 0.1 * rng.standard_normal(model.num_params)
             n = int(rng.integers(1, 5))
             if spec.architecture == "embed_bag":
-                batch = [
-                    Example(input=rng.integers(0, 5, size=int(rng.integers(1, 5))),
-                            label=int(rng.integers(0, 2)), id=i)
-                    for i in range(n)
-                ]
+                batch = packed_rows(
+                    (rng.integers(0, 5, size=int(rng.integers(1, 5))), int(rng.integers(0, 2)))
+                    for _ in range(n)
+                )
             else:
-                batch = [
-                    Example(input=rng.standard_normal(spec.input_dim),
-                            label=int(rng.integers(0, 2)), id=i)
-                    for i in range(n)
-                ]
+                batch = packed_rows(
+                    (rng.standard_normal(spec.input_dim), int(rng.integers(0, 2)))
+                    for _ in range(n)
+                )
             worst = max(worst, finite_diff_check(model, batch))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-4 and elapsed < 10.0
@@ -271,12 +269,12 @@ def test_label_noise_resilience(noise_results):
 def blob_task(angle, n, sigma, seed):
     rng = np.random.default_rng(seed)
     center = np.array([math.cos(angle), math.sin(angle)])
-    examples = []
-    for i in range(n):
+    rows = []
+    for _ in range(n):
         label = int(rng.integers(0, 2))
         x = (center if label == 1 else -center) + sigma * rng.standard_normal(2)
-        examples.append(Example(input=x, label=label, group=0, id=i))
-    return GroupedDataset(examples)
+        rows.append((x, label))
+    return GroupedDataset(packed_rows(rows))
 
 
 def run_two_tasks(seed, alpha):
@@ -295,7 +293,7 @@ def run_two_tasks(seed, alpha):
         nonlocal model
         for epoch in range(3):
             for idx in batches(task, 16, seed=seed * 100 + epoch):
-                batch = [task.examples[i] for i in idx]
+                batch = task.rows.take(idx)
                 grad = grad_params(model, batch, np.full(len(batch), 1.0 / len(batch)))
                 scale = 0.1 * np.linalg.norm(grad)
                 grad = grad + scale * noise_rng.standard_normal(grad.size) / math.sqrt(grad.size)
@@ -307,13 +305,13 @@ def run_two_tasks(seed, alpha):
                 model.params += delta
 
     train(t1, None)
-    acc_after_t1 = 1.0 - float(zero_one_loss_batch(model, t1.examples).mean())
-    diag, ok = fisher_renormalize(fisher_diag(model, t1, 1000, seed))
+    acc_after_t1 = 1.0 - float(zero_one_loss_batch(model, t1.rows).mean())
+    diag, ok = fisher_renormalize(fisher_diag(model, t1.rows, 1000, seed))
     assert ok
     fisher = None if alpha is None else FisherState(diag, 0.9, alpha=alpha)
     train(t2, fisher)
-    final_nll = float(nll_loss_batch(model, t1.examples).mean())
-    final_acc = 1.0 - float(zero_one_loss_batch(model, t1.examples).mean())
+    final_nll = float(nll_loss_batch(model, t1.rows).mean())
+    final_acc = 1.0 - float(zero_one_loss_batch(model, t1.rows).mean())
     return acc_after_t1, final_acc, final_nll
 
 
@@ -489,9 +487,9 @@ def test_reservoir_inclusion_is_uniform():
     for _ in range(streams):
         memory = ReplayMemory(capacity)
         for i in range(stream_len):
-            reservoir_add(memory, Example(input=np.zeros(1), label=0, id=i), rng)
+            reservoir_add(memory, i, rng)
         for item in memory.items:
-            counts[item.id] += 1
+            counts[item] += 1
     freq = counts / streams
     p = capacity / stream_len
     sigma = math.sqrt(p * (1 - p) / streams)

@@ -1,10 +1,12 @@
 import re
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import packed_rows
 from shiftlab.advmetrics import (
     EmbeddingTable,
     NoCandidateError,
@@ -19,7 +21,7 @@ from shiftlab.advmetrics import (
     success,
 )
 from shiftlab.datasets import DistractorTextSpec, gen_distractor_text
-from shiftlab.diffcore import Example, ModelSpec, grad_wrt_embeddings, init_params, pack
+from shiftlab.diffcore import ModelSpec, grad_wrt_embeddings, init_params
 
 
 def test_chrf_identity_and_empty():
@@ -149,10 +151,11 @@ def test_attack_example_changes_exactly_one_position():
     spec = ModelSpec("embed_bag", vocab_size=10, embed_dim=4)
     model = init_params(spec, seed=0)
     table = EmbeddingTable(model.slot("embedding.weight"), [f"tok{i}" for i in range(10)])
-    ex = Example(input=np.array([1, 4, 7]), label=1, group=0, id=3)
-    adv = attack_example(model, ex, table)
-    assert adv.label == ex.label and adv.id == ex.id
-    diffs = np.sum(np.asarray(adv.input) != np.asarray(ex.input))
+    row = packed_rows([(np.array([1, 4, 7]), 1, 0)])
+    adv = attack_example(model, row, table)
+    assert (adv.labels.tolist(), adv.groups.tolist()) == ([1], [0])
+    assert adv.offsets.tolist() == [0, 3]
+    diffs = np.sum(adv.tokens != row.tokens)
     assert diffs == 1
 
 
@@ -339,14 +342,14 @@ def reference_substitution(grads, current_ids, table, constraint, sign_normalize
     return best[1], best[2]
 
 
-def reference_attack(model, example, table, constraint, sign_normalize, k):
-    """One example, one substitution."""
-    grads = grad_wrt_embeddings(model, example, loss_kind="adversarial")
-    pos, tok = reference_substitution(grads, list(example.input), table, constraint,
+def reference_attack(model, row, table, constraint, sign_normalize, k):
+    """One row, one substitution."""
+    grads = grad_wrt_embeddings(model, row, loss_kind="adversarial")
+    pos, tok = reference_substitution(grads, list(row.tokens), table, constraint,
                                       sign_normalize, k)
-    new_ids = np.array(example.input, dtype=int).copy()
+    new_ids = row.tokens.copy()
     new_ids[pos] = tok
-    return Example(input=new_ids, label=example.label, group=example.group, id=example.id)
+    return replace(row, tokens=new_ids)
 
 
 def attack_setup(vocab=12, dim=4, seed=3):
@@ -365,30 +368,30 @@ def attack_setup(vocab=12, dim=4, seed=3):
 def test_attack_rows_matches_per_example_loop(constraint, sign_normalize, steps):
     model, table = attack_setup()
     # ragged rows: seq_len 8, plus the distractor token 0 in front of about half
-    data = gen_distractor_text(DistractorTextSpec(300, 12, 8, 0.5, seed=4))
-    lengths = {len(ex.input) for ex in data.examples}
+    data = gen_distractor_text(DistractorTextSpec(300, 12, 8, 0.5, seed=4)).rows
+    lengths = set(np.diff(data.offsets).tolist())
     assert lengths == {8, 9}
-    for examples in (data.examples, data.examples[7:8]):
+    for rows in (data, data.take([7])):
         want = []
-        for ex in examples:
+        for i in range(len(rows)):
+            row = rows.take([i])
             for _ in range(steps):
-                ex = reference_attack(model, ex, table, constraint, sign_normalize, 3)
-            want.append(ex.input)
-        rows = pack(examples, tokens=True)
+                row = reference_attack(model, row, table, constraint, sign_normalize, 3)
+            want.append(row.tokens)
+        before = rows.tokens.copy()
         got = attack_rows(model, rows, table, constraint, sign_normalize, 3, steps)
         assert np.array_equal(got.offsets, rows.offsets)
         assert np.array_equal(got.tokens, np.concatenate(want))
-        assert np.array_equal(rows.tokens, pack(examples, tokens=True).tokens)  # input kept
-    one = attack_example(model, data.examples[7], table, constraint, sign_normalize, 3)
-    two = reference_attack(model, data.examples[7], table, constraint, sign_normalize, 3)
-    assert np.array_equal(one.input, two.input)
-    assert (one.label, one.group, one.id) == (two.label, two.group, two.id)
+        assert np.array_equal(rows.tokens, before)  # input kept
+    one = attack_example(model, data.take([7]), table, constraint, sign_normalize, 3)
+    two = reference_attack(model, data.take([7]), table, constraint, sign_normalize, 3)
+    for name in ("tokens", "offsets", "labels", "groups"):
+        assert np.array_equal(getattr(one, name), getattr(two, name))
 
 
 def test_attack_rows_builds_the_neighbour_table_once(monkeypatch):
     model, table = attack_setup()
-    rows = pack(gen_distractor_text(DistractorTextSpec(40, 12, 8, 0.5, seed=4)).examples,
-                tokens=True)
+    rows = gen_distractor_text(DistractorTextSpec(40, 12, 8, 0.5, seed=4)).rows
     calls = []
     neighbours = EmbeddingTable.neighbours
 

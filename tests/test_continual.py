@@ -27,13 +27,11 @@ from shiftlab.continual import (
 )
 from shiftlab.datasets import TwoDomainSpec, batches, gen_two_domain_gaussian
 from shiftlab.diffcore import (
-    Example,
     ModelSpec,
     ModelState,
     Packed,
     grad_params,
     init_params,
-    pack,
     zero_one_loss_batch,
 )
 
@@ -142,7 +140,7 @@ def test_reservoir_fills_then_stays_at_capacity():
     rng = np.random.default_rng(1)
     memory = ReplayMemory(capacity=5)
     for i in range(50):
-        reservoir_add(memory, Example(input=np.zeros(1), label=0, id=i), rng)
+        reservoir_add(memory, i, rng)
         assert len(memory.items) <= 5
     assert len(memory.items) == 5
     assert memory.seen_count == 50
@@ -193,11 +191,8 @@ def test_rotated_tasks_shapes_and_rotation():
         rotated_gaussian_tasks(0, 10)
     # the last task is the first rotated by max_angle: class means swap axes
     def class_mean(task, label, axis):
-        xs = np.stack(
-            [np.asarray(ex.input) for ex in task.examples
-             if ex.label == label and ex.group == 0]
-        )
-        return xs[:, axis].mean()
+        rows = task.rows
+        return rows.x[(rows.labels == label) & (rows.groups == 0), axis].mean()
 
     assert abs(class_mean(tasks[0], 1, 0)) > abs(class_mean(tasks[0], 1, 1))
     assert abs(class_mean(tasks[2], 1, 1)) > abs(class_mean(tasks[2], 1, 0))
@@ -212,11 +207,11 @@ def test_rotated_tasks_match_the_per_row_rotation(num_tasks, points, sigma, seed
         angle = max_angle * t / max(num_tasks - 1, 1)
         rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
         assert len(task) == len(base)
-        for got, ex in zip(task.examples, base.examples):
-            assert (got.label, got.group, got.id) == (ex.label, ex.group, ex.id)
-            assert got.input.tobytes() == (rot @ ex.input).tobytes()
-        fresh = pack(task.examples, tokens=False)
-        assert task.packed("mlp").x.tobytes() == fresh.x.tobytes()
+        for name in ("labels", "groups"):
+            assert np.array_equal(getattr(task.rows, name), getattr(base.rows, name))
+        assert np.array_equal(task.ids, base.ids)
+        for got, x in zip(task.packed("mlp").x, base.rows.x):
+            assert got.tobytes() == (rot @ x).tobytes()
 
 
 @pytest.mark.parametrize("method", ["finetune", "conatural", "ewc", "er", "conatural+er"])
@@ -250,7 +245,7 @@ def test_finetune_equals_a_loop_over_separate_trunk_and_head_arrays():
     split = spec.slots["out.weight"][0]
     trunk = init_params(spec, cfg.seed).params[:split].copy()
     heads = [init_params(spec, cfg.seed + 1 + t).params[split:].copy() for t in range(3)]
-    packed = [pack(task.examples, tokens=False) for task in tasks]
+    packed = [task.packed("mlp") for task in tasks]
     expected = np.zeros((3, 3))
     for k, task in enumerate(tasks):
         for epoch in range(cfg.epochs):
@@ -308,7 +303,8 @@ def test_continual_train_gathers_once_per_epoch_without_replay_per_step_with(mon
     # batches -> with_replay -> take, with uniform weights
     tasks = rotated_gaussian_tasks(3, 30, sigma=0.4, seed=6)
     cfg = ContinualConfig(hidden_units=4, epochs=2, batch_size=8, replay_capacity=10, seed=2)
-    every = pack([ex for task in tasks for ex in task.examples], tokens=False)
+    every = Packed(*(np.concatenate([getattr(task.rows, name) for task in tasks])
+                     for name in ("labels", "groups", "x")))
     rng = np.random.default_rng(cfg.seed + 7919)
     memory = ReplayMemory(cfg.replay_capacity)
     expected, replay_steps, lo = [], 0, 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import packed_rows
 from shiftlab.datasets import (
     CsvFormatError,
     DistractorTextSpec,
@@ -15,24 +16,22 @@ from shiftlab.datasets import (
     load_csv,
     save_csv,
 )
-from shiftlab.diffcore import Example, ModelSpec, init_params, pack
+from shiftlab.diffcore import ModelSpec, init_params
 
 
 def test_two_domain_counts_and_groups():
     ds = gen_two_domain_gaussian(TwoDomainSpec(1020, 1.0 / 51.0, 0.5, seed=0))
     assert len(ds) == 1020
-    groups = np.array([ex.group for ex in ds.examples])
-    assert (groups == 1).sum() == 20
+    assert (ds.rows.groups == 1).sum() == 20
     assert ds.group_names == ["majority", "minority"]
-    ids = [ex.id for ex in ds.examples]
-    assert ids == list(range(1020))
+    assert ds.ids.tolist() == list(range(1020))
 
 
 def test_two_domain_means_separate_along_the_right_axes():
     ds = gen_two_domain_gaussian(TwoDomainSpec(4000, 0.5, 0.1, seed=1))
     for group, axis in ((0, 0), (1, 1)):
-        xs = np.stack([np.asarray(ex.input) for ex in ds.examples if ex.group == group])
-        labels = np.array([ex.label for ex in ds.examples if ex.group == group])
+        xs = ds.rows.x[ds.rows.groups == group]
+        labels = ds.rows.labels[ds.rows.groups == group]
         sign = 1.0 if group == 0 else -1.0
         mean0 = xs[labels == 0, axis].mean()
         mean1 = xs[labels == 1, axis].mean()
@@ -52,15 +51,15 @@ def test_distractor_structure():
     spec = DistractorTextSpec(n=600, vocab_size=32, seq_len=8, bias=0.95, seed=0)
     ds = gen_distractor_text(spec)
     assert ds.group_names == ["neg/plain", "neg/distractor", "pos/plain", "pos/distractor"]
-    for ex in ds.examples:
-        tokens = np.asarray(ex.input)
+    rows = ds.rows
+    for i, (label, group) in enumerate(zip(rows.labels, rows.groups)):
+        tokens = rows.tokens[rows.offsets[i]:rows.offsets[i + 1]]
         has_distractor = tokens[0] == 0
         assert len(tokens) == spec.seq_len + (1 if has_distractor else 0)
-        assert ex.group == 2 * ex.label + int(has_distractor)
+        assert group == 2 * label + int(has_distractor)
         assert 0 not in tokens[1:] if has_distractor else 0 not in tokens
     # the distractor tracks label 0 with the configured bias
-    neg = [ex for ex in ds.examples if ex.label == 0]
-    frac = np.mean([ex.group % 2 for ex in neg])
+    frac = np.mean(rows.groups[rows.labels == 0] % 2)
     assert abs(frac - spec.bias) < 0.06
 
 
@@ -68,30 +67,30 @@ def test_distractor_structure():
 
 
 def reference_two_domain(spec):
-    """gen_two_domain_gaussian as a loop drawing one row at a time."""
+    """gen_two_domain_gaussian as a loop drawing one row at a time, packed."""
     majority = {0: np.array([-1.0, 0.0]), 1: np.array([1.0, 0.0])}
     minority = {0: np.array([0.0, 1.0]), 1: np.array([0.0, -1.0])}
     rng = np.random.default_rng(spec.seed)
     n_minority = int(round(spec.total_points * spec.minority_ratio))
-    examples = []
+    rows = []
     for group, count, means in ((0, spec.total_points - n_minority, majority),
                                 (1, n_minority, minority)):
         for _ in range(count):
             label = int(rng.integers(0, 2))
             x = means[label] + spec.sigma * rng.standard_normal(2)
-            examples.append(Example(input=x, label=label, group=group, id=len(examples)))
-    return examples
+            rows.append((x, label, group))
+    return packed_rows(rows)
 
 
 def reference_distractor(spec):
-    """gen_distractor_text as a loop drawing one row at a time."""
+    """gen_distractor_text as a loop drawing one row at a time, packed."""
     rng = np.random.default_rng(spec.seed)
     pool_size = max(1, (spec.vocab_size - 1) // 4)
     pool0 = np.arange(1, 1 + pool_size)
     pool1 = np.arange(1 + pool_size, 1 + 2 * pool_size)
     noise = np.arange(1 + 2 * pool_size, spec.vocab_size)
-    examples = []
-    for i in range(spec.n):
+    rows = []
+    for _ in range(spec.n):
         label = int(rng.integers(0, 2))
         p_distract = spec.bias if label == 0 else 1.0 - spec.bias
         has_distractor = bool(rng.random() < p_distract)
@@ -99,27 +98,15 @@ def reference_distractor(spec):
         body = rng.choice(noise, size=spec.seq_len)
         body[rng.integers(0, spec.seq_len)] = rng.choice(pool)
         tokens = np.concatenate(([0], body)) if has_distractor else body
-        examples.append(Example(input=tokens.astype(int), label=label,
-                                group=2 * label + int(has_distractor), id=i))
-    return examples
+        rows.append((tokens.astype(int), label, 2 * label + int(has_distractor)))
+    return packed_rows(rows)
 
 
-def assert_same_bytes(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert [type(v) for v in (a.label, a.group, a.id)] == [int, int, int]
-        assert (a.label, a.group, a.id) == (b.label, b.group, b.id)
-        assert (a.input.dtype, a.input.shape) == (b.input.dtype, b.input.shape)
-        assert a.input.tobytes() == b.input.tobytes()
-
-
-def assert_pack_is_cached(ds, architecture):
-    """The dataset came with its pack, and that pack equals pack(examples)."""
-    rows = ds.packed(architecture)
-    assert not rows.labels.flags.writeable  # built by the generator, not re-packed
-    fresh = pack(ds.examples, architecture == "embed_bag")
+def assert_same_bytes(ds, want):
+    """The dataset's rows are want's, array by array, with ids 0..n-1."""
+    assert ds.ids.tolist() == list(range(len(want)))
     for name in ("labels", "groups", "x", "tokens", "offsets"):
-        a, b = getattr(rows, name), getattr(fresh, name)
+        a, b = getattr(ds.rows, name), getattr(want, name)
         assert (a is None) == (b is None)
         if a is not None:
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
@@ -133,9 +120,7 @@ def assert_pack_is_cached(ds, architecture):
 @example(n=1020, minority_ratio=1.0 / 51.0, sigma=0.5, seed=0)
 def test_two_domain_matches_the_row_loop_bit_for_bit(n, minority_ratio, sigma, seed):
     spec = TwoDomainSpec(n, minority_ratio, sigma, seed=seed)
-    ds = gen_two_domain_gaussian(spec)
-    assert_same_bytes(ds.examples, reference_two_domain(spec))
-    assert_pack_is_cached(ds, "linear")
+    assert_same_bytes(gen_two_domain_gaussian(spec), reference_two_domain(spec))
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,14 +133,12 @@ def test_two_domain_matches_the_row_loop_bit_for_bit(n, minority_ratio, sigma, s
 @example(n=2000, vocab_size=32, seq_len=8, bias=0.5, seed=291482)
 def test_distractor_matches_the_row_loop_bit_for_bit(n, vocab_size, seq_len, bias, seed):
     spec = DistractorTextSpec(n, vocab_size, seq_len, bias, seed=seed)
-    ds = gen_distractor_text(spec)
-    assert_same_bytes(ds.examples, reference_distractor(spec))
-    assert_pack_is_cached(ds, "embed_bag")
+    assert_same_bytes(gen_distractor_text(spec), reference_distractor(spec))
 
 
 def test_distractor_matches_the_row_loop_on_20000_rows():
     spec = DistractorTextSpec(20_000, 32, 8, 0.95, seed=2026)
-    assert_same_bytes(gen_distractor_text(spec).examples, reference_distractor(spec))
+    assert_same_bytes(gen_distractor_text(spec), reference_distractor(spec))
 
 
 def test_numpy_stream_facts_the_one_call_distractor_draw_rests_on():
@@ -241,23 +224,21 @@ def test_paired_two_domain_draw_matches_the_row_loop(n, minority_ratio):
     for seed in (0, *ZIGGURAT_SEEDS):
         for sigma in (0.0, 0.8):
             spec = TwoDomainSpec(n, minority_ratio, sigma, seed=seed)
-            rows = gen_two_domain_gaussian(spec).packed("linear")
-            want = pack(reference_two_domain(spec), tokens=False)
-            for name in ("labels", "groups", "x"):
-                a, b = getattr(rows, name), getattr(want, name)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert_same_bytes(gen_two_domain_gaussian(spec), reference_two_domain(spec))
 
 
 def test_generated_examples_are_read_only_views_of_the_pack():
-    listed = GroupedDataset([Example(input=np.full(2, float(i)), label=i % 2, id=7 * i)
-                             for i in range(5)])
+    listed = GroupedDataset(packed_rows((np.full(2, float(i)), i % 2) for i in range(5)),
+                            ids=[7 * i for i in range(5)])
     for ds, architecture in ((gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)), "linear"),
                              (gen_distractor_text(DistractorTextSpec(30)), "embed_bag"),
                              (listed, "mlp")):
-        with pytest.raises(ValueError, match="read-only"):
-            ds.examples[3].input[0] = 1
         rows = ds.packed(architecture)
-        assert np.shares_memory(ds.examples[3].input, rows.x if rows.x is not None else rows.tokens)
+        example = rows.rows(3, 4)  # one row, as views
+        inputs = example.x if example.x is not None else example.tokens
+        with pytest.raises(ValueError, match="read-only"):
+            inputs[0] = 1
+        assert np.shares_memory(inputs, rows.x if rows.x is not None else rows.tokens)
         with pytest.raises(ValueError, match="read-only"):
             rows.labels[0] = 1
 
@@ -274,9 +255,9 @@ def test_distractor_spec_validation():
 def test_label_noise_bounds_and_extremes():
     ds = gen_two_domain_gaussian(TwoDomainSpec(200, 0.5, 0.5, seed=2))
     same = inject_label_noise(ds, 0.0, seed=0)
-    assert [ex.label for ex in same.examples] == [ex.label for ex in ds.examples]
+    assert same.rows.labels.tolist() == ds.rows.labels.tolist()
     noisy = inject_label_noise(ds, 1.0, seed=0)
-    flipped = sum(a.label != b.label for a, b in zip(ds.examples, noisy.examples))
+    flipped = int((ds.rows.labels != noisy.rows.labels).sum())
     # uniform resampling keeps ~half the labels by chance
     assert 60 < flipped < 140
     with pytest.raises(ValueError):
@@ -289,9 +270,10 @@ def test_csv_round_trip_dense(tmp_path):
     save_csv(ds, path)
     loaded = load_csv(path)
     assert len(loaded) == len(ds)
-    for a, b in zip(ds.examples, loaded.examples):
-        assert np.array_equal(np.asarray(a.input), np.asarray(b.input))
-        assert (a.label, a.group, a.id) == (b.label, b.group, b.id)
+    assert np.array_equal(loaded.rows.x, ds.rows.x)
+    for name in ("labels", "groups"):
+        assert getattr(loaded.rows, name).tolist() == getattr(ds.rows, name).tolist()
+    assert loaded.ids.tolist() == ds.ids.tolist()
 
 
 def test_csv_round_trip_tokens(tmp_path):
@@ -299,9 +281,8 @@ def test_csv_round_trip_tokens(tmp_path):
     path = tmp_path / "tokens.csv"
     save_csv(ds, path)
     loaded = load_csv(path)
-    for a, b in zip(ds.examples, loaded.examples):
-        assert np.array_equal(np.asarray(a.input), np.asarray(b.input))
-        assert (a.label, a.group) == (b.label, b.group)
+    for name in ("tokens", "offsets", "labels", "groups"):
+        assert getattr(loaded.rows, name).tolist() == getattr(ds.rows, name).tolist()
 
 
 RAGGED_ROWS = st.lists(
@@ -314,15 +295,19 @@ RAGGED_ROWS = st.lists(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=RAGGED_ROWS)
 def test_csv_round_trip_keeps_ragged_token_rows(tmp_path, rows):
-    examples = [Example(input=np.array(tokens), label=label, group=group, id=ex_id)
-                for tokens, label, group, ex_id in rows]
+    saved = GroupedDataset(packed_rows((np.array(tokens), label, group)
+                                       for tokens, label, group, _ in rows),
+                           ids=[ex_id for *_, ex_id in rows])
     path = tmp_path / "ragged.csv"
-    save_csv(GroupedDataset(examples), path)
+    save_csv(saved, path)
     loaded = load_csv(path)
-    assert len(loaded) == len(examples)
-    for a, b in zip(examples, loaded.examples):
-        assert b.input.dtype.kind == "i" and b.input.tolist() == a.input.tolist()
-        assert (b.label, b.group, b.id) == (a.label, a.group, a.id)
+    assert len(loaded) == len(rows)
+    assert loaded.rows.tokens.dtype.kind == "i"
+    assert loaded.rows.tokens.tolist() == [t for tokens, *_ in rows for t in tokens]
+    assert loaded.rows.offsets.tolist() == saved.rows.offsets.tolist()
+    assert loaded.rows.labels.tolist() == [label for _, label, _, _ in rows]
+    assert loaded.rows.groups.tolist() == [group for _, _, group, _ in rows]
+    assert loaded.ids.tolist() == [ex_id for *_, ex_id in rows]
     assert loaded.num_groups == max(group for _, _, group, _ in rows) + 1
 
 
@@ -387,25 +372,25 @@ def test_group_metrics_against_hand_counts():
     # zero-weight linear model predicts class 0 everywhere (argmax tie rule)
     model = init_params(ModelSpec("linear", input_dim=1), seed=0)
     model.params[:] = 0.0
-    examples = [
-        Example(input=np.array([0.0]), label=0, group=0, id=0),
-        Example(input=np.array([0.0]), label=1, group=0, id=1),
-        Example(input=np.array([0.0]), label=0, group=1, id=2),
-        Example(input=np.array([0.0]), label=0, group=1, id=3),
-    ]
-    ds = GroupedDataset(examples, ["a", "b"])
+    rows = packed_rows([
+        (np.array([0.0]), 0, 0),
+        (np.array([0.0]), 1, 0),
+        (np.array([0.0]), 0, 1),
+        (np.array([0.0]), 0, 1),
+    ])
+    ds = GroupedDataset(rows, ["a", "b"])
     gm = group_metrics(model, ds)
     assert np.allclose(gm.per_group_accuracy, [0.5, 1.0])
     assert gm.robust_accuracy == 0.5
     assert gm.average_accuracy == 0.75
     assert list(gm.group_counts) == [2, 2]
     with pytest.raises(ValueError):
-        group_metrics(model, GroupedDataset([], ["a"]))
+        group_metrics(model, GroupedDataset(rows.take([]), ["a"]))
 
 
 def test_subset_keeps_group_names():
     ds = gen_two_domain_gaussian(TwoDomainSpec(20, 0.5, 0.5, seed=7))
     sub = ds.subset([0, 3, 5]).subset([1, 2])
     assert len(sub) == 2
-    assert [ex.id for ex in sub.examples] == [3, 5]
+    assert sub.ids.tolist() == [3, 5]
     assert sub.group_names == ds.group_names

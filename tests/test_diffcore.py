@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import packed_rows
 from shiftlab.diffcore import (
-    Example,
     InputShapeError,
     ModelSpec,
     ModelState,
@@ -22,7 +22,6 @@ from shiftlab.diffcore import (
     init_params,
     nll_forward,
     nll_loss_batch,
-    pack,
     softmax,
     weighted_grad,
     zero_one_loss_batch,
@@ -30,21 +29,12 @@ from shiftlab.diffcore import (
 
 
 def dense_batch(rng, n, dim):
-    return [
-        Example(input=rng.standard_normal(dim), label=int(rng.integers(0, 2)), id=i)
-        for i in range(n)
-    ]
+    return packed_rows((rng.standard_normal(dim), int(rng.integers(0, 2))) for _ in range(n))
 
 
 def token_batch(rng, n, vocab, seq_len):
-    return [
-        Example(
-            input=rng.integers(0, vocab, size=seq_len),
-            label=int(rng.integers(0, 2)),
-            id=i,
-        )
-        for i in range(n)
-    ]
+    return packed_rows((rng.integers(0, vocab, size=seq_len), int(rng.integers(0, 2)))
+                       for _ in range(n))
 
 
 def test_spec_validation():
@@ -87,9 +77,9 @@ def test_softmax_rows_sum_to_one():
 
 def test_nll_matches_log_softmax():
     model = init_params(ModelSpec("linear", input_dim=2), seed=1)
-    ex = Example(input=np.array([0.3, -0.7]), label=1)
-    probs = softmax(forward_logits(model, ex))
-    assert nll_loss_batch(model, [ex])[0] == pytest.approx(-np.log(probs[1]))
+    row = packed_rows([(np.array([0.3, -0.7]), 1)])
+    probs = softmax(forward_logits(model, row))
+    assert nll_loss_batch(model, row)[0] == pytest.approx(-np.log(probs[1]))
 
 
 def test_zero_one_loss_against_argmax():
@@ -97,20 +87,20 @@ def test_zero_one_loss_against_argmax():
     rng = np.random.default_rng(0)
     batch = dense_batch(rng, 10, 2)
     losses = zero_one_loss_batch(model, batch)
-    for ex, loss in zip(batch, losses):
-        pred = int(np.argmax(forward_logits(model, ex)))
-        assert loss == float(pred != ex.label)
+    for i, loss in enumerate(losses):
+        pred = int(np.argmax(forward_logits(model, batch.take([i]))))
+        assert loss == float(pred != batch.labels[i])
 
 
 def test_input_shape_errors():
     model = init_params(ModelSpec("linear", input_dim=3), seed=0)
     with pytest.raises(InputShapeError):
-        nll_loss_batch(model, [Example(input=np.zeros(2), label=0)])
+        nll_loss_batch(model, packed_rows([(np.zeros(2), 0)]))
     bag = init_params(ModelSpec("embed_bag", vocab_size=4, embed_dim=2), seed=0)
     with pytest.raises(InputShapeError):
-        nll_loss_batch(bag, [Example(input=np.array([0, 7]), label=0)])
+        nll_loss_batch(bag, packed_rows([(np.array([0, 7]), 0)]))
     with pytest.raises(InputShapeError):
-        nll_loss_batch(bag, [Example(input=np.array([], dtype=int), label=0)])
+        nll_loss_batch(bag, packed_rows([(np.array([], dtype=int), 0)]))
 
 
 def test_grad_params_validates_weights():
@@ -155,16 +145,16 @@ def test_fisher_diag_is_nonnegative_and_validated():
     assert diag.shape == (model.num_params,)
     assert np.all(diag >= 0)
     with pytest.raises(ValueError):
-        fisher_diag(model, [], sample_count=10, seed=0)
+        fisher_diag(model, batch.take([]), sample_count=10, seed=0)
     with pytest.raises(ValueError):
         fisher_diag(model, batch, sample_count=0, seed=0)
 
 
-def per_row_fisher(model, examples, idx):
+def per_row_fisher(model, rows, idx):
     """Mean of squared one-row nll gradients, summed in draw order."""
     reference = np.zeros(model.num_params)
     for i in idx:
-        g = grad_params(model, [examples[i]], np.ones(1))
+        g = grad_params(model, rows.take([i]), np.ones(1))
         reference += g * g
     return reference / len(idx)
 
@@ -174,18 +164,17 @@ def test_fisher_diag_matches_a_per_row_gradient_loop(arch):
     rng = np.random.default_rng(6)
     if arch == "embed_bag":
         model = init_params(ModelSpec("embed_bag", vocab_size=12, embed_dim=3), seed=6)
-        examples = [Example(input=rng.integers(0, 12, size=int(rng.integers(1, 7))),
-                            label=int(rng.integers(0, 2)), id=i) for i in range(40)]
+        rows = packed_rows((rng.integers(0, 12, size=int(rng.integers(1, 7))),
+                            int(rng.integers(0, 2))) for _ in range(40))
     else:
         model = init_params(ModelSpec(arch, input_dim=3, hidden_units=4 if arch == "mlp" else 0),
                             seed=6)
-        examples = dense_batch(rng, 40, 3)
-    idx = np.random.default_rng(11).integers(0, len(examples), size=300)
-    reference = per_row_fisher(model, examples, idx)
-    for form in (examples, pack(examples, arch == "embed_bag")):
-        diag = fisher_diag(model, form, sample_count=300, seed=11)
-        # closed-form sums round differently from the loop's batch-1 gradients
-        np.testing.assert_allclose(diag, reference, rtol=0, atol=1e-15 * reference.max())
+        rows = dense_batch(rng, 40, 3)
+    idx = np.random.default_rng(11).integers(0, len(rows), size=300)
+    reference = per_row_fisher(model, rows, idx)
+    diag = fisher_diag(model, rows, sample_count=300, seed=11)
+    # closed-form sums round differently from the loop's batch-1 gradients
+    np.testing.assert_allclose(diag, reference, rtol=0, atol=1e-15 * reference.max())
 
 
 @st.composite
@@ -206,17 +195,15 @@ def fisher_cases(draw):
                   for _ in range(rows)]
     model = init_params(spec, seed=0)
     model.params += draw(st.sampled_from([0.0, 0.5, 3.0])) * rng.standard_normal(model.num_params)
-    examples = [Example(input=x, label=int(rng.integers(0, classes)), id=i)
-                for i, x in enumerate(inputs)]
-    return model, examples, draw(st.integers(1, 60)), draw(st.integers(0, 1000))
+    rows = packed_rows((x, int(rng.integers(0, classes))) for x in inputs)
+    return model, rows, draw(st.integers(1, 60)), draw(st.integers(0, 1000))
 
 
-def batched_row_fisher(model, examples, idx):
+def batched_row_fisher(model, rows, idx):
     """Mean of squared per-row nll gradients, summed in draw order, each row's
     gradient backpropagated with one-hot weights from one forward over the
     drawn rows, the forward fisher_diag makes."""
-    rows = pack(examples, model.spec.architecture == "embed_bag").take(idx)
-    _, state = nll_forward(model, rows)
+    _, state = nll_forward(model, rows.take(idx))
     reference = np.zeros(model.num_params)
     for k in range(len(idx)):
         g = weighted_grad(model, state, np.eye(len(idx))[k])
@@ -227,10 +214,10 @@ def batched_row_fisher(model, examples, idx):
 @settings(max_examples=150, deadline=None)
 @given(case=fisher_cases())
 def test_fisher_diag_matches_the_per_row_loop_on_random_specs(case):
-    model, examples, sample_count, seed = case
-    idx = np.random.default_rng(seed).integers(0, len(examples), size=sample_count)
-    reference = batched_row_fisher(model, examples, idx)
-    diag = fisher_diag(model, examples, sample_count, seed)
+    model, rows, sample_count, seed = case
+    idx = np.random.default_rng(seed).integers(0, len(rows), size=sample_count)
+    reference = batched_row_fisher(model, rows, idx)
+    diag = fisher_diag(model, rows, sample_count, seed)
     # both sides take each row's factors from the same forward, so the logits
     # and the cancelling p_y - 1 agree; they sum sample_count nonnegative terms
     # in different orders, each off by at most about sample_count units in the
@@ -243,37 +230,37 @@ def test_fisher_diag_matches_the_per_row_loop_on_random_specs(case):
 def test_embedding_grads_require_token_model():
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
     with pytest.raises(UnsupportedArchitectureError):
-        grad_wrt_embeddings(model, Example(input=np.zeros(2), label=0))
+        grad_wrt_embeddings(model, packed_rows([(np.zeros(2), 0)]))
 
 
 def test_embedding_grads_are_a_descent_direction():
     # moving every used embedding row against the nll gradient lowers the loss
     spec = ModelSpec("embed_bag", vocab_size=8, embed_dim=3)
     model = init_params(spec, seed=9)
-    ex = Example(input=np.array([1, 4, 6]), label=1)
-    grads = grad_wrt_embeddings(model, ex, loss_kind="nll")
+    row = packed_rows([(np.array([1, 4, 6]), 1)])
+    grads = grad_wrt_embeddings(model, row, loss_kind="nll")
     assert grads.shape == (3, 3)
-    before = nll_loss_batch(model, [ex])[0]
+    before = nll_loss_batch(model, row)[0]
     nudged = model.copy()
     emb = nudged.slot("embedding.weight")
-    for pos, tok in enumerate(ex.input):
+    for pos, tok in enumerate(row.tokens):
         emb[tok] -= 0.05 * grads[pos]
-    assert nll_loss_batch(nudged, [ex])[0] < before
+    assert nll_loss_batch(nudged, row)[0] < before
     with pytest.raises(ValueError):
-        grad_wrt_embeddings(model, ex, loss_kind="hinge")
+        grad_wrt_embeddings(model, row, loss_kind="hinge")
 
 
 def test_adversarial_embedding_grads_raise_error_probability():
     spec = ModelSpec("embed_bag", vocab_size=8, embed_dim=3)
     model = init_params(spec, seed=11)
-    ex = Example(input=np.array([2, 5]), label=0)
-    grads = grad_wrt_embeddings(model, ex, loss_kind="adversarial")
-    p_before = float(softmax(forward_logits(model, ex))[ex.label])
+    row = packed_rows([(np.array([2, 5]), 0)])
+    grads = grad_wrt_embeddings(model, row, loss_kind="adversarial")
+    p_before = float(softmax(forward_logits(model, row))[row.labels[0]])
     nudged = model.copy()
     emb = nudged.slot("embedding.weight")
-    for pos, tok in enumerate(ex.input):
+    for pos, tok in enumerate(row.tokens):
         emb[tok] += 0.05 * grads[pos]
-    p_after = float(softmax(forward_logits(nudged, ex))[ex.label])
+    p_after = float(softmax(forward_logits(nudged, row))[row.labels[0]])
     assert p_after < p_before
 
 
@@ -281,7 +268,7 @@ def test_batch_losses_match_single_losses():
     model = init_params(ModelSpec("linear", input_dim=2), seed=6)
     batch = dense_batch(np.random.default_rng(5), 5, 2)
     losses = nll_loss_batch(model, batch)
-    singles = [nll_loss_batch(model, [ex])[0] for ex in batch]
+    singles = [nll_loss_batch(model, batch.take([i]))[0] for i in range(len(batch))]
     assert np.allclose(losses, singles)
 
 
@@ -289,7 +276,7 @@ def test_batch_losses_match_single_losses():
 
 
 def reference_logits_and_grad(model, batch, weights):
-    """Per-example forward and backward, one example at a time."""
+    """Per-example forward and backward, one (input, label, ...) row at a time."""
     spec = model.spec
 
     view = model.slot
@@ -300,13 +287,13 @@ def reference_logits_and_grad(model, batch, weights):
         grad[lo:hi] += value.ravel()
 
     logits = []
-    for ex, wt in zip(batch, weights):
+    for (inputs, label, *_), wt in zip(batch, weights):
         if spec.architecture == "embed_bag":
-            ids = np.asarray(ex.input, dtype=int)
+            ids = np.asarray(inputs, dtype=int)
             bag = view("embedding.weight")[ids].mean(axis=0)
             z = view("out.weight") @ bag + view("out.bias")
         else:
-            x = np.asarray(ex.input, dtype=float)
+            x = np.asarray(inputs, dtype=float)
             assert x.shape == (spec.input_dim,)
             if spec.architecture == "linear":
                 z = view("linear.weight") @ x + view("linear.bias")
@@ -315,7 +302,7 @@ def reference_logits_and_grad(model, batch, weights):
                 z = view("out.weight") @ a + view("out.bias")
         p = np.exp(z - z.max())
         p /= p.sum()
-        dz = wt * (p - np.eye(spec.num_classes)[ex.label])
+        dz = wt * (p - np.eye(spec.num_classes)[label])
         if spec.architecture == "linear":
             put("linear.weight", np.outer(dz, x))
             put("linear.bias", dz)
@@ -356,12 +343,12 @@ def test_packed_kernels_match_per_example_loops(spec, size):
     model.params += 0.1 * rng.standard_normal(model.num_params)  # nonzero biases
     tokens = spec.architecture == "embed_bag"
     pool = [
-        Example(
-            input=rng.integers(0, spec.vocab_size, size=int(rng.integers(1, 7)))
+        (
+            rng.integers(0, spec.vocab_size, size=int(rng.integers(1, 7)))
             if tokens else rng.standard_normal(spec.input_dim),
-            label=int(rng.integers(0, spec.num_classes)), group=int(rng.integers(0, 2)), id=i,
+            int(rng.integers(0, spec.num_classes)), int(rng.integers(0, 2)),
         )
-        for i in range(12)
+        for _ in range(12)
     ]
     idx = rng.permutation(len(pool))[:size]
     batch = [pool[i] for i in idx]
@@ -369,9 +356,9 @@ def test_packed_kernels_match_per_example_loops(spec, size):
     want_logits, want_grad = reference_logits_and_grad(model, batch, weights)
     z = want_logits - want_logits.max(axis=1, keepdims=True)
     want_nll = -(z - np.log(np.exp(z).sum(axis=1, keepdims=True)))[np.arange(size),
-                                                                   [ex.label for ex in batch]]
-    # Example lists, packed batches and rows taken from a packed pool
-    for form in (batch, pack(batch, tokens), pack(pool, tokens).take(idx)):
+                                                                   [label for _, label, _ in batch]]
+    # packed batches and rows taken from a packed pool
+    for form in (packed_rows(batch), packed_rows(pool).take(idx)):
         assert len(form) == size
         assert_rel_close(forward_logits_batch(model, form), want_logits)
         assert_rel_close(nll_loss_batch(model, form), want_nll)
@@ -384,12 +371,12 @@ def test_weighted_grad_of_one_forward_equals_grad_params(spec):
     model = init_params(spec, seed=3)
     model.params += 0.1 * rng.standard_normal(model.num_params)
     tokens = spec.architecture == "embed_bag"
-    batch = pack([
-        Example(input=rng.integers(0, spec.vocab_size, size=int(rng.integers(1, 6)))
-                if tokens else rng.standard_normal(spec.input_dim),
-                label=int(rng.integers(0, spec.num_classes)), id=i)
-        for i in range(9)
-    ], tokens)
+    batch = packed_rows(
+        (rng.integers(0, spec.vocab_size, size=int(rng.integers(1, 6)))
+         if tokens else rng.standard_normal(spec.input_dim),
+         int(rng.integers(0, spec.num_classes)))
+        for _ in range(9)
+    )
     losses, state = nll_forward(model, batch)
     assert np.array_equal(losses, nll_loss_batch(model, batch))
     # one state serves any number of weightings
@@ -417,14 +404,13 @@ def test_the_spec_alone_lays_out_the_parameter_vector(spec):
 
 
 def test_take_keeps_ragged_rows_labels_and_groups():
-    batch = [Example(input=np.array(ids), label=i % 2, group=i % 3, id=i)
-             for i, ids in enumerate([[1], [2, 3, 4], [5, 6], [7]])]
-    packed = pack(batch, tokens=True)
+    packed = packed_rows((np.array(ids), i % 2, i % 3)
+                         for i, ids in enumerate([[1], [2, 3, 4], [5, 6], [7]]))
     part = packed.take([2, 0, 2])
     assert part.tokens.tolist() == [5, 6, 1, 5, 6]
     assert part.offsets.tolist() == [0, 2, 3, 5]
     assert part.labels.tolist() == [0, 0, 0] and part.groups.tolist() == [2, 0, 2]
-    dense = pack([Example(input=np.array([float(i), 0.0]), label=i) for i in range(3)], False)
+    dense = packed_rows((np.array([float(i), 0.0]), i) for i in range(3))
     assert dense.take([1]).x.tolist() == [[1.0, 0.0]]
 
 
@@ -433,10 +419,8 @@ def test_take_keeps_ragged_rows_labels_and_groups():
 def test_rows_equal_take_of_the_same_range(tokens, batch_size):
     # 10 rows: every batch size but 1 and 10 leaves a short last batch
     rng = np.random.default_rng(3)
-    batch = [Example(input=rng.integers(0, 9, size=int(rng.integers(1, 5))) if tokens
-                     else rng.standard_normal(3), label=i % 2, group=i % 3, id=i)
-             for i in range(10)]
-    packed = pack(batch, tokens)
+    packed = packed_rows((rng.integers(0, 9, size=int(rng.integers(1, 5))) if tokens
+                          else rng.standard_normal(3), i % 2, i % 3) for i in range(10))
     for start in range(0, 10, batch_size):
         part = packed.rows(start, start + batch_size)
         want = packed.take(np.arange(start, min(start + batch_size, 10)))
@@ -450,38 +434,28 @@ def test_rows_equal_take_of_the_same_range(tokens, batch_size):
 
 
 def test_bad_token_rows_raise_through_both_entry_forms():
+    # the two entry forms: the loss kernel and the gradient kernel
     model = init_params(ModelSpec("embed_bag", vocab_size=4, embed_dim=2), seed=0)
-    ok = Example(input=np.array([1, 2]), label=0)
-    for bad in (np.array([0, 7]), np.array([-1, 2])):
-        batch = [ok, Example(input=bad, label=1)]
-        for form in (batch, pack(batch, tokens=True)):
-            with pytest.raises(InputShapeError):
-                nll_loss_batch(model, form)
-            with pytest.raises(InputShapeError):
-                grad_params(model, form, np.ones(2))
-    empty = [ok, Example(input=np.array([], dtype=int), label=1)]
-    with pytest.raises(InputShapeError):
-        nll_loss_batch(model, empty)
-    with pytest.raises(InputShapeError):
-        pack(empty, tokens=True)
-    # a hand-built packed batch whose second row is empty
-    hand = Packed(np.array([0, 1]), np.zeros(2, dtype=int), tokens=np.array([1, 2]),
-                  offsets=np.array([0, 2, 2]))
-    with pytest.raises(InputShapeError):
-        nll_loss_batch(model, hand)
-    with pytest.raises(InputShapeError):
-        nll_loss_batch(model, pack([Example(input=np.zeros(2), label=0)], tokens=False))
+    out_of_range = [packed_rows([(np.array([1, 2]), 0), (bad, 1)])
+                    for bad in (np.array([0, 7]), np.array([-1, 2]))]
+    empty = Packed(np.array([0, 1]), np.zeros(2, dtype=int), tokens=np.array([1, 2]),
+                   offsets=np.array([0, 2, 2]))  # the second row is empty
+    dense = packed_rows([(np.zeros(2), 0), (np.zeros(2), 1)])
+    for batch in (*out_of_range, empty, dense):
+        with pytest.raises(InputShapeError):
+            nll_loss_batch(model, batch)
+        with pytest.raises(InputShapeError):
+            grad_params(model, batch, np.ones(2))
 
 
 def test_dense_shape_errors_through_both_entry_forms():
+    # the two entry forms: the loss kernel and the gradient kernel
     model = init_params(ModelSpec("mlp", input_dim=3, hidden_units=2), seed=0)
-    ragged = [Example(input=np.zeros(3), label=0), Example(input=np.zeros(2), label=1)]
+    narrow = packed_rows([(np.zeros(2), 0)])
     with pytest.raises(InputShapeError):
-        nll_loss_batch(model, ragged)
-    narrow = [Example(input=np.zeros(2), label=0)]
-    for form in (narrow, pack(narrow, tokens=False)):
-        with pytest.raises(InputShapeError):
-            grad_params(model, form, np.ones(1))
+        nll_loss_batch(model, narrow)
+    with pytest.raises(InputShapeError):
+        grad_params(model, narrow, np.ones(1))
 
 
 ALL_SPECS = [
@@ -542,7 +516,7 @@ def test_batch_constants_are_shared_read_only_arrays(n):
             array[0] = 5
     # the nll state hands the shared index to weighted_grad, which only reads it
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
-    batch = pack(dense_batch(np.random.default_rng(n), n, 2), tokens=False)
+    batch = dense_batch(np.random.default_rng(n), n, 2)
     losses, state = nll_forward(model, batch)
     assert state["rows"] is rows
     assert np.array_equal(weighted_grad(model, state, weights), grad_params(model, batch, weights))

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import packed_rows
 from shiftlab import diffcore, dro
 from shiftlab.datasets import TwoDomainSpec, batches, gen_two_domain_gaussian
-from shiftlab.diffcore import Example, ModelSpec, grad_params, init_params, nll_loss_batch
+from shiftlab.diffcore import ModelSpec, grad_params, init_params, nll_loss_batch
 from shiftlab.dro import (
     DroConfig,
     METHODS,
@@ -42,10 +43,7 @@ def kl_from_uniform(weights):
 
 
 def dense_batch(rng, n):
-    return [
-        Example(input=rng.standard_normal(2), label=int(rng.integers(0, 2)), id=i)
-        for i in range(n)
-    ]
+    return packed_rows((rng.standard_normal(2), int(rng.integers(0, 2))) for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +118,7 @@ def test_pdro_weights_identity_at_start():
 
 def test_pdro_weights_are_clipped():
     adv = GaussianAdversary(np.array([50.0, 0.0]), 1.0, np.zeros(2))
-    batch = [Example(input=np.array([50.0, 0.0]), label=0, id=0)]
+    batch = packed_rows([(np.array([50.0, 0.0]), 0)])
     weights = pdro_model_weights(adv, batch)
     assert weights[0] == WEIGHT_CLIP
 
@@ -199,13 +197,9 @@ def test_normalizer_window_and_log_space_stability():
 def test_pdro_adv_step_moves_toward_hard_examples():
     # one high-loss outlier on the right pulls the mean rightward
     adv = GaussianAdversary(np.zeros(2), 1.0, np.zeros(2))
-    batch = [
-        Example(input=np.array([-1.0, 0.0]), label=0, id=0),
-        Example(input=np.array([4.0, 0.0]), label=0, id=1),
-    ]
+    x = packed_rows([(np.array([-1.0, 0.0]), 0), (np.array([4.0, 0.0]), 0)]).x
     losses = np.array([0.1, 5.0])
     norm = normalizer_update(RunningNormalizer(window=1), losses / 1.0)
-    x = np.stack([ex.input for ex in batch])
     stepped = pdro_adv_step(adv, x - adv.mean, losses / 1.0, norm, adv_lr=0.5)
     assert stepped.mean[0] > 0.0
     assert np.array_equal(adv.mean, np.zeros(2))  # input untouched
@@ -213,12 +207,8 @@ def test_pdro_adv_step_moves_toward_hard_examples():
 
 def test_pdro_adv_step_bare_also_ascends():
     adv = GaussianAdversary(np.zeros(2), 1.0, np.zeros(2))
-    batch = [
-        Example(input=np.array([-1.0, 0.0]), label=0, id=0),
-        Example(input=np.array([4.0, 0.0]), label=0, id=1),
-    ]
-    x = np.stack([ex.input for ex in batch])
-    stepped = pdro_adv_step_bare(adv, batch, x - adv.mean, np.array([0.1, 5.0]), adv_lr=0.5)
+    batch = packed_rows([(np.array([-1.0, 0.0]), 0), (np.array([4.0, 0.0]), 0)])
+    stepped = pdro_adv_step_bare(adv, batch, batch.x - adv.mean, np.array([0.1, 5.0]), adv_lr=0.5)
     assert stepped.mean[0] > 0.0
 
 
@@ -301,7 +291,7 @@ def test_rpdro_selfnorm_gradient_matches_finite_differences():
 def test_erm_step_descends_batch_loss():
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
     ds = gen_two_domain_gaussian(TwoDomainSpec(64, 0.5, 0.5, seed=0))
-    batch = ds.examples[:32]
+    batch = ds.rows.rows(0, 32)
     before = nll_loss_batch(model, batch).mean()
     after_model = erm_step(model, batch, lr=0.5)
     assert nll_loss_batch(after_model, batch).mean() < before
@@ -312,7 +302,7 @@ def test_erm_step_descends_batch_loss():
 def test_simultaneous_step_pdro_updates_both_players():
     model = init_params(ModelSpec("linear", input_dim=2), seed=1)
     batch = dense_batch(np.random.default_rng(4), 16)
-    x = np.stack([ex.input for ex in batch])
+    x = batch.x
     adv = GaussianAdversary(x.mean(axis=0), 1.0, x.mean(axis=0))
     cfg = DroConfig(method="pdro", lr=0.1, tau=0.5, kappa=1.0, adv_lr=0.5)
     norm = RunningNormalizer(window=5)
@@ -367,7 +357,7 @@ def test_simultaneous_step_rejects_an_unknown_norm_mode():
 def test_a_step_runs_the_model_forward_once(monkeypatch, method, norm_mode):
     spec = ModelSpec("linear", input_dim=2)
     model = init_params(spec, seed=4)
-    batch = diffcore.pack(dense_batch(np.random.default_rng(4), 16), tokens=False)
+    batch = dense_batch(np.random.default_rng(4), 16)
     cfg = DroConfig(method=method, norm_mode=norm_mode, adv_steps=2)
     adversary, normalizer = dro.initial_state(cfg, spec, batch, num_groups=1, seed=0)
     forwards = []
@@ -425,15 +415,13 @@ def test_simultaneous_step_nonparam_descends_the_worst_case_weights():
 def test_simultaneous_step_group_dro_updates_the_mixture_first():
     model = init_params(ModelSpec("linear", input_dim=2), seed=9)
     rng = np.random.default_rng(9)
-    batch = [
-        Example(input=rng.standard_normal(2), label=int(rng.integers(0, 2)), group=g, id=i)
-        for i, g in enumerate([0, 0, 1, 0, 2, 1, 0, 0])
-    ]
+    batch = packed_rows((rng.standard_normal(2), int(rng.integers(0, 2)), g)
+                        for g in [0, 0, 1, 0, 2, 1, 0, 0])
     mixture = np.array([0.5, 0.3, 0.2])
     cfg = DroConfig(method="group_dro", lr=0.3, eta_group=0.5)
     new_model, new_mixture, _ = simultaneous_step(model, mixture, batch, cfg)
     losses = nll_loss_batch(model, batch)
-    groups = np.array([ex.group for ex in batch])
+    groups = batch.groups
     group_means = np.array([losses[groups == g].mean() for g in range(3)])
     expected = group_dro_weights(group_means, mixture, cfg.eta_group)
     np.testing.assert_allclose(new_mixture, expected, rtol=1e-15)
@@ -738,7 +726,7 @@ def test_logsumexp_equals_the_former_formula(values, ties, all_equal):
 def test_simultaneous_step_leaves_its_model_and_adversary_alone(method):
     spec = ModelSpec("linear", input_dim=2)
     model = init_params(spec, seed=9)
-    batch = diffcore.pack(dense_batch(np.random.default_rng(9), 16), tokens=False)
+    batch = dense_batch(np.random.default_rng(9), 16)
     cfg = DroConfig(method=method, tau=0.5, adv_lr=0.5, adv_steps=2)
     adversary, normalizer = dro.initial_state(cfg, spec, batch, num_groups=2, seed=0)
     if method == "pdro":  # off psi0, so that the ratios are computed
@@ -761,7 +749,7 @@ def test_simultaneous_step_leaves_its_model_and_adversary_alone(method):
 def test_rpdro_forwards_the_scorer_once_per_adversary_pass(monkeypatch, adv_steps):
     spec = ModelSpec("linear", input_dim=2)
     model = init_params(spec, seed=4)
-    batch = diffcore.pack(dense_batch(np.random.default_rng(4), 16), tokens=False)
+    batch = dense_batch(np.random.default_rng(4), 16)
     cfg = DroConfig(method="rpdro", adv_steps=adv_steps)
     adversary, _ = dro.initial_state(cfg, spec, batch, num_groups=1, seed=0)
     scorers = []

@@ -74,15 +74,13 @@ def test_build_datasets_two_domain_splits():
     assert len(valid) == 100
     assert len(test) == 300
     # the test split is group-balanced regardless of the training ratio
-    groups = np.array([ex.group for ex in test.examples])
-    assert (groups == 1).sum() == 150
+    assert (test.rows.groups == 1).sum() == 150
 
 
 def test_build_datasets_distractor_test_is_unbiased():
     cfg = harness.resolved({"dataset": "distractor", "data.n": 400, "data.test_n": 400})
     _, _, test = harness.build_datasets(cfg, seed=0)
-    neg = [ex for ex in test.examples if ex.label == 0]
-    frac = np.mean([ex.group % 2 for ex in neg])
+    frac = np.mean(test.rows.groups[test.rows.labels == 0] % 2)
     assert 0.4 < frac < 0.6
 
 
@@ -612,10 +610,12 @@ def test_generated_test_split_equals_build_datasets(dataset):
     want = harness.build_datasets(cfg, 7)[2]
     got = harness._generated_split(cfg, 7, 2)
     assert got.group_names == want.group_names
-    assert len(got.examples) == len(want.examples) == 80
-    for a, b in zip(got.examples, want.examples):
-        assert (a.id, a.label, a.group) == (b.id, b.label, b.group)
-        assert np.array_equal(a.input, b.input) and a.input.dtype == b.input.dtype
+    assert len(got) == len(want) == 80
+    assert np.array_equal(got.ids, want.ids)
+    for name in ("labels", "groups", "x", "tokens", "offsets"):
+        a, b = getattr(got.rows, name), getattr(want.rows, name)
+        assert (a is None) == (b is None)
+        assert a is None or (np.array_equal(a, b) and a.dtype == b.dtype)
 
 
 def test_cmd_attack_attacks_the_build_datasets_test_split(tmp_path):
@@ -623,10 +623,10 @@ def test_cmd_attack_attacks_the_build_datasets_test_split(tmp_path):
     cfg = {"attack.n": 6, "data.test_n": 40, "data.n": 50}
     report = harness.cmd_attack(cfg, 3, str(tmp_path / "a"), model=model)
     test = harness.build_datasets(harness.resolved({**cfg, "dataset": "distractor"}), 3)[2]
-    assert [row["id"] for row in report] == [ex.id for ex in test.examples[:6]]
-    probs = softmax(forward_logits_batch(model, test.examples[:6]))
+    assert [row["id"] for row in report] == test.ids[:6].tolist()
+    probs = softmax(forward_logits_batch(model, test.rows.rows(0, 6)))
     assert [row["s_base"] for row in report] == pytest.approx(
-        [float(p[ex.label]) for p, ex in zip(probs, test.examples[:6])], rel=1e-12)
+        [float(p[label]) for p, label in zip(probs, test.rows.labels[:6])], rel=1e-12)
 
 
 def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
@@ -644,29 +644,6 @@ def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
 
     want = advmetrics.chrf_batch(text(rows), text(adv)) / 100.0
     assert [row["s_src"] for row in report] == want.tolist()
-
-
-def test_generated_data_runs_build_no_examples(tmp_path, monkeypatch):
-    """Training (also with label noise and on gen-data CSVs), attacking and
-    continual learning on generated splits read only the packs; no split's
-    per-row Example list gets built."""
-    built = []
-    examples = GroupedDataset.examples.func
-    monkeypatch.setattr(GroupedDataset, "examples",
-                        property(lambda ds: built.append(len(ds)) or examples(ds)))
-    small = {"data.n": 120, "data.total_points": 200, "data.minority_ratio": 0.2,
-             "data.test_n": 60, "epochs": 2, "batch_size": 32}
-    harness.train_run({**small, "dataset": "distractor", "method": "nonparam"}, 0)
-    harness.train_run({**small, "dataset": "two_domain", "method": "pdro"}, 0)
-    harness.train_run({**small, "dataset": "two_domain", "data.p_noise": 0.2}, 0)
-    for family in ("two_domain", "distractor"):
-        harness.cmd_gen_data({**small, "dataset": family}, 0, str(tmp_path / family))
-        harness.train_run({**small, "dataset": str(tmp_path / family / "train.csv")}, 0)
-    harness.cmd_attack({**small, "attack.n": 20}, 0, str(tmp_path / "attack"))
-    harness.cmd_continual({"cl.tasks": 2, "cl.points": 60, "cl.epochs": 1, "cl.hidden": 4,
-                           "cl.fisher_samples": 50, "cl.method": "conatural+er"},
-                          0, str(tmp_path / "cl"))
-    assert built == []
 
 
 def test_an_architecture_that_reads_the_other_input_form_raises_before_any_output(
@@ -818,6 +795,9 @@ BELOW_FLOOR = [
      "tiny5.csv: the 80/10/10 split gives 4/0/1 train/valid/test rows; every split needs one"),
     ("train", {"dataset": "tiny1.csv"},
      "tiny1.csv: the 80/10/10 split gives 0/0/1 train/valid/test rows; every split needs one"),
+    *[(command, {"dataset": "distractor", "data.vocab_size": 4},
+       "data.vocab_size must be >= 8 for generated text, got 4")
+      for command in ("gen-data", "train", "attack")],
 ], ids=["train-pdro-tokens", "train-linear-tokens", "train-csv-no-label", "continual-batch0",
         "continual-epochs0", "continual-fisher0", "continual-fisher-neg", "continual-gamma0",
         "attack-knn-k40", "attack-knn-k-neg", "attack-knn-k0", "gen-data-n0", "sweep-pdro-tokens", "train-lr-text", "train-lr-bool", "train-epochs-float",
@@ -827,7 +807,7 @@ BELOW_FLOOR = [
         "continual-lr-neg", "continual-er-lr0", "continual-lr-nan", "train-sweep-key",
         "gen-data-sweep-key", "gen-data-noise2", "gen-data-noise-nan", "train-ratio0",
         "gen-data-bias1.5", "continual-gamma2", "continual-gamma-nan", "train-csv-5rows",
-        "train-csv-1row"])
+        "train-csv-1row", "gen-data-vocab4", "train-vocab4", "attack-vocab4"])
 def test_a_command_that_fails_before_writing_leaves_no_directory(
         tmp_path, capsys, monkeypatch, command, bad, message):
     def no_step(*args, **kwargs):
@@ -845,6 +825,29 @@ def test_a_command_that_fails_before_writing_leaves_no_directory(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and re.match(f"shiftlab: error: {message}", err[0])
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("layout", ["label", "token"])
+def test_a_csv_whose_later_rows_hold_a_label_or_token_the_train_split_lacks_trains(
+        tmp_path, layout):
+    # the 80/10/10 cut of 100 rows puts rows 80-99 in valid and test: label 2
+    # only in rows 85-99, or token 40 only in rows 80-99
+    rng = np.random.default_rng(0)
+    ids = np.arange(100)
+    if layout == "label":
+        rows = Packed(np.where(ids >= 85, 2, ids % 2), np.zeros(100, dtype=int),
+                      x=rng.standard_normal((100, 2)))
+    else:
+        tokens = rng.integers(0, 32, size=(100, 4))
+        tokens[80:, 0] = 40
+        rows = Packed(ids % 2, np.zeros(100, dtype=int), tokens=tokens.ravel(),
+                      offsets=np.arange(0, 401, 4))
+    save_csv(GroupedDataset(rows), tmp_path / "data.csv")
+    (tmp_path / "cfg").write_text(f"dataset = {tmp_path / 'data.csv'}\nepochs = 2\nbatch_size = 16\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(tmp_path / "cfg"), "--out", str(out)]) == 0
+    spec = harness.load_model_bin(str(out / "model.bin")).spec
+    assert (spec.num_classes, spec.vocab_size) == ((3, 0) if layout == "label" else (2, 41))
 
 
 def test_rpdro_accepts_tau_zero():

@@ -30,7 +30,7 @@ def random_checkpoints(n, seed=0):
 
 
 def nll_rows(checkpoints, valid_set):
-    return [nll_loss_batch(ckpt, valid_set.examples) for ckpt in checkpoints]
+    return [nll_loss_batch(ckpt, valid_set.rows) for ckpt in checkpoints]
 
 
 def test_normalize_weights_mean_one():
@@ -99,14 +99,14 @@ def test_robust_valid_loss_is_the_max_weighted_mean():
 def test_minmax_select_matches_brute_force(valid_set):
     rng = np.random.default_rng(1)
     checkpoints = random_checkpoints(5, seed=10)
-    records = [identity_record(len(valid_set.examples))]
+    records = [identity_record(len(valid_set.rows))]
     for i in range(3):
-        records.append(make_record(i + 1, rng.uniform(0.1, 2.0, len(valid_set.examples))))
+        records.append(make_record(i + 1, rng.uniform(0.1, 2.0, len(valid_set.rows))))
     idx, model = minmax_select(checkpoints, records, nll_rows(checkpoints, valid_set),
                                kl_threshold=10.0)
     scores = []
     for ckpt in checkpoints:
-        losses = nll_loss_batch(ckpt, valid_set.examples)
+        losses = nll_loss_batch(ckpt, valid_set.rows)
         scores.append(max(float(np.mean(r.valid_weights * losses)) for r in records))
     assert idx == int(np.argmin(scores))
     assert model is checkpoints[idx]
@@ -117,28 +117,28 @@ def test_minmax_select_matches_brute_force(valid_set):
 
 
 def test_minmax_select_requires_a_survivor(valid_set):
-    heavy = make_record(1, np.eye(len(valid_set.examples))[0])  # kl = log n
+    heavy = make_record(1, np.eye(len(valid_set.rows))[0])  # kl = log n
     checkpoints = random_checkpoints(2)
     with pytest.raises(ValueError):
         minmax_select(checkpoints, [heavy], nll_rows(checkpoints, valid_set), kl_threshold=0.1)
 
 
 def test_greedy_requires_a_survivor(valid_set):
-    heavy = make_record(1, np.eye(len(valid_set.examples))[0])  # kl = log n
-    state = SelectionState(records=[identity_record(len(valid_set.examples))])
+    heavy = make_record(1, np.eye(len(valid_set.rows))[0])  # kl = log n
+    state = SelectionState(records=[identity_record(len(valid_set.rows))])
     model = random_checkpoints(1)[0]
     with pytest.raises(ValueError, match="no adversary record survived"):
-        greedy_minmax_update(state, model, 0, heavy, nll_loss_batch(model, valid_set.examples),
+        greedy_minmax_update(state, model, 0, heavy, nll_loss_batch(model, valid_set.rows),
                              kl_threshold=-1.0)
 
 
 def test_greedy_without_adversaries_matches_plain_validation(valid_set):
     checkpoints = random_checkpoints(4, seed=20)
-    state = SelectionState(records=[identity_record(len(valid_set.examples))])
+    state = SelectionState(records=[identity_record(len(valid_set.rows))])
     for i, (ckpt, row) in enumerate(zip(checkpoints, nll_rows(checkpoints, valid_set))):
         state = greedy_minmax_update(state, ckpt, i, None, row)
     mean_losses = [
-        float(nll_loss_batch(c, valid_set.examples).mean()) for c in checkpoints
+        float(nll_loss_batch(c, valid_set.rows).mean()) for c in checkpoints
     ]
     assert state.best_model_id == int(np.argmin(mean_losses))
 
@@ -146,9 +146,9 @@ def test_greedy_without_adversaries_matches_plain_validation(valid_set):
 def test_greedy_state_holds_at_most_one_snapshot(valid_set):
     rng = np.random.default_rng(2)
     checkpoints = random_checkpoints(6, seed=30)
-    state = SelectionState(records=[identity_record(len(valid_set.examples))])
+    state = SelectionState(records=[identity_record(len(valid_set.rows))])
     for i, (ckpt, row) in enumerate(zip(checkpoints, nll_rows(checkpoints, valid_set))):
-        rec = make_record(i + 1, rng.uniform(0.5, 1.5, len(valid_set.examples)))
+        rec = make_record(i + 1, rng.uniform(0.5, 1.5, len(valid_set.rows)))
         state = greedy_minmax_update(state, ckpt, i, rec, row)
         stored = [v for v in vars(state).values() if isinstance(v, ModelState)]
         assert len(stored) <= 1
@@ -158,7 +158,7 @@ def test_greedy_state_holds_at_most_one_snapshot(valid_set):
 
 
 def test_greedy_rescores_incumbent_when_new_records_arrive(valid_set):
-    n = len(valid_set.examples)
+    n = len(valid_set.rows)
     checkpoints = random_checkpoints(2, seed=40)
     rows = nll_rows(checkpoints, valid_set)
     state = SelectionState(records=[identity_record(n)])
@@ -170,7 +170,7 @@ def test_greedy_rescores_incumbent_when_new_records_arrive(valid_set):
     assert rec.kl_estimate <= math.log(10)
     state = greedy_minmax_update(state, checkpoints[1], 1, rec, rows[1])
     chosen = checkpoints[state.best_model_id]
-    chosen_losses = nll_loss_batch(chosen, valid_set.examples)
+    chosen_losses = nll_loss_batch(chosen, valid_set.rows)
     kept = surviving_records(state.records, math.log(10))
     assert state.best_value == pytest.approx(robust_valid_loss(chosen_losses, kept))
 
@@ -178,8 +178,8 @@ def test_greedy_rescores_incumbent_when_new_records_arrive(valid_set):
 def test_hyperparam_select_single_run_reduces_to_minmax(valid_set):
     rng = np.random.default_rng(3)
     checkpoints = random_checkpoints(4, seed=50)
-    records = [identity_record(len(valid_set.examples))]
-    records.append(make_record(1, rng.uniform(0.2, 1.8, len(valid_set.examples))))
+    records = [identity_record(len(valid_set.rows))]
+    records.append(make_record(1, rng.uniform(0.2, 1.8, len(valid_set.rows))))
     rows = nll_rows(checkpoints, valid_set)
     expected_idx, model = minmax_select(checkpoints, records, rows)
     assert hyperparam_select([(rows, records)]) == (0, expected_idx)
@@ -189,7 +189,7 @@ def test_hyperparam_select_single_run_reduces_to_minmax(valid_set):
 
 
 def test_selection_without_a_checkpoint_raises_a_value_error(valid_set):
-    records = [identity_record(len(valid_set.examples))]
+    records = [identity_record(len(valid_set.rows))]
     for select in (lambda: hyperparam_select([([], records)]),
                    lambda: hyperparam_select([([], records), ([], records)]),
                    lambda: minmax_select([], records, [])):
@@ -198,7 +198,7 @@ def test_selection_without_a_checkpoint_raises_a_value_error(valid_set):
 
 
 def test_hyperparam_select_pools_records_across_runs(valid_set):
-    n = len(valid_set.examples)
+    n = len(valid_set.rows)
     run_a = (random_checkpoints(2, seed=60), [identity_record(n)])
     rng = np.random.default_rng(4)
     run_b = (
@@ -211,7 +211,7 @@ def test_hyperparam_select_pools_records_across_runs(valid_set):
     best = None
     for ri, (ckpts, _) in enumerate([run_a, run_b]):
         for ci, model in enumerate(ckpts):
-            losses = nll_loss_batch(model, valid_set.examples)
+            losses = nll_loss_batch(model, valid_set.rows)
             value = robust_valid_loss(losses, pooled)
             if best is None or value < best[0]:
                 best = (value, ri, ci)
