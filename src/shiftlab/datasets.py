@@ -168,13 +168,14 @@ def gen_distractor_text(spec: DistractorTextSpec) -> GroupedDataset:
     return GroupedDataset(packed, names)
 
 
-def inject_label_noise(dataset: GroupedDataset, p_noise: float, seed: int) -> GroupedDataset:
-    """Replace each label by a uniform class draw with probability p_noise."""
+def inject_label_noise(dataset: GroupedDataset, p_noise: float, seed: int,
+                       num_classes: int) -> GroupedDataset:
+    """Replace each label by a uniform draw from range(num_classes) with
+    probability p_noise; the class set is the whole dataset's, not the split's."""
     if not 0 <= p_noise <= 1:
         raise ValueError("p_noise must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     labels = dataset.rows.labels.copy()
-    num_classes = int(labels.max()) + 1
     for i in range(labels.size):
         if rng.random() < p_noise:
             labels[i] = rng.integers(0, num_classes)

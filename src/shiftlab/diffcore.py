@@ -95,7 +95,7 @@ class ModelSpec:
     def view(self, flat: np.ndarray, name: str) -> np.ndarray:
         """Slot `name` of a flat parameter-length vector as a shaped view."""
         lo, hi, shape = self.slots[name]
-        return flat[lo:hi].reshape(shape)
+        return flat[lo:hi] if len(shape) == 1 else flat[lo:hi].reshape(shape)
 
 
 @dataclass
@@ -269,7 +269,7 @@ def weighted_grad(model: ModelState, state, weights: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"weights length {weights.shape} does not match batch size {len(batch)}"
         )
-    if not np.isfinite(weights).all():
+    if not np.logical_and.reduce(np.isfinite(weights)):
         raise NonFiniteWeightsError("weights must be finite")
     dlogits = np.exp(state["log_probs"])  # softmax(logits)
     dlogits[state["rows"], batch.labels] -= 1.0

@@ -48,6 +48,13 @@ class GaussianAdversary:
         self.mean = np.asarray(self.mean, dtype=float)
         self.mean0 = np.asarray(self.mean0, dtype=float)
 
+    def _moved(self, mean: np.ndarray) -> "GaussianAdversary":
+        """This adversary at the float64 array `mean`, built without re-running
+        the checks and conversions its sigma and mean0 already passed."""
+        adv = object.__new__(GaussianAdversary)
+        adv.__dict__ = {"mean": mean, "sigma": self.sigma, "mean0": self.mean0}
+        return adv
+
 
 @dataclass
 class RatioAdversary:
@@ -91,6 +98,8 @@ class RunningNormalizer:
     counts: np.ndarray = field(init=False, repr=False)
     size: int = field(default=0, init=False)
     rows: int = field(default=0, init=False)
+    # (rows, np.log(rows)) as last computed: a full window's row count rarely changes
+    _log_rows: Tuple[int, float] = field(default=(0, 0.0), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.window < 1:
@@ -102,8 +111,9 @@ class RunningNormalizer:
     def log_value(self) -> float:
         if self.size == 0:
             return 0.0
-        log_total = _logsumexp(self.log_sums[:self.size])
-        return float(log_total - np.log(self.rows))
+        if self._log_rows[0] != self.rows:
+            self._log_rows = (self.rows, np.log(self.rows))
+        return float(_logsumexp(self.log_sums[:self.size]) - self._log_rows[1])
 
 
 @dataclass(frozen=True)
@@ -142,15 +152,26 @@ def erm_step(model: ModelState, batch: Packed, lr: float) -> ModelState:
 
 
 def _logsumexp(a: np.ndarray) -> float:
-    """log(sum(exp(a))) with the max terms split off, as scipy computes it."""
-    top = np.maximum.reduce(a)
-    is_top = a == top
-    count = np.count_nonzero(is_top)
+    """log(sum(exp(a))) with the max terms split off, as scipy computes it.
+
+    A tie of the max adds exp(0) = 1 exactly to the other terms' sum of exps,
+    and nonnegative terms never lower a sum, so a sum below 1 proves the max
+    unique; any other sum, NaN included, splits off every copy of the max.
+    """
+    i = a.argmax()
+    top = a[i]
     shifted = a - top
-    shifted[is_top] = -np.inf
-    log_rest = np.log1p(np.add.reduce(np.exp(shifted)) / count)
-    # log(1) is +0.0, and log1p of a sum of exps is >= +0.0, so adding it moves no bit
-    return float((log_rest if count == 1 else log_rest + np.log(count)) + top)
+    shifted[i] = -np.inf
+    rest = np.add.reduce(np.exp(shifted))
+    if not rest < 1.0:
+        is_top = a == top
+        count = np.count_nonzero(is_top)
+        shifted[is_top] = -np.inf
+        rest = np.add.reduce(np.exp(shifted)) / count
+        if count != 1:
+            return float(np.log1p(rest) + np.log(count) + top)
+    # log(1) is +0.0, and log1p of a sum of exps is >= +0.0, so leaving it out moves no bit
+    return float(np.log1p(rest) + top)
 
 
 def _tilted_kl(shifted: np.ndarray, tau: float) -> Tuple[float, np.ndarray]:
@@ -158,10 +179,10 @@ def _tilted_kl(shifted: np.ndarray, tau: float) -> Tuple[float, np.ndarray]:
     batch, given shifted = losses - losses.max()."""
     # shift before scaling: losses / tau can be large while their spread is not
     w = np.exp(shifted / tau)
-    w /= w.sum()
+    w /= np.add.reduce(w)
     # 0 log 0 = 0; with no weight underflowed to 0, w itself holds the same terms
-    terms = w if w.all() else w[w > 0]
-    return float(np.sum(terms * np.log(len(w) * terms))), w
+    terms = w if np.logical_and.reduce(w) else w[w > 0]
+    return float(np.add.reduce(terms * np.log(len(w) * terms))), w
 
 
 def nonparam_weights(losses: np.ndarray, kappa: float) -> Tuple[np.ndarray, float]:
@@ -173,12 +194,12 @@ def nonparam_weights(losses: np.ndarray, kappa: float) -> Tuple[np.ndarray, floa
     Var_q, beta = 1/tau), bisecting when a step leaves the bracket.
     """
     losses = np.asarray(losses, dtype=float)
-    if not np.all(np.isfinite(losses)):
+    if not np.logical_and.reduce(np.isfinite(losses)):
         raise ValueError("losses must be finite")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
-    shifted = losses - losses.max()
-    if kappa == 0 or np.ptp(losses) == 0:
+    shifted = losses - np.maximum.reduce(losses)
+    if kappa == 0 or np.minimum.reduce(shifted) == 0:
         # zero radius or constant losses: the KL is 0 everywhere reachable
         tau = TAU_SEARCH_HI if kappa == 0 else TAU_SEARCH_LO
         return _tilted_kl(shifted, tau)[1], tau
@@ -191,7 +212,7 @@ def nonparam_weights(losses: np.ndarray, kappa: float) -> Tuple[np.ndarray, floa
         return w, TAU_SEARCH_HI
     lo, hi = np.log(TAU_SEARCH_LO), np.log(TAU_SEARCH_HI)
     # start from the small-radius limit KL ~ Var(loss) / (2 tau^2)
-    u = float(np.clip(np.log(np.std(losses) / np.sqrt(2.0 * kappa)), lo, hi))
+    u = float(min(max(np.log(np.std(losses) / np.sqrt(2.0 * kappa)), lo), hi))
     last = False
     for _ in range(200):
         tau = min(max(np.exp(u), TAU_SEARCH_LO), TAU_SEARCH_HI)
@@ -259,7 +280,7 @@ def pdro_adv_step(adv: GaussianAdversary, centered: np.ndarray, scaled: np.ndarr
         raise ValueError("normalizer must be positive and finite")
     w = np.exp(scaled - log_z)
     grad = np.add.reduce(w[:, None] * centered, axis=0) / (len(centered) * adv.sigma ** 2)
-    return GaussianAdversary(adv.mean + adv_lr * grad, adv.sigma, adv.mean0)
+    return adv._moved(adv.mean + adv_lr * grad)
 
 
 def pdro_adv_step_bare(adv: GaussianAdversary, batch: Packed, centered: np.ndarray,
@@ -268,7 +289,7 @@ def pdro_adv_step_bare(adv: GaussianAdversary, batch: Packed, centered: np.ndarr
     a batch whose inputs less adv.mean are `centered`."""
     ratios = pdro_model_weights(adv, batch, centered)
     grad = (ratios * np.asarray(losses))[:, None] * (centered / adv.sigma ** 2)
-    return GaussianAdversary(adv.mean + adv_lr * grad.mean(axis=0), adv.sigma, adv.mean0)
+    return adv._moved(adv.mean + adv_lr * grad.mean(axis=0))
 
 
 def gaussian_kl_project(adv: GaussianAdversary, kappa: float) -> GaussianAdversary:
@@ -280,8 +301,7 @@ def gaussian_kl_project(adv: GaussianAdversary, kappa: float) -> GaussianAdversa
     radius = math.sqrt(2.0 * kappa) * adv.sigma
     if dist <= radius:
         return adv
-    mean = adv.mean0.copy() if radius == 0.0 else adv.mean0 + (radius / dist) * diff
-    return GaussianAdversary(mean, adv.sigma, adv.mean0)
+    return adv._moved(adv.mean0.copy() if radius == 0.0 else adv.mean0 + (radius / dist) * diff)
 
 
 def rpdro_batch_weights(f_values: np.ndarray) -> np.ndarray:

@@ -244,8 +244,9 @@ def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, G
                               f"{len(test)} train/valid/test rows; every split needs one")
     p_noise = cfg["data.p_noise"]
     if p_noise > 0:
-        train = inject_label_noise(train, p_noise, seed + 3)
-        valid = inject_label_noise(valid, p_noise, seed + 4)
+        num_classes = class_count(train, valid, test)
+        train = inject_label_noise(train, p_noise, seed + 3, num_classes)
+        valid = inject_label_noise(valid, p_noise, seed + 4, num_classes)
     return train, valid, test
 
 
@@ -265,6 +266,11 @@ def _generated_split(cfg: Dict[str, object], seed: int, split: int) -> GroupedDa
                                                   bias, seed=seed + split))
 
 
+def class_count(*splits: GroupedDataset) -> int:
+    """The classes over every split of a dataset, at least 2."""
+    return max(*(int(split.rows.labels.max()) + 1 for split in splits), 2)
+
+
 def build_model_spec(cfg: Dict[str, object], *splits: GroupedDataset) -> ModelSpec:
     """The configured model for the splits' rows. The class count and the
     vocabulary cover every split: a CSV's later rows may hold a label or a
@@ -273,7 +279,7 @@ def build_model_spec(cfg: Dict[str, object], *splits: GroupedDataset) -> ModelSp
     if arch == "auto":
         arch = "embed_bag" if splits[0].is_tokens else "linear"
     rows = [split.packed(arch) for split in splits]
-    num_classes = max(*(int(r.labels.max()) + 1 for r in rows), 2)
+    num_classes = class_count(*splits)
     if arch == "embed_bag":
         vocab = max(cfg["data.vocab_size"], *(int(r.tokens.max()) + 1 for r in rows))
         return ModelSpec("embed_bag", num_classes=num_classes,
@@ -376,7 +382,7 @@ def train_run(cfg: Dict[str, object], seed: int,
                 )
             except NonFiniteWeightsError as err:
                 raise DivergenceError(f"non-finite example weights at step {step + 1}") from err
-            if not np.isfinite(model.params).all():
+            if not np.logical_and.reduce(np.isfinite(model.params)):
                 raise DivergenceError(f"non-finite parameters at epoch {epoch}")
             step += 1
             if every > 0 and step % every == 0:

@@ -254,14 +254,14 @@ def test_distractor_spec_validation():
 
 def test_label_noise_bounds_and_extremes():
     ds = gen_two_domain_gaussian(TwoDomainSpec(200, 0.5, 0.5, seed=2))
-    same = inject_label_noise(ds, 0.0, seed=0)
+    same = inject_label_noise(ds, 0.0, seed=0, num_classes=2)
     assert same.rows.labels.tolist() == ds.rows.labels.tolist()
-    noisy = inject_label_noise(ds, 1.0, seed=0)
+    noisy = inject_label_noise(ds, 1.0, seed=0, num_classes=2)
     flipped = int((ds.rows.labels != noisy.rows.labels).sum())
     # uniform resampling keeps ~half the labels by chance
     assert 60 < flipped < 140
     with pytest.raises(ValueError):
-        inject_label_noise(ds, 1.5, seed=0)
+        inject_label_noise(ds, 1.5, seed=0, num_classes=2)
 
 
 def test_csv_round_trip_dense(tmp_path):

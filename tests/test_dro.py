@@ -712,6 +712,12 @@ def test_normalizer_evicts_the_oldest_batch_first():
 @example([2.5], 0, False)  # one element
 @example([-1e3, 1e3, 0.0], 0, True)  # all equal
 @example([1e3, -1e3, 7.0, 1e3], 2, False)  # ties
+@example([1.7, -3.8, 1.7], 0, False)  # two copies of the max: the rest sums to 1 + 0.4%
+@example([-3.2, -3.0, -3.4, -2.9, -3.1], 0, False)  # a window: no tie, the rest sums past 1
+@example([np.inf, 1.0, np.inf], 0, False)  # two +inf
+@example([1.0, np.inf, -np.inf], 0, False)  # one +inf
+@example([-0.0, 0.0], 0, False)  # a tie of the two zeros
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")  # inf - inf
 def test_logsumexp_equals_the_former_formula(values, ties, all_equal):
     a = np.array(values)
     a[:ties] = a.max()  # ties extra copies of the max
@@ -720,6 +726,42 @@ def test_logsumexp_equals_the_former_formula(values, ties, all_equal):
     before = a.copy()
     assert dro._logsumexp(a) == reference_logsumexp(a)
     assert np.array_equal(a, before)
+
+
+@pytest.mark.parametrize("values", [[np.nan], [1.0, np.nan, 3.0], [np.inf, np.nan], [np.nan, np.nan]])
+def test_logsumexp_returns_nan_where_the_former_formula_did(values):
+    a = np.array(values)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert math.isnan(dro._logsumexp(a)) and math.isnan(reference_logsumexp(a))
+
+
+@pytest.mark.parametrize("kappa, fires", [(1e-4, True), (100.0, False)])
+def test_the_pdro_step_builds_the_adversary_the_constructor_would(kappa, fires):
+    rows, idx = criterion_02_batches(1)
+    batch = rows.take(idx[0])
+    spec = ModelSpec("linear", input_dim=2)
+    cfg = DroConfig(method="pdro", tau=0.1, kappa=kappa, adv_lr=0.5, adv_sigma_scale=0.4)
+    model = init_params(spec, seed=0)
+    adv, norm = dro.initial_state(cfg, spec, rows, num_groups=2, seed=0)
+    mean0 = adv.mean0.copy()
+    _, new_adv, _ = simultaneous_step(model, adv, batch, cfg, norm)
+    # the same step and projection, with every adversary made by the constructor
+    scaled = nll_loss_batch(model, batch) / cfg.tau
+    log_z = normalizer_update(RunningNormalizer(cfg.k_window), scaled).log_value
+    w = np.exp(scaled - log_z)
+    grad = np.add.reduce(w[:, None] * (batch.x - adv.mean), axis=0) / (len(batch) * adv.sigma ** 2)
+    expected = GaussianAdversary(adv.mean + cfg.adv_lr * grad, adv.sigma, mean0)
+    diff = expected.mean - mean0
+    dist, radius = math.sqrt(diff @ diff), math.sqrt(2.0 * kappa) * adv.sigma
+    assert (dist > radius) == fires
+    if fires:
+        expected = GaussianAdversary(mean0 + (radius / dist) * diff, adv.sigma, mean0)
+    assert type(new_adv) is GaussianAdversary
+    assert new_adv.mean.dtype == np.float64 and np.array_equal(new_adv.mean, expected.mean)
+    assert new_adv.sigma == expected.sigma
+    assert new_adv.mean0 is adv.mean0 and np.array_equal(adv.mean0, mean0)
+    with pytest.raises(ValueError, match="sigma must be positive"):
+        GaussianAdversary(new_adv.mean, 0.0, new_adv.mean0)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -850,6 +850,18 @@ def test_a_csv_whose_later_rows_hold_a_label_or_token_the_train_split_lacks_trai
     assert (spec.num_classes, spec.vocab_size) == ((3, 0) if layout == "label" else (2, 41))
 
 
+def test_label_noise_draws_from_the_class_set_of_every_split(tmp_path):
+    # label 2 sits only in rows 85-99: in valid and test, none in train's rows 0-79
+    ids = np.arange(100)
+    rows = Packed(np.where(ids >= 85, 2, ids % 2), np.zeros(100, dtype=int),
+                  x=np.random.default_rng(0).standard_normal((100, 2)))
+    save_csv(GroupedDataset(rows), tmp_path / "data.csv")
+    cfg = harness.resolved({"dataset": str(tmp_path / "data.csv"), "data.p_noise": 1.0})
+    train, valid, _ = harness.build_datasets(cfg, 0)
+    assert np.bincount(train.rows.labels, minlength=3).min() > 0
+    assert np.bincount(valid.rows.labels, minlength=3).min() > 0
+
+
 def test_rpdro_accepts_tau_zero():
     cfg = harness.dro_config(harness.resolved({"method": "rpdro", "tau": 0}))
     assert cfg.tau == 0 and cfg.adv_steps == 1
