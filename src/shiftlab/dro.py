@@ -370,7 +370,9 @@ def initial_state(config: DroConfig, spec: ModelSpec, train: Packed,
     if config.method == "pdro":
         mean0 = train.x.mean(axis=0)
         sigma = float(np.sqrt(train.x.var(axis=0).mean())) * float(config.adv_sigma_scale)
-        adversary = GaussianAdversary(mean0.copy(), max(sigma, 1e-6), mean0)
+        if not sigma > 0:
+            raise ValueError("pdro needs train inputs with nonzero variance to scale its Gaussian adversary")
+        adversary = GaussianAdversary(mean0.copy(), sigma, mean0)
         return adversary, RunningNormalizer(config.k_window)
     if config.method == "rpdro":
         return RatioAdversary(init_params(spec, seed + 101)), None

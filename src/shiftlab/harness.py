@@ -41,7 +41,6 @@ from .diffcore import (
     ModelSpec,
     ModelState,
     NonFiniteWeightsError,
-    UnsupportedArchitectureError,
     forward_logits_batch,
     init_params,
     logit_losses,
@@ -203,17 +202,6 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
     for key, legal in CHOICES.items():
         if out[key] not in legal:
             raise ConfigError(f"unknown {key}: {out[key]!r} (legal: {' | '.join(legal)})")
-    # counts and nonnegative settings whose library check would name another
-    # argument or fire only after work has started; NaN fails too
-    for key, low in (("checkpoint_every", 0), ("epochs", 1), ("batch_size", 1), ("k_window", 1),
-                     ("kappa", 0), ("eta_group", 0), ("beta", 0), ("data.total_points", 1),
-                     ("data.n", 1), ("data.test_n", 1), ("data.seq_len", 1), ("data.sigma", 0),
-                     ("model.hidden", 1), ("model.embed_dim", 1), ("cl.tasks", 1), ("cl.points", 1),
-                     ("cl.sigma", 0), ("cl.hidden", 1), ("cl.epochs", 1), ("cl.batch_size", 1),
-                     ("cl.alpha", 0), ("cl.ewc_lambda", 0), ("cl.capacity", 1),
-                     ("cl.fisher_samples", 1), ("cl.grad_noise", 0), ("attack.steps", 1)):
-        if not out[key] >= low:
-            raise ConfigError(f"{key} must be >= {low}, got {out[key]}")
     # fractions, checked by key here rather than by the library field they become
     for key, zero_ok in (("data.p_noise", True), ("data.minority_ratio", False),
                          ("data.bias", True), ("cl.gamma", False)):
@@ -221,6 +209,14 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
             raise ConfigError(f"{key} must lie in {'[' if zero_ok else '('}0, 1], got {out[key]}")
     if not out["cl.lr"] > 0:
         raise ConfigError(f"cl.lr must be > 0, got {out['cl.lr']}")
+    dro_config(out)  # the game's own rules, in DroConfig's words
+    # every other integer is a count >= 1 (checkpoint_every >= 0: once per
+    # epoch) and every other number is >= 0; NaN fails too
+    for key, default in DEFAULTS.items():
+        if isinstance(default, numbers.Real) and not isinstance(default, bool):
+            low = int(isinstance(default, numbers.Integral) and key != "checkpoint_every")
+            if not out[key] >= low:
+                raise ConfigError(f"{key} must be >= {low}, got {out[key]}")
     return out
 
 
@@ -229,10 +225,22 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
 
 
 def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, GroupedDataset, GroupedDataset]:
-    """(train, valid, test) for the configured dataset family."""
+    """(train, valid, test) for the configured dataset family. A generated
+    family draws split i with seed + i; its test split balances the domains or
+    drops the spurious correlation."""
     kind = cfg["dataset"]
-    if kind in ("two_domain", "distractor"):
-        train, valid, test = (_generated_split(cfg, seed, split) for split in range(3))
+    n = cfg["data.total_points" if kind == "two_domain" else "data.n"]
+    sizes = (n, max(n // 5, 50), cfg["data.test_n"])  # of a generated family's splits
+    if kind == "two_domain":
+        train, valid, test = (gen_two_domain_gaussian(TwoDomainSpec(
+            size, cfg["data.minority_ratio"] if i < 2 else 0.5, cfg["data.sigma"], seed=seed + i))
+            for i, size in enumerate(sizes))
+    elif kind == "distractor":
+        if cfg["data.vocab_size"] < 8:  # the generator's floor; CSV data takes any value
+            raise ConfigError(f"data.vocab_size must be >= 8 for generated text, got {cfg['data.vocab_size']}")
+        train, valid, test = (gen_distractor_text(DistractorTextSpec(
+            size, cfg["data.vocab_size"], cfg["data.seq_len"], cfg["data.bias"] if i < 2 else 0.5,
+            seed=seed + i)) for i, size in enumerate(sizes))
     else:
         full = load_csv(kind)
         n = len(full)
@@ -248,22 +256,6 @@ def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, G
         train = inject_label_noise(train, p_noise, seed + 3, num_classes)
         valid = inject_label_noise(valid, p_noise, seed + 4, num_classes)
     return train, valid, test
-
-
-def _generated_split(cfg: Dict[str, object], seed: int, split: int) -> GroupedDataset:
-    """Split 0 (train), 1 (valid) or 2 (test) of a generated family, drawn with seed
-    + split; the test split balances the domains or drops the spurious correlation."""
-    two_domain = cfg["dataset"] == "two_domain"
-    n = cfg["data.total_points" if two_domain else "data.n"]
-    size = (n, max(n // 5, 50), cfg["data.test_n"])[split]
-    if two_domain:
-        ratio = cfg["data.minority_ratio"] if split < 2 else 0.5
-        return gen_two_domain_gaussian(TwoDomainSpec(size, ratio, cfg["data.sigma"], seed=seed + split))
-    if cfg["data.vocab_size"] < 8:  # the generator's floor; CSV data takes any value
-        raise ConfigError(f"data.vocab_size must be >= 8 for generated text, got {cfg['data.vocab_size']}")
-    bias = cfg["data.bias"] if split < 2 else 0.5
-    return gen_distractor_text(DistractorTextSpec(size, cfg["data.vocab_size"], cfg["data.seq_len"],
-                                                  bias, seed=seed + split))
 
 
 def class_count(*splits: GroupedDataset) -> int:
@@ -536,19 +528,21 @@ def cmd_continual(cfg: Dict[str, object], seed: int, out_dir: str) -> cl.Continu
 def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
                model: Optional[ModelState] = None) -> List[dict]:
     """Attack an embedding-bag classifier with first-order substitutions on
-    the first attack.n rows of the test split, all rows at once."""
+    the first attack.n rows of the test split, all rows at once. Without a
+    model, train one as train_run does, on the same splits."""
     cfg = resolved(cfg)
     n, steps, k = cfg["attack.n"], cfg["attack.steps"], cfg["attack.k"]
-    if not 1 <= n <= cfg["data.test_n"]:
-        raise ConfigError(f"attack.n must lie in [1, data.test_n={cfg['data.test_n']}], got {n}")
-    if model is not None and model.spec.architecture != "embed_bag":
-        raise UnsupportedArchitectureError("attack requires an embed_bag model")
-    vocab = cfg["data.vocab_size"] if model is None else model.spec.vocab_size
-    if cfg["attack.constraint"] == "knn" and not 1 <= k < vocab:
+    splits = build_datasets(cfg, seed)
+    test = splits[2]
+    spec = build_model_spec(cfg, *splits) if model is None else model.spec
+    if spec.architecture != "embed_bag":
+        raise ConfigError(f"attack requires an embed_bag model, got {spec.architecture}")
+    if n > len(test):
+        raise ConfigError(f"attack.n must be <= the test split's {len(test)} rows, got {n}")
+    if cfg["attack.constraint"] == "knn" and not k < spec.vocab_size:
         raise ConfigError(f"k must be smaller than the vocabulary size and >= 1, got attack.k={k}")
     if model is None:
-        model = train_run({**cfg, "dataset": "distractor", "model.arch": "embed_bag"}, seed).model
-    test = _generated_split({**cfg, "dataset": "distractor"}, seed, 2)
+        model = train_run(cfg, seed, datasets=splits).model
     names = [f"tok{i}" for i in range(model.spec.vocab_size)]
     table = advmetrics.EmbeddingTable(model.slot("embedding.weight"), names)
 
@@ -563,9 +557,9 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     s_base = softmax(forward_logits_batch(model, rows))[true_label]
     s_adv = softmax(forward_logits_batch(model, adv))[true_label]
     report = []
-    for i, (src, base, after) in enumerate(zip(s_src.tolist(), s_base.tolist(), s_adv.tolist())):
+    for row_id, src, base, after in zip(test.ids.tolist(), s_src.tolist(), s_base.tolist(), s_adv.tolist()):
         d = advmetrics.d_tgt(base, after)
-        report.append({"id": i, "s_src": src, "s_base": base, "s_adv": after,
+        report.append({"id": row_id, "s_src": src, "s_base": base, "s_adv": after,
                        "d_tgt": d, "success": advmetrics.success(src, d)})
     header = ["id", "s_src", "s_base", "s_adv", "d_tgt", "success"]
     _write_csv(header, [[r[k] for k in header] for r in report], _out(out_dir, "metrics.csv"))
@@ -592,8 +586,6 @@ def cmd_sweep(cfg: Dict[str, object], seed: int, out_dir: str) -> List[dict]:
     if len({selection_loss(point) for point in points}) > 1:
         raise ConfigError("selection.loss=auto resolves differently across the swept "
                           "methods; the pooled selection needs one loss, so set it")
-    for point in points:
-        dro_config(point)  # reject a bad point before any point trains
     shared = build_datasets(points[0], seed)
     swept = [k[len("sweep."):] for k in cfg if k.startswith("sweep.")]
     runs, failures = {}, []  # runs: point index -> TrainResult of each point that trained

@@ -13,7 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from shiftlab import advmetrics, cli, continual as cl, diffcore, dro, harness, selection
-from shiftlab.datasets import GroupedDataset, batches, group_metrics, save_csv
+from shiftlab.datasets import (
+    DistractorTextSpec, GroupedDataset, TwoDomainSpec, batches, gen_distractor_text,
+    gen_two_domain_gaussian, group_metrics, save_csv,
+)
 from shiftlab.diffcore import (
     InputShapeError, ModelSpec, Packed, forward_logits_batch, init_params, softmax,
 )
@@ -208,10 +211,15 @@ def test_train_run_rejects_unknown_method():
 
 
 @pytest.mark.parametrize("mode", ["minmax", "greedy"])
-def test_train_run_raises_when_no_record_survives(mode):
-    # a negative threshold filters out even the identity record
+def test_train_run_rejects_a_threshold_no_record_passes_before_any_step(monkeypatch, mode):
+    # a negative threshold would filter out even the identity record, so that
+    # selection could only fail once every step had run
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
     cfg = {**TINY, "method": "pdro", "selection": mode, "selection.kl_threshold": -1.0}
-    with pytest.raises(ValueError, match="no adversary record survived"):
+    with pytest.raises(harness.ConfigError, match="selection.kl_threshold must be >= 0, got -1.0"):
         harness.train_run(cfg, seed=0)
 
 
@@ -384,13 +392,25 @@ def test_sweep_rejects_methods_whose_auto_selection_loss_differs(tmp_path):
     assert not (tmp_path / "s").exists()
 
 
-def test_sweep_selects_with_the_configured_kl_threshold(tmp_path):
-    # selection=last keeps every run alive; the pooled selection then filters
-    # with the configured negative threshold, which no record survives
-    cfg = {**TINY, "method": "pdro", "selection": "last", "selection.kl_threshold": -1.0,
-           "sweep.lr": "0.05,0.1"}
-    with pytest.raises(ValueError, match="no adversary record survived"):
-        harness.cmd_sweep(cfg, 0, str(tmp_path / "s"))
+def test_sweep_selects_with_the_configured_kl_threshold(tmp_path, monkeypatch):
+    # every selection of the sweep, each run's and the pooled one, reads the
+    # configured threshold
+    real_select, thresholds = selection.hyperparam_select, []
+
+    def select(runs, kl_threshold):
+        thresholds.append(kl_threshold)
+        return real_select(runs, kl_threshold)
+
+    monkeypatch.setattr(selection, "hyperparam_select", select)
+    point = {**TINY, "method": "pdro", "selection.kl_threshold": 0.0}
+    report = harness.cmd_sweep({**point, "sweep.lr": "0.05,0.1"}, 0, str(tmp_path / "s"))
+    assert thresholds and set(thresholds) == {0.0}
+    shared = harness.build_datasets(harness.resolved(TINY), 0)
+    runs = [harness.train_run({**point, "lr": lr}, 0, datasets=shared)
+            for lr in (0.05, 0.1)]
+    run, ckpt = real_select([(r.valid_losses, r.records) for r in runs], 0.0)
+    [chosen] = [r for r in report if r["selected"]]
+    assert (chosen["point"], chosen["chosen_checkpoint"]) == (run, ckpt)
 
 
 @pytest.mark.parametrize("command, key, bad", [
@@ -446,7 +466,7 @@ def test_cmd_continual_writes_artifacts(tmp_path):
 def test_cmd_attack_with_prebuilt_model(tmp_path):
     out = tmp_path / "attack"
     model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=0)
-    cfg = {"attack.n": 5, "data.test_n": 50, "attack.constraint": "knn"}
+    cfg = {"dataset": "distractor", "attack.n": 5, "data.test_n": 50, "attack.constraint": "knn"}
     report = harness.cmd_attack(cfg, 0, str(out), model=model)
     assert len(report) == 5
     assert all(0.0 <= row["s_src"] <= 1.0 for row in report)
@@ -462,16 +482,15 @@ def test_cmd_attack_with_prebuilt_model(tmp_path):
 def test_cmd_attack_rejects_attack_sizes_it_cannot_honour(tmp_path, bad):
     model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=0)
     with pytest.raises(harness.ConfigError):
-        harness.cmd_attack(bad, 0, str(tmp_path / "a"), model=model)
+        harness.cmd_attack({"dataset": "distractor", **bad}, 0, str(tmp_path / "a"), model=model)
     assert not (tmp_path / "a").exists()
 
 
 def test_cmd_attack_rejects_dense_models(tmp_path):
-    from shiftlab.diffcore import UnsupportedArchitectureError
-
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
-    with pytest.raises(UnsupportedArchitectureError):
+    with pytest.raises(harness.ConfigError, match="attack requires an embed_bag model, got linear"):
         harness.cmd_attack({}, 0, str(tmp_path / "x"), model=model)
+    assert not (tmp_path / "x").exists()
 
 
 def test_cmd_sweep_selects_a_point(tmp_path):
@@ -608,7 +627,12 @@ def test_generated_test_split_equals_build_datasets(dataset):
     cfg = harness.resolved({"dataset": dataset, "data.n": 120, "data.total_points": 300,
                             "data.test_n": 80, "data.p_noise": 0.2})
     want = harness.build_datasets(cfg, 7)[2]
-    got = harness._generated_split(cfg, 7, 2)
+    # the generator's own draw at seed + 2, balanced or unbiased, and left clean by the label noise
+    if dataset == "two_domain":
+        got = gen_two_domain_gaussian(TwoDomainSpec(80, 0.5, cfg["data.sigma"], seed=9))
+    else:
+        got = gen_distractor_text(DistractorTextSpec(80, cfg["data.vocab_size"], cfg["data.seq_len"],
+                                                     0.5, seed=9))
     assert got.group_names == want.group_names
     assert len(got) == len(want) == 80
     assert np.array_equal(got.ids, want.ids)
@@ -620,9 +644,9 @@ def test_generated_test_split_equals_build_datasets(dataset):
 
 def test_cmd_attack_attacks_the_build_datasets_test_split(tmp_path):
     model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=1)
-    cfg = {"attack.n": 6, "data.test_n": 40, "data.n": 50}
+    cfg = {"dataset": "distractor", "attack.n": 6, "data.test_n": 40, "data.n": 50}
     report = harness.cmd_attack(cfg, 3, str(tmp_path / "a"), model=model)
-    test = harness.build_datasets(harness.resolved({**cfg, "dataset": "distractor"}), 3)[2]
+    test = harness.build_datasets(harness.resolved(cfg), 3)[2]
     assert [row["id"] for row in report] == test.ids[:6].tolist()
     probs = softmax(forward_logits_batch(model, test.rows.rows(0, 6)))
     assert [row["s_base"] for row in report] == pytest.approx(
@@ -631,9 +655,9 @@ def test_cmd_attack_attacks_the_build_datasets_test_split(tmp_path):
 
 def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
     model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=2)
-    cfg = {"attack.n": 7, "data.test_n": 40, "attack.constraint": "knn"}
+    cfg = {"dataset": "distractor", "attack.n": 7, "data.test_n": 40, "attack.constraint": "knn"}
     report = harness.cmd_attack(cfg, 5, str(tmp_path / "a"), model=model)
-    test = harness._generated_split(harness.resolved({**cfg, "dataset": "distractor"}), 5, 2)
+    test = harness.build_datasets(harness.resolved(cfg), 5)[2]
     rows = test.packed("embed_bag").take(np.arange(7))
     table = advmetrics.EmbeddingTable(model.slot("embedding.weight"),
                                       [f"tok{i}" for i in range(32)])
@@ -683,6 +707,44 @@ def test_cli_rejects_pdro_on_token_data_before_training(tmp_path, capsys, monkey
     assert not (out / "run.jsonl").exists()
 
 
+def test_cli_rejects_pdro_on_constant_features_before_training(tmp_path, capsys, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
+    rows = Packed(np.arange(100) % 2, np.zeros(100, dtype=int), x=np.ones((100, 2)))
+    save_csv(GroupedDataset(rows), tmp_path / "flat.csv")
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(f"dataset = {tmp_path / 'flat.csv'}\nmethod = pdro\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "shiftlab: error: pdro needs train inputs with nonzero variance to scale its Gaussian adversary"]
+    assert not out.exists()
+
+
+def test_attack_trains_on_the_configured_dataset(tmp_path, capsys, monkeypatch):
+    steps, step = [], dro.simultaneous_step
+
+    def counted_step(*args, **kwargs):
+        steps.append(1)
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(dro, "simultaneous_step", counted_step)
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("epochs = 1\ndata.total_points = 200\n")
+    assert cli.main(["attack", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "shiftlab: error: attack requires an embed_bag model, got linear"]
+    assert not steps and not (tmp_path / "a").exists()
+    # a token CSV trains its own model and is attacked on its own test split
+    harness.cmd_gen_data({**SMALL_TEXT, "data.n": 200}, 0, str(tmp_path / "gen"))
+    cfg = {"dataset": str(tmp_path / "gen" / "train.csv"), "epochs": 1, "attack.n": 20}
+    report = harness.cmd_attack(cfg, 0, str(tmp_path / "b"))
+    test = harness.build_datasets(harness.resolved(cfg), 0)[2]
+    assert steps and [row["id"] for row in report] == test.ids[:20].tolist()
+
+
 @pytest.mark.parametrize("lr", [0.0, -0.1])
 @pytest.mark.parametrize("method", dro.METHODS)
 def test_cli_rejects_a_nonpositive_lr_for_every_method_before_any_output(
@@ -729,25 +791,24 @@ def test_game_settings_that_break_the_game_raise_before_any_output(
         assert not out.exists()
 
 
-SMALL_TEXT = {"data.n": 100, "data.test_n": 50, "epochs": 1}
+SMALL_TEXT = {"dataset": "distractor", "data.n": 100, "data.test_n": 50, "epochs": 1}
 SMALL_CL = {"cl.tasks": 2, "cl.points": 40, "cl.fisher_samples": 20}
-# (command, key, floor) of each floor of resolved not covered below, on a command
-# that would otherwise start work
+# the command that reads each key family, on settings that would otherwise start work
+READERS = {"data": ("gen-data", {}), "cl": ("continual", SMALL_CL), "attack": ("attack", SMALL_TEXT)}
+# (command, settings, key, floor) of every number DEFAULTS holds: an integer is a
+# count >= 1 (checkpoint_every >= 0) and any other number is >= 0
 BELOW_FLOOR = [
-    ("train", "batch_size", 1), ("train", "k_window", 1), ("train", "kappa", 0),
-    ("train", "eta_group", 0), ("train", "beta", 0), ("gen-data", "data.total_points", 1),
-    ("train", "data.test_n", 1), ("gen-data", "data.seq_len", 1), ("gen-data", "data.sigma", 0),
-    ("train", "model.hidden", 1), ("train", "model.embed_dim", 1), ("continual", "cl.tasks", 1),
-    ("continual", "cl.points", 1), ("continual", "cl.sigma", 0), ("continual", "cl.hidden", 1),
-    ("continual", "cl.alpha", 0), ("continual", "cl.ewc_lambda", 0), ("continual", "cl.capacity", 1),
-    ("continual", "cl.grad_noise", 0), ("attack", "attack.steps", 1),
+    (*READERS.get(key.split(".")[0], ("train", {})), key,
+     int(isinstance(default, int) and key != "checkpoint_every"))
+    for key, default in harness.DEFAULTS.items()
+    if isinstance(default, (int, float)) and not isinstance(default, bool)
 ]
 
 
 @pytest.mark.parametrize("command, bad, message", [
-    ("train", {**SMALL_TEXT, "dataset": "distractor", "method": "pdro"},
+    ("train", {**SMALL_TEXT, "method": "pdro"},
      "method=pdro needs dense inputs"),
-    ("train", {**SMALL_TEXT, "dataset": "distractor", "model.arch": "linear"},
+    ("train", {**SMALL_TEXT, "model.arch": "linear"},
      "linear models cannot read this dataset's token-id rows"),
     ("train", {"dataset": "no_label.csv"}, "no_label.csv: line 1: missing 'label' column"),
     ("continual", {**SMALL_CL, "cl.batch_size": 0}, "cl.batch_size must be >= 1, got 0"),
@@ -759,11 +820,11 @@ BELOW_FLOOR = [
     ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 40},
      "k must be smaller than the vocabulary size and >= 1, got attack.k=40"),
     ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": -1},
-     "k must be smaller than the vocabulary size and >= 1, got attack.k=-1"),
+     "attack.k must be >= 1, got -1"),
     ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 0},
-     "k must be smaller than the vocabulary size and >= 1, got attack.k=0"),
+     "attack.k must be >= 1, got 0"),
     ("gen-data", {"dataset": "distractor", "data.n": 0}, "data.n must be >= 1, got 0"),
-    ("sweep", {**SMALL_TEXT, "dataset": "distractor", "method": "pdro", "sweep.tau": "0.1,0.5"},
+    ("sweep", {**SMALL_TEXT, "method": "pdro", "sweep.tau": "0.1,0.5"},
      "method=pdro needs dense inputs"),
     ("train", {"lr": "fast"}, "lr must be a number, got 'fast'"),
     ("train", {"lr": "true"}, "lr must be a number, got True"),
@@ -776,9 +837,12 @@ BELOW_FLOOR = [
     ("train", {"epochs": 0, "selection": "greedy"}, "epochs must be >= 1, got 0"),
     ("train", {"epochs": 0, "selection": "minmax"}, "epochs must be >= 1, got 0"),
     ("sweep", {"sweep.epochs": "2,0"}, "epochs must be >= 1, got 0"),
-    *[(command, {key: floor - 1}, f"{key} must be >= {floor}, got {floor - 1}")
-      for command, key, floor in BELOW_FLOOR],
+    # an earlier check of the key may own the message: DroConfig's, a fraction's or cl.lr's
+    *[(command, {**settings, key: floor - 1},
+       rf"{re.escape(key)} must (be >= {floor}|be > 0|be positive|lie in \S+ 1\]), got {floor - 1}$")
+      for command, settings, key, floor in BELOW_FLOOR],
     ("train", {"kappa": "nan"}, "kappa must be >= 0, got nan"),
+    ("train", {"adv_lr": "nan"}, "adv_lr must be >= 0, got nan"),
     ("continual", {"cl.lr": -1}, "cl.lr must be > 0, got -1"),
     ("continual", {"cl.method": "er", "cl.lr": 0}, "cl.lr must be > 0, got 0"),
     ("continual", {"cl.lr": "nan"}, "cl.lr must be > 0, got nan"),
@@ -803,7 +867,8 @@ BELOW_FLOOR = [
         "attack-knn-k40", "attack-knn-k-neg", "attack-knn-k0", "gen-data-n0", "sweep-pdro-tokens", "train-lr-text", "train-lr-bool", "train-epochs-float",
         "train-points-text", "attack-n-text", "attack-sign-int", "continual-lr-text",
         "train-epochs0-last", "train-epochs0-greedy", "train-epochs0-minmax", "sweep-epochs0",
-        *[f"{command}-{key}-below" for command, key, _ in BELOW_FLOOR], "train-kappa-nan",
+        *[f"{command}-{key}-below" for command, _, key, _ in BELOW_FLOOR], "train-kappa-nan",
+        "train-adv_lr-nan",
         "continual-lr-neg", "continual-er-lr0", "continual-lr-nan", "train-sweep-key",
         "gen-data-sweep-key", "gen-data-noise2", "gen-data-noise-nan", "train-ratio0",
         "gen-data-bias1.5", "continual-gamma2", "continual-gamma-nan", "train-csv-5rows",
