@@ -85,6 +85,12 @@ def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
         ("attack", "attack-knn", (*attack, "attack.constraint=knn"), 0),
         ("attack", "attack-knn-sign", (*attack, "attack.constraint=knn",
                                        "attack.sign_normalize=true"), 1),
+        # attack reads its dataset as given: the default dense data exits 1,
+        # and a token CSV trains its own model and is attacked on its own rows
+        ("attack", "attack-two_domain", (), 0),
+        ("attack", "attack-csv-distractor", ("dataset=gen-distractor/train.csv", "epochs=3",
+                                             "attack.n=150", "attack.steps=2",
+                                             "attack.constraint=knn"), 0),
     ]
     for method in CL_METHODS:
         tag = method.replace("+", "_")
