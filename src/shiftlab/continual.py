@@ -229,7 +229,7 @@ def continual_train(
         raise ValueError("at least one task required")
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
-    parts = [task.packed("mlp") for task in tasks]
+    parts = [task.rows for task in tasks]
     rows = Packed(np.concatenate([p.labels for p in parts]),
                   np.concatenate([p.groups for p in parts]), x=np.concatenate([p.x for p in parts]))
     starts = np.cumsum([0] + [len(task) for task in tasks])
@@ -325,7 +325,7 @@ def rotated_gaussian_tasks(
             [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
         )
         # one stacked matmul rounds each row as rot @ x does; x @ rot.T does not
-        rows = base.packed("mlp")
+        rows = base.rows
         rotated = Packed(rows.labels, rows.groups, x=np.matmul(rot, rows.x[:, :, None])[:, :, 0])
         tasks.append(GroupedDataset(rotated, base.group_names))
     return tasks

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, field, replace
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .diffcore import InputShapeError, ModelState, Packed, zero_one_loss_batch
+from .diffcore import ModelState, Packed, zero_one_loss_batch
 
 
 class CsvFormatError(ValueError):
@@ -46,14 +47,6 @@ class GroupedDataset:
     def subset(self, indices: Sequence[int]) -> "GroupedDataset":
         idx = np.asarray(indices, dtype=int)
         return GroupedDataset(self.rows.take(idx), self.group_names, self.ids[idx])
-
-    def packed(self, architecture: str) -> Packed:
-        """The rows, for a model of `architecture`; raises InputShapeError when
-        that architecture reads the other form (token ids or dense vectors)."""
-        if (architecture == "embed_bag") != self.is_tokens:
-            raise InputShapeError(f"{architecture} models cannot read this dataset's "
-                                  f"{'token-id' if self.is_tokens else 'dense'} rows")
-        return self.rows
 
 
 @dataclass(frozen=True)
@@ -209,6 +202,10 @@ def load_csv(path) -> GroupedDataset:
             raise CsvFormatError(f"{path}: line 1: missing 'label' column")
         col = {name: i for i, name in enumerate(header)}
         is_tokens = "tokens" in col
+        for name in header:  # so the columns named f... are exactly the f<digits> features
+            if not re.fullmatch(r"id|label|group|tokens|f\d+", name):
+                raise CsvFormatError(f"{path}: line 1: unknown column {name!r} (legal: id, label, "
+                                     "group, tokens, f<digits>)")
         feature_cols = [i for i, name in enumerate(header) if name.startswith("f")]
         has_group = "group" in col
         keys, inputs = [], []
@@ -227,6 +224,8 @@ def load_csv(path) -> GroupedDataset:
                 raise CsvFormatError(f"{path}: line {lineno}: {err}") from None
             if keys[-1][1:].min() < 0:
                 raise CsvFormatError(f"{path}: line {lineno}: label and group must be >= 0")
+            if is_tokens and not inputs[-1].size:
+                raise CsvFormatError(f"{path}: line {lineno}: a token row needs at least one token")
     if not keys:
         raise CsvFormatError(f"{path}: no data rows")
     ids, labels, groups = np.array(keys).T.copy()
@@ -266,8 +265,8 @@ def group_metrics(model: ModelState, dataset: GroupedDataset) -> GroupMetrics:
     """Per-group accuracy, worst-group (robust) and size-weighted average."""
     if len(dataset) == 0:
         raise ValueError("group_metrics requires a non-empty dataset")
-    packed = dataset.packed(model.spec.architecture)
-    return metrics_from_errors(zero_one_loss_batch(model, packed), packed.groups, dataset.num_groups)
+    rows = dataset.rows
+    return metrics_from_errors(zero_one_loss_batch(model, rows), rows.groups, dataset.num_groups)
 
 
 def metrics_from_errors(errors: np.ndarray, groups: np.ndarray, num_groups: int) -> GroupMetrics:

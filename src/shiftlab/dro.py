@@ -368,10 +368,12 @@ def initial_state(config: DroConfig, spec: ModelSpec, train: Packed,
     if config.method == "group_dro":
         return np.full(num_groups, 1.0 / num_groups), None
     if config.method == "pdro":
+        if train.x is None:
+            raise ValueError("method=pdro needs dense inputs: its Gaussian adversary has no token form")
         mean0 = train.x.mean(axis=0)
         sigma = float(np.sqrt(train.x.var(axis=0).mean())) * float(config.adv_sigma_scale)
         if not sigma > 0:
-            raise ValueError("pdro needs train inputs with nonzero variance to scale its Gaussian adversary")
+            raise ValueError("method=pdro needs nonzero train input variance to scale its Gaussian adversary")
         adversary = GaussianAdversary(mean0.copy(), sigma, mean0)
         return adversary, RunningNormalizer(config.k_window)
     if config.method == "rpdro":

@@ -217,6 +217,8 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
             low = int(isinstance(default, numbers.Integral) and key != "checkpoint_every")
             if not out[key] >= low:
                 raise ConfigError(f"{key} must be >= {low}, got {out[key]}")
+    if out["dataset"] == "distractor" and out["data.vocab_size"] < 8:  # the generator's floor
+        raise ConfigError(f"data.vocab_size must be >= 8 for generated text, got {out['data.vocab_size']}")
     return out
 
 
@@ -236,8 +238,6 @@ def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, G
             size, cfg["data.minority_ratio"] if i < 2 else 0.5, cfg["data.sigma"], seed=seed + i))
             for i, size in enumerate(sizes))
     elif kind == "distractor":
-        if cfg["data.vocab_size"] < 8:  # the generator's floor; CSV data takes any value
-            raise ConfigError(f"data.vocab_size must be >= 8 for generated text, got {cfg['data.vocab_size']}")
         train, valid, test = (gen_distractor_text(DistractorTextSpec(
             size, cfg["data.vocab_size"], cfg["data.seq_len"], cfg["data.bias"] if i < 2 else 0.5,
             seed=seed + i)) for i, size in enumerate(sizes))
@@ -267,19 +267,20 @@ def build_model_spec(cfg: Dict[str, object], *splits: GroupedDataset) -> ModelSp
     """The configured model for the splits' rows. The class count and the
     vocabulary cover every split: a CSV's later rows may hold a label or a
     token that its train split lacks."""
-    arch = cfg["model.arch"]
+    arch, tokens = cfg["model.arch"], splits[0].is_tokens
     if arch == "auto":
-        arch = "embed_bag" if splits[0].is_tokens else "linear"
-    rows = [split.packed(arch) for split in splits]
+        arch = "embed_bag" if tokens else "linear"
+    if (arch == "embed_bag") != tokens:
+        raise ConfigError(f"model.arch={arch} cannot read this dataset's {'token-id' if tokens else 'dense'} rows")
     num_classes = class_count(*splits)
     if arch == "embed_bag":
-        vocab = max(cfg["data.vocab_size"], *(int(r.tokens.max()) + 1 for r in rows))
+        vocab = max(cfg["data.vocab_size"], *(int(split.rows.tokens.max()) + 1 for split in splits))
         return ModelSpec("embed_bag", num_classes=num_classes,
                          vocab_size=vocab, embed_dim=cfg["model.embed_dim"])
     if arch == "mlp":
-        return ModelSpec("mlp", input_dim=rows[0].x.shape[1], num_classes=num_classes,
+        return ModelSpec("mlp", input_dim=splits[0].rows.x.shape[1], num_classes=num_classes,
                          hidden_units=cfg["model.hidden"])
-    return ModelSpec("linear", input_dim=rows[0].x.shape[1], num_classes=num_classes)
+    return ModelSpec("linear", input_dim=splits[0].rows.x.shape[1], num_classes=num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +327,7 @@ def train_run(cfg: Dict[str, object], seed: int,
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
     spec = build_model_spec(cfg, train, valid, test)
     model = init_params(spec, seed)
-    packed_train, packed_valid = train.packed(spec.architecture), valid.packed(spec.architecture)
-
-    if dro_cfg.method == "pdro" and packed_train.x is None:
-        raise ConfigError("method=pdro needs dense inputs: its Gaussian adversary has no token form")
-    adversary, normalizer = dro.initial_state(dro_cfg, spec, packed_train, train.num_groups, seed)
+    adversary, normalizer = dro.initial_state(dro_cfg, spec, train.rows, train.num_groups, seed)
 
     loss_kind = selection_loss(cfg)
     checkpoints: List[ModelState] = []
@@ -342,15 +339,15 @@ def train_run(cfg: Dict[str, object], seed: int,
 
     def take_checkpoint(step: int) -> None:
         checkpoints.append(model.copy())
-        raw = dro.adversary_valid_weights(dro_cfg.method, adversary, packed_valid)
+        raw = dro.adversary_valid_weights(dro_cfg.method, adversary, valid.rows)
         record = None if raw is None else selection.make_record(len(records), raw)
         if record is not None:
             records.append(record)
         own_records.append(record)
         # the one validation forward of this checkpoint: selection scores its
         # cached row, and the chosen checkpoint reports its cached metrics
-        losses = logit_losses(forward_logits_batch(checkpoints[-1], packed_valid), packed_valid.labels)
-        vm = metrics_from_errors(losses["zero_one"], packed_valid.groups, valid.num_groups)
+        losses = logit_losses(forward_logits_batch(checkpoints[-1], valid.rows), valid.rows.labels)
+        vm = metrics_from_errors(losses["zero_one"], valid.rows.groups, valid.num_groups)
         valid_losses.append(losses[loss_kind])
         valid_metrics.append(vm)
         mean_valid_loss = float(losses["nll"].mean())
@@ -366,7 +363,7 @@ def train_run(cfg: Dict[str, object], seed: int,
     step = 0
     for epoch in range(cfg["epochs"]):
         # one gather per epoch; each batch is a slice of it, the rows batches() yields
-        shuffled = packed_train.take(epoch_order(len(train), seed=seed * 1000 + epoch))
+        shuffled = train.rows.take(epoch_order(len(train), seed=seed * 1000 + epoch))
         for start in batch_starts(len(shuffled), batch_size):
             try:
                 model, adversary, normalizer = dro.simultaneous_step(
@@ -535,18 +532,19 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     splits = build_datasets(cfg, seed)
     test = splits[2]
     spec = build_model_spec(cfg, *splits) if model is None else model.spec
-    if spec.architecture != "embed_bag":
-        raise ConfigError(f"attack requires an embed_bag model, got {spec.architecture}")
+    if spec.architecture != "embed_bag" or not test.is_tokens:
+        raise ConfigError(f"model.arch must be embed_bag on token-id rows to attack, got {spec.architecture} "
+                          f"on {'token-id' if test.is_tokens else 'dense'} rows")
     if n > len(test):
         raise ConfigError(f"attack.n must be <= the test split's {len(test)} rows, got {n}")
     if cfg["attack.constraint"] == "knn" and not k < spec.vocab_size:
-        raise ConfigError(f"k must be smaller than the vocabulary size and >= 1, got attack.k={k}")
+        raise ConfigError(f"attack.k must be < the vocabulary size {spec.vocab_size}, got {k}")
     if model is None:
         model = train_run(cfg, seed, datasets=splits).model
     names = [f"tok{i}" for i in range(model.spec.vocab_size)]
     table = advmetrics.EmbeddingTable(model.slot("embedding.weight"), names)
 
-    rows = test.packed("embed_bag").take(np.arange(n))
+    rows = test.rows.take(np.arange(n))
     adv = advmetrics.attack_rows(model, rows, table, cfg["attack.constraint"],
                                  cfg["attack.sign_normalize"], k, steps)
     bounds = list(zip(rows.offsets[:-1].tolist(), rows.offsets[1:].tolist()))

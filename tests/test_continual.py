@@ -210,7 +210,7 @@ def test_rotated_tasks_match_the_per_row_rotation(num_tasks, points, sigma, seed
         for name in ("labels", "groups"):
             assert np.array_equal(getattr(task.rows, name), getattr(base.rows, name))
         assert np.array_equal(task.ids, base.ids)
-        for got, x in zip(task.packed("mlp").x, base.rows.x):
+        for got, x in zip(task.rows.x, base.rows.x):
             assert got.tobytes() == (rot @ x).tobytes()
 
 
@@ -245,7 +245,7 @@ def test_finetune_equals_a_loop_over_separate_trunk_and_head_arrays():
     split = spec.slots["out.weight"][0]
     trunk = init_params(spec, cfg.seed).params[:split].copy()
     heads = [init_params(spec, cfg.seed + 1 + t).params[split:].copy() for t in range(3)]
-    packed = [task.packed("mlp") for task in tasks]
+    packed = [task.rows for task in tasks]
     expected = np.zeros((3, 3))
     for k, task in enumerate(tasks):
         for epoch in range(cfg.epochs):

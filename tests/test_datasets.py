@@ -16,7 +16,7 @@ from shiftlab.datasets import (
     load_csv,
     save_csv,
 )
-from shiftlab.diffcore import ModelSpec, init_params
+from shiftlab.diffcore import InputShapeError, ModelSpec, init_params
 
 
 def test_two_domain_counts_and_groups():
@@ -230,10 +230,9 @@ def test_paired_two_domain_draw_matches_the_row_loop(n, minority_ratio):
 def test_generated_examples_are_read_only_views_of_the_pack():
     listed = GroupedDataset(packed_rows((np.full(2, float(i)), i % 2) for i in range(5)),
                             ids=[7 * i for i in range(5)])
-    for ds, architecture in ((gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)), "linear"),
-                             (gen_distractor_text(DistractorTextSpec(30)), "embed_bag"),
-                             (listed, "mlp")):
-        rows = ds.packed(architecture)
+    for ds in (gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)),
+               gen_distractor_text(DistractorTextSpec(30)), listed):
+        rows = ds.rows
         example = rows.rows(3, 4)  # one row, as views
         inputs = example.x if example.x is not None else example.tokens
         with pytest.raises(ValueError, match="read-only"):
@@ -386,6 +385,17 @@ def test_group_metrics_against_hand_counts():
     assert list(gm.group_counts) == [2, 2]
     with pytest.raises(ValueError):
         group_metrics(model, GroupedDataset(rows.take([]), ["a"]))
+
+
+@pytest.mark.parametrize("spec, ds, message", [
+    (ModelSpec("linear", input_dim=2), gen_distractor_text(DistractorTextSpec(30)),
+     r"expected inputs of shape \(n, 2\), got None"),
+    (ModelSpec("embed_bag", vocab_size=32, embed_dim=4),
+     gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)), "token input must be"),
+], ids=["linear-on-tokens", "embed_bag-on-dense"])
+def test_group_metrics_of_a_model_that_reads_the_other_input_form_raises(spec, ds, message):
+    with pytest.raises(InputShapeError, match=message):
+        group_metrics(init_params(spec, seed=0), ds)
 
 
 def test_subset_keeps_group_names():

@@ -646,7 +646,7 @@ def reference_pdro_step(params, mean, norm, x, labels, cfg, sigma, mean0):
 
 def criterion_02_batches(steps):
     ds = gen_two_domain_gaussian(TwoDomainSpec(10_000, 1.0 / 51.0, 0.8, seed=0))
-    rows = ds.packed("linear")
+    rows = ds.rows
     idx = [i for epoch in range(2) for i in batches(ds, 32, seed=epoch)][:steps]
     return rows, idx
 

@@ -18,7 +18,7 @@ from shiftlab.datasets import (
     gen_two_domain_gaussian, group_metrics, save_csv,
 )
 from shiftlab.diffcore import (
-    InputShapeError, ModelSpec, Packed, forward_logits_batch, init_params, softmax,
+    ModelSpec, Packed, forward_logits_batch, init_params, softmax,
 )
 
 
@@ -413,22 +413,6 @@ def test_sweep_selects_with_the_configured_kl_threshold(tmp_path, monkeypatch):
     assert (chosen["point"], chosen["chosen_checkpoint"]) == (run, ckpt)
 
 
-@pytest.mark.parametrize("command, key, bad", [
-    (harness.cmd_train, "norm_mode", {"method": "rpdro", "norm_mode": "batchlevel"}),
-    (harness.cmd_train, "selection", {"selection": "minmx"}),
-    (harness.cmd_train, "model.arch", {"model.arch": "MLP"}),
-    (harness.cmd_train, "selection.loss", {"selection": "last", "selection.loss": "nl"}),
-    (harness.cmd_train, "method", {"method": "sgd"}),
-    (harness.cmd_continual, "cl.method", {"cl.method": "conatural+replay"}),
-    (harness.cmd_attack, "attack.constraint", {"attack.constraint": "kn"}),
-    (harness.cmd_attack, "attack.constraint", {"attack.constraint": "charswap-oov"}),
-])
-def test_unknown_config_values_raise_before_any_output(tmp_path, command, key, bad):
-    with pytest.raises(harness.ConfigError, match=f"unknown {key}"):
-        command({**TINY, **bad}, 0, str(tmp_path / "out"))
-    assert not (tmp_path / "out").exists()
-
-
 def test_cmd_train_writes_artifacts(tmp_path):
     out = tmp_path / "run"
     result = harness.cmd_train({**TINY, "method": "erm"}, 0, str(out))
@@ -474,21 +458,10 @@ def test_cmd_attack_with_prebuilt_model(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
-@pytest.mark.parametrize("bad", [
-    {"attack.n": 5000, "data.test_n": 50},
-    {"attack.n": 0},
-    {"attack.steps": 0},
-])
-def test_cmd_attack_rejects_attack_sizes_it_cannot_honour(tmp_path, bad):
-    model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=0)
-    with pytest.raises(harness.ConfigError):
-        harness.cmd_attack({"dataset": "distractor", **bad}, 0, str(tmp_path / "a"), model=model)
-    assert not (tmp_path / "a").exists()
-
-
 def test_cmd_attack_rejects_dense_models(tmp_path):
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
-    with pytest.raises(harness.ConfigError, match="attack requires an embed_bag model, got linear"):
+    with pytest.raises(harness.ConfigError, match="model.arch must be embed_bag on token-id rows to attack, "
+                                                  "got linear on dense rows"):
         harness.cmd_attack({}, 0, str(tmp_path / "x"), model=model)
     assert not (tmp_path / "x").exists()
 
@@ -658,7 +631,7 @@ def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
     cfg = {"dataset": "distractor", "attack.n": 7, "data.test_n": 40, "attack.constraint": "knn"}
     report = harness.cmd_attack(cfg, 5, str(tmp_path / "a"), model=model)
     test = harness.build_datasets(harness.resolved(cfg), 5)[2]
-    rows = test.packed("embed_bag").take(np.arange(7))
+    rows = test.rows.take(np.arange(7))
     table = advmetrics.EmbeddingTable(model.slot("embedding.weight"),
                                       [f"tok{i}" for i in range(32)])
     adv = advmetrics.attack_rows(model, rows, table, "knn", False, 10)
@@ -670,60 +643,7 @@ def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
     assert [row["s_src"] for row in report] == want.tolist()
 
 
-def test_an_architecture_that_reads_the_other_input_form_raises_before_any_output(
-        tmp_path, capsys, monkeypatch):
-    def no_step(*args, **kwargs):
-        raise AssertionError("a training step ran")
-
-    monkeypatch.setattr(dro, "simultaneous_step", no_step)
-    # features in [0, 9) would pass for token ids if the rows were cast to int
-    rng = np.random.default_rng(0)
-    x = rng.uniform(0, 9, size=(200, 2))
-    rows = Packed((x[:, 0] > x[:, 1]).astype(int), np.zeros(200, dtype=int), x=x)
-    save_csv(GroupedDataset(rows), tmp_path / "dense.csv")
-    cfg = {"dataset": str(tmp_path / "dense.csv"), "model.arch": "embed_bag"}
-    with pytest.raises(InputShapeError, match="embed_bag models cannot read .* dense rows"):
-        harness.train_run(cfg, 0)
-    cfg_path = tmp_path / "cfg"
-    cfg_path.write_text("".join(f"{key} = {value}\n" for key, value in cfg.items()))
-    out = tmp_path / "run"
-    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("shiftlab: error: embed_bag models cannot read")
-    assert not out.exists() or not any(out.iterdir())
-
-
-def test_cli_rejects_pdro_on_token_data_before_training(tmp_path, capsys, monkeypatch):
-    def no_step(*args, **kwargs):
-        raise AssertionError("a training step ran")
-
-    monkeypatch.setattr(dro, "simultaneous_step", no_step)
-    cfg_path = tmp_path / "cfg"
-    cfg_path.write_text("dataset = distractor\nmethod = pdro\ndata.n = 100\ndata.test_n = 50\n")
-    out = tmp_path / "run"
-    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("shiftlab: error: method=pdro needs dense inputs")
-    assert not (out / "run.jsonl").exists()
-
-
-def test_cli_rejects_pdro_on_constant_features_before_training(tmp_path, capsys, monkeypatch):
-    def no_step(*args, **kwargs):
-        raise AssertionError("a training step ran")
-
-    monkeypatch.setattr(dro, "simultaneous_step", no_step)
-    rows = Packed(np.arange(100) % 2, np.zeros(100, dtype=int), x=np.ones((100, 2)))
-    save_csv(GroupedDataset(rows), tmp_path / "flat.csv")
-    cfg_path = tmp_path / "cfg"
-    cfg_path.write_text(f"dataset = {tmp_path / 'flat.csv'}\nmethod = pdro\n")
-    out = tmp_path / "run"
-    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "shiftlab: error: pdro needs train inputs with nonzero variance to scale its Gaussian adversary"]
-    assert not out.exists()
-
-
-def test_attack_trains_on_the_configured_dataset(tmp_path, capsys, monkeypatch):
+def test_attack_trains_on_the_configured_dataset(tmp_path, monkeypatch):
     steps, step = [], dro.simultaneous_step
 
     def counted_step(*args, **kwargs):
@@ -731,64 +651,13 @@ def test_attack_trains_on_the_configured_dataset(tmp_path, capsys, monkeypatch):
         return step(*args, **kwargs)
 
     monkeypatch.setattr(dro, "simultaneous_step", counted_step)
-    cfg_path = tmp_path / "cfg"
-    cfg_path.write_text("epochs = 1\ndata.total_points = 200\n")
-    assert cli.main(["attack", "--config", str(cfg_path), "--out", str(tmp_path / "a")]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "shiftlab: error: attack requires an embed_bag model, got linear"]
-    assert not steps and not (tmp_path / "a").exists()
-    # a token CSV trains its own model and is attacked on its own test split
+    # a token CSV trains its own model and is attacked on its own test split; the
+    # default dense data fails before any step (the table's attack-two_domain row)
     harness.cmd_gen_data({**SMALL_TEXT, "data.n": 200}, 0, str(tmp_path / "gen"))
     cfg = {"dataset": str(tmp_path / "gen" / "train.csv"), "epochs": 1, "attack.n": 20}
     report = harness.cmd_attack(cfg, 0, str(tmp_path / "b"))
     test = harness.build_datasets(harness.resolved(cfg), 0)[2]
     assert steps and [row["id"] for row in report] == test.ids[:20].tolist()
-
-
-@pytest.mark.parametrize("lr", [0.0, -0.1])
-@pytest.mark.parametrize("method", dro.METHODS)
-def test_cli_rejects_a_nonpositive_lr_for_every_method_before_any_output(
-        tmp_path, capsys, monkeypatch, method, lr):
-    def no_step(*args, **kwargs):
-        raise AssertionError("a training step ran")
-
-    monkeypatch.setattr(dro, "simultaneous_step", no_step)
-    cfg_path = tmp_path / "cfg"
-    cfg_path.write_text(f"dataset = two_domain\nmethod = {method}\nlr = {lr}\n")
-    for command in ("train", "sweep"):
-        out = tmp_path / command
-        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"shiftlab: error: lr must be positive, got {lr}"]
-        assert not out.exists() or not any(out.iterdir())
-
-
-@pytest.mark.parametrize("bad, message", [
-    ({"method": "pdro", "tau": 0}, "pdro needs tau > 0, got 0"),
-    ({"method": "pdro", "tau": -0.1}, "pdro needs tau > 0, got -0.1"),
-    ({"method": "rpdro", "tau": -0.1}, "rpdro needs tau >= 0, got -0.1"),
-    ({"method": "pdro", "adv_sigma_scale": 0}, "adv_sigma_scale must be positive, got 0"),
-    ({"method": "pdro", "adv_sigma_scale": -0.5}, "adv_sigma_scale must be positive, got -0.5"),
-    ({"method": "pdro", "adv_steps": 0}, "adv_steps must be >= 1, got 0"),
-    ({"method": "rpdro", "adv_steps": 0}, "adv_steps must be >= 1, got 0"),
-    ({"method": "erm", "adv_steps": -1}, "adv_steps must be >= 1, got -1"),
-], ids=["pdro-tau0", "pdro-tau-neg", "rpdro-tau-neg", "pdro-sigma0", "pdro-sigma-neg",
-        "pdro-steps0", "rpdro-steps0", "erm-steps-neg"])
-def test_game_settings_that_break_the_game_raise_before_any_output(
-        tmp_path, capsys, monkeypatch, bad, message):
-    def no_step(*args, **kwargs):
-        raise AssertionError("a training step ran")
-
-    monkeypatch.setattr(dro, "simultaneous_step", no_step)
-    with pytest.raises(ValueError, match=message):
-        harness.dro_config(harness.resolved({**TINY, **bad}))
-    cfg_path = tmp_path / "cfg"
-    cfg_path.write_text("".join(f"{key} = {value}\n" for key, value in {**TINY, **bad}.items()))
-    for command in ("train", "sweep"):
-        out = tmp_path / command
-        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == [f"shiftlab: error: {message}"]
-        assert not out.exists()
 
 
 SMALL_TEXT = {"dataset": "distractor", "data.n": 100, "data.test_n": 50, "epochs": 1}
@@ -803,92 +672,161 @@ BELOW_FLOOR = [
     for key, default in harness.DEFAULTS.items()
     if isinstance(default, (int, float)) and not isinstance(default, bool)
 ]
+# the CSV files the table's rows read, by name
+CSVS = {
+    "no_label.csv": "id,f0,f1\n0,1.0,2.0\n",
+    **{f"tiny{n}.csv": "id,label,group,f0,f1\n" + "".join(f"{i},{i % 2},0,1.0,2.0\n" for i in range(n))
+       for n in (1, 5)},
+    # features in [0, 9) would pass for token ids if the rows were cast to int
+    "dense.csv": "id,f0,f1,label,group\n" + "".join(
+        f"{i},{i % 9 + 0.5},{i * 4 % 9 + 0.25},{i % 2},0\n" for i in range(200)),
+    "flat.csv": "id,f0,f1,label,group\n" + "".join(f"{i},1.0,1.0,{i % 2},0\n" for i in range(100)),
+    # the row of id 150, on line 152, holds no token
+    "gaps.csv": "id,tokens,label,group\n" + "".join(
+        f"{i},{'' if i == 150 else i % 7 + 1},{i % 2},0\n" for i in range(200)),
+    "fold.csv": "id,f0,f1,fold,label,group\n" + "".join(
+        f"{i},{i % 3 + 0.5},1.0,{i % 5},{i % 2},0\n" for i in range(200)),
+}
+# the game's own rules, which DroConfig states in its words
+GAME = [
+    ("pdro-tau0", {"method": "pdro", "tau": 0}, "tau", "pdro needs tau > 0, got 0"),
+    ("pdro-tau-neg", {"method": "pdro", "tau": -0.1}, "tau", "pdro needs tau > 0, got -0.1"),
+    ("rpdro-tau-neg", {"method": "rpdro", "tau": -0.1}, "tau", "rpdro needs tau >= 0, got -0.1"),
+    ("pdro-sigma0", {"method": "pdro", "adv_sigma_scale": 0}, "adv_sigma_scale",
+     "adv_sigma_scale must be positive, got 0"),
+    ("pdro-sigma-neg", {"method": "pdro", "adv_sigma_scale": -0.5}, "adv_sigma_scale",
+     "adv_sigma_scale must be positive, got -0.5"),
+    ("pdro-steps0", {"method": "pdro", "adv_steps": 0}, "adv_steps", "adv_steps must be >= 1, got 0"),
+    ("rpdro-steps0", {"method": "rpdro", "adv_steps": 0}, "adv_steps", "adv_steps must be >= 1, got 0"),
+    ("erm-steps-neg", {"method": "erm", "adv_steps": -1}, "adv_steps", "adv_steps must be >= 1, got -1"),
+]
 
 
-@pytest.mark.parametrize("command, bad, message", [
-    ("train", {**SMALL_TEXT, "method": "pdro"},
-     "method=pdro needs dense inputs"),
-    ("train", {**SMALL_TEXT, "model.arch": "linear"},
-     "linear models cannot read this dataset's token-id rows"),
-    ("train", {"dataset": "no_label.csv"}, "no_label.csv: line 1: missing 'label' column"),
-    ("continual", {**SMALL_CL, "cl.batch_size": 0}, "cl.batch_size must be >= 1, got 0"),
-    ("continual", {**SMALL_CL, "cl.epochs": 0}, "cl.epochs must be >= 1, got 0"),
-    ("continual", {**SMALL_CL, "cl.fisher_samples": 0}, "cl.fisher_samples must be >= 1, got 0"),
-    ("continual", {**SMALL_CL, "cl.method": "conatural", "cl.fisher_samples": -2},
-     "cl.fisher_samples must be >= 1, got -2"),
-    ("continual", {**SMALL_CL, "cl.gamma": 0}, r"cl.gamma must lie in \(0, 1\], got 0"),
-    ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 40},
-     "k must be smaller than the vocabulary size and >= 1, got attack.k=40"),
-    ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": -1},
-     "attack.k must be >= 1, got -1"),
-    ("attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 0},
-     "attack.k must be >= 1, got 0"),
-    ("gen-data", {"dataset": "distractor", "data.n": 0}, "data.n must be >= 1, got 0"),
-    ("sweep", {**SMALL_TEXT, "method": "pdro", "sweep.tau": "0.1,0.5"},
-     "method=pdro needs dense inputs"),
-    ("train", {"lr": "fast"}, "lr must be a number, got 'fast'"),
-    ("train", {"lr": "true"}, "lr must be a number, got True"),
-    ("train", {"epochs": 2.5}, "epochs must be an integer, got 2.5"),
-    ("train", {"data.total_points": "x"}, "data.total_points must be an integer, got 'x'"),
-    ("attack", {"attack.n": "x"}, "attack.n must be an integer, got 'x'"),
-    ("attack", {"attack.sign_normalize": 1}, "attack.sign_normalize must be true or false, got 1"),
-    ("continual", {"cl.lr": "x"}, "cl.lr must be a number, got 'x'"),
-    ("train", {"epochs": 0, "selection": "last"}, "epochs must be >= 1, got 0"),
-    ("train", {"epochs": 0, "selection": "greedy"}, "epochs must be >= 1, got 0"),
-    ("train", {"epochs": 0, "selection": "minmax"}, "epochs must be >= 1, got 0"),
-    ("sweep", {"sweep.epochs": "2,0"}, "epochs must be >= 1, got 0"),
+def row(name, command, bad, key, message):
+    """A table row: `command` on the settings `bad` exits 1 with one error line
+    that holds `key` (a config key, or the CSV file of a file rule) and matches
+    the regular expression `message`."""
+    return pytest.param(command, bad, key, message, id=name)
+
+
+@pytest.mark.parametrize("command, bad, key, message", [
+    row("train-pdro-tokens", "train", {**SMALL_TEXT, "method": "pdro"}, "method=pdro",
+        "method=pdro needs dense inputs"),
+    row("train-linear-tokens", "train", {**SMALL_TEXT, "model.arch": "linear"}, "model.arch",
+        "model.arch=linear cannot read this dataset's token-id rows$"),
+    row("train-embed_bag-dense", "train", {"dataset": "dense.csv", "model.arch": "embed_bag"},
+        "model.arch", "model.arch=embed_bag cannot read this dataset's dense rows$"),
+    row("train-pdro-flat", "train", {"dataset": "flat.csv", "method": "pdro"}, "method=pdro",
+        "method=pdro needs nonzero train input variance"),
+    row("train-csv-no-label", "train", {"dataset": "no_label.csv"}, "no_label.csv",
+        "no_label.csv: line 1: missing 'label' column"),
+    row("train-csv-no-tokens", "train", {"dataset": "gaps.csv"}, "gaps.csv",
+        "gaps.csv: line 152: a token row needs at least one token$"),
+    row("train-csv-fold", "train", {"dataset": "fold.csv"}, "fold.csv",
+        "fold.csv: line 1: unknown column 'fold'"),
+    row("continual-batch0", "continual", {**SMALL_CL, "cl.batch_size": 0}, "cl.batch_size",
+        "cl.batch_size must be >= 1, got 0"),
+    row("continual-epochs0", "continual", {**SMALL_CL, "cl.epochs": 0}, "cl.epochs",
+        "cl.epochs must be >= 1, got 0"),
+    row("continual-fisher0", "continual", {**SMALL_CL, "cl.fisher_samples": 0}, "cl.fisher_samples",
+        "cl.fisher_samples must be >= 1, got 0"),
+    row("continual-fisher-neg", "continual", {**SMALL_CL, "cl.method": "conatural", "cl.fisher_samples": -2},
+        "cl.fisher_samples", "cl.fisher_samples must be >= 1, got -2"),
+    row("continual-gamma0", "continual", {**SMALL_CL, "cl.gamma": 0}, "cl.gamma",
+        r"cl.gamma must lie in \(0, 1\], got 0"),
+    row("attack-two_domain", "attack", {"epochs": 1, "data.total_points": 200}, "model.arch",
+        "model.arch must be embed_bag on token-id rows to attack, got linear on dense rows$"),
+    row("attack-n-over-test", "attack", {**SMALL_TEXT, "attack.n": 5000}, "attack.n",
+        "attack.n must be <= the test split's 50 rows, got 5000$"),
+    row("attack-knn-k40", "attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 40},
+        "attack.k", "attack.k must be < the vocabulary size 32, got 40$"),
+    row("attack-knn-k-neg", "attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": -1},
+        "attack.k", "attack.k must be >= 1, got -1"),
+    row("attack-knn-k0", "attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 0},
+        "attack.k", "attack.k must be >= 1, got 0"),
+    row("gen-data-n0", "gen-data", {"dataset": "distractor", "data.n": 0}, "data.n", "data.n must be >= 1, got 0"),
+    row("sweep-pdro-tokens", "sweep", {**SMALL_TEXT, "method": "pdro", "sweep.tau": "0.1,0.5"}, "method=pdro",
+        "method=pdro needs dense inputs"),
+    row("train-lr-text", "train", {"lr": "fast"}, "lr", "lr must be a number, got 'fast'"),
+    row("train-lr-bool", "train", {"lr": "true"}, "lr", "lr must be a number, got True"),
+    row("train-epochs-float", "train", {"epochs": 2.5}, "epochs", "epochs must be an integer, got 2.5"),
+    row("train-points-text", "train", {"data.total_points": "x"}, "data.total_points",
+        "data.total_points must be an integer, got 'x'"),
+    row("attack-n-text", "attack", {"attack.n": "x"}, "attack.n", "attack.n must be an integer, got 'x'"),
+    row("attack-sign-int", "attack", {"attack.sign_normalize": 1}, "attack.sign_normalize",
+        "attack.sign_normalize must be true or false, got 1"),
+    row("continual-lr-text", "continual", {"cl.lr": "x"}, "cl.lr", "cl.lr must be a number, got 'x'"),
+    *[row(f"train-epochs0-{mode}", "train", {"epochs": 0, "selection": mode}, "epochs",
+          "epochs must be >= 1, got 0") for mode in ("last", "greedy", "minmax")],
+    row("sweep-epochs0", "sweep", {"sweep.epochs": "2,0"}, "epochs", "epochs must be >= 1, got 0"),
+    row("sweep-checkpoint-neg", "sweep", {"sweep.checkpoint_every": "2,-3"}, "checkpoint_every",
+        "checkpoint_every must be >= 0, got -3$"),
     # an earlier check of the key may own the message: DroConfig's, a fraction's or cl.lr's
-    *[(command, {**settings, key: floor - 1},
-       rf"{re.escape(key)} must (be >= {floor}|be > 0|be positive|lie in \S+ 1\]), got {floor - 1}$")
+    *[row(f"{command}-{key}-below", command, {**settings, key: floor - 1}, key,
+          rf"{re.escape(key)} must (be >= {floor}|be > 0|be positive|lie in \S+ 1\]), got {floor - 1}$")
       for command, settings, key, floor in BELOW_FLOOR],
-    ("train", {"kappa": "nan"}, "kappa must be >= 0, got nan"),
-    ("train", {"adv_lr": "nan"}, "adv_lr must be >= 0, got nan"),
-    ("continual", {"cl.lr": -1}, "cl.lr must be > 0, got -1"),
-    ("continual", {"cl.method": "er", "cl.lr": 0}, "cl.lr must be > 0, got 0"),
-    ("continual", {"cl.lr": "nan"}, "cl.lr must be > 0, got nan"),
-    ("train", {"sweep.lr": "0.01,1.0"}, r"sweep\.lr: only the sweep command reads sweep\.\* keys"),
-    ("gen-data", {"sweep.epochs": "1,2"}, r"sweep\.epochs: only the sweep command reads sweep\.\* keys"),
-    ("gen-data", {"data.p_noise": 2}, r"data.p_noise must lie in \[0, 1\], got 2"),
-    ("gen-data", {"data.p_noise": "nan"}, r"data.p_noise must lie in \[0, 1\], got nan"),
-    ("train", {"data.minority_ratio": 0}, r"data.minority_ratio must lie in \(0, 1\], got 0"),
-    ("gen-data", {"dataset": "distractor", "data.bias": 1.5},
-     r"data.bias must lie in \[0, 1\], got 1.5"),
-    ("continual", {**SMALL_CL, "cl.gamma": 2}, r"cl.gamma must lie in \(0, 1\], got 2"),
-    ("continual", {**SMALL_CL, "cl.gamma": "nan"}, r"cl.gamma must lie in \(0, 1\], got nan"),
-    ("train", {"dataset": "tiny5.csv"},
-     "tiny5.csv: the 80/10/10 split gives 4/0/1 train/valid/test rows; every split needs one"),
-    ("train", {"dataset": "tiny1.csv"},
-     "tiny1.csv: the 80/10/10 split gives 0/0/1 train/valid/test rows; every split needs one"),
-    *[(command, {"dataset": "distractor", "data.vocab_size": 4},
-       "data.vocab_size must be >= 8 for generated text, got 4")
-      for command in ("gen-data", "train", "attack")],
-], ids=["train-pdro-tokens", "train-linear-tokens", "train-csv-no-label", "continual-batch0",
-        "continual-epochs0", "continual-fisher0", "continual-fisher-neg", "continual-gamma0",
-        "attack-knn-k40", "attack-knn-k-neg", "attack-knn-k0", "gen-data-n0", "sweep-pdro-tokens", "train-lr-text", "train-lr-bool", "train-epochs-float",
-        "train-points-text", "attack-n-text", "attack-sign-int", "continual-lr-text",
-        "train-epochs0-last", "train-epochs0-greedy", "train-epochs0-minmax", "sweep-epochs0",
-        *[f"{command}-{key}-below" for command, _, key, _ in BELOW_FLOOR], "train-kappa-nan",
-        "train-adv_lr-nan",
-        "continual-lr-neg", "continual-er-lr0", "continual-lr-nan", "train-sweep-key",
-        "gen-data-sweep-key", "gen-data-noise2", "gen-data-noise-nan", "train-ratio0",
-        "gen-data-bias1.5", "continual-gamma2", "continual-gamma-nan", "train-csv-5rows",
-        "train-csv-1row", "gen-data-vocab4", "train-vocab4", "attack-vocab4"])
+    *[row(f"{command}-{method}-lr{lr}", command, {"dataset": "two_domain", "method": method, "lr": lr}, "lr",
+          f"lr must be positive, got {lr}$") for method in dro.METHODS for lr in (0.0, -0.1)
+      for command in ("train", "sweep")],
+    *[row(f"{command}-{name}", command, {**TINY, **bad}, key, f"{message}$")
+      for name, bad, key, message in GAME for command in ("train", "sweep")],
+    row("train-kappa-nan", "train", {"kappa": "nan"}, "kappa", "kappa must be >= 0, got nan"),
+    row("train-adv_lr-nan", "train", {"adv_lr": "nan"}, "adv_lr", "adv_lr must be >= 0, got nan"),
+    row("continual-lr-neg", "continual", {"cl.lr": -1}, "cl.lr", "cl.lr must be > 0, got -1"),
+    row("continual-er-lr0", "continual", {"cl.method": "er", "cl.lr": 0}, "cl.lr", "cl.lr must be > 0, got 0"),
+    row("continual-lr-nan", "continual", {"cl.lr": "nan"}, "cl.lr", "cl.lr must be > 0, got nan"),
+    row("train-sweep-key", "train", {"sweep.lr": "0.01,1.0"}, "sweep.lr",
+        r"sweep\.lr: only the sweep command reads sweep\.\* keys"),
+    row("gen-data-sweep-key", "gen-data", {"sweep.epochs": "1,2"}, "sweep.epochs",
+        r"sweep\.epochs: only the sweep command reads sweep\.\* keys"),
+    row("gen-data-noise2", "gen-data", {"data.p_noise": 2}, "data.p_noise",
+        r"data.p_noise must lie in \[0, 1\], got 2"),
+    row("gen-data-noise-nan", "gen-data", {"data.p_noise": "nan"}, "data.p_noise",
+        r"data.p_noise must lie in \[0, 1\], got nan"),
+    row("train-ratio0", "train", {"data.minority_ratio": 0}, "data.minority_ratio",
+        r"data.minority_ratio must lie in \(0, 1\], got 0"),
+    row("gen-data-bias1.5", "gen-data", {"dataset": "distractor", "data.bias": 1.5}, "data.bias",
+        r"data.bias must lie in \[0, 1\], got 1.5"),
+    row("continual-gamma2", "continual", {**SMALL_CL, "cl.gamma": 2}, "cl.gamma",
+        r"cl.gamma must lie in \(0, 1\], got 2"),
+    row("continual-gamma-nan", "continual", {**SMALL_CL, "cl.gamma": "nan"}, "cl.gamma",
+        r"cl.gamma must lie in \(0, 1\], got nan"),
+    row("train-csv-5rows", "train", {"dataset": "tiny5.csv"}, "tiny5.csv",
+        "tiny5.csv: the 80/10/10 split gives 4/0/1 train/valid/test rows; every split needs one"),
+    row("train-csv-1row", "train", {"dataset": "tiny1.csv"}, "tiny1.csv",
+        "tiny1.csv: the 80/10/10 split gives 0/0/1 train/valid/test rows; every split needs one"),
+    *[row(f"{command}-vocab4", command, {"dataset": "distractor", "data.vocab_size": 4}, "data.vocab_size",
+          "data.vocab_size must be >= 8 for generated text, got 4") for command in ("gen-data", "train", "attack")],
+    # values outside a key's legal choices
+    row("train-norm_mode-typo", "train", {"method": "rpdro", "norm_mode": "batchlevel"}, "norm_mode",
+        "unknown norm_mode: 'batchlevel'"),
+    row("train-selection-typo", "train", {"selection": "minmx"}, "selection", "unknown selection: 'minmx'"),
+    row("train-arch-typo", "train", {"model.arch": "MLP"}, "model.arch", "unknown model.arch: 'MLP'"),
+    row("train-sel-loss-typo", "train", {"selection": "last", "selection.loss": "nl"}, "selection.loss",
+        "unknown selection.loss: 'nl'"),
+    row("train-method-typo", "train", {"method": "sgd"}, "method", "unknown method: 'sgd'"),
+    row("continual-method-typo", "continual", {"cl.method": "conatural+replay"}, "cl.method",
+        r"unknown cl.method: 'conatural\+replay'"),
+    row("attack-constraint-kn", "attack", {"attack.constraint": "kn"}, "attack.constraint",
+        "unknown attack.constraint: 'kn'"),
+    row("attack-charswap-oov", "attack", {"attack.constraint": "charswap-oov"}, "attack.constraint",
+        "unknown attack.constraint: 'charswap-oov'"),
+])
 def test_a_command_that_fails_before_writing_leaves_no_directory(
-        tmp_path, capsys, monkeypatch, command, bad, message):
+        tmp_path, capsys, monkeypatch, command, bad, key, message):
     def no_step(*args, **kwargs):
         raise AssertionError("a training step ran")
 
     monkeypatch.setattr(dro, "simultaneous_step", no_step)
     monkeypatch.setattr(cl, "grad_params", no_step)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "no_label.csv").write_text("id,f0,f1\n0,1.0,2.0\n")
-    for n in (1, 5):
-        rows = "".join(f"{i},{i % 2},0,1.0,2.0\n" for i in range(n))
-        (tmp_path / f"tiny{n}.csv").write_text("id,label,group,f0,f1\n" + rows)
-    (tmp_path / "cfg").write_text("".join(f"{key} = {value}\n" for key, value in bad.items()))
+    for name, text in CSVS.items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "cfg").write_text("".join(f"{k} = {value}\n" for k, value in bad.items()))
     assert cli.main([command, "--config", "cfg", "--out", "out"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and re.match(f"shiftlab: error: {message}", err[0])
+    assert len(err) == 1 and err[0].startswith("shiftlab: error: ")
+    assert key in err[0] and re.match(message, err[0][len("shiftlab: error: "):])
     assert not (tmp_path / "out").exists()
 
 
@@ -932,20 +870,6 @@ def test_rpdro_accepts_tau_zero():
     assert cfg.tau == 0 and cfg.adv_steps == 1
 
 
-@pytest.mark.parametrize("command, bad", [
-    (harness.cmd_train, {"checkpoint_every": -1}),
-    (harness.cmd_sweep, {"sweep.checkpoint_every": "2,-3"}),
-], ids=["train", "sweep"])
-def test_a_negative_checkpoint_every_raises_before_any_output(tmp_path, monkeypatch, command, bad):
-    def no_step(*args, **kwargs):
-        raise AssertionError("a training step ran")
-
-    monkeypatch.setattr(dro, "simultaneous_step", no_step)
-    with pytest.raises(harness.ConfigError, match="checkpoint_every must be >= 0, got -"):
-        command({**TINY, **bad}, 0, str(tmp_path / "out"))
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("cfg", [
     {"dataset": "two_domain", "data.total_points": 150, "batch_size": 32, "method": "pdro"},
     {"dataset": "distractor", "data.n": 150, "batch_size": 64, "method": "nonparam"},
@@ -955,8 +879,7 @@ def test_train_run_gathers_each_epoch_once_and_steps_on_the_batches_rows(monkeyp
     seed = 4
     datasets = harness.build_datasets(harness.resolved(cfg), seed)
     train = datasets[0]
-    packed_train = train.packed("embed_bag" if train.is_tokens else "linear")
-    expected = [packed_train.take(idx) for epoch in range(cfg["epochs"])
+    expected = [train.rows.take(idx) for epoch in range(cfg["epochs"])
                 for idx in batches(train, cfg["batch_size"], seed=seed * 1000 + epoch)]
     gathers, stepped = [], []
     take, step = Packed.take, dro.simultaneous_step

@@ -59,6 +59,8 @@ def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
         out.append(("train", f"train-two_domain-{method}", (*TWO_DOMAIN, f"method={method}"), 0))
     for method in METHODS:  # pdro exits 1 here
         out.append(("train", f"train-distractor-{method}", (*DISTRACTOR, f"method={method}"), 0))
+    # a dense architecture cannot read token rows: exits 1 before any work
+    out.append(("train", "train-distractor-linear", (*DISTRACTOR, "model.arch=linear"), 0))
     pdro = (*TWO_DOMAIN, "method=pdro", "data.sigma=0.8", "adv_sigma_scale=0.4", "adv_lr=0.5")
     out += [
         ("train", "train-toy-erm", (*TOY, "method=erm"), 101),
