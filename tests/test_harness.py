@@ -458,6 +458,18 @@ def test_cmd_attack_with_prebuilt_model(tmp_path):
     assert (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("bad", [
+    {"attack.n": 5000, "data.test_n": 50},
+    {"attack.n": 0},
+    {"attack.steps": 0},
+])
+def test_cmd_attack_rejects_attack_sizes_it_cannot_honour(tmp_path, bad):
+    model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=0)
+    with pytest.raises(harness.ConfigError):
+        harness.cmd_attack({"dataset": "distractor", **bad}, 0, str(tmp_path / "a"), model=model)
+    assert not (tmp_path / "a").exists()
+
+
 def test_cmd_attack_rejects_dense_models(tmp_path):
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
     with pytest.raises(harness.ConfigError, match="model.arch must be embed_bag on token-id rows to attack, "
@@ -868,6 +880,34 @@ def test_label_noise_draws_from_the_class_set_of_every_split(tmp_path):
 def test_rpdro_accepts_tau_zero():
     cfg = harness.dro_config(harness.resolved({"method": "rpdro", "tau": 0}))
     assert cfg.tau == 0 and cfg.adv_steps == 1
+
+
+def test_cli_rejects_pdro_on_token_data_before_training(tmp_path, capsys, monkeypatch):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("dataset = distractor\nmethod = pdro\ndata.n = 100\ndata.test_n = 50\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("shiftlab: error: method=pdro needs dense inputs")
+    assert not (out / "run.jsonl").exists()
+
+
+@pytest.mark.parametrize("command, bad", [
+    (harness.cmd_train, {"checkpoint_every": -1}),
+    (harness.cmd_sweep, {"sweep.checkpoint_every": "2,-3"}),
+], ids=["train", "sweep"])
+def test_a_negative_checkpoint_every_raises_before_any_output(tmp_path, monkeypatch, command, bad):
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(dro, "simultaneous_step", no_step)
+    with pytest.raises(harness.ConfigError, match="checkpoint_every must be >= 0, got -"):
+        command({**TINY, **bad}, 0, str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cfg", [
