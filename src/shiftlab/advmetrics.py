@@ -295,7 +295,7 @@ def attack_rows(
     row_of = np.repeat(np.arange(len(adv)), np.diff(adv.offsets))
     candidates = _candidate_table(table, constraint, k)
     for _ in range(steps):
-        grads = grad_wrt_embeddings_batch(model, adv, loss_kind="adversarial")
+        grads = grad_wrt_embeddings_batch(model, adv)
         pos, tok = _substitute_rows(grads, row_of, adv.tokens, adv.offsets, table.vectors,
                                     candidates, sign_normalize)
         adv.tokens[adv.offsets[:-1] + pos] = tok

@@ -15,7 +15,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .datasets import (GroupedDataset, TwoDomainSpec, batch_starts, epoch_order,
+from .datasets import (GroupedDataset, TwoDomainSpec, batch_starts, class_count, epoch_order,
                        gen_two_domain_gaussian)
 from .diffcore import (
     ModelSpec,
@@ -73,13 +73,14 @@ def conatural_delta(grad: np.ndarray, fisher: FisherState, lr: float) -> np.ndar
         return np.zeros_like(grad)
     if math.isinf(fisher.alpha):
         return -lr * grad
-    raw = grad / (fisher.diag + fisher.alpha + EPSILON)
+    raw = conatural_delta_raw(grad, fisher)
     delta = raw * (grad_norm / math.sqrt(raw @ raw))
     return -lr * delta
 
 
 def conatural_delta_raw(grad: np.ndarray, fisher: FisherState) -> np.ndarray:
-    """The pre-renormalization diagonal solve, exposed for residual testing."""
+    """The damped diagonal solve (F + alpha I)^-1 grad, before conatural_delta
+    rescales it to the gradient norm."""
     return np.asarray(grad, dtype=float) / (fisher.diag + fisher.alpha + EPSILON)
 
 
@@ -229,13 +230,15 @@ def continual_train(
         raise ValueError("at least one task required")
     if method not in METHODS:
         raise ValueError(f"unknown method: {method!r}")
+    if any(task.is_tokens for task in tasks):
+        raise ValueError("continual_train needs dense tasks: its mlp cannot read token-id rows")
     parts = [task.rows for task in tasks]
     rows = Packed(np.concatenate([p.labels for p in parts]),
                   np.concatenate([p.groups for p in parts]), x=np.concatenate([p.x for p in parts]))
     starts = np.cumsum([0] + [len(task) for task in tasks])
     bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
     spec = ModelSpec("mlp", input_dim=rows.x.shape[1], hidden_units=config.hidden_units,
-                     num_classes=max(int(rows.labels.max()) + 1, 2))
+                     num_classes=class_count(*tasks))
     # the trunk (hidden layer) precedes the head (output layer) in the spec's
     # layout; both are views into the model's parameters
     split = spec.slots["out.weight"][0]
@@ -327,5 +330,5 @@ def rotated_gaussian_tasks(
         # one stacked matmul rounds each row as rot @ x does; x @ rot.T does not
         rows = base.rows
         rotated = Packed(rows.labels, rows.groups, x=np.matmul(rot, rows.x[:, :, None])[:, :, 0])
-        tasks.append(GroupedDataset(rotated, base.group_names))
+        tasks.append(GroupedDataset(rotated, base.num_groups))
     return tasks

@@ -3,8 +3,8 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field, replace
-from typing import Iterator, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -17,24 +17,19 @@ class CsvFormatError(ValueError):
 
 @dataclass(eq=False)
 class GroupedDataset:
-    """Packed rows with group labels, made read-only, plus an id per row
-    (0..n-1 by default)."""
+    """Packed rows with group labels in 0..num_groups-1, made read-only, plus
+    an id per row (0..n-1 by default)."""
 
     rows: Packed
-    group_names: List[str] = field(default_factory=lambda: ["all"])
+    num_groups: int = 1
     ids: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.ids = np.arange(len(self.rows)) if self.ids is None else np.asarray(self.ids, dtype=int)
-        self.group_names = list(self.group_names)
         rows = self.rows
         for array in (self.ids, rows.labels, rows.groups, rows.x, rows.tokens, rows.offsets):
             if array is not None:
                 array.flags.writeable = False
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.group_names)
 
     @property
     def is_tokens(self) -> bool:
@@ -46,7 +41,7 @@ class GroupedDataset:
 
     def subset(self, indices: Sequence[int]) -> "GroupedDataset":
         idx = np.asarray(indices, dtype=int)
-        return GroupedDataset(self.rows.take(idx), self.group_names, self.ids[idx])
+        return GroupedDataset(self.rows.take(idx), self.num_groups, self.ids[idx])
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,6 @@ class GroupMetrics:
     per_group_accuracy: np.ndarray
     robust_accuracy: float
     average_accuracy: float
-    group_counts: np.ndarray
 
 
 # _MEANS[group, label]: the majority domain (group 0) separates classes along
@@ -120,7 +114,7 @@ def gen_two_domain_gaussian(spec: TwoDomainSpec) -> GroupedDataset:
     bits = (words[:, None] >> np.array([31, 63], dtype=np.uint64)) & 1
     labels = bits.reshape(-1)[:n].astype(int)
     x = _MEANS[groups, labels] + spec.sigma * noise
-    return GroupedDataset(Packed(labels, groups, x=x), ["majority", "minority"])
+    return GroupedDataset(Packed(labels, groups, x=x), 2)
 
 
 def gen_distractor_text(spec: DistractorTextSpec) -> GroupedDataset:
@@ -157,8 +151,12 @@ def gen_distractor_text(spec: DistractorTextSpec) -> GroupedDataset:
     keep[:, 0] = has_distractor
     offsets = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
     packed = Packed(labels, 2 * labels + has_distractor, tokens=rows[keep], offsets=offsets)
-    names = ["neg/plain", "neg/distractor", "pos/plain", "pos/distractor"]
-    return GroupedDataset(packed, names)
+    return GroupedDataset(packed, 4)
+
+
+def class_count(*splits: GroupedDataset) -> int:
+    """The classes over every split of a dataset, at least 2."""
+    return max(*(int(split.rows.labels.max()) + 1 for split in splits), 2)
 
 
 def inject_label_noise(dataset: GroupedDataset, p_noise: float, seed: int,
@@ -172,7 +170,7 @@ def inject_label_noise(dataset: GroupedDataset, p_noise: float, seed: int,
     for i in range(labels.size):
         if rng.random() < p_noise:
             labels[i] = rng.integers(0, num_classes)
-    return GroupedDataset(replace(dataset.rows, labels=labels), dataset.group_names, dataset.ids)
+    return GroupedDataset(replace(dataset.rows, labels=labels), dataset.num_groups, dataset.ids)
 
 
 def save_csv(dataset: GroupedDataset, path) -> None:
@@ -234,14 +232,12 @@ def load_csv(path) -> GroupedDataset:
         rows = Packed(labels, groups, tokens=np.concatenate(inputs), offsets=offsets)
     else:
         rows = Packed(labels, groups, x=np.array(inputs, dtype=float))
-    return GroupedDataset(rows, [f"group{i}" for i in range(groups.max() + 1)], ids)
+    return GroupedDataset(rows, int(groups.max()) + 1, ids)
 
 
-def epoch_order(n: int, seed: int = 0, shuffle: bool = True) -> np.ndarray:
-    """The order in which an epoch visits rows 0..n-1: a seeded permutation,
-    or 0..n-1 itself without shuffling."""
-    order = np.arange(n)
-    return np.random.default_rng(seed).permutation(order) if shuffle else order
+def epoch_order(n: int, seed: int = 0) -> np.ndarray:
+    """The order in which an epoch visits rows 0..n-1: a seeded permutation."""
+    return np.random.default_rng(seed).permutation(np.arange(n))
 
 
 def batch_starts(n: int, batch_size: int) -> range:
@@ -252,11 +248,9 @@ def batch_starts(n: int, batch_size: int) -> range:
     return range(0, n, batch_size)
 
 
-def batches(
-    dataset: GroupedDataset, batch_size: int, seed: int = 0, shuffle: bool = True
-) -> Iterator[np.ndarray]:
+def batches(dataset: GroupedDataset, batch_size: int, seed: int = 0) -> Iterator[np.ndarray]:
     """Partition example indices into int-array batches; last batch may be short."""
-    order = epoch_order(len(dataset), seed, shuffle)
+    order = epoch_order(len(dataset), seed)
     for start in batch_starts(len(order), batch_size):
         yield order[start : start + batch_size]
 
@@ -277,4 +271,4 @@ def metrics_from_errors(errors: np.ndarray, groups: np.ndarray, num_groups: int)
         per_group = np.where(counts > 0, correct / np.maximum(counts, 1), np.nan)
     robust = float(np.min(per_group[counts > 0]))
     average = float(correct.sum() / counts.sum())
-    return GroupMetrics(per_group, robust, average, counts)
+    return GroupMetrics(per_group, robust, average)

@@ -372,38 +372,28 @@ def fisher_diag(model: ModelState, rows: Packed, sample_count: int, seed: int) -
     return out / sample_count
 
 
-def grad_wrt_embeddings_batch(
-    model: ModelState, batch: Packed, loss_kind: str = "nll"
-) -> np.ndarray:
-    """(rows, embed_dim) gradients of each row's loss wrt its input embedding
-    vectors; a mean-pooled bag gives every position of row i the same row i.
-
-    loss_kind "nll" is -log p(y|x); "adversarial" is log(1 - p(y|x)), the
-    log-probability of the model erring on the true label.
+def grad_wrt_embeddings_batch(model: ModelState, batch: Packed) -> np.ndarray:
+    """(rows, embed_dim) gradients of each row's adversarial loss log(1 - p(y|x)),
+    the log-probability of the model erring on the true label, wrt its input
+    embedding vectors; a mean-pooled bag gives every position of row i the same row i.
     """
     if model.spec.architecture != "embed_bag":
         raise UnsupportedArchitectureError(
             "grad_wrt_embeddings requires an embed_bag model"
         )
-    if loss_kind not in ("nll", "adversarial"):
-        raise ValueError(f"unknown loss_kind: {loss_kind!r}")
     logits, cache = _forward_batch(model, batch)
     probs = softmax(logits)
     rows = batch_constants(len(batch))[0]
-    if loss_kind == "nll":
-        dlogits = probs
-        dlogits[rows, batch.labels] -= 1.0
-    else:
-        # d/dz_k log(1 - p_y) = -p_y (1[k=y] - p_k) / (1 - p_y)
-        py = probs[rows, batch.labels]
-        denom = np.maximum(1.0 - py, 1e-300)
-        dlogits = py[:, None] * probs / denom[:, None]
-        dlogits[rows, batch.labels] -= py / denom
+    # d/dz_k log(1 - p_y) = -p_y (1[k=y] - p_k) / (1 - p_y)
+    py = probs[rows, batch.labels]
+    denom = np.maximum(1.0 - py, 1e-300)
+    dlogits = py[:, None] * probs / denom[:, None]
+    dlogits[rows, batch.labels] -= py / denom
     dbag = dlogits @ model.slot("out.weight")
     return dbag / cache["lengths"][:, None]
 
 
-def grad_wrt_embeddings(model: ModelState, row: Packed, loss_kind: str = "nll") -> np.ndarray:
-    """(positions, embed_dim) gradients of a one-row batch's loss wrt its input
-    embedding vectors: its row of grad_wrt_embeddings_batch at every position."""
-    return np.repeat(grad_wrt_embeddings_batch(model, row, loss_kind), row.tokens.size, axis=0)
+def grad_wrt_embeddings(model: ModelState, row: Packed) -> np.ndarray:
+    """(positions, embed_dim) gradients of a one-row batch's adversarial loss wrt
+    its input embedding vectors: its row of grad_wrt_embeddings_batch at every position."""
+    return np.repeat(grad_wrt_embeddings_batch(model, row), row.tokens.size, axis=0)

@@ -26,6 +26,7 @@ from .datasets import (
     GroupMetrics,
     TwoDomainSpec,
     batch_starts,
+    class_count,
     epoch_order,
     gen_distractor_text,
     gen_two_domain_gaussian,
@@ -140,8 +141,6 @@ def coerce_value(text: str) -> object:
         return True
     if lowered in ("false", "no", "off"):
         return False
-    if lowered == "inf":
-        return math.inf
     try:
         return int(text)
     except ValueError:
@@ -256,11 +255,6 @@ def build_datasets(cfg: Dict[str, object], seed: int) -> Tuple[GroupedDataset, G
         train = inject_label_noise(train, p_noise, seed + 3, num_classes)
         valid = inject_label_noise(valid, p_noise, seed + 4, num_classes)
     return train, valid, test
-
-
-def class_count(*splits: GroupedDataset) -> int:
-    """The classes over every split of a dataset, at least 2."""
-    return max(*(int(split.rows.labels.max()) + 1 for split in splits), 2)
 
 
 def build_model_spec(cfg: Dict[str, object], *splits: GroupedDataset) -> ModelSpec:

@@ -51,9 +51,9 @@ def make_record(record_id: int, raw_weights: np.ndarray) -> AdversaryRecord:
     return AdversaryRecord(record_id, normalize_weights(raw_weights))
 
 
-def identity_record(n: int, record_id: int = 0) -> AdversaryRecord:
-    """The unmoved-adversary record: all-ones weights, KL exactly 0."""
-    return AdversaryRecord(record_id, np.ones(n))
+def identity_record(n: int) -> AdversaryRecord:
+    """The unmoved-adversary record: id 0, all-ones weights, KL exactly 0."""
+    return AdversaryRecord(0, np.ones(n))
 
 
 def adversary_valid_kl(weights: np.ndarray) -> float:

@@ -344,7 +344,7 @@ def reference_substitution(grads, current_ids, table, constraint, sign_normalize
 
 def reference_attack(model, row, table, constraint, sign_normalize, k):
     """One row, one substitution."""
-    grads = grad_wrt_embeddings(model, row, loss_kind="adversarial")
+    grads = grad_wrt_embeddings(model, row)
     pos, tok = reference_substitution(grads, list(row.tokens), table, constraint,
                                       sign_normalize, k)
     new_ids = row.tokens.copy()

@@ -25,7 +25,8 @@ from shiftlab.continual import (
     rotated_gaussian_tasks,
     with_replay,
 )
-from shiftlab.datasets import TwoDomainSpec, batches, gen_two_domain_gaussian
+from shiftlab.datasets import (DistractorTextSpec, TwoDomainSpec, batches, gen_distractor_text,
+                               gen_two_domain_gaussian)
 from shiftlab.diffcore import (
     ModelSpec,
     ModelState,
@@ -181,6 +182,12 @@ def test_continual_train_rejects_unknown_method():
     tasks = rotated_gaussian_tasks(2, 20, sigma=0.4, seed=0)
     with pytest.raises(ValueError, match="unknown method: 'lwf'"):
         continual_train(tasks, "lwf", ContinualConfig())
+
+
+def test_continual_train_rejects_token_tasks():
+    tasks = [gen_distractor_text(DistractorTextSpec(30))]
+    with pytest.raises(ValueError, match="continual_train needs dense tasks"):
+        continual_train(tasks, "finetune", ContinualConfig())
 
 
 def test_rotated_tasks_shapes_and_rotation():

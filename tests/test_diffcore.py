@@ -233,28 +233,12 @@ def test_embedding_grads_require_token_model():
         grad_wrt_embeddings(model, packed_rows([(np.zeros(2), 0)]))
 
 
-def test_embedding_grads_are_a_descent_direction():
-    # moving every used embedding row against the nll gradient lowers the loss
-    spec = ModelSpec("embed_bag", vocab_size=8, embed_dim=3)
-    model = init_params(spec, seed=9)
-    row = packed_rows([(np.array([1, 4, 6]), 1)])
-    grads = grad_wrt_embeddings(model, row, loss_kind="nll")
-    assert grads.shape == (3, 3)
-    before = nll_loss_batch(model, row)[0]
-    nudged = model.copy()
-    emb = nudged.slot("embedding.weight")
-    for pos, tok in enumerate(row.tokens):
-        emb[tok] -= 0.05 * grads[pos]
-    assert nll_loss_batch(nudged, row)[0] < before
-    with pytest.raises(ValueError):
-        grad_wrt_embeddings(model, row, loss_kind="hinge")
-
-
 def test_adversarial_embedding_grads_raise_error_probability():
     spec = ModelSpec("embed_bag", vocab_size=8, embed_dim=3)
     model = init_params(spec, seed=11)
     row = packed_rows([(np.array([2, 5]), 0)])
-    grads = grad_wrt_embeddings(model, row, loss_kind="adversarial")
+    grads = grad_wrt_embeddings(model, row)
+    assert grads.shape == (2, 3)
     p_before = float(softmax(forward_logits(model, row))[row.labels[0]])
     nudged = model.copy()
     emb = nudged.slot("embedding.weight")

@@ -71,7 +71,7 @@ def test_make_record_and_identity():
 
 
 def test_surviving_records_filters_by_kl():
-    low = identity_record(4, record_id=0)
+    low = identity_record(4)
     high = make_record(1, np.array([0.0, 0.0, 0.0, 4.0]))  # kl = log 4
     kept = surviving_records([low, high], kl_threshold=math.log(2))
     assert kept == [low]
