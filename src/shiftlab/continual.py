@@ -18,6 +18,7 @@ import numpy as np
 from .datasets import (GroupedDataset, TwoDomainSpec, batch_starts, class_count, epoch_order,
                        gen_two_domain_gaussian)
 from .diffcore import (
+    DivergenceError,
     ModelSpec,
     Packed,
     batch_constants,
@@ -225,7 +226,8 @@ def continual_train(
     one row stream; the replay memory holds row ids. Without replay, each task
     epoch gathers its rows once, in `epoch_order`, and a step reads its batch as a
     view of that; with replay, each step gathers its batch and replay rows. One
-    model holds the trunk and the current task's head, swapped in per task."""
+    model holds the trunk and the current task's head, swapped in per task.
+    Raises DivergenceError when a task epoch ends with non-finite parameters."""
     if len(tasks) < 1:
         raise ValueError("at least one task required")
     if method not in METHODS:
@@ -283,6 +285,8 @@ def continual_train(
                 if use_er:
                     for row in batch.tolist():
                         reservoir_add(memory, row, rng)
+            if not np.logical_and.reduce(np.isfinite(model.params)):
+                raise DivergenceError(f"non-finite parameters at task {task_idx}, epoch {epoch}")
         heads[task_idx] = head
 
         if not math.isinf(config.alpha) and (use_conatural or use_ewc):

@@ -23,8 +23,8 @@ class UnsupportedArchitectureError(TypeError):
     """Operation called on an architecture that does not support it."""
 
 
-class NonFiniteWeightsError(ValueError):
-    """A weighted gradient was asked for with a NaN or infinite weight."""
+class DivergenceError(ValueError):
+    """Training met a NaN or infinite value; the message names it ("non-finite losses")."""
 
 
 ARCHITECTURES = ("linear", "mlp", "embed_bag")
@@ -270,7 +270,7 @@ def weighted_grad(model: ModelState, state, weights: np.ndarray) -> np.ndarray:
             f"weights length {weights.shape} does not match batch size {len(batch)}"
         )
     if not np.logical_and.reduce(np.isfinite(weights)):
-        raise NonFiniteWeightsError("weights must be finite")
+        raise DivergenceError("non-finite example weights")
     dlogits = np.exp(state["log_probs"])  # softmax(logits)
     dlogits[state["rows"], batch.labels] -= 1.0
     dlogits *= weights[:, None]

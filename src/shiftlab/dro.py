@@ -13,6 +13,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .diffcore import (
+    DivergenceError,
     ModelSpec,
     ModelState,
     Packed,
@@ -36,7 +37,7 @@ NORM_MODES = ("batch_level", "self_norm")  # rpdro's ratio normalization
 
 @dataclass
 class GaussianAdversary:
-    """Isotropic Gaussian location adversary over the inputs."""
+    """Isotropic Gaussian location adversary over the inputs; mean and mean0 are float64 arrays."""
 
     mean: np.ndarray
     sigma: float
@@ -45,15 +46,6 @@ class GaussianAdversary:
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        self.mean = np.asarray(self.mean, dtype=float)
-        self.mean0 = np.asarray(self.mean0, dtype=float)
-
-    def _moved(self, mean: np.ndarray) -> "GaussianAdversary":
-        """This adversary at the float64 array `mean`, built without re-running
-        the checks and conversions its sigma and mean0 already passed."""
-        adv = object.__new__(GaussianAdversary)
-        adv.__dict__ = {"mean": mean, "sigma": self.sigma, "mean0": self.mean0}
-        return adv
 
 
 @dataclass
@@ -195,7 +187,7 @@ def nonparam_weights(losses: np.ndarray, kappa: float) -> Tuple[np.ndarray, floa
     """
     losses = np.asarray(losses, dtype=float)
     if not np.logical_and.reduce(np.isfinite(losses)):
-        raise ValueError("losses must be finite")
+        raise DivergenceError("non-finite losses")
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
     shifted = losses - np.maximum.reduce(losses)
@@ -277,10 +269,10 @@ def pdro_adv_step(adv: GaussianAdversary, centered: np.ndarray, scaled: np.ndarr
     whose inputs less adv.mean are `centered` and whose loss/tau are `scaled`."""
     log_z = normalizer.log_value
     if not math.isfinite(log_z):
-        raise ValueError("normalizer must be positive and finite")
+        raise DivergenceError("non-finite normalizer")
     w = np.exp(scaled - log_z)
     grad = np.add.reduce(w[:, None] * centered, axis=0) / (len(centered) * adv.sigma ** 2)
-    return adv._moved(adv.mean + adv_lr * grad)
+    return GaussianAdversary(adv.mean + adv_lr * grad, adv.sigma, adv.mean0)
 
 
 def pdro_adv_step_bare(adv: GaussianAdversary, batch: Packed, centered: np.ndarray,
@@ -289,7 +281,7 @@ def pdro_adv_step_bare(adv: GaussianAdversary, batch: Packed, centered: np.ndarr
     a batch whose inputs less adv.mean are `centered`."""
     ratios = pdro_model_weights(adv, batch, centered)
     grad = (ratios * np.asarray(losses))[:, None] * (centered / adv.sigma ** 2)
-    return adv._moved(adv.mean + adv_lr * grad.mean(axis=0))
+    return GaussianAdversary(adv.mean + adv_lr * grad.mean(axis=0), adv.sigma, adv.mean0)
 
 
 def gaussian_kl_project(adv: GaussianAdversary, kappa: float) -> GaussianAdversary:
@@ -301,14 +293,15 @@ def gaussian_kl_project(adv: GaussianAdversary, kappa: float) -> GaussianAdversa
     radius = math.sqrt(2.0 * kappa) * adv.sigma
     if dist <= radius:
         return adv
-    return adv._moved(adv.mean0.copy() if radius == 0.0 else adv.mean0 + (radius / dist) * diff)
+    mean = adv.mean0.copy() if radius == 0.0 else adv.mean0 + (radius / dist) * diff
+    return GaussianAdversary(mean, adv.sigma, adv.mean0)
 
 
 def rpdro_batch_weights(f_values: np.ndarray) -> np.ndarray:
     """Minibatch-normalized ratios: a stable softmax of the raw scores."""
     f = np.asarray(f_values, dtype=float)
     if not np.all(np.isfinite(f)):
-        raise ValueError("f values must be finite")
+        raise DivergenceError("non-finite adversary scores")
     return softmax(f)
 
 

@@ -39,9 +39,9 @@ from .datasets import (
 from .diffcore import (
     ARCHITECTURES,
     LOSS_KINDS,
+    DivergenceError,
     ModelSpec,
     ModelState,
-    NonFiniteWeightsError,
     forward_logits_batch,
     init_params,
     logit_losses,
@@ -51,10 +51,6 @@ from .diffcore import (
 
 class ConfigError(ValueError):
     """Unknown or malformed configuration key/value."""
-
-
-class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
 
 
 # the cl.* key of each ContinualConfig field but seed, which a run takes from its own seed
@@ -216,6 +212,9 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
             low = int(isinstance(default, numbers.Integral) and key != "checkpoint_every")
             if not out[key] >= low:
                 raise ConfigError(f"{key} must be >= {low}, got {out[key]}")
+    for key in ("data.sigma", "cl.sigma"):  # the two noise scales
+        if not math.isfinite(out[key]):
+            raise ConfigError(f"{key} must be finite, got {out[key]}")
     if out["dataset"] == "distractor" and out["data.vocab_size"] < 8:  # the generator's floor
         raise ConfigError(f"data.vocab_size must be >= 8 for generated text, got {out['data.vocab_size']}")
     return out
@@ -314,8 +313,9 @@ def train_run(cfg: Dict[str, object], seed: int,
     """One full training run: optimize, checkpoint every `checkpoint_every`
     steps (once per epoch when that is 0), select, evaluate.
 
-    Raises DivergenceError when the parameters, a step's example weights or the
-    validation loss stop being finite."""
+    Raises DivergenceError on a non-finite value that a step's check meets
+    (losses, normalizer, adversary scores, example weights), in the parameters
+    after a step, or in a checkpoint's adversary weights or validation loss."""
     cfg = resolved(cfg)
     dro_cfg = dro_config(cfg)
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
@@ -334,6 +334,8 @@ def train_run(cfg: Dict[str, object], seed: int,
     def take_checkpoint(step: int) -> None:
         checkpoints.append(model.copy())
         raw = dro.adversary_valid_weights(dro_cfg.method, adversary, valid.rows)
+        if raw is not None and not np.logical_and.reduce(np.isfinite(raw)):
+            raise DivergenceError(f"non-finite adversary weights at step {step}")
         record = None if raw is None else selection.make_record(len(records), raw)
         if record is not None:
             records.append(record)
@@ -363,8 +365,8 @@ def train_run(cfg: Dict[str, object], seed: int,
                 model, adversary, normalizer = dro.simultaneous_step(
                     model, adversary, shuffled.rows(start, start + batch_size), dro_cfg, normalizer
                 )
-            except NonFiniteWeightsError as err:
-                raise DivergenceError(f"non-finite example weights at step {step + 1}") from err
+            except DivergenceError as err:
+                raise DivergenceError(f"{err} at step {step + 1}") from err
             if not np.logical_and.reduce(np.isfinite(model.params)):
                 raise DivergenceError(f"non-finite parameters at epoch {epoch}")
             step += 1

@@ -32,8 +32,8 @@ class AdversaryRecord:
         self.valid_weights = np.asarray(self.valid_weights, dtype=float)
         self.kl_estimate = adversary_valid_kl(self.valid_weights)  # rejects negative weights
         mean = self.valid_weights.mean()
-        if abs(mean - 1.0) > 1e-9:
-            raise ValueError("weights must have mean 1")
+        if not abs(mean - 1.0) <= 1e-9:  # NaN fails
+            raise ValueError("weights must be finite with mean 1")
 
 
 def normalize_weights(raw: np.ndarray) -> np.ndarray:

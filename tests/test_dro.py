@@ -92,6 +92,27 @@ def test_nonparam_input_validation():
         nonparam_weights(np.array([1.0, 2.0]), kappa=-0.1)
 
 
+def _nan_weighted_grad():
+    model = init_params(ModelSpec("linear", input_dim=2), seed=0)
+    _, state = diffcore.nll_forward(model, dense_batch(np.random.default_rng(0), 3))
+    diffcore.weighted_grad(model, state, np.array([1.0, np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("what, check", [
+    ("example weights", _nan_weighted_grad),
+    ("losses", lambda: nonparam_weights(np.array([1.0, np.nan]), kappa=0.1)),
+    # an overflowed loss/tau turns the window's pooled log-sum NaN
+    ("normalizer", lambda: pdro_adv_step(
+        GaussianAdversary(np.zeros(2), 1.0, np.zeros(2)), np.ones((2, 2)), np.array([np.inf, 0.0]),
+        normalizer_update(RunningNormalizer(window=2), np.array([np.inf, 0.0])), 0.1)),
+    ("adversary scores", lambda: rpdro_batch_weights(np.array([0.0, np.inf]))),
+], ids=["weighted_grad", "nonparam_weights", "pdro_adv_step", "rpdro_batch_weights"])
+def test_each_in_step_check_raises_a_divergence_error_naming_its_value(what, check):
+    with np.errstate(all="ignore"), pytest.raises(diffcore.DivergenceError) as err:
+        check()
+    assert str(err.value) == f"non-finite {what}" and isinstance(err.value, ValueError)
+
+
 # ---------------------------------------------------------------------------
 # group weights
 

@@ -256,6 +256,13 @@ def test_train_run_raises_on_divergence():
         harness.train_run({**TINY, "lr": math.inf}, seed=0)
 
 
+def test_train_run_raises_on_non_finite_adversary_weights(monkeypatch):
+    # NaN weights would make a record of KL 0 that every threshold keeps
+    monkeypatch.setattr(dro, "adversary_valid_weights", lambda method, adv, valid: np.full(len(valid), np.nan))
+    with pytest.raises(harness.DivergenceError, match="^non-finite adversary weights at step "):
+        harness.train_run({**TINY, "method": "pdro"}, seed=0)
+
+
 def test_model_bin_round_trip(tmp_path):
     model = init_params(ModelSpec("mlp", input_dim=3, hidden_units=4), seed=9)
     path = str(tmp_path / "model.bin")
@@ -757,6 +764,9 @@ def row(name, command, bad, key, message):
     row("attack-knn-k0", "attack", {**SMALL_TEXT, "attack.n": 20, "attack.constraint": "knn", "attack.k": 0},
         "attack.k", "attack.k must be >= 1, got 0"),
     row("gen-data-n0", "gen-data", {"dataset": "distractor", "data.n": 0}, "data.n", "data.n must be >= 1, got 0"),
+    row("gen-data-sigma-inf", "gen-data", {"data.sigma": "inf"}, "data.sigma", "data.sigma must be finite, got inf$"),
+    row("continual-sigma-inf", "continual", {**SMALL_CL, "cl.sigma": "inf"}, "cl.sigma",
+        "cl.sigma must be finite, got inf$"),
     row("sweep-pdro-tokens", "sweep", {**SMALL_TEXT, "method": "pdro", "sweep.tau": "0.1,0.5"}, "method=pdro",
         "method=pdro needs dense inputs"),
     row("train-lr-text", "train", {"lr": "fast"}, "lr", "lr must be a number, got 'fast'"),
@@ -968,6 +978,42 @@ def test_a_diverging_adversary_aborts_the_run_and_fails_only_its_sweep_point(tmp
     assert last == {"failures": [{"point": 1, "error": row["reason"]}]}
     (point,) = points
     assert (point["point"], point["params"], point["selected"]) == (0, {"project": True}, True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("method, lr, what", [("nonparam", "1e308", "losses"), ("pdro", "3e307", "normalizer")])
+def test_non_finite_losses_or_normalizer_abort_the_run_and_fail_only_its_sweep_point(
+        tmp_path, capsys, method, lr, what):
+    # the first step's parameters are finite but so large that later losses overflow
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text(f"method = {method}\ndata.total_points = 1000\nepochs = 1\n")
+    out = tmp_path / "run"
+    assert cli.main(["train", "--config", str(cfg_path), "--set", f"lr={lr}", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    (row,) = [json.loads(line) for line in (out / "run.jsonl").read_text().splitlines()]
+    assert row["aborted"] is True and row["reason"].startswith(f"non-finite {what} at step ")
+    assert err[-1] == "shiftlab: error: " + row["reason"]
+
+    sweep = tmp_path / "sweep"
+    assert cli.main(["sweep", "--config", str(cfg_path), "--set", f"sweep.lr={lr},0.1",
+                     "--out", str(sweep)]) == 0
+    *points, last = [json.loads(line) for line in (sweep / "run.jsonl").read_text().splitlines()]
+    assert last == {"failures": [{"point": 0, "error": row["reason"]}]}
+    (point,) = points
+    assert (point["point"], point["params"], point["selected"]) == (1, {"lr": 0.1}, True)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("bad", [{"cl.method": "ewc", "cl.ewc_lambda": "1e300"},
+                                 {"cl.method": "conatural", "cl.grad_noise": "1e308"}],
+                         ids=["ewc", "conatural"])
+def test_a_diverging_continual_run_exits_1_before_writing(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg").write_text("".join(f"{k} = {value}\n" for k, value in bad.items()))
+    assert cli.main(["continual", "--config", "cfg", "--out", "out"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("shiftlab: error: non-finite parameters at task ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_importing_shiftlab_loads_no_scipy_module():

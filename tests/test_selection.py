@@ -48,6 +48,11 @@ def test_record_enforces_mean_one():
         AdversaryRecord(0, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         AdversaryRecord(0, np.array([-1.0, 3.0]))
+    # NaN weights would otherwise estimate KL 0 and pass every threshold
+    with pytest.raises(ValueError, match="finite"):
+        AdversaryRecord(1, np.full(4, np.nan))
+    with pytest.raises(ValueError, match="finite"):
+        make_record(1, np.array([1.0, np.nan]))
 
 
 def test_kl_estimate_values():
