@@ -334,8 +334,11 @@ def fisher_diag(model: ModelState, rows: Packed, sample_count: int, seed: int) -
 
     One forward over the drawn rows gives every row's gradient factors; each
     layer's sum of squared per-row gradients is then a product of squared
-    factors, sum_i (d_i^2)^T (a_i^2) (Goodfellow, arXiv:1510.01799).
+    factors, sum_i (d_i^2)^T (a_i^2) (Goodfellow, arXiv:1510.01799). A linear
+    or mlp model only: an embed_bag model raises UnsupportedArchitectureError.
     """
+    if model.spec.architecture == "embed_bag":
+        raise UnsupportedArchitectureError("fisher_diag requires a linear or mlp model")
     if len(rows) == 0:
         raise ValueError("fisher_diag requires a non-empty dataset")
     if sample_count < 1:
@@ -357,18 +360,6 @@ def fisher_diag(model: ModelState, rows: Packed, sample_count: int, seed: int) -
         dpre2 = ((d @ model.slot("out.weight")) * (1.0 - feature * feature)) ** 2
         np.matmul(dpre2.T, sample.x * sample.x, out=spec.view(out, "hidden.weight"))
         dpre2.sum(axis=0, out=spec.view(out, "hidden.bias"))
-    elif spec.architecture == "embed_bag":
-        # row i's gradient at token t is count(i, t) * dbag[i] / len(row i)
-        v, e = spec.vocab_size, spec.embed_dim
-        lengths = cache["lengths"]
-        row = np.repeat(index, lengths)
-        cells, count = np.unique(row * v + sample.tokens, return_counts=True)
-        row, token = np.divmod(cells, v)
-        dbag = d @ model.slot("out.weight")
-        g = (count / lengths[row])[:, None] * dbag[row]
-        keys = (token[:, None] * e + np.arange(e)).ravel()
-        spec.view(out, "embedding.weight")[:] = np.bincount(
-            keys, (g * g).ravel(), v * e).reshape(v, e)
     return out / sample_count
 
 

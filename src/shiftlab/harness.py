@@ -311,7 +311,7 @@ def train_run(cfg: Dict[str, object], seed: int,
               datasets: Optional[Tuple[GroupedDataset, GroupedDataset, GroupedDataset]] = None,
               ) -> TrainResult:
     """One full training run: optimize, checkpoint every `checkpoint_every`
-    steps (once per epoch when that is 0), select, evaluate.
+    steps (once per epoch when that is 0) and at the last step, select, evaluate.
 
     Raises DivergenceError on a non-finite value that a step's check meets
     (losses, normalizer, adversary scores, example weights), in the parameters
@@ -355,27 +355,25 @@ def train_run(cfg: Dict[str, object], seed: int,
             "adversary_kl": None if record is None else record.kl_estimate,
         })
 
-    every, batch_size = int(cfg["checkpoint_every"]), cfg["batch_size"]
+    batch_size = cfg["batch_size"]
+    starts = batch_starts(len(train), batch_size)
+    every, last = cfg["checkpoint_every"] or len(starts), cfg["epochs"] * len(starts)
     step = 0
     for epoch in range(cfg["epochs"]):
         # one gather per epoch; each batch is a slice of it, the rows batches() yields
         shuffled = train.rows.take(epoch_order(len(train), seed=seed * 1000 + epoch))
-        for start in batch_starts(len(shuffled), batch_size):
+        for start in starts:
+            step += 1
             try:
                 model, adversary, normalizer = dro.simultaneous_step(
                     model, adversary, shuffled.rows(start, start + batch_size), dro_cfg, normalizer
                 )
             except DivergenceError as err:
-                raise DivergenceError(f"{err} at step {step + 1}") from err
+                raise DivergenceError(f"{err} at step {step}") from err
             if not np.logical_and.reduce(np.isfinite(model.params)):
-                raise DivergenceError(f"non-finite parameters at epoch {epoch}")
-            step += 1
-            if every > 0 and step % every == 0:
+                raise DivergenceError(f"non-finite parameters at step {step}")
+            if step % every == 0 or step == last:
                 take_checkpoint(step)
-        if every == 0:
-            take_checkpoint(step)
-    if every > 0 and step % every != 0:
-        take_checkpoint(step)
 
     if cfg["selection"] == "last":
         chosen = len(checkpoints) - 1

@@ -127,11 +127,14 @@ def test_train_run_erm_smoke():
     assert len(result.log_rows) == 2
 
 
-def test_train_run_checkpoint_cadence():
-    result = harness.train_run({**TINY, "checkpoint_every": 4}, seed=0)
-    # 300 points / 32 per batch = 10 steps per epoch, 20 total: every 4 plus tail
-    assert len(result.checkpoints) == 5
-    assert result.log_rows[-1]["step"] == 20
+@pytest.mark.parametrize("every, steps", [pytest.param(every, steps, id=f"every{every}") for every, steps in (
+    (0, [10, 20]), (3, [3, 6, 9, 12, 15, 18, 20]), (4, [4, 8, 12, 16, 20]), (25, [20]))])
+def test_train_run_checkpoint_cadence(every, steps):
+    result = harness.train_run({**TINY, "checkpoint_every": every}, seed=0)
+    # 300 points / 32 per batch = 10 steps per epoch, 20 total: a checkpoint after
+    # each multiple of `every` (of 10 when 0), and after step 20 in any case
+    assert [row["step"] for row in result.log_rows] == steps
+    assert len(result.checkpoints) == len(steps)
 
 
 def test_train_run_is_deterministic():
@@ -254,6 +257,14 @@ def test_train_run_raises_on_divergence():
     # an unbounded step drives the parameters non-finite immediately
     with pytest.raises(harness.DivergenceError):
         harness.train_run({**TINY, "lr": math.inf}, seed=0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_non_finite_parameters_are_labelled_by_step(tmp_path, capsys):
+    (tmp_path / "cfg").write_text("method = rpdro\nlr = 1e308\ndata.total_points = 1000\nepochs = 1\n")
+    assert cli.main(["train", "--config", str(tmp_path / "cfg"), "--out", str(tmp_path / "o")]) == 1
+    # the step depends on the SIMD kernel, so it is not pinned
+    assert re.fullmatch(r"shiftlab: error: non-finite parameters at step \d+", capsys.readouterr().err.strip())
 
 
 def test_train_run_raises_on_non_finite_adversary_weights(monkeypatch):
