@@ -113,6 +113,12 @@ CHOICES: Dict[str, Tuple[str, ...]] = {
     "attack.constraint": advmetrics.CONSTRAINTS,
 }
 
+# the float keys that may be inf, with what inf means; every other number is finite
+INFINITE: Dict[str, str] = {
+    "cl.alpha": "plain gradient steps and no Fisher estimate, so no ewc: its anchor would weigh 0",
+    "selection.kl_threshold": "no KL filter: every record is scored",
+}
+
 # the type a key's value must have, by the type of its default; a bool is no number here
 _KINDS = ((bool, "true or false"), (numbers.Integral, "an integer"),
           (numbers.Real, "a number"), (str, "a string"))
@@ -206,15 +212,16 @@ def resolved(config: Dict[str, object]) -> Dict[str, object]:
         raise ConfigError(f"cl.lr must be > 0, got {out['cl.lr']}")
     dro_config(out)  # the game's own rules, in DroConfig's words
     # every other integer is a count >= 1 (checkpoint_every >= 0: once per
-    # epoch) and every other number is >= 0; NaN fails too
+    # epoch) and every other number is >= 0; NaN fails too, and inf but for INFINITE
     for key, default in DEFAULTS.items():
         if isinstance(default, numbers.Real) and not isinstance(default, bool):
             low = int(isinstance(default, numbers.Integral) and key != "checkpoint_every")
             if not out[key] >= low:
                 raise ConfigError(f"{key} must be >= {low}, got {out[key]}")
-    for key in ("data.sigma", "cl.sigma"):  # the two noise scales
-        if not math.isfinite(out[key]):
-            raise ConfigError(f"{key} must be finite, got {out[key]}")
+            if out[key] == math.inf and key not in INFINITE:
+                raise ConfigError(f"{key} must be finite, got inf")
+    if out["cl.alpha"] == math.inf and "ewc" in out["cl.method"]:  # see INFINITE
+        raise ConfigError(f"cl.alpha must be finite for cl.method={out['cl.method']}, got inf")
     if out["dataset"] == "distractor" and out["data.vocab_size"] < 8:  # the generator's floor
         raise ConfigError(f"data.vocab_size must be >= 8 for generated text, got {out['data.vocab_size']}")
     return out

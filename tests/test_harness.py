@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -6,11 +8,12 @@ import re
 import struct
 import subprocess
 import sys
+import tempfile
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from shiftlab import advmetrics, cli, continual as cl, diffcore, dro, harness, selection
 from shiftlab.datasets import (
@@ -116,6 +119,10 @@ TINY = {
     "epochs": 2,
     "batch_size": 32,
 }
+
+
+# settings whose first steps go non-finite at a finite lr; no finite lr makes erm diverge
+DIVERGES = {"method": "group_dro", "lr": 1e200}
 
 
 def test_train_run_erm_smoke():
@@ -253,10 +260,11 @@ def test_default_keys_build_the_dataclass_defaults():
     assert harness.continual_config(defaults, seed=0) == cl.ContinualConfig()
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_train_run_raises_on_divergence():
-    # an unbounded step drives the parameters non-finite immediately
+    # a huge step drives the group weights non-finite immediately
     with pytest.raises(harness.DivergenceError):
-        harness.train_run({**TINY, "lr": math.inf}, seed=0)
+        harness.train_run({**TINY, **DIVERGES}, seed=0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -447,10 +455,11 @@ def test_cmd_train_writes_artifacts(tmp_path):
         str(json.loads(line)["step"]) for line in lines[:-1]]
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_cmd_train_records_divergence(tmp_path):
     out = tmp_path / "diverged"
     with pytest.raises(harness.DivergenceError):
-        harness.cmd_train({**TINY, "lr": math.inf}, 0, str(out))
+        harness.cmd_train({**TINY, **DIVERGES}, 0, str(out))
     row = json.loads((out / "run.jsonl").read_text().splitlines()[0])
     assert row["aborted"] is True
 
@@ -514,8 +523,8 @@ def _metrics_csv_rows(path):
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_a_diverged_sweep_point_does_not_move_the_selected_flag(tmp_path):
     # point 0 diverges, so the pooled choice's run index counts points 1 and 2 only
-    cfg = {"data.total_points": 600, "epochs": 2}
-    report = harness.cmd_sweep({**cfg, "sweep.lr": "inf,0.1,0.05"}, 0, str(tmp_path / "s"))
+    cfg = {"data.total_points": 600, "epochs": 2, "method": DIVERGES["method"]}
+    report = harness.cmd_sweep({**cfg, "sweep.lr": f"{DIVERGES['lr']},0.1,0.05"}, 0, str(tmp_path / "s"))
     shared = harness.build_datasets(harness.resolved(cfg), 0)
     runs = [harness.train_run({**cfg, "lr": lr}, 0, datasets=shared) for lr in (0.1, 0.05)]
     run, ckpt = selection.hyperparam_select([(r.valid_losses, r.records) for r in runs])
@@ -778,6 +787,12 @@ def row(name, command, bad, key, message):
     row("gen-data-sigma-inf", "gen-data", {"data.sigma": "inf"}, "data.sigma", "data.sigma must be finite, got inf$"),
     row("continual-sigma-inf", "continual", {**SMALL_CL, "cl.sigma": "inf"}, "cl.sigma",
         "cl.sigma must be finite, got inf$"),
+    # inf is legal only where harness.INFINITE says what it means
+    row("train-kappa-inf", "train", {"kappa": "inf"}, "kappa", "kappa must be finite, got inf$"),
+    row("train-pdro-tau-inf", "train", {"method": "pdro", "tau": "inf"}, "tau", "tau must be finite, got inf$"),
+    row("train-lr-inf", "train", {"lr": "inf"}, "lr", "lr must be finite, got inf$"),
+    row("continual-ewc-alpha-inf", "continual", {**SMALL_CL, "cl.method": "ewc", "cl.alpha": "inf"}, "cl.alpha",
+        "cl.alpha must be finite for cl.method=ewc, got inf$"),
     row("sweep-pdro-tokens", "sweep", {**SMALL_TEXT, "method": "pdro", "sweep.tau": "0.1,0.5"}, "method=pdro",
         "method=pdro needs dense inputs"),
     row("train-lr-text", "train", {"lr": "fast"}, "lr", "lr must be a number, got 'fast'"),
@@ -861,6 +876,89 @@ def test_a_command_that_fails_before_writing_leaves_no_directory(
     assert len(err) == 1 and err[0].startswith("shiftlab: error: ")
     assert key in err[0] and re.match(message, err[0][len("shiftlab: error: "):])
     assert not (tmp_path / "out").exists()
+
+
+# the values drawn for each number DEFAULTS holds, by the type of its default
+FUZZ_VALUES = {
+    key: [0, 1, 2, 3, default, 2 * default, 7, 64] if isinstance(default, int)
+    else [0, 1e-12, 0.5, 1, 2, default, 10 * default, 1e6, math.inf]
+    for key, default in harness.DEFAULTS.items()
+    if isinstance(default, (int, float)) and not isinstance(default, bool)
+}
+TRAIN_KEYS = [key for key in FUZZ_VALUES if not key.startswith(("cl.", "attack."))]
+# each command on small sizes: the enumerated key it branches on with its values,
+# and the numeric keys it reads
+FUZZ_COMMANDS = {
+    "gen-data": ({"data.total_points": 200, "data.n": 100, "data.test_n": 50}, "dataset",
+                 ("two_domain", "distractor"), [key for key in FUZZ_VALUES if key.startswith("data.")]),
+    "train": ({"data.total_points": 200, "data.test_n": 50, "epochs": 1}, "method", dro.METHODS,
+              TRAIN_KEYS),
+    "continual": ({**SMALL_CL, "cl.epochs": 1}, "cl.method", cl.METHODS,
+                  [key for key in FUZZ_VALUES if key.startswith("cl.")]),
+    "attack": ({**SMALL_TEXT, "attack.n": 20}, "attack.constraint", advmetrics.CONSTRAINTS,
+               [key for key in FUZZ_VALUES if not key.startswith("cl.")]),
+    "sweep": ({"data.total_points": 200, "data.test_n": 50, "epochs": 1, "sweep.lr": "0.1,0.05"},
+              "method", dro.METHODS, TRAIN_KEYS),
+}
+
+
+@st.composite
+def fuzz_runs(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    settings_, key, choices, numeric = FUZZ_COMMANDS[command]
+    keys = draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=3, unique=True))
+    numbers = {k: draw(st.sampled_from(FUZZ_VALUES[k])) for k in keys}
+    return command, {**settings_, key: draw(st.sampled_from(choices)), **numbers}
+
+
+def assert_finite_numbers(value, where):
+    """Every number in a parsed JSON value is finite; None and text pass."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        for item in value:
+            assert_finite_numbers(item, where)
+    elif isinstance(value, float):
+        assert math.isfinite(value), where
+
+
+def assert_finite_cell(cell, where):
+    """Every number in a CSV cell is finite: a sweep point's JSON params, or each
+    space-separated item (a token row holds several ids); blank and text pass."""
+    if cell.startswith("{"):
+        return assert_finite_numbers(json.loads(cell), where)
+    for item in cell.split():
+        try:
+            number = float(item)
+        except ValueError:
+            continue
+        assert math.isfinite(number), where
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)  # about 2 s on a 2-core host
+@given(run=fuzz_runs())
+@example(run=("gen-data", {**FUZZ_COMMANDS["gen-data"][0], "data.sigma": math.inf}))  # wrote inf features
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_any_numeric_setting_exits_0_with_finite_outputs_or_1_with_one_error_line(run):
+    command, cfg = run
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(f"{k} = {value}\n" for k, value in cfg.items()))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([command, "--config", path, "--out", os.path.join(work, "out")])
+        lines = err.getvalue().splitlines()
+        assert (code, len(lines)) in ((0, 0), (1, 1)), lines
+        assert code == 0 or lines[0].startswith("shiftlab: error: ")
+        for root, _, names in os.walk(work):
+            for name in (n for n in names if n.endswith((".csv", ".jsonl"))):
+                with open(os.path.join(root, name), encoding="utf-8", newline="") as fh:
+                    if name.endswith(".jsonl"):
+                        for line in fh:
+                            assert_finite_numbers(json.loads(line), name)
+                    else:
+                        for cell in (cell for row in csv.reader(fh) for cell in row):
+                            assert_finite_cell(cell, name)
 
 
 @pytest.mark.parametrize("layout", ["label", "token"])
