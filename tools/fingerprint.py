@@ -3,7 +3,9 @@
 Runs each command in process through `shiftlab.cli.main`, in a scratch
 directory, and records the sha256 of every file the commands write plus each
 command's exit code and error line. Two trees that should produce the same
-bits must produce the same fingerprint.
+bits must produce the same fingerprint on the same numpy SIMD kernels, which
+it records under "cpu" and does not compare: numpy's ufunc loops round
+differently on each.
 
     python tools/fingerprint.py --out fingerprint.json
     python tools/fingerprint.py --against tools/fingerprint.json
@@ -24,6 +26,8 @@ import sys
 import tempfile
 from pathlib import Path
 from typing import Dict, List, Tuple
+
+from numpy._core import _multiarray_umath as umath
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -133,7 +137,8 @@ def fingerprint(work: Path) -> Dict[str, dict]:
         os.chdir(cwd)
     files = {path.relative_to(work).as_posix(): _sha256(path)
              for path in sorted(work.rglob("*")) if path.is_file() and path != config}
-    return {"commands": runs, "files": files}
+    cpu = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return {"commands": runs, "cpu": cpu, "files": files}
 
 
 def differences(old: Dict[str, dict], new: Dict[str, dict]) -> List[str]:
