@@ -17,6 +17,9 @@ from .diffcore import ModelState, Packed, grad_wrt_embeddings_batch
 
 CONSTRAINTS = ("none", "knn")
 
+# chrF's n-gram orders 1..CHRF_ORDER and its recall weight beta
+CHRF_ORDER, CHRF_BETA = 6, 2.0
+
 # chrF pairs and searched token positions per block: fixed blocks bound the
 # temporaries of the whole-split kernels
 _PAIR_BLOCK = 64
@@ -51,70 +54,66 @@ def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def chrf(reference: str, hypothesis: str, max_n: int = 6, beta: float = 2.0) -> float:
+def chrf(reference: str, hypothesis: str) -> float:
     """Character n-gram F-score in [0, 100]: chrf_batch of one pair."""
-    return float(chrf_batch([reference], [hypothesis], max_n, beta)[0])
+    return float(chrf_batch([reference], [hypothesis])[0])
 
 
-def chrf_batch(references: Sequence[str], hypotheses: Sequence[str],
-               max_n: int = 6, beta: float = 2.0) -> np.ndarray:
+def chrf_batch(references: Sequence[str], hypotheses: Sequence[str]) -> np.ndarray:
     """Character n-gram F-score in [0, 100] of each (reference, hypothesis) pair.
 
     Whitespace runs are collapsed to one space and the ends stripped first.
     Precision and recall are micro-averaged within each n-gram order, then
-    macro-averaged across orders 1..max_n before the single F_beta is taken.
+    macro-averaged across orders 1..CHRF_ORDER before F_beta (beta = CHRF_BETA) is taken.
     Orders where neither string has n-grams are skipped; two empty strings
     score 100 by the identity convention.
     """
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
     if len(references) != len(hypotheses):
         raise ValueError("references and hypotheses must pair up")
     scores = np.empty(len(references))
     for lo in range(0, len(references), _PAIR_BLOCK):
         hi = lo + _PAIR_BLOCK
-        scores[lo:hi] = _chrf_block(references[lo:hi], hypotheses[lo:hi], max_n, beta)
+        scores[lo:hi] = _chrf_block(references[lo:hi], hypotheses[lo:hi])
     return scores
 
 
-def _chrf_block(references: Sequence[str], hypotheses: Sequence[str],
-                max_n: int, beta: float) -> np.ndarray:
+def _chrf_block(references: Sequence[str], hypotheses: Sequence[str]) -> np.ndarray:
     """chrf_batch of one block of pairs."""
     texts = [_normalize_ws(t) for t in [*references, *hypotheses]]
     pairs = len(references)
     lengths = np.array([len(t) for t in texts], dtype=int)
-    matches = _ngram_matches(texts, lengths, max_n)
-    orders = np.arange(1, max_n + 1)
+    matches = _ngram_matches(texts, lengths)
+    orders = np.arange(1, CHRF_ORDER + 1)
     # an order a string has no n-grams of has no matches either: 0 / 1 = 0.0
     totals = np.maximum(lengths[:, None] - orders + 1, 1)
     precision = matches / totals[pairs:]
     recall = matches / totals[:pairs]
     # the orders some string of the pair has n-grams of are a prefix 1..used
-    used = np.minimum(np.maximum(lengths[:pairs], lengths[pairs:]), max_n)
+    used = np.minimum(np.maximum(lengths[:pairs], lengths[pairs:]), CHRF_ORDER)
     p = np.zeros(pairs)
     r = np.zeros(pairs)
-    for n in range(1, max_n + 1):
+    for n in range(1, CHRF_ORDER + 1):
         sel = used == n
         # a row sum is the same pairwise sum as np.mean takes over one pair's orders
         p[sel] = precision[sel, :n].sum(axis=1) / n
         r[sel] = recall[sel, :n].sum(axis=1) / n
-    b2 = beta * beta
+    b2 = CHRF_BETA * CHRF_BETA
     with np.errstate(divide="ignore", invalid="ignore"):
         score = 100.0 * (1.0 + b2) * p * r / (b2 * p + r)
     return np.where(used == 0, 100.0, np.where((p == 0.0) & (r == 0.0), 0.0, score))
 
 
-def _ngram_matches(texts: Sequence[str], lengths: np.ndarray, max_n: int) -> np.ndarray:
-    """(pairs, max_n) clipped n-gram match counts; texts are the pairs'
+def _ngram_matches(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
+    """(pairs, CHRF_ORDER) clipped n-gram match counts; texts are the pairs'
     references followed by their hypotheses in the same order.
 
     Each character gets one key: its pair, then the symbols of the window of
     the largest order that starts at it. One sort of the keys makes the
     windows of each pair that share an order-n gram a run, for every n."""
     pairs, size = len(texts) // 2, int(lengths.sum())
-    width = min(max_n, lengths.max(initial=0))
+    width = min(CHRF_ORDER, lengths.max(initial=0))
     if width == 0:
-        return np.zeros((pairs, max_n), dtype=int)
+        return np.zeros((pairs, CHRF_ORDER), dtype=int)
     codes = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<u4")
     ordered = np.sort(codes)  # np.unique(codes) takes several times as long
     chars = ordered[np.append(True, ordered[1:] != ordered[:-1])]
@@ -152,9 +151,9 @@ def _ngram_matches(texts: Sequence[str], lengths: np.ndarray, max_n: int) -> np.
     row = gram * size
     first, end = runs - row, np.append(runs[1:], width * size) - row
     hyp = hypotheses[end] - hypotheses[first]
-    counts = np.bincount(pair[first] * max_n + gram, np.minimum(end - first - hyp, hyp),
-                         pairs * max_n)
-    return counts.reshape(pairs, max_n).astype(int)
+    counts = np.bincount(pair[first] * CHRF_ORDER + gram, np.minimum(end - first - hyp, hyp),
+                         pairs * CHRF_ORDER)
+    return counts.reshape(pairs, CHRF_ORDER).astype(int)
 
 
 def _append_digit(key: np.ndarray, span: int, digit: np.ndarray, radix: int):
@@ -183,7 +182,7 @@ def success(s_src: float, d_tgt_val: float) -> float:
     return s_src + d_tgt_val
 
 
-def knn_candidates(token_id: int, table: EmbeddingTable, k: int = 10) -> List[int]:
+def knn_candidates(token_id: int, table: EmbeddingTable, k: int) -> List[int]:
     """Ids of the k nearest vectors by Euclidean distance, excluding self.
 
     Distance ties are broken toward the lower token id.
@@ -279,15 +278,8 @@ def first_order_substitution(
     return int(pos[0]), int(tok[0])
 
 
-def attack_rows(
-    model: ModelState,
-    rows: Packed,
-    table: EmbeddingTable,
-    constraint: str = "none",
-    sign_normalize: bool = False,
-    k: int = 10,
-    steps: int = 1,
-) -> Packed:
+def attack_rows(model: ModelState, rows: Packed, table: EmbeddingTable, constraint: str,
+                sign_normalize: bool, k: int, steps: int) -> Packed:
     """`steps` rounds of one first-order substitution in every token row at
     once, each against the adversarial-loss gradient of the rows so far; a
     mean-pooled bag has one gradient per row, shared by its positions."""
@@ -302,14 +294,8 @@ def attack_rows(
     return adv
 
 
-def attack_example(
-    model: ModelState,
-    row: Packed,
-    table: EmbeddingTable,
-    constraint: str = "none",
-    sign_normalize: bool = False,
-    k: int = 10,
-) -> Packed:
+def attack_example(model: ModelState, row: Packed, table: EmbeddingTable, constraint: str,
+                   sign_normalize: bool, k: int) -> Packed:
     """One first-order substitution applied to a one-row token batch:
-    attack_rows of that row."""
-    return attack_rows(model, row, table, constraint, sign_normalize, k)
+    attack_rows of that row for one step."""
+    return attack_rows(model, row, table, constraint, sign_normalize, k, 1)

@@ -52,7 +52,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         }[args.command]
         command(cfg, args.seed, args.out)
         return 0
-    except (harness.ConfigError, harness.DivergenceError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"shiftlab: error: {err}", file=sys.stderr)
         return 1
 

@@ -50,7 +50,7 @@ class FisherState:
             raise ValueError("alpha must be nonnegative")
 
 
-def initial_fisher(num_params: int, gamma: float = 0.9, alpha: float = 1.0) -> FisherState:
+def initial_fisher(num_params: int, gamma: float, alpha: float) -> FisherState:
     """Start the rolling estimate at (alpha/gamma) I so damping is counted once."""
     fisher = FisherState(np.zeros(num_params), gamma, alpha)  # checks gamma before the division
     if not math.isinf(alpha):
@@ -141,8 +141,8 @@ class ReplayMemory:
     """Fixed-capacity uniform sample of the item stream seen so far."""
 
     capacity: int
-    items: list = field(default_factory=list)
-    seen_count: int = 0
+    items: list = field(default_factory=list, init=False)
+    seen_count: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.capacity < 1:
@@ -311,7 +311,7 @@ def continual_train(
 def rotated_gaussian_tasks(
     num_tasks: int,
     points_per_task: int,
-    sigma: float = 0.5,
+    sigma: float,
     seed: int = 0,
     max_angle: float = math.pi / 2,
 ) -> List[GroupedDataset]:

@@ -63,9 +63,9 @@ class TwoDomainSpec:
 @dataclass(frozen=True)
 class DistractorTextSpec:
     n: int
-    vocab_size: int = 32
-    seq_len: int = 8
-    bias: float = 0.95
+    vocab_size: int
+    seq_len: int
+    bias: float
     seed: int = 0
 
     def __post_init__(self):

@@ -2,8 +2,9 @@
 
 Writes every output file through a temporary file (_write_atomic), except the
 dataset CSVs, which datasets.save_csv writes in place. Every run is fully determined by
-(config, seed); outputs are a JSON-lines run log, a metrics CSV, a flat
-binary parameter dump with a JSON header, and plot-data CSVs.
+(config, seed) for one set of numpy SIMD loops and one OpenBLAS core type; other
+kernels round differently. Outputs are a JSON-lines run log, a metrics CSV, a
+flat binary parameter dump with a JSON header, and plot-data CSVs.
 """
 from __future__ import annotations
 
@@ -320,9 +321,9 @@ def train_run(cfg: Dict[str, object], seed: int,
     """One full training run: optimize, checkpoint every `checkpoint_every`
     steps (once per epoch when that is 0) and at the last step, select, evaluate.
 
-    Raises DivergenceError on a non-finite value that a step's check meets
-    (losses, normalizer, adversary scores, example weights), in the parameters
-    after a step, or in a checkpoint's adversary weights or validation loss."""
+    Raises DivergenceError, `non-finite <what> at step N`, on a non-finite value
+    that a step's check meets (losses, normalizer, adversary scores, example weights),
+    in the parameters after a step, or in a checkpoint's adversary weights or validation loss."""
     cfg = resolved(cfg)
     dro_cfg = dro_config(cfg)
     train, valid, test = datasets if datasets is not None else build_datasets(cfg, seed)
@@ -342,7 +343,7 @@ def train_run(cfg: Dict[str, object], seed: int,
         checkpoints.append(model.copy())
         raw = dro.adversary_valid_weights(dro_cfg.method, adversary, valid.rows)
         if raw is not None and not np.logical_and.reduce(np.isfinite(raw)):
-            raise DivergenceError(f"non-finite adversary weights at step {step}")
+            raise DivergenceError("non-finite adversary weights")
         record = None if raw is None else selection.make_record(len(records), raw)
         if record is not None:
             records.append(record)
@@ -355,7 +356,7 @@ def train_run(cfg: Dict[str, object], seed: int,
         valid_metrics.append(vm)
         mean_valid_loss = float(losses["nll"].mean())
         if not math.isfinite(mean_valid_loss):
-            raise DivergenceError(f"non-finite validation loss at step {step}")
+            raise DivergenceError("non-finite validation loss")
         log_rows.append({
             "step": step, "split": "valid", "loss": mean_valid_loss,
             "robust_acc": vm.robust_accuracy, "average_acc": vm.average_accuracy,
@@ -375,12 +376,12 @@ def train_run(cfg: Dict[str, object], seed: int,
                 model, adversary, normalizer = dro.simultaneous_step(
                     model, adversary, shuffled.rows(start, start + batch_size), dro_cfg, normalizer
                 )
+                if not np.logical_and.reduce(np.isfinite(model.params)):
+                    raise DivergenceError("non-finite parameters")
+                if step % every == 0 or step == last:
+                    take_checkpoint(step)
             except DivergenceError as err:
                 raise DivergenceError(f"{err} at step {step}") from err
-            if not np.logical_and.reduce(np.isfinite(model.params)):
-                raise DivergenceError(f"non-finite parameters at step {step}")
-            if step % every == 0 or step == last:
-                take_checkpoint(step)
 
     if cfg["selection"] == "last":
         chosen = len(checkpoints) - 1

@@ -35,19 +35,16 @@ def test_chrf_disjoint_strings_score_zero():
 
 
 def test_chrf_recall_weighting():
-    # hypothesis is a prefix of the reference: precision 1, recall < 1,
-    # so larger beta (more recall weight) lowers the score
-    ref, hyp = "abcdef", "abc"
-    assert chrf(ref, hyp, beta=2.0) < chrf(ref, hyp, beta=1.0)
-    with pytest.raises(ValueError):
-        chrf("a", "a", max_n=0)
+    # swapping the strings swaps precision and recall; a prefix of the
+    # reference has the lower recall, and beta 2 weights recall, so it scores lower
+    assert chrf("abcdef", "abc") < chrf("abc", "abcdef")
 
 
 def test_chrf_hand_computed_unigram_case():
-    # ref "ab", hyp "ac" at max_n 2: order 1 p=r=1/2; order 2 p=r=0
+    # ref "ab", hyp "ac" have orders 1 and 2 only: order 1 p=r=1/2; order 2 p=r=0
     p = r = 0.25
     expected = 100.0 * 5 * p * r / (4 * p + r)
-    assert chrf("ab", "ac", max_n=2) == pytest.approx(expected)
+    assert chrf("ab", "ac") == pytest.approx(expected)
 
 
 def test_d_tgt_cases():
@@ -152,7 +149,7 @@ def test_attack_example_changes_exactly_one_position():
     model = init_params(spec, seed=0)
     table = EmbeddingTable(model.slot("embedding.weight"), [f"tok{i}" for i in range(10)])
     row = packed_rows([(np.array([1, 4, 7]), 1, 0)])
-    adv = attack_example(model, row, table)
+    adv = attack_example(model, row, table, "none", False, 10)
     assert (adv.labels.tolist(), adv.groups.tolist()) == ([1], [0])
     assert adv.offsets.tolist() == [0, 3]
     diffs = np.sum(adv.tokens != row.tokens)
@@ -191,17 +188,15 @@ def test_embedding_table_vectors_are_a_read_only_copy():
 # -- batched chrF against the per-pair Counter version it replaced ------------
 
 
-def counter_chrf(reference, hypothesis, max_n=6, beta=2.0):
-    """chrF of one pair with one Counter per string and order."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
+def counter_chrf(reference, hypothesis):
+    """chrF of one pair with one Counter per string and order 1..6, beta 2."""
     ref = re.sub(r"\s+", " ", reference.strip())
     hyp = re.sub(r"\s+", " ", hypothesis.strip())
     if not ref and not hyp:
         return 100.0
     precisions = []
     recalls = []
-    for n in range(1, max_n + 1):
+    for n in range(1, 7):
         ref_grams = Counter(ref[i : i + n] for i in range(len(ref) - n + 1))
         hyp_grams = Counter(hyp[i : i + n] for i in range(len(hyp) - n + 1))
         ref_total = sum(ref_grams.values())
@@ -217,7 +212,7 @@ def counter_chrf(reference, hypothesis, max_n=6, beta=2.0):
     r = float(np.mean(recalls))
     if p == 0.0 and r == 0.0:
         return 0.0
-    b2 = beta * beta
+    b2 = 4.0
     return 100.0 * (1.0 + b2) * p * r / (b2 * p + r)
 
 
@@ -228,16 +223,13 @@ TEXT = st.text(st.sampled_from(["a", "b", " ", "\t", "\n", "\U0001F600", "\U0001
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=6),
-       st.integers(1, 6), st.sampled_from([1.0, 2.0]))
-def test_chrf_batch_equals_counter_chrf(pairs, max_n, beta):
+@given(st.lists(st.tuples(TEXT, TEXT), min_size=1, max_size=6))
+def test_chrf_batch_equals_counter_chrf(pairs):
     refs = [r for r, _ in pairs]
     hyps = [h for _, h in pairs]
-    want = [counter_chrf(r, h, max_n, beta) for r, h in pairs]
-    assert chrf_batch(refs, hyps, max_n, beta).tolist() == want
-    assert [chrf(r, h, max_n, beta) for r, h in pairs] == want
-    with pytest.raises(ValueError):
-        chrf_batch(refs, hyps, max_n=0)
+    want = [counter_chrf(r, h) for r, h in pairs]
+    assert chrf_batch(refs, hyps).tolist() == want
+    assert [chrf(r, h) for r, h in pairs] == want
 
 
 # every code point str.split and str.strip treat as whitespace
@@ -306,13 +298,12 @@ def test_chrf_batch_across_blocks_and_wide_alphabets(monkeypatch):
                 hyp[int(rng.integers(0, len(hyp)))] = chr(int(rng.choice(pool)))
         refs.append(ref)
         hyps.append("".join(hyp[: int(rng.integers(0, len(hyp) + 1))] if i % 3 == 0 else hyp))
-    for max_n in (1, 4, 6):
-        want = [counter_chrf(r, h, max_n) for r, h in zip(refs, hyps)]
-        assert chrf_batch(refs, hyps, max_n).tolist() == want
+    want = [counter_chrf(r, h) for r, h in zip(refs, hyps)]
+    assert chrf_batch(refs, hyps).tolist() == want
     assert renumbered
-    assert chrf_batch([], [], 6).shape == (0,)
+    assert chrf_batch([], []).shape == (0,)
     with pytest.raises(ValueError):
-        chrf_batch(["a"], [], 6)
+        chrf_batch(["a"], [])
 
 
 # -- the split-wide attack against the per-example loop it replaced -----------
@@ -400,6 +391,6 @@ def test_attack_rows_builds_the_neighbour_table_once(monkeypatch):
         return neighbours(self, k)
 
     monkeypatch.setattr(EmbeddingTable, "neighbours", counted)
-    attack_rows(model, rows, table, constraint="knn", k=3, steps=3)
+    attack_rows(model, rows, table, "knn", False, 3, 3)
     assert calls == [3]
 

@@ -53,13 +53,13 @@ def test_fisher_state_validation():
 @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5])
 def test_initial_fisher_checks_gamma_before_dividing_by_it(gamma):
     with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
-        initial_fisher(3, gamma=gamma)
+        initial_fisher(3, gamma, 1.0)
 
 
 def test_initial_fisher_accounts_for_damping_once():
     fisher = initial_fisher(3, gamma=0.5, alpha=2.0)
     assert np.allclose(fisher.diag, 4.0)
-    inf_fisher = initial_fisher(3, alpha=math.inf)
+    inf_fisher = initial_fisher(3, 0.9, math.inf)
     assert np.allclose(inf_fisher.diag, 0.0)
 
 
@@ -147,10 +147,13 @@ def test_reservoir_fills_then_stays_at_capacity():
     assert memory.seen_count == 50
     with pytest.raises(ValueError):
         ReplayMemory(capacity=0)
+    with pytest.raises(TypeError):  # the constructor takes the capacity only
+        ReplayMemory(capacity=5, items=[1])
 
 
 def test_with_replay_appends_one_memory_draw_per_batch_item():
-    memory = ReplayMemory(capacity=10, items=[10, 11, 12, 13, 14])
+    memory = ReplayMemory(capacity=10)
+    memory.items.extend([10, 11, 12, 13, 14])
     batch = [0, 1, 2]
     combined = with_replay(batch, memory, np.random.default_rng(4))
     drawn = np.random.default_rng(4).integers(0, 5, size=3)
@@ -185,7 +188,7 @@ def test_continual_train_rejects_unknown_method():
 
 
 def test_continual_train_rejects_token_tasks():
-    tasks = [gen_distractor_text(DistractorTextSpec(30))]
+    tasks = [gen_distractor_text(DistractorTextSpec(30, 32, 8, 0.95))]
     with pytest.raises(ValueError, match="continual_train needs dense tasks"):
         continual_train(tasks, "finetune", ContinualConfig())
 
@@ -195,7 +198,7 @@ def test_rotated_tasks_shapes_and_rotation():
     assert len(tasks) == 3
     assert all(len(t) == 40 for t in tasks)
     with pytest.raises(ValueError):
-        rotated_gaussian_tasks(0, 10)
+        rotated_gaussian_tasks(0, 10, 0.5)
     # the last task is the first rotated by max_angle: class means swap axes
     def class_mean(task, label, axis):
         rows = task.rows
@@ -246,7 +249,7 @@ def test_continual_train_is_seed_deterministic():
 def test_finetune_equals_a_loop_over_separate_trunk_and_head_arrays():
     # reference: each task trains a fresh head (drawn with seed + 1 + task)
     # on the trunk of init_params(seed), one model assembled per batch
-    tasks = rotated_gaussian_tasks(3, 60, seed=4)
+    tasks = rotated_gaussian_tasks(3, 60, 0.5, seed=4)
     cfg = ContinualConfig(hidden_units=4, lr=0.3, epochs=2, batch_size=8, seed=5)
     spec = ModelSpec("mlp", input_dim=2, hidden_units=4)
     split = spec.slots["out.weight"][0]

@@ -231,7 +231,7 @@ def test_generated_examples_are_read_only_views_of_the_pack():
     listed = GroupedDataset(packed_rows((np.full(2, float(i)), i % 2) for i in range(5)),
                             ids=[7 * i for i in range(5)])
     for ds in (gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)),
-               gen_distractor_text(DistractorTextSpec(30)), listed):
+               gen_distractor_text(DistractorTextSpec(30, 32, 8, 0.95)), listed):
         rows = ds.rows
         example = rows.rows(3, 4)  # one row, as views
         inputs = example.x if example.x is not None else example.tokens
@@ -244,11 +244,11 @@ def test_generated_examples_are_read_only_views_of_the_pack():
 
 def test_distractor_spec_validation():
     with pytest.raises(ValueError):
-        DistractorTextSpec(n=0)
+        DistractorTextSpec(0, 32, 8, 0.95)
     with pytest.raises(ValueError):
-        DistractorTextSpec(n=10, vocab_size=4)
+        DistractorTextSpec(10, 4, 8, 0.95)
     with pytest.raises(ValueError):
-        DistractorTextSpec(n=10, bias=1.5)
+        DistractorTextSpec(10, 32, 8, 1.5)
 
 
 def test_label_noise_bounds_and_extremes():
@@ -276,7 +276,7 @@ def test_csv_round_trip_dense(tmp_path):
 
 
 def test_csv_round_trip_tokens(tmp_path):
-    ds = gen_distractor_text(DistractorTextSpec(n=25, seed=4))
+    ds = gen_distractor_text(DistractorTextSpec(25, 32, 8, 0.95, seed=4))
     path = tmp_path / "tokens.csv"
     save_csv(ds, path)
     loaded = load_csv(path)
@@ -385,7 +385,7 @@ def test_group_metrics_against_hand_counts():
 
 
 @pytest.mark.parametrize("spec, ds, message", [
-    (ModelSpec("linear", input_dim=2), gen_distractor_text(DistractorTextSpec(30)),
+    (ModelSpec("linear", input_dim=2), gen_distractor_text(DistractorTextSpec(30, 32, 8, 0.95)),
      r"expected inputs of shape \(n, 2\), got None"),
     (ModelSpec("embed_bag", vocab_size=32, embed_dim=4),
      gen_two_domain_gaussian(TwoDomainSpec(30, 0.5, 0.5)), "token input must be"),

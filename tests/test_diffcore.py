@@ -131,13 +131,6 @@ def test_gradients_match_finite_differences(spec):
     assert finite_diff_check(model, batch) < 1e-6
 
 
-def test_finite_diff_check_rejects_bad_step():
-    model = init_params(ModelSpec("linear", input_dim=2), seed=0)
-    batch = dense_batch(np.random.default_rng(2), 3, 2)
-    with pytest.raises(ValueError):
-        finite_diff_check(model, batch, step=0.0)
-
-
 def test_fisher_diag_is_nonnegative_and_validated():
     model = init_params(ModelSpec("linear", input_dim=2), seed=5)
     batch = dense_batch(np.random.default_rng(4), 8, 2)
@@ -174,8 +167,18 @@ def test_fisher_diag_matches_a_per_row_gradient_loop(arch):
     idx = np.random.default_rng(11).integers(0, len(rows), size=300)
     reference = per_row_fisher(model, rows, idx)
     diag = fisher_diag(model, rows, sample_count=300, seed=11)
-    # closed-form sums round differently from the loop's batch-1 gradients
-    np.testing.assert_allclose(diag, reference, rtol=0, atol=1e-15 * reference.max())
+    # Each entry of either side is the mean of n = 300 nonnegative squared
+    # gradients t_i. Summed in any order, their computed sum is within
+    # (n - 1) u / (1 - (n - 1) u) * sum t_i of the exact one (Higham, Accuracy
+    # and Stability of Numerical Algorithms, 2002, section 4.2; u = 2^-53), and
+    # the division by n adds u * sum t_i / n: so each side's mean is within
+    # n u of the exact mean, relative, to first order, and the two sides are
+    # within 2 n u (600 u) of each other. Their terms are the same products
+    # rounded in another order, a few u apart: on an AVX-512 host, the gap
+    # measured under OpenBLAS's default, Haswell, Zen, Nehalem, Sandybridge and
+    # Prescott kernels, and with numpy's AVX2 loops, is at most 19 u.
+    n, u = len(idx), np.finfo(float).eps / 2
+    np.testing.assert_allclose(diag, reference, rtol=2 * n * u, atol=0)
 
 
 @st.composite

@@ -278,8 +278,20 @@ def test_non_finite_parameters_are_labelled_by_step(tmp_path, capsys):
 def test_train_run_raises_on_non_finite_adversary_weights(monkeypatch):
     # NaN weights would make a record of KL 0 that every threshold keeps
     monkeypatch.setattr(dro, "adversary_valid_weights", lambda method, adv, valid: np.full(len(valid), np.nan))
-    with pytest.raises(harness.DivergenceError, match="^non-finite adversary weights at step "):
+    # TINY's 300 rows make 10 batches of 32: the first checkpoint is at step 10
+    with pytest.raises(harness.DivergenceError, match="^non-finite adversary weights at step 10$"):
         harness.train_run({**TINY, "method": "pdro"}, seed=0)
+
+
+def test_train_run_raises_on_non_finite_validation_loss(monkeypatch):
+    losses = harness.logit_losses
+
+    def inf_nll(logits, labels):
+        return {**losses(logits, labels), "nll": np.full(len(labels), np.inf)}
+
+    monkeypatch.setattr(harness, "logit_losses", inf_nll)
+    with pytest.raises(harness.DivergenceError, match="^non-finite validation loss at step 10$"):
+        harness.train_run(TINY, seed=0)
 
 
 def test_model_bin_round_trip(tmp_path):
@@ -673,7 +685,7 @@ def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
     rows = test.rows.take(np.arange(7))
     table = advmetrics.EmbeddingTable(model.slot("embedding.weight"),
                                       [f"tok{i}" for i in range(32)])
-    adv = advmetrics.attack_rows(model, rows, table, "knn", False, 10)
+    adv = advmetrics.attack_rows(model, rows, table, "knn", False, 10, 1)
 
     def text(r):
         return [" ".join(f"tok{t}" for t in ids) for ids in np.split(r.tokens, r.offsets[1:-1])]
