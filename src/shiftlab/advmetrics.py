@@ -8,7 +8,6 @@ attack_example are one-row calls into them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -28,26 +27,6 @@ _TOKEN_BLOCK = 256
 
 class NoCandidateError(ValueError):
     """The substitution constraint admitted no candidate pair."""
-
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Embedding matrix paired with its token vocabulary; the vectors are a
-    read-only copy, so neighbour tables built from them stay valid."""
-
-    vectors: np.ndarray
-    vocabulary: List[str]
-
-    def __post_init__(self):
-        vectors = np.array(self.vectors, dtype=float)
-        vectors.flags.writeable = False
-        object.__setattr__(self, "vectors", vectors)
-        if vectors.shape[0] != len(self.vocabulary):
-            raise ValueError("vector rows must match vocabulary size")
-
-    def neighbours(self, k: int) -> np.ndarray:
-        """(vocab, k) ids whose row t is knn_candidates(t, self, k)."""
-        return np.array([knn_candidates(t, self, k) for t in range(len(self.vocabulary))])
 
 
 def _normalize_ws(text: str) -> str:
@@ -182,30 +161,31 @@ def success(s_src: float, d_tgt_val: float) -> float:
     return s_src + d_tgt_val
 
 
-def knn_candidates(token_id: int, table: EmbeddingTable, k: int) -> List[int]:
-    """Ids of the k nearest vectors by Euclidean distance, excluding self.
+def knn_candidates(token_id: int, vectors: np.ndarray, k: int) -> List[int]:
+    """Ids of the k rows of the (vocab, dim) embedding matrix nearest to row
+    token_id by Euclidean distance, excluding token_id itself.
 
     Distance ties are broken toward the lower token id.
     """
-    n = table.vectors.shape[0]
+    n = vectors.shape[0]
     if not 0 <= token_id < n:
         raise ValueError("token_id out of range")
     if not 1 <= k < n:
         raise ValueError(f"k must be smaller than the vocabulary size and >= 1, got {k}")
-    dists = np.linalg.norm(table.vectors - table.vectors[token_id], axis=1)
+    dists = np.linalg.norm(vectors - vectors[token_id], axis=1)
     ids = np.arange(n)
     order = np.lexsort((ids, dists))
     return [int(i) for i in order if i != token_id][:k]
 
 
-def _candidate_table(table: EmbeddingTable, constraint: str, k: int) -> np.ndarray:
+def _candidate_table(vectors: np.ndarray, constraint: str, k: int) -> np.ndarray:
     """(vocab, m) admitted substitutes of each token id, in the order they are scored."""
-    vocab = table.vectors.shape[0]
+    vocab = vectors.shape[0]
     if constraint == "none":
         ids = np.arange(vocab - 1)
         return ids + (ids >= np.arange(vocab)[:, None])
     if constraint == "knn":
-        return table.neighbours(k)
+        return np.array([knn_candidates(t, vectors, k) for t in range(vocab)])
     raise ValueError(f"unknown constraint: {constraint!r}")
 
 
@@ -259,43 +239,44 @@ def _substitute_rows(
 def first_order_substitution(
     position_grads: np.ndarray,
     current_ids: Sequence[int],
-    table: EmbeddingTable,
+    vectors: np.ndarray,
     constraint: str = "none",
     sign_normalize: bool = False,
     k: int = 10,
 ) -> Tuple[int, int]:
     """Best single-token substitution of one sequence, with one gradient per
     position: the one-row case of the split-wide search. Maximizes
-    (e_new - e_current) . grad over all admitted (position, token) pairs;
-    ties go to the lowest position, then lowest token id. Returns
-    (position, token id)."""
+    (e_new - e_current) . grad over all admitted (position, token) pairs of
+    the (vocab, dim) embedding matrix `vectors`; ties go to the lowest
+    position, then lowest token id. Returns (position, token id)."""
     grads = np.asarray(position_grads, dtype=float)
     ids = np.asarray(current_ids, dtype=int)
-    if grads.shape != (ids.size, table.vectors.shape[1]):
+    if grads.shape != (ids.size, vectors.shape[1]):
         raise ValueError("position_grads shape must be (positions, embed_dim)")
     pos, tok = _substitute_rows(grads, np.arange(ids.size), ids, np.array([0, ids.size]),
-                                table.vectors, _candidate_table(table, constraint, k), sign_normalize)
+                                vectors, _candidate_table(vectors, constraint, k), sign_normalize)
     return int(pos[0]), int(tok[0])
 
 
-def attack_rows(model: ModelState, rows: Packed, table: EmbeddingTable, constraint: str,
+def attack_rows(model: ModelState, rows: Packed, vectors: np.ndarray, constraint: str,
                 sign_normalize: bool, k: int, steps: int) -> Packed:
     """`steps` rounds of one first-order substitution in every token row at
     once, each against the adversarial-loss gradient of the rows so far; a
-    mean-pooled bag has one gradient per row, shared by its positions."""
+    mean-pooled bag has one gradient per row, shared by its positions.
+    `vectors` is the (vocab, dim) embedding matrix the substitutes come from."""
     adv = Packed(rows.labels, rows.groups, tokens=rows.tokens.copy(), offsets=rows.offsets)
     row_of = np.repeat(np.arange(len(adv)), np.diff(adv.offsets))
-    candidates = _candidate_table(table, constraint, k)
+    candidates = _candidate_table(vectors, constraint, k)
     for _ in range(steps):
         grads = grad_wrt_embeddings_batch(model, adv)
-        pos, tok = _substitute_rows(grads, row_of, adv.tokens, adv.offsets, table.vectors,
+        pos, tok = _substitute_rows(grads, row_of, adv.tokens, adv.offsets, vectors,
                                     candidates, sign_normalize)
         adv.tokens[adv.offsets[:-1] + pos] = tok
     return adv
 
 
-def attack_example(model: ModelState, row: Packed, table: EmbeddingTable, constraint: str,
+def attack_example(model: ModelState, row: Packed, vectors: np.ndarray, constraint: str,
                    sign_normalize: bool, k: int) -> Packed:
     """One first-order substitution applied to a one-row token batch:
     attack_rows of that row for one step."""
-    return attack_rows(model, row, table, constraint, sign_normalize, k, 1)
+    return attack_rows(model, row, vectors, constraint, sign_normalize, k, 1)

@@ -332,25 +332,22 @@ def train_run(cfg: Dict[str, object], seed: int,
     adversary, normalizer = dro.initial_state(dro_cfg, spec, train.rows, train.num_groups, seed)
 
     loss_kind = selection_loss(cfg)
-    checkpoints: List[ModelState] = []
-    records: List[selection.AdversaryRecord] = [selection.identity_record(len(valid))]
+    checkpoints: List[ModelState] = []  # each step's own state: a step returns new parameters
     own_records: List[Optional[selection.AdversaryRecord]] = []  # one per checkpoint, or None
     valid_losses: List[np.ndarray] = []  # one per checkpoint, of loss_kind
     valid_metrics: List[GroupMetrics] = []  # one per checkpoint
     log_rows: List[dict] = []
 
     def take_checkpoint(step: int) -> None:
-        checkpoints.append(model.copy())
+        checkpoints.append(model)
         raw = dro.adversary_valid_weights(dro_cfg.method, adversary, valid.rows)
         if raw is not None and not np.logical_and.reduce(np.isfinite(raw)):
             raise DivergenceError("non-finite adversary weights")
-        record = None if raw is None else selection.make_record(len(records), raw)
-        if record is not None:
-            records.append(record)
+        record = None if raw is None else selection.make_record(raw)
         own_records.append(record)
         # the one validation forward of this checkpoint: selection scores its
         # cached row, and the chosen checkpoint reports its cached metrics
-        losses = logit_losses(forward_logits_batch(checkpoints[-1], valid.rows), valid.rows.labels)
+        losses = logit_losses(forward_logits_batch(model, valid.rows), valid.rows.labels)
         vm = metrics_from_errors(losses["zero_one"], valid.rows.groups, valid.num_groups)
         valid_losses.append(losses[loss_kind])
         valid_metrics.append(vm)
@@ -383,10 +380,12 @@ def train_run(cfg: Dict[str, object], seed: int,
             except DivergenceError as err:
                 raise DivergenceError(f"{err} at step {step}") from err
 
+    identity = selection.identity_record(len(valid))
+    records = [identity, *(r for r in own_records if r is not None)]
     if cfg["selection"] == "last":
         chosen = len(checkpoints) - 1
     elif cfg["selection"] == "greedy":
-        state = selection.SelectionState(records=[records[0]])
+        state = selection.SelectionState(records=[identity])
         for i, (ckpt, rec, row) in enumerate(zip(checkpoints, own_records, valid_losses)):
             state = selection.greedy_minmax_update(state, ckpt, i, rec, row,
                                                    cfg["selection.kl_threshold"])
@@ -544,10 +543,8 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     if model is None:
         model = train_run(cfg, seed, datasets=splits).model
     names = [f"tok{i}" for i in range(model.spec.vocab_size)]
-    table = advmetrics.EmbeddingTable(model.slot("embedding.weight"), names)
-
     rows = test.rows.take(np.arange(n))
-    adv = advmetrics.attack_rows(model, rows, table, cfg["attack.constraint"],
+    adv = advmetrics.attack_rows(model, rows, model.slot("embedding.weight"), cfg["attack.constraint"],
                                  cfg["attack.sign_normalize"], k, steps)
     bounds = list(zip(rows.offsets[:-1].tolist(), rows.offsets[1:].tolist()))
     src_words, adv_words = (np.array(names, dtype=object)[r.tokens].tolist() for r in (rows, adv))

@@ -24,7 +24,6 @@ KL_THRESHOLD_DEFAULT = math.log(10.0)
 class AdversaryRecord:
     """Per-validation-example weights of one adversary snapshot, mean 1, and their KL."""
 
-    id: int
     valid_weights: np.ndarray
     kl_estimate: float = field(init=False)
 
@@ -47,13 +46,13 @@ def normalize_weights(raw: np.ndarray) -> np.ndarray:
     return raw / total
 
 
-def make_record(record_id: int, raw_weights: np.ndarray) -> AdversaryRecord:
-    return AdversaryRecord(record_id, normalize_weights(raw_weights))
+def make_record(raw_weights: np.ndarray) -> AdversaryRecord:
+    return AdversaryRecord(normalize_weights(raw_weights))
 
 
 def identity_record(n: int) -> AdversaryRecord:
-    """The unmoved-adversary record: id 0, all-ones weights, KL exactly 0."""
-    return AdversaryRecord(0, np.ones(n))
+    """The unmoved-adversary record: all-ones weights, KL exactly 0."""
+    return AdversaryRecord(np.ones(n))
 
 
 def adversary_valid_kl(weights: np.ndarray) -> float:

@@ -14,7 +14,7 @@ from scipy.stats import spearmanr
 import conftest
 from conftest import packed_rows
 from shiftlab import harness
-from shiftlab.advmetrics import EmbeddingTable, chrf, first_order_substitution
+from shiftlab.advmetrics import chrf, first_order_substitution
 from shiftlab.continual import (
     ContinualConfig,
     FisherState,
@@ -449,23 +449,22 @@ def test_substitution_matches_naive_argmax():
         vocab = int(rng.integers(3, 51))
         dim = int(rng.integers(2, 6))
         n = int(rng.integers(1, 6))
-        table = EmbeddingTable(rng.standard_normal((vocab, dim)),
-                               [str(i) for i in range(vocab)])
+        vectors = rng.standard_normal((vocab, dim))
         ids = [int(i) for i in rng.integers(0, vocab, size=n)]
         grads = rng.standard_normal((n, dim))
         constraint = "knn" if trial % 2 else "none"
         k = min(5, vocab - 1)
-        got = first_order_substitution(grads, ids, table, constraint=constraint, k=k)
+        got = first_order_substitution(grads, ids, vectors, constraint=constraint, k=k)
         best = None
         for pos, tok in enumerate(ids):
             if constraint == "none":
                 cands = [i for i in range(vocab) if i != tok]
             else:
-                dists = np.linalg.norm(table.vectors - table.vectors[tok], axis=1)
+                dists = np.linalg.norm(vectors - vectors[tok], axis=1)
                 ranked = sorted(range(vocab), key=lambda i: (dists[i], i))
                 cands = [i for i in ranked if i != tok][:k]
             for cand in cands:
-                score = float((table.vectors[cand] - table.vectors[tok]) @ grads[pos])
+                score = float((vectors[cand] - vectors[tok]) @ grads[pos])
                 key = (-score, pos, cand)
                 if best is None or key < best:
                     best = key
@@ -508,7 +507,7 @@ def test_selection_filter_and_greedy_footprint():
     ident = identity_record(n)
     raw = np.zeros(n)
     raw[0] = n  # all mass on one example: kl = log n = log 20
-    sharp = make_record(1, raw)
+    sharp = make_record(raw)
     assert sharp.kl_estimate == pytest.approx(math.log(20))
     kept = surviving_records([ident, sharp], kl_threshold=math.log(10))
     filtered_ok = kept == [ident]
@@ -519,7 +518,7 @@ def test_selection_filter_and_greedy_footprint():
     rng = np.random.default_rng(7)
     for i in range(6):
         ckpt = init_params(ModelSpec("linear", input_dim=2), seed=i)
-        rec = make_record(i + 2, rng.uniform(0.5, 1.5, n))
+        rec = make_record(rng.uniform(0.5, 1.5, n))
         state = greedy_minmax_update(state, ckpt, i, rec, nll_loss_batch(ckpt, valid.rows))
         stored = sum(
             1 for v in vars(state).values()

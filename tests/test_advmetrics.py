@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import packed_rows
+from shiftlab import advmetrics, harness
 from shiftlab.advmetrics import (
-    EmbeddingTable,
     NoCandidateError,
+    _candidate_table,
     _normalize_ws,
     attack_example,
     attack_rows,
@@ -64,29 +65,23 @@ def test_success_sum_and_bounds():
         success(0.5, -0.1)
 
 
-def test_embedding_table_validation():
-    with pytest.raises(ValueError):
-        EmbeddingTable(np.zeros((2, 3)), ["a", "b", "c"])
-
-
 def test_knn_candidates_hand_case():
     vectors = np.array([[0.0], [1.0], [2.0], [10.0]])
-    table = EmbeddingTable(vectors, list("abcd"))
-    assert knn_candidates(0, table, k=2) == [1, 2]
-    assert knn_candidates(1, table, k=2) == [0, 2]  # tie at distance 1 -> lower id
+    assert knn_candidates(0, vectors, k=2) == [1, 2]
+    assert knn_candidates(1, vectors, k=2) == [0, 2]  # tie at distance 1 -> lower id
     with pytest.raises(ValueError):
-        knn_candidates(5, table, k=1)
+        knn_candidates(5, vectors, k=1)
     for k in (4, 0, -1):
         with pytest.raises(ValueError, match="k must be smaller than the vocabulary size and >= 1"):
-            knn_candidates(0, table, k=k)
+            knn_candidates(0, vectors, k=k)
 
 
-def naive_substitution(grads, current_ids, table, candidates_for, sign_normalize=False):
+def naive_substitution(grads, current_ids, vectors, candidates_for, sign_normalize=False):
     g = np.sign(grads) if sign_normalize else grads
     best = None
     for pos, tok in enumerate(current_ids):
         for cand in candidates_for(int(tok)):
-            score = float((table.vectors[cand] - table.vectors[int(tok)]) @ g[pos])
+            score = float((vectors[cand] - vectors[int(tok)]) @ g[pos])
             key = (-score, pos, cand)
             if best is None or key < best:
                 best = key
@@ -95,9 +90,8 @@ def naive_substitution(grads, current_ids, table, candidates_for, sign_normalize
 
 def test_first_order_substitution_hand_case():
     vectors = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    table = EmbeddingTable(vectors, list("abc"))
     grads = np.array([[1.0, 0.0]])
-    pos, tok = first_order_substitution(grads, [0], table)
+    pos, tok = first_order_substitution(grads, [0], vectors)
     assert (pos, tok) == (0, 1)  # moving along the gradient maximizes the score
 
 
@@ -107,49 +101,46 @@ def test_first_order_substitution_matches_oracle():
         vocab = int(rng.integers(3, 12))
         dim = int(rng.integers(2, 5))
         n = int(rng.integers(1, 5))
-        table = EmbeddingTable(rng.standard_normal((vocab, dim)), [str(i) for i in range(vocab)])
+        vectors = rng.standard_normal((vocab, dim))
         ids = [int(i) for i in rng.integers(0, vocab, size=n)]
         grads = rng.standard_normal((n, dim))
-        got = first_order_substitution(grads, ids, table, constraint="none")
+        got = first_order_substitution(grads, ids, vectors, constraint="none")
         want = naive_substitution(
-            grads, ids, table, lambda t: [i for i in range(vocab) if i != t]
+            grads, ids, vectors, lambda t: [i for i in range(vocab) if i != t]
         )
         assert got == want
 
 
 def test_first_order_substitution_constraints_and_errors():
     vectors = np.array([[0.0], [1.0], [2.0]])
-    table = EmbeddingTable(vectors, list("abc"))
     grads = np.ones((1, 1))
-    assert first_order_substitution(grads, [0], table, constraint="knn", k=1) == (0, 1)
+    assert first_order_substitution(grads, [0], vectors, constraint="knn", k=1) == (0, 1)
     with pytest.raises(NoCandidateError):  # a one-token vocabulary has no substitute
-        first_order_substitution(grads, [0], EmbeddingTable(vectors[:1], ["a"]))
+        first_order_substitution(grads, [0], vectors[:1])
     with pytest.raises(NoCandidateError):  # every candidate scores -inf
-        first_order_substitution(-np.inf * grads, [0], table)
+        first_order_substitution(-np.inf * grads, [0], vectors)
     with pytest.raises(ValueError):
-        first_order_substitution(grads, [0], table, constraint="mystery")
+        first_order_substitution(grads, [0], vectors, constraint="mystery")
     with pytest.raises(ValueError):
-        first_order_substitution(np.ones((2, 1)), [0], table)
+        first_order_substitution(np.ones((2, 1)), [0], vectors)
 
 
 def test_sign_normalization_changes_the_ranking():
     vectors = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 1.0]])
-    table = EmbeddingTable(vectors, list("abc"))
     grads = np.array([[0.1, 0.9]])
-    assert first_order_substitution(grads, [0], table) == (0, 1)
-    assert first_order_substitution(grads, [0], table, sign_normalize=True) == (0, 1)
+    assert first_order_substitution(grads, [0], vectors) == (0, 1)
+    assert first_order_substitution(grads, [0], vectors, sign_normalize=True) == (0, 1)
     grads = np.array([[0.05, 0.9]])
     # raw scores favor the long vector; signed gradients favor the aligned one
-    assert first_order_substitution(grads, [0], table) == (0, 2)
-    assert first_order_substitution(grads, [0], table, sign_normalize=True) == (0, 1)
+    assert first_order_substitution(grads, [0], vectors) == (0, 2)
+    assert first_order_substitution(grads, [0], vectors, sign_normalize=True) == (0, 1)
 
 
 def test_attack_example_changes_exactly_one_position():
     spec = ModelSpec("embed_bag", vocab_size=10, embed_dim=4)
     model = init_params(spec, seed=0)
-    table = EmbeddingTable(model.slot("embedding.weight"), [f"tok{i}" for i in range(10)])
     row = packed_rows([(np.array([1, 4, 7]), 1, 0)])
-    adv = attack_example(model, row, table, "none", False, 10)
+    adv = attack_example(model, row, model.slot("embedding.weight"), "none", False, 10)
     assert (adv.labels.tolist(), adv.groups.tolist()) == ([1], [0])
     assert adv.offsets.tolist() == [0, 3]
     diffs = np.sum(adv.tokens != row.tokens)
@@ -161,28 +152,31 @@ def test_attack_example_changes_exactly_one_position():
 def test_neighbour_table_equals_knn_candidates(vocab, dim, seed, data):
     # vectors on a small integer grid, so distance ties are common
     rng = np.random.default_rng(seed)
-    table = EmbeddingTable(rng.integers(-2, 3, size=(vocab, dim)), [str(i) for i in range(vocab)])
+    vectors = rng.integers(-2, 3, size=(vocab, dim)).astype(float)
     ks = data.draw(st.lists(st.integers(1, vocab - 1), min_size=1, max_size=3))
     for k in ks:
-        rows = table.neighbours(k)
+        rows = _candidate_table(vectors, "knn", k)
         assert rows.shape == (vocab, k)
         for t in range(vocab):
-            assert rows[t].tolist() == knn_candidates(t, table, k)
+            assert rows[t].tolist() == knn_candidates(t, vectors, k)
     ids = [int(i) for i in rng.integers(0, vocab, size=3)]
     grads = rng.standard_normal((3, dim))
-    got = first_order_substitution(grads, ids, table, constraint="knn", k=ks[0])
-    assert got == naive_substitution(grads, ids, table, lambda t: knn_candidates(t, table, ks[0]))
+    got = first_order_substitution(grads, ids, vectors, constraint="knn", k=ks[0])
+    assert got == naive_substitution(grads, ids, vectors, lambda t: knn_candidates(t, vectors, ks[0]))
 
 
-def test_embedding_table_vectors_are_a_read_only_copy():
-    source = np.zeros((3, 2))
-    table = EmbeddingTable(source, list("abc"))
-    source[0, 0] = 5.0
-    assert table.vectors[0, 0] == 0.0
-    with pytest.raises(ValueError):
-        table.vectors[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        first_order_substitution(np.ones((1, 2)), [3], table, constraint="knn", k=1)
+def test_attack_leaves_the_model_parameters_alone(tmp_path):
+    # the attack reads the embedding matrix in place, as a view of the parameters
+    model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=0)
+    before = model.params.tobytes()
+    for constraint in ("none", "knn"):
+        cfg = {"dataset": "distractor", "attack.n": 20, "data.test_n": 40, "attack.steps": 2,
+               "attack.constraint": constraint}
+        harness.cmd_attack(cfg, 0, str(tmp_path / constraint), model=model)
+        assert model.params.tobytes() == before
+        with pytest.raises(ValueError, match="token_id out of range"):
+            first_order_substitution(np.ones((1, 8)), [32], model.slot("embedding.weight"),
+                                     constraint=constraint, k=1)
 
 
 # -- batched chrF against the per-pair Counter version it replaced ------------
@@ -309,23 +303,23 @@ def test_chrf_batch_across_blocks_and_wide_alphabets(monkeypatch):
 # -- the split-wide attack against the per-example loop it replaced -----------
 
 
-def reference_candidates(token_id, table, constraint, k):
+def reference_candidates(token_id, vectors, constraint, k):
     if constraint == "none":
-        return [i for i in range(table.vectors.shape[0]) if i != token_id]
+        return [i for i in range(vectors.shape[0]) if i != token_id]
     if constraint == "knn":
-        return knn_candidates(token_id, table, k)
+        return knn_candidates(token_id, vectors, k)
     raise ValueError(f"unknown constraint: {constraint!r}")
 
 
-def reference_substitution(grads, current_ids, table, constraint, sign_normalize, k):
+def reference_substitution(grads, current_ids, vectors, constraint, sign_normalize, k):
     """One position and one candidate list at a time."""
     grads = np.asarray(grads, dtype=float)
     if sign_normalize:
         grads = np.sign(grads)
     best = None
     for pos, tok in enumerate(current_ids):
-        candidates = np.asarray(reference_candidates(int(tok), table, constraint, k))
-        scores = (table.vectors[candidates] - table.vectors[int(tok)]) @ grads[pos]
+        candidates = np.asarray(reference_candidates(int(tok), vectors, constraint, k))
+        scores = (vectors[candidates] - vectors[int(tok)]) @ grads[pos]
         top = scores.max()
         key = (-top, pos, int(candidates[scores == top].min()))
         if best is None or key < best:
@@ -333,10 +327,10 @@ def reference_substitution(grads, current_ids, table, constraint, sign_normalize
     return best[1], best[2]
 
 
-def reference_attack(model, row, table, constraint, sign_normalize, k):
+def reference_attack(model, row, vectors, constraint, sign_normalize, k):
     """One row, one substitution."""
     grads = grad_wrt_embeddings(model, row)
-    pos, tok = reference_substitution(grads, list(row.tokens), table, constraint,
+    pos, tok = reference_substitution(grads, list(row.tokens), vectors, constraint,
                                       sign_normalize, k)
     new_ids = row.tokens.copy()
     new_ids[pos] = tok
@@ -349,15 +343,14 @@ def attack_setup(vocab=12, dim=4, seed=3):
     spec = ModelSpec("embed_bag", num_classes=3, vocab_size=vocab, embed_dim=dim)
     model = init_params(spec, seed=seed)
     model.params *= 10.0
-    table = EmbeddingTable(model.slot("embedding.weight"), [f"tok{i}" for i in range(vocab)])
-    return model, table
+    return model, model.slot("embedding.weight")
 
 
 @pytest.mark.parametrize("steps", [1, 3])
 @pytest.mark.parametrize("sign_normalize", [False, True])
 @pytest.mark.parametrize("constraint", ["none", "knn"])
 def test_attack_rows_matches_per_example_loop(constraint, sign_normalize, steps):
-    model, table = attack_setup()
+    model, vectors = attack_setup()
     # ragged rows: seq_len 8, plus the distractor token 0 in front of about half
     data = gen_distractor_text(DistractorTextSpec(300, 12, 8, 0.5, seed=4)).rows
     lengths = set(np.diff(data.offsets).tolist())
@@ -367,30 +360,30 @@ def test_attack_rows_matches_per_example_loop(constraint, sign_normalize, steps)
         for i in range(len(rows)):
             row = rows.take([i])
             for _ in range(steps):
-                row = reference_attack(model, row, table, constraint, sign_normalize, 3)
+                row = reference_attack(model, row, vectors, constraint, sign_normalize, 3)
             want.append(row.tokens)
         before = rows.tokens.copy()
-        got = attack_rows(model, rows, table, constraint, sign_normalize, 3, steps)
+        got = attack_rows(model, rows, vectors, constraint, sign_normalize, 3, steps)
         assert np.array_equal(got.offsets, rows.offsets)
         assert np.array_equal(got.tokens, np.concatenate(want))
         assert np.array_equal(rows.tokens, before)  # input kept
-    one = attack_example(model, data.take([7]), table, constraint, sign_normalize, 3)
-    two = reference_attack(model, data.take([7]), table, constraint, sign_normalize, 3)
+    one = attack_example(model, data.take([7]), vectors, constraint, sign_normalize, 3)
+    two = reference_attack(model, data.take([7]), vectors, constraint, sign_normalize, 3)
     for name in ("tokens", "offsets", "labels", "groups"):
         assert np.array_equal(getattr(one, name), getattr(two, name))
 
 
 def test_attack_rows_builds_the_neighbour_table_once(monkeypatch):
-    model, table = attack_setup()
+    model, vectors = attack_setup()
     rows = gen_distractor_text(DistractorTextSpec(40, 12, 8, 0.5, seed=4)).rows
     calls = []
-    neighbours = EmbeddingTable.neighbours
+    candidate_table = advmetrics._candidate_table
 
-    def counted(self, k):
+    def counted(vectors, constraint, k):
         calls.append(k)
-        return neighbours(self, k)
+        return candidate_table(vectors, constraint, k)
 
-    monkeypatch.setattr(EmbeddingTable, "neighbours", counted)
-    attack_rows(model, rows, table, "knn", False, 3, 3)
+    monkeypatch.setattr(advmetrics, "_candidate_table", counted)
+    attack_rows(model, rows, vectors, "knn", False, 3, 3)
     assert calls == [3]
 

@@ -244,14 +244,17 @@ def test_greedy_selection_scores_each_checkpoint_with_its_own_adversary(monkeypa
         return None if len(weight_calls) == 2 else real_weights(*args)
 
     def update(state, model, model_id, record, *args):
-        pairs.append((model_id, None if record is None else record.id))
+        pairs.append((model_id, record))
         return real_update(state, model, model_id, record, *args)
 
     monkeypatch.setattr(dro, "adversary_valid_weights", weights)
     monkeypatch.setattr(selection, "greedy_minmax_update", update)
-    harness.train_run({**TINY, "data.total_points": 1000, "epochs": 4, "method": "pdro",
-                       "selection": "greedy"}, seed=0)
-    assert pairs == [(0, 1), (1, None), (2, 2), (3, 3)]
+    result = harness.train_run({**TINY, "data.total_points": 1000, "epochs": 4, "method": "pdro",
+                                "selection": "greedy"}, seed=0)
+    records = result.records
+    assert len(records) == 4
+    assert [model_id for model_id, _ in pairs] == [0, 1, 2, 3]
+    assert all(got is want for (_, got), want in zip(pairs, [records[1], None, records[2], records[3]]))
 
 
 def test_default_keys_build_the_dataclass_defaults():
@@ -683,9 +686,7 @@ def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
     report = harness.cmd_attack(cfg, 5, str(tmp_path / "a"), model=model)
     test = harness.build_datasets(harness.resolved(cfg), 5)[2]
     rows = test.rows.take(np.arange(7))
-    table = advmetrics.EmbeddingTable(model.slot("embedding.weight"),
-                                      [f"tok{i}" for i in range(32)])
-    adv = advmetrics.attack_rows(model, rows, table, "knn", False, 10, 1)
+    adv = advmetrics.attack_rows(model, rows, model.slot("embedding.weight"), "knn", False, 10, 1)
 
     def text(r):
         return [" ".join(f"tok{t}" for t in ids) for ids in np.split(r.tokens, r.offsets[1:-1])]

@@ -43,16 +43,16 @@ def test_normalize_weights_mean_one():
 
 
 def test_record_enforces_mean_one():
-    AdversaryRecord(0, np.ones(4))
+    AdversaryRecord(np.ones(4))
     with pytest.raises(ValueError):
-        AdversaryRecord(0, np.array([1.0, 2.0]))
+        AdversaryRecord(np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
-        AdversaryRecord(0, np.array([-1.0, 3.0]))
+        AdversaryRecord(np.array([-1.0, 3.0]))
     # NaN weights would otherwise estimate KL 0 and pass every threshold
     with pytest.raises(ValueError, match="finite"):
-        AdversaryRecord(1, np.full(4, np.nan))
+        AdversaryRecord(np.full(4, np.nan))
     with pytest.raises(ValueError, match="finite"):
-        make_record(1, np.array([1.0, np.nan]))
+        make_record(np.array([1.0, np.nan]))
 
 
 def test_kl_estimate_values():
@@ -66,8 +66,8 @@ def test_kl_estimate_values():
 
 
 def test_make_record_and_identity():
-    rec = make_record(5, np.array([2.0, 6.0]))
-    assert rec.id == 5
+    rec = make_record(np.array([2.0, 6.0]))
+    assert rec.valid_weights.tolist() == [0.5, 1.5]
     assert rec.valid_weights.mean() == pytest.approx(1.0)
     assert rec.kl_estimate > 0
     ident = identity_record(7)
@@ -77,7 +77,7 @@ def test_make_record_and_identity():
 
 def test_surviving_records_filters_by_kl():
     low = identity_record(4)
-    high = make_record(1, np.array([0.0, 0.0, 0.0, 4.0]))  # kl = log 4
+    high = make_record(np.array([0.0, 0.0, 0.0, 4.0]))  # kl = log 4
     kept = surviving_records([low, high], kl_threshold=math.log(2))
     assert kept == [low]
 
@@ -85,7 +85,7 @@ def test_surviving_records_filters_by_kl():
 def test_a_record_built_directly_derives_its_kl_from_its_weights():
     w = np.zeros(20)
     w[0] = 20.0  # one-hot over 20 rows: kl = log 20
-    ident, sharp = identity_record(20), AdversaryRecord(1, w)
+    ident, sharp = identity_record(20), AdversaryRecord(w)
     assert sharp.kl_estimate == pytest.approx(math.log(20))
     assert surviving_records([ident, sharp], math.log(10)) == [ident]
 
@@ -94,7 +94,7 @@ def test_robust_valid_loss_is_the_max_weighted_mean():
     losses = np.array([1.0, 2.0, 3.0, 4.0])
     recs = [
         identity_record(4),
-        AdversaryRecord(1, np.array([0.0, 0.0, 0.0, 4.0])),
+        AdversaryRecord(np.array([0.0, 0.0, 0.0, 4.0])),
     ]
     assert robust_valid_loss(losses, recs) == pytest.approx(4.0)
     with pytest.raises(ValueError):
@@ -106,7 +106,7 @@ def test_minmax_select_matches_brute_force(valid_set):
     checkpoints = random_checkpoints(5, seed=10)
     records = [identity_record(len(valid_set.rows))]
     for i in range(3):
-        records.append(make_record(i + 1, rng.uniform(0.1, 2.0, len(valid_set.rows))))
+        records.append(make_record(rng.uniform(0.1, 2.0, len(valid_set.rows))))
     idx, model = minmax_select(checkpoints, records, nll_rows(checkpoints, valid_set),
                                kl_threshold=10.0)
     scores = []
@@ -122,14 +122,14 @@ def test_minmax_select_matches_brute_force(valid_set):
 
 
 def test_minmax_select_requires_a_survivor(valid_set):
-    heavy = make_record(1, np.eye(len(valid_set.rows))[0])  # kl = log n
+    heavy = make_record(np.eye(len(valid_set.rows))[0])  # kl = log n
     checkpoints = random_checkpoints(2)
     with pytest.raises(ValueError):
         minmax_select(checkpoints, [heavy], nll_rows(checkpoints, valid_set), kl_threshold=0.1)
 
 
 def test_greedy_requires_a_survivor(valid_set):
-    heavy = make_record(1, np.eye(len(valid_set.rows))[0])  # kl = log n
+    heavy = make_record(np.eye(len(valid_set.rows))[0])  # kl = log n
     state = SelectionState(records=[identity_record(len(valid_set.rows))])
     model = random_checkpoints(1)[0]
     with pytest.raises(ValueError, match="no adversary record survived"):
@@ -153,7 +153,7 @@ def test_greedy_state_holds_at_most_one_snapshot(valid_set):
     checkpoints = random_checkpoints(6, seed=30)
     state = SelectionState(records=[identity_record(len(valid_set.rows))])
     for i, (ckpt, row) in enumerate(zip(checkpoints, nll_rows(checkpoints, valid_set))):
-        rec = make_record(i + 1, rng.uniform(0.5, 1.5, len(valid_set.rows)))
+        rec = make_record(rng.uniform(0.5, 1.5, len(valid_set.rows)))
         state = greedy_minmax_update(state, ckpt, i, rec, row)
         stored = [v for v in vars(state).values() if isinstance(v, ModelState)]
         assert len(stored) <= 1
@@ -171,7 +171,7 @@ def test_greedy_rescores_incumbent_when_new_records_arrive(valid_set):
     # a new adversary concentrated on hard examples raises the incumbent's worst case
     spike = np.full(n, 0.01)
     spike[np.argsort(rows[0])[-12:]] = 5.0
-    rec = make_record(1, spike)
+    rec = make_record(spike)
     assert rec.kl_estimate <= math.log(10)
     state = greedy_minmax_update(state, checkpoints[1], 1, rec, rows[1])
     chosen = checkpoints[state.best_model_id]
@@ -184,7 +184,7 @@ def test_hyperparam_select_single_run_reduces_to_minmax(valid_set):
     rng = np.random.default_rng(3)
     checkpoints = random_checkpoints(4, seed=50)
     records = [identity_record(len(valid_set.rows))]
-    records.append(make_record(1, rng.uniform(0.2, 1.8, len(valid_set.rows))))
+    records.append(make_record(rng.uniform(0.2, 1.8, len(valid_set.rows))))
     rows = nll_rows(checkpoints, valid_set)
     expected_idx, model = minmax_select(checkpoints, records, rows)
     assert hyperparam_select([(rows, records)]) == (0, expected_idx)
@@ -208,7 +208,7 @@ def test_hyperparam_select_pools_records_across_runs(valid_set):
     rng = np.random.default_rng(4)
     run_b = (
         random_checkpoints(2, seed=70),
-        [identity_record(n), make_record(1, rng.uniform(0.1, 3.0, n))],
+        [identity_record(n), make_record(rng.uniform(0.1, 3.0, n))],
     )
     run_idx, ckpt_idx = hyperparam_select(
         [(nll_rows(ckpts, valid_set), records) for ckpts, records in (run_a, run_b)])
