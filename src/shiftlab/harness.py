@@ -418,19 +418,38 @@ def save_model_bin(model: ModelState, path: str) -> None:
 
 
 def load_model_bin(path: str) -> ModelState:
-    """The model save_model_bin wrote; raises ValueError when the header's
-    dtype is not '<f8' or its layout or parameter count is not the one its
-    spec fixes."""
+    """The model save_model_bin wrote; raises ValueError naming the path when
+    the file ends inside its header, the header is not a JSON object with
+    every field save_model_bin writes, its dtype is not '<f8', the body is not
+    whole float64 values, or the spec, layout or parameter count is not valid."""
     with open(path, "rb") as fh:
-        (length,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(length).decode("utf-8"))
-        if header.get("dtype") != "<f8":
-            raise ValueError(f"{path}: dtype {header.get('dtype')!r} is not '<f8'")
-        params = np.frombuffer(fh.read(), dtype="<f8").copy()
-    model = ModelState(ModelSpec(**{f.name: header[f.name] for f in fields(ModelSpec)}), params)
-    if params.size != header["param_count"] or params.size != model.spec.param_count:
+        data = fh.read()
+    length = int.from_bytes(data[:4], "little")
+    if len(data) < 4 + length:
+        raise ValueError(f"{path}: file ends inside its header")
+    try:
+        header = json.loads(data[4:4 + length].decode("utf-8"))
+    except ValueError:  # a UnicodeDecodeError or a JSONDecodeError
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
+    if header.get("dtype") != "<f8":
+        raise ValueError(f"{path}: dtype {header.get('dtype')!r} is not '<f8'")
+    missing = [key for key in [f.name for f in fields(ModelSpec)] + ["layout", "param_count"]
+               if key not in header]
+    if missing:
+        raise ValueError(f"{path}: header lacks {', '.join(missing)}")
+    body = data[4 + length:]
+    if len(body) % 8:
+        raise ValueError(f"{path}: body of {len(body)} bytes is not whole float64 values")
+    try:
+        spec = ModelSpec(**{f.name: header[f.name] for f in fields(ModelSpec)})
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{path}: {err}") from None
+    model = ModelState(spec, np.frombuffer(body, dtype="<f8").copy())
+    if model.num_params != header["param_count"] or model.num_params != spec.param_count:
         raise ValueError(f"{path}: parameter count mismatch")
-    if {k: tuple(v) for k, v in header["layout"].items()} != model.layout:
+    if header["layout"] != {k: list(v) for k, v in model.layout.items()}:
         raise ValueError(f"{path}: header layout does not match its spec")
     return model
 

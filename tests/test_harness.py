@@ -325,10 +325,14 @@ def read_header(path):
         return json.loads(fh.read(length).decode("utf-8")), fh.read()
 
 
-def write_header(path, header, body):
+def encode(header, body):
     blob = json.dumps(header).encode("utf-8")
+    return struct.pack("<I", len(blob)) + blob + body
+
+
+def write_header(path, header, body):
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", len(blob)) + blob + body)
+        fh.write(encode(header, body))
 
 
 @settings(max_examples=60, deadline=None,
@@ -352,27 +356,72 @@ def test_model_bin_round_trip_is_bit_exact(tmp_path, spec, seed, specials):
         assert fh.read() == saved
 
 
+# each corruption maps a saved file's (header, body) to the corrupted file's bytes
+
+
 def swap_linear_slots(header, body):
     layout = header["layout"]
     layout["linear.weight"], layout["linear.bias"] = layout["linear.bias"], layout["linear.weight"]
-    return header, body
+    return encode(header, body)
 
 
 def claim_wrong_count(header, body):
-    return {**header, "param_count": header["param_count"] + 1}, body
+    return encode({**header, "param_count": header["param_count"] + 1}, body)
 
 
 def append_a_param(header, body):
     # the count agrees with the data but not with the spec
-    return {**header, "param_count": header["param_count"] + 1}, body + bytes(8)
+    return encode({**header, "param_count": header["param_count"] + 1}, body + bytes(8))
 
 
-@pytest.mark.parametrize("corrupt", [swap_linear_slots, claim_wrong_count, append_a_param])
+def cut_inside_the_length_prefix(header, body):
+    return encode(header, body)[:3]
+
+
+def cut_inside_the_header(header, body):
+    return encode(header, body)[:20]
+
+
+def garble_the_header(header, body):
+    data = bytearray(encode(header, body))
+    data[4] = ord("[")  # the header's opening brace
+    return bytes(data)
+
+
+def drop_the_layout(header, body):
+    return encode({k: v for k, v in header.items() if k != "layout"}, body)
+
+
+def drop_a_spec_field(header, body):
+    return encode({k: v for k, v in header.items() if k != "num_classes"}, body)
+
+
+def cut_inside_a_param(header, body):
+    return encode(header, body[:-3])
+
+
+# what load_model_bin says of each corrupted file, after its path
+CORRUPTIONS = {
+    swap_linear_slots: "header layout does not match its spec",
+    claim_wrong_count: "parameter count mismatch",
+    append_a_param: "parameter count mismatch",
+    cut_inside_the_length_prefix: "file ends inside its header",
+    cut_inside_the_header: "file ends inside its header",
+    garble_the_header: "header is not a JSON object",
+    drop_the_layout: "header lacks layout",
+    drop_a_spec_field: "header lacks num_classes",
+    cut_inside_a_param: "body of 61 bytes is not whole float64 values",
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPTIONS)
 def test_load_model_bin_rejects_a_header_its_spec_disagrees_with(tmp_path, corrupt):
     path = str(tmp_path / "model.bin")
     harness.save_model_bin(init_params(ModelSpec("linear", input_dim=3), seed=1), path)
-    write_header(path, *corrupt(*read_header(path)))
-    with pytest.raises(ValueError, match="layout|parameter count"):
+    data = corrupt(*read_header(path))
+    with open(path, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(ValueError, match=f"^{re.escape(path)}: {CORRUPTIONS[corrupt]}$"):
         harness.load_model_bin(path)
 
 
