@@ -240,9 +240,9 @@ def first_order_substitution(
     position_grads: np.ndarray,
     current_ids: Sequence[int],
     vectors: np.ndarray,
-    constraint: str = "none",
-    sign_normalize: bool = False,
-    k: int = 10,
+    constraint: str,
+    sign_normalize: bool,
+    k: int,
 ) -> Tuple[int, int]:
     """Best single-token substitution of one sequence, with one gradient per
     position: the one-row case of the split-wide search. Maximizes

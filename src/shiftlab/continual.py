@@ -37,8 +37,8 @@ class FisherState:
     """Damped diagonal Fisher with a rolling coefficient."""
 
     diag: np.ndarray
-    gamma: float = 0.9
-    alpha: float = 1.0
+    gamma: float
+    alpha: float
 
     def __post_init__(self):
         self.diag = np.asarray(self.diag, dtype=float)

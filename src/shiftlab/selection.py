@@ -83,7 +83,7 @@ def minmax_select(
     checkpoints: Sequence[ModelState],
     records: Sequence[AdversaryRecord],
     losses: Sequence[np.ndarray],
-    kl_threshold: float = KL_THRESHOLD_DEFAULT,
+    kl_threshold: float,
 ) -> Tuple[int, ModelState]:
     """Checkpoint minimizing the worst weighted validation loss.
 
@@ -114,7 +114,7 @@ def greedy_minmax_update(
     new_model_id: int,
     new_record: Optional[AdversaryRecord],
     new_losses: np.ndarray,
-    kl_threshold: float = KL_THRESHOLD_DEFAULT,
+    kl_threshold: float,
 ) -> SelectionState:
     """Fold one checkpoint into the greedy criterion.
 
@@ -147,7 +147,7 @@ def greedy_minmax_update(
 
 def hyperparam_select(
     runs: Sequence[Tuple[Sequence[np.ndarray], Sequence[AdversaryRecord]]],
-    kl_threshold: float = KL_THRESHOLD_DEFAULT,
+    kl_threshold: float,
 ) -> Tuple[int, int]:
     """Pick the best (run, checkpoint) against the pooled adversary records.
 

@@ -382,7 +382,8 @@ def test_preconditioning_residual():
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 200))
-        fisher = FisherState(rng.uniform(0, 10, size=n), alpha=float(rng.uniform(0.01, 5)))
+        fisher = FisherState(rng.uniform(0, 10, size=n), gamma=0.9,
+                             alpha=float(rng.uniform(0.01, 5)))
         grad = rng.standard_normal(n) * float(rng.uniform(0.1, 100))
         raw = conatural_delta_raw(grad, fisher)
         worst = max(worst, residual_check(grad, fisher, raw))
@@ -454,7 +455,8 @@ def test_substitution_matches_naive_argmax():
         grads = rng.standard_normal((n, dim))
         constraint = "knn" if trial % 2 else "none"
         k = min(5, vocab - 1)
-        got = first_order_substitution(grads, ids, vectors, constraint=constraint, k=k)
+        got = first_order_substitution(grads, ids, vectors, constraint=constraint,
+                                       sign_normalize=False, k=k)
         best = None
         for pos, tok in enumerate(ids):
             if constraint == "none":
@@ -519,7 +521,8 @@ def test_selection_filter_and_greedy_footprint():
     for i in range(6):
         ckpt = init_params(ModelSpec("linear", input_dim=2), seed=i)
         rec = make_record(rng.uniform(0.5, 1.5, n))
-        state = greedy_minmax_update(state, ckpt, i, rec, nll_loss_batch(ckpt, valid.rows))
+        state = greedy_minmax_update(state, ckpt, i, rec, nll_loss_batch(ckpt, valid.rows),
+                                     math.log(10))
         stored = sum(
             1 for v in vars(state).values()
             if hasattr(v, "params")

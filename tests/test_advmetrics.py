@@ -91,7 +91,7 @@ def naive_substitution(grads, current_ids, vectors, candidates_for, sign_normali
 def test_first_order_substitution_hand_case():
     vectors = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     grads = np.array([[1.0, 0.0]])
-    pos, tok = first_order_substitution(grads, [0], vectors)
+    pos, tok = first_order_substitution(grads, [0], vectors, "none", False, 10)
     assert (pos, tok) == (0, 1)  # moving along the gradient maximizes the score
 
 
@@ -104,7 +104,7 @@ def test_first_order_substitution_matches_oracle():
         vectors = rng.standard_normal((vocab, dim))
         ids = [int(i) for i in rng.integers(0, vocab, size=n)]
         grads = rng.standard_normal((n, dim))
-        got = first_order_substitution(grads, ids, vectors, constraint="none")
+        got = first_order_substitution(grads, ids, vectors, "none", False, 10)
         want = naive_substitution(
             grads, ids, vectors, lambda t: [i for i in range(vocab) if i != t]
         )
@@ -114,26 +114,26 @@ def test_first_order_substitution_matches_oracle():
 def test_first_order_substitution_constraints_and_errors():
     vectors = np.array([[0.0], [1.0], [2.0]])
     grads = np.ones((1, 1))
-    assert first_order_substitution(grads, [0], vectors, constraint="knn", k=1) == (0, 1)
+    assert first_order_substitution(grads, [0], vectors, "knn", False, 1) == (0, 1)
     with pytest.raises(NoCandidateError):  # a one-token vocabulary has no substitute
-        first_order_substitution(grads, [0], vectors[:1])
+        first_order_substitution(grads, [0], vectors[:1], "none", False, 10)
     with pytest.raises(NoCandidateError):  # every candidate scores -inf
-        first_order_substitution(-np.inf * grads, [0], vectors)
+        first_order_substitution(-np.inf * grads, [0], vectors, "none", False, 10)
     with pytest.raises(ValueError):
-        first_order_substitution(grads, [0], vectors, constraint="mystery")
+        first_order_substitution(grads, [0], vectors, "mystery", False, 10)
     with pytest.raises(ValueError):
-        first_order_substitution(np.ones((2, 1)), [0], vectors)
+        first_order_substitution(np.ones((2, 1)), [0], vectors, "none", False, 10)
 
 
 def test_sign_normalization_changes_the_ranking():
     vectors = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 1.0]])
     grads = np.array([[0.1, 0.9]])
-    assert first_order_substitution(grads, [0], vectors) == (0, 1)
-    assert first_order_substitution(grads, [0], vectors, sign_normalize=True) == (0, 1)
+    assert first_order_substitution(grads, [0], vectors, "none", False, 10) == (0, 1)
+    assert first_order_substitution(grads, [0], vectors, "none", True, 10) == (0, 1)
     grads = np.array([[0.05, 0.9]])
     # raw scores favor the long vector; signed gradients favor the aligned one
-    assert first_order_substitution(grads, [0], vectors) == (0, 2)
-    assert first_order_substitution(grads, [0], vectors, sign_normalize=True) == (0, 1)
+    assert first_order_substitution(grads, [0], vectors, "none", False, 10) == (0, 2)
+    assert first_order_substitution(grads, [0], vectors, "none", True, 10) == (0, 1)
 
 
 def test_attack_example_changes_exactly_one_position():
@@ -161,7 +161,7 @@ def test_neighbour_table_equals_knn_candidates(vocab, dim, seed, data):
             assert rows[t].tolist() == knn_candidates(t, vectors, k)
     ids = [int(i) for i in rng.integers(0, vocab, size=3)]
     grads = rng.standard_normal((3, dim))
-    got = first_order_substitution(grads, ids, vectors, constraint="knn", k=ks[0])
+    got = first_order_substitution(grads, ids, vectors, "knn", False, ks[0])
     assert got == naive_substitution(grads, ids, vectors, lambda t: knn_candidates(t, vectors, ks[0]))
 
 
@@ -176,7 +176,7 @@ def test_attack_leaves_the_model_parameters_alone(tmp_path):
         assert model.params.tobytes() == before
         with pytest.raises(ValueError, match="token_id out of range"):
             first_order_substitution(np.ones((1, 8)), [32], model.slot("embedding.weight"),
-                                     constraint=constraint, k=1)
+                                     constraint, False, 1)
 
 
 # -- batched chrF against the per-pair Counter version it replaced ------------

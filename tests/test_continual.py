@@ -43,11 +43,11 @@ def cosine(a, b):
 
 def test_fisher_state_validation():
     with pytest.raises(ValueError):
-        FisherState(np.array([-1.0, 1.0]))
+        FisherState(np.array([-1.0, 1.0]), gamma=0.9, alpha=1.0)
     with pytest.raises(ValueError):
-        FisherState(np.ones(2), gamma=0.0)
+        FisherState(np.ones(2), gamma=0.0, alpha=1.0)
     with pytest.raises(ValueError):
-        FisherState(np.ones(2), alpha=-1.0)
+        FisherState(np.ones(2), gamma=0.9, alpha=-1.0)
 
 
 @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5])
@@ -65,7 +65,7 @@ def test_initial_fisher_accounts_for_damping_once():
 
 def test_conatural_delta_worked_example():
     # diag (2, 0), damping 1: raw solve (1, 3), rescaled to the gradient norm
-    fisher = FisherState(np.array([2.0, 0.0]), alpha=1.0)
+    fisher = FisherState(np.array([2.0, 0.0]), gamma=0.9, alpha=1.0)
     grad = np.array([3.0, 3.0])
     raw = conatural_delta_raw(grad, fisher)
     assert raw == pytest.approx([1.0, 3.0], abs=1e-9)
@@ -77,12 +77,12 @@ def test_conatural_delta_worked_example():
 
 
 def test_conatural_delta_edge_cases():
-    fisher = FisherState(np.zeros(2), alpha=1.0)
+    fisher = FisherState(np.zeros(2), gamma=0.9, alpha=1.0)
     grad = np.array([1.0, -2.0])
     # isotropic preconditioner: direction is exactly the plain gradient
     assert cosine(conatural_delta(grad, fisher, 0.1), -grad) == pytest.approx(1.0)
     assert np.allclose(conatural_delta(np.zeros(2), fisher, 0.1), 0.0)
-    inf_fisher = FisherState(np.array([5.0, 1.0]), alpha=math.inf)
+    inf_fisher = FisherState(np.array([5.0, 1.0]), gamma=0.9, alpha=math.inf)
     assert np.allclose(conatural_delta(grad, inf_fisher, 0.3), -0.3 * grad)
     with pytest.raises(ValueError):
         conatural_delta(grad, fisher, lr=0.0)
@@ -91,14 +91,14 @@ def test_conatural_delta_edge_cases():
 
 
 def test_conatural_limit_of_large_damping_is_plain_gradient():
-    fisher_small = FisherState(np.array([5.0, 1.0, 0.2]), alpha=1e8)
+    fisher_small = FisherState(np.array([5.0, 1.0, 0.2]), gamma=0.9, alpha=1e8)
     grad = np.array([1.0, -1.0, 2.0])
     assert cosine(conatural_delta(grad, fisher_small, 1.0), -grad) > 1 - 1e-8
 
 
 def test_residual_check_near_zero_for_exact_solve():
     rng = np.random.default_rng(0)
-    fisher = FisherState(rng.uniform(0, 5, 10), alpha=0.5)
+    fisher = FisherState(rng.uniform(0, 5, 10), gamma=0.9, alpha=0.5)
     grad = rng.standard_normal(10)
     raw = conatural_delta_raw(grad, fisher)
     assert residual_check(grad, fisher, raw) < 1e-10
@@ -106,7 +106,7 @@ def test_residual_check_near_zero_for_exact_solve():
 
 
 def test_rolling_fisher_is_an_ema():
-    fisher = FisherState(np.array([1.0, 2.0]), gamma=0.9)
+    fisher = FisherState(np.array([1.0, 2.0]), gamma=0.9, alpha=1.0)
     updated = rolling_fisher_update(fisher, np.array([11.0, 12.0]))
     assert np.allclose(updated.diag, 0.9 * np.array([11.0, 12.0]) + 0.1 * np.array([1.0, 2.0]))
     with pytest.raises(ValueError):

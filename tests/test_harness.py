@@ -591,7 +591,8 @@ def test_a_diverged_sweep_point_does_not_move_the_selected_flag(tmp_path):
     report = harness.cmd_sweep({**cfg, "sweep.lr": f"{DIVERGES['lr']},0.1,0.05"}, 0, str(tmp_path / "s"))
     shared = harness.build_datasets(harness.resolved(cfg), 0)
     runs = [harness.train_run({**cfg, "lr": lr}, 0, datasets=shared) for lr in (0.1, 0.05)]
-    run, ckpt = selection.hyperparam_select([(r.valid_losses, r.records) for r in runs])
+    run, ckpt = selection.hyperparam_select([(r.valid_losses, r.records) for r in runs],
+                                            selection.KL_THRESHOLD_DEFAULT)
     assert [(r["point"], r["chosen_checkpoint"]) for r in report if r["selected"]] == [(run + 1, ckpt)]
     rows = _metrics_csv_rows(tmp_path / "s" / "metrics.csv")
     assert [row["point"] for row in rows if row["selected"] == "True"] == [str(run + 1)]

@@ -6,6 +6,7 @@ import pytest
 from shiftlab.datasets import TwoDomainSpec, gen_two_domain_gaussian
 from shiftlab.diffcore import ModelSpec, ModelState, init_params, nll_loss_batch
 from shiftlab.selection import (
+    KL_THRESHOLD_DEFAULT,
     AdversaryRecord,
     SelectionState,
     adversary_valid_kl,
@@ -116,9 +117,9 @@ def test_minmax_select_matches_brute_force(valid_set):
     assert idx == int(np.argmin(scores))
     assert model is checkpoints[idx]
     with pytest.raises(ValueError):
-        minmax_select([], records, [])
+        minmax_select([], records, [], KL_THRESHOLD_DEFAULT)
     with pytest.raises(ValueError, match="4 loss rows for 5 checkpoints"):
-        minmax_select(checkpoints, records, nll_rows(checkpoints[1:], valid_set))
+        minmax_select(checkpoints, records, nll_rows(checkpoints[1:], valid_set), KL_THRESHOLD_DEFAULT)
 
 
 def test_minmax_select_requires_a_survivor(valid_set):
@@ -141,7 +142,7 @@ def test_greedy_without_adversaries_matches_plain_validation(valid_set):
     checkpoints = random_checkpoints(4, seed=20)
     state = SelectionState(records=[identity_record(len(valid_set.rows))])
     for i, (ckpt, row) in enumerate(zip(checkpoints, nll_rows(checkpoints, valid_set))):
-        state = greedy_minmax_update(state, ckpt, i, None, row)
+        state = greedy_minmax_update(state, ckpt, i, None, row, KL_THRESHOLD_DEFAULT)
     mean_losses = [
         float(nll_loss_batch(c, valid_set.rows).mean()) for c in checkpoints
     ]
@@ -154,7 +155,7 @@ def test_greedy_state_holds_at_most_one_snapshot(valid_set):
     state = SelectionState(records=[identity_record(len(valid_set.rows))])
     for i, (ckpt, row) in enumerate(zip(checkpoints, nll_rows(checkpoints, valid_set))):
         rec = make_record(rng.uniform(0.5, 1.5, len(valid_set.rows)))
-        state = greedy_minmax_update(state, ckpt, i, rec, row)
+        state = greedy_minmax_update(state, ckpt, i, rec, row, KL_THRESHOLD_DEFAULT)
         stored = [v for v in vars(state).values() if isinstance(v, ModelState)]
         assert len(stored) <= 1
         assert not any(isinstance(r, ModelState) for r in state.records)
@@ -167,13 +168,13 @@ def test_greedy_rescores_incumbent_when_new_records_arrive(valid_set):
     checkpoints = random_checkpoints(2, seed=40)
     rows = nll_rows(checkpoints, valid_set)
     state = SelectionState(records=[identity_record(n)])
-    state = greedy_minmax_update(state, checkpoints[0], 0, None, rows[0])
+    state = greedy_minmax_update(state, checkpoints[0], 0, None, rows[0], KL_THRESHOLD_DEFAULT)
     # a new adversary concentrated on hard examples raises the incumbent's worst case
     spike = np.full(n, 0.01)
     spike[np.argsort(rows[0])[-12:]] = 5.0
     rec = make_record(spike)
     assert rec.kl_estimate <= math.log(10)
-    state = greedy_minmax_update(state, checkpoints[1], 1, rec, rows[1])
+    state = greedy_minmax_update(state, checkpoints[1], 1, rec, rows[1], KL_THRESHOLD_DEFAULT)
     chosen = checkpoints[state.best_model_id]
     chosen_losses = nll_loss_batch(chosen, valid_set.rows)
     kept = surviving_records(state.records, math.log(10))
@@ -186,18 +187,18 @@ def test_hyperparam_select_single_run_reduces_to_minmax(valid_set):
     records = [identity_record(len(valid_set.rows))]
     records.append(make_record(rng.uniform(0.2, 1.8, len(valid_set.rows))))
     rows = nll_rows(checkpoints, valid_set)
-    expected_idx, model = minmax_select(checkpoints, records, rows)
-    assert hyperparam_select([(rows, records)]) == (0, expected_idx)
+    expected_idx, model = minmax_select(checkpoints, records, rows, KL_THRESHOLD_DEFAULT)
+    assert hyperparam_select([(rows, records)], KL_THRESHOLD_DEFAULT) == (0, expected_idx)
     assert model is checkpoints[expected_idx]
     with pytest.raises(ValueError):
-        hyperparam_select([])
+        hyperparam_select([], KL_THRESHOLD_DEFAULT)
 
 
 def test_selection_without_a_checkpoint_raises_a_value_error(valid_set):
     records = [identity_record(len(valid_set.rows))]
-    for select in (lambda: hyperparam_select([([], records)]),
-                   lambda: hyperparam_select([([], records), ([], records)]),
-                   lambda: minmax_select([], records, [])):
+    for select in (lambda: hyperparam_select([([], records)], KL_THRESHOLD_DEFAULT),
+                   lambda: hyperparam_select([([], records), ([], records)], KL_THRESHOLD_DEFAULT),
+                   lambda: minmax_select([], records, [], KL_THRESHOLD_DEFAULT)):
         with pytest.raises(ValueError, match="at least one checkpoint required"):
             select()
 
@@ -211,7 +212,8 @@ def test_hyperparam_select_pools_records_across_runs(valid_set):
         [identity_record(n), make_record(rng.uniform(0.1, 3.0, n))],
     )
     run_idx, ckpt_idx = hyperparam_select(
-        [(nll_rows(ckpts, valid_set), records) for ckpts, records in (run_a, run_b)])
+        [(nll_rows(ckpts, valid_set), records) for ckpts, records in (run_a, run_b)],
+        KL_THRESHOLD_DEFAULT)
     pooled = run_a[1] + run_b[1]
     best = None
     for ri, (ckpts, _) in enumerate([run_a, run_b]):
