@@ -48,6 +48,18 @@ METHODS = ("erm", "nonparam", "group_dro", "pdro", "rpdro")
 # which report skips
 REPORT_RUNS = tuple(f"train-{data}-{method}" for data in ("two_domain", "distractor")
                     for method in METHODS)
+# the text of the --config file each run named here reads; every other run
+# reads an empty file. README's minimal run.cfg, with a comment line, a
+# trailing comment and a blank line, runs parse_config's per-line rules.
+CONFIGS = {
+    "train-readme-cfg": ("# README's minimal run.cfg\n"
+                         "dataset = distractor\n"
+                         "method = nonparam  # the tilted-loss adversary\n"
+                         "kappa = 0.1\n"
+                         "\n"
+                         "lr = 0.05\n"
+                         "epochs = 8\n"),
+}
 
 
 def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
@@ -80,6 +92,7 @@ def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
                                            "adv_steps=3"), 0),
         ("train", "train-rpdro-last", (*TWO_DOMAIN, "method=rpdro", "selection=last"), 4),
         ("train", "train-rpdro-greedy", (*TWO_DOMAIN, "method=rpdro", "selection=greedy"), 0),
+        ("train", "train-readme-cfg", (), 0),
     ]
     for data in CSV_SETS:
         for method in ("erm", "nonparam", "rpdro"):
@@ -117,13 +130,15 @@ def _sha256(path: Path) -> str:
 
 def fingerprint(work: Path) -> Dict[str, dict]:
     """Run every command under `work` and return its fingerprint."""
-    config = work / "empty.cfg"
-    config.write_text("")
+    configs = {name: work / f"{name}.cfg" for name in ("empty", *CONFIGS)}
+    for name, path in configs.items():
+        path.write_text(CONFIGS.get(name, ""))
     runs = {}
     cwd = os.getcwd()
     os.chdir(work)  # relative paths keep the scratch location out of the outputs
     try:
         for command, name, overrides, seed in commands():
+            config = configs[name if name in CONFIGS else "empty"]
             argv = [command, "--config", config.name, "--seed", str(seed), "--out", name]
             for item in overrides:
                 argv += ["--set", item]
@@ -136,7 +151,7 @@ def fingerprint(work: Path) -> Dict[str, dict]:
     finally:
         os.chdir(cwd)
     files = {path.relative_to(work).as_posix(): _sha256(path)
-             for path in sorted(work.rglob("*")) if path.is_file() and path != config}
+             for path in sorted(work.rglob("*")) if path.is_file() and path not in configs.values()}
     cpu = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
     return {"commands": runs, "cpu": cpu, "files": files}
 
