@@ -429,21 +429,21 @@ def load_model_bin(path: str) -> ModelState:
         raise ValueError(f"{path}: file ends inside its header")
     try:
         header = json.loads(data[4:4 + length].decode("utf-8"))
-    except ValueError:  # a UnicodeDecodeError or a JSONDecodeError
+    except (ValueError, RecursionError):  # not UTF-8, not JSON, or nested past the parser's depth
         header = None
     if not isinstance(header, dict):
         raise ValueError(f"{path}: header is not a JSON object")
     if header.get("dtype") != "<f8":
         raise ValueError(f"{path}: dtype {header.get('dtype')!r} is not '<f8'")
-    missing = [key for key in [f.name for f in fields(ModelSpec)] + ["layout", "param_count"]
-               if key not in header]
+    spec_keys = [f.name for f in fields(ModelSpec)]
+    missing = [key for key in (*spec_keys, "layout", "param_count") if key not in header]
     if missing:
         raise ValueError(f"{path}: header lacks {', '.join(missing)}")
     body = data[4 + length:]
     if len(body) % 8:
         raise ValueError(f"{path}: body of {len(body)} bytes is not whole float64 values")
     try:
-        spec = ModelSpec(**{f.name: header[f.name] for f in fields(ModelSpec)})
+        spec = ModelSpec(**{key: header[key] for key in spec_keys})
     except (TypeError, ValueError) as err:
         raise ValueError(f"{path}: {err}") from None
     model = ModelState(spec, np.frombuffer(body, dtype="<f8").copy())

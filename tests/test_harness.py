@@ -388,6 +388,11 @@ def garble_the_header(header, body):
     return bytes(data)
 
 
+def nest_the_header_too_deep(header, body):
+    blob = b"[" * 100_000
+    return struct.pack("<I", len(blob)) + blob + body
+
+
 def drop_the_layout(header, body):
     return encode({k: v for k, v in header.items() if k != "layout"}, body)
 
@@ -408,6 +413,7 @@ CORRUPTIONS = {
     cut_inside_the_length_prefix: "file ends inside its header",
     cut_inside_the_header: "file ends inside its header",
     garble_the_header: "header is not a JSON object",
+    nest_the_header_too_deep: "header is not a JSON object",
     drop_the_layout: "header lacks layout",
     drop_a_spec_field: "header lacks num_classes",
     cut_inside_a_param: "body of 61 bytes is not whole float64 values",
