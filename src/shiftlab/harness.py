@@ -563,8 +563,8 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
         model = train_run(cfg, seed, datasets=splits).model
     names = [f"tok{i}" for i in range(model.spec.vocab_size)]
     rows = test.rows.take(np.arange(n))
-    adv = advmetrics.attack_rows(model, rows, model.slot("embedding.weight"), cfg["attack.constraint"],
-                                 cfg["attack.sign_normalize"], k, steps)
+    adv = advmetrics.attack_rows(model, rows, model.slot("embedding.weight"),
+                                 cfg["attack.constraint"], cfg["attack.sign_normalize"], k, steps)
     bounds = list(zip(rows.offsets[:-1].tolist(), rows.offsets[1:].tolist()))
     src_words, adv_words = (np.array(names, dtype=object)[r.tokens].tolist() for r in (rows, adv))
     s_src = advmetrics.chrf_batch([" ".join(src_words[a:b]) for a, b in bounds],
