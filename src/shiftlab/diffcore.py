@@ -252,12 +252,17 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return np.exp(_log_softmax(logits))
 
 
+def nll_state(model: ModelState, batch: Packed):
+    """The forward state of a batch that weighted_grad backprops."""
+    logits, state = _forward_batch(model, batch)
+    state.update(log_probs=_log_softmax(logits), rows=batch_constants(len(batch))[0])
+    return state
+
+
 def nll_forward(model: ModelState, batch: Packed):
     """Per-example nll of a batch plus the forward state weighted_grad backprops."""
-    logits, state = _forward_batch(model, batch)
-    state["log_probs"] = log_probs = _log_softmax(logits)
-    state["rows"] = rows = batch_constants(len(batch))[0]
-    return -log_probs[rows, batch.labels], state
+    state = nll_state(model, batch)
+    return -state["log_probs"][state["rows"], batch.labels], state
 
 
 def weighted_grad(model: ModelState, state, weights: np.ndarray) -> np.ndarray:
@@ -303,7 +308,7 @@ def logit_losses(logits: np.ndarray, labels: np.ndarray) -> Dict[str, np.ndarray
 
 def grad_params(model: ModelState, batch: Packed, weights: np.ndarray) -> np.ndarray:
     """Gradient of sum_i weights[i] * nll(x_i, y_i) wrt the flat params."""
-    return weighted_grad(model, nll_forward(model, batch)[1], weights)
+    return weighted_grad(model, nll_state(model, batch), weights)
 
 
 def finite_diff_check(model: ModelState, batch: Packed) -> float:

@@ -20,6 +20,7 @@ from .diffcore import (
     batch_constants,
     init_params,
     nll_forward,
+    nll_state,
     softmax,
     weighted_grad,
     _forward_batch,
@@ -402,14 +403,13 @@ def simultaneous_step(
     the batch, each with refreshed scores. The step leaves the model and
     adversary it is given alone and updates the normalizer in place.
     """
-    # one forward: the weights come from these losses, the gradient from its state
-    losses, state = nll_forward(model, batch)
     n = len(batch)
     new_adv, new_norm = adversary, normalizer
-
-    if config.method == "erm":
-        weights = batch_constants(n)[1]
-    elif config.method == "nonparam":
+    if config.method == "erm":  # uniform weights: the step needs no loss row
+        state, weights = nll_state(model, batch), batch_constants(n)[1]
+    else:  # one forward: the weights come from these losses, the gradient from its state
+        losses, state = nll_forward(model, batch)
+    if config.method == "nonparam":
         weights, _ = nonparam_weights(losses, config.kappa)
     elif config.method == "group_dro":
         counts = np.bincount(batch.groups, minlength=len(adversary))
@@ -433,7 +433,7 @@ def simultaneous_step(
                 new_adv = pdro_adv_step_bare(new_adv, batch, centered, losses, config.adv_lr)
             if config.project:
                 new_adv = gaussian_kl_project(new_adv, config.kappa)
-    else:
+    elif config.method == "rpdro":
         # the first pass scores the pre-update adversary for both players; each
         # pass takes f and its gradient from one scorer forward
         for step in range(config.adv_steps):

@@ -422,6 +422,22 @@ def test_simultaneous_step_erm_takes_the_shared_weighted_step(monkeypatch):
     assert grads == [[1.0 / 16] * 16]
 
 
+def test_the_erm_step_and_grad_params_build_no_loss_row(monkeypatch):
+    model = init_params(ModelSpec("linear", input_dim=2), seed=7)
+    batch = dense_batch(np.random.default_rng(7), 16)
+    step = simultaneous_step(model, None, batch, DroConfig(method="erm", lr=0.3))[0]
+    grad = grad_params(model, batch, np.full(16, 0.5))
+
+    def no_losses(*args):
+        raise AssertionError("nll_forward ran")
+
+    monkeypatch.setattr(dro, "nll_forward", no_losses)
+    monkeypatch.setattr(diffcore, "nll_forward", no_losses)
+    assert np.array_equal(simultaneous_step(model, None, batch, DroConfig(method="erm", lr=0.3))[0]
+                          .params, step.params)
+    assert np.array_equal(grad_params(model, batch, np.full(16, 0.5)), grad)
+
+
 def test_simultaneous_step_nonparam_descends_the_worst_case_weights():
     model = init_params(ModelSpec("linear", input_dim=2), seed=8)
     batch = dense_batch(np.random.default_rng(8), 16)
