@@ -120,9 +120,11 @@ def greedy_minmax_update(
 
     Appends the new adversary record, then keeps the new model only if its
     worst weighted loss over all surviving records improves strictly on the
-    stored best. Only the candidate and the incumbent exist at once. The new
-    model's validation loss row is `new_losses`; the incumbent's is kept in
-    the state. Raises ValueError when no record survives the KL filter.
+    stored best. Only the candidate and the incumbent exist at once. The state
+    keeps the incumbent by reference, not as a copy: the caller must not
+    mutate a model it has passed in. The new model's validation loss row is
+    `new_losses`; the incumbent's is kept in the state. Raises ValueError when
+    no record survives the KL filter.
     """
     records = list(state.records)
     if new_record is not None:
@@ -139,7 +141,7 @@ def greedy_minmax_update(
         out.best_value = robust_valid_loss(out.best_losses, kept)
     if out.best_model_snapshot is None or value < out.best_value:
         out.best_model_id = new_model_id
-        out.best_model_snapshot = new_model.copy()
+        out.best_model_snapshot = new_model
         out.best_value = value
         out.best_losses = new_losses
     return out
