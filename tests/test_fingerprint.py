@@ -2,6 +2,11 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
+from shiftlab import harness
+from shiftlab.diffcore import ModelSpec, init_params
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 _spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
 fingerprint = importlib.util.module_from_spec(_spec)
@@ -43,3 +48,39 @@ def test_the_commands_reproduce_the_committed_fingerprint(tmp_path):
     kernels = "" if committed.get("cpu") == result["cpu"] else (
         f"made on numpy SIMD kernels {committed.get('cpu')}, run on {result['cpu']}")
     assert fingerprint.differences(committed, result) == [], kernels
+
+
+def test_diff_reports_a_one_ulp_parameter_by_size_and_a_checkpoint_choice_as_discrete(tmp_path):
+    model = init_params(ModelSpec("linear", input_dim=2), seed=0)
+    moved = model.copy()
+    moved.params[3] = np.nextafter(moved.params[3], np.inf)
+    ulp = moved.params[3] - model.params[3]
+    for side, params, chosen in (("old", model, 2), ("new", moved, 4)):
+        run = tmp_path / side / "train-x"
+        run.mkdir(parents=True)
+        harness.save_model_bin(params, str(run / "model.bin"))
+        (run / "run.jsonl").write_text(
+            json.dumps({"step": 5, "loss": 0.25, "average_acc": 0.75}) + "\n"
+            + json.dumps({"final": True, "chosen_checkpoint": chosen, "test_average_acc": 0.5}) + "\n")
+        (run / "metrics.csv").write_text("split,metric,value\ntest,average_accuracy,0.5\n")
+        (tmp_path / side / "fingerprint.json").write_text(
+            json.dumps({"commands": {"train-x": {"exit": 0, "stderr": ""}}}))
+    lines = fingerprint.diff_dirs(tmp_path / "old", tmp_path / "new")
+    assert lines == [
+        "differs file: train-x/model.bin",
+        f"  linear.weight: max abs {ulp:.3g}, max rel {ulp / abs(model.params[3]):.3g} (1 of 4 values)",
+        "differs file: train-x/run.jsonl",
+        "  discrete chosen_checkpoint [1]: 2 -> 4",
+        "2 of 3 files differ; discrete changes: 1; accuracy moved: no",
+    ]
+    assert fingerprint.diff_dirs(tmp_path / "old", tmp_path / "old") == []
+    # a long-format row names its accuracy in a text cell; a command's exit is discrete
+    (tmp_path / "new" / "train-x" / "metrics.csv").write_text(
+        "split,metric,value\ntest,average_accuracy,0.625\n")
+    (tmp_path / "new" / "fingerprint.json").write_text(
+        json.dumps({"commands": {"train-x": {"exit": 1, "stderr": "shiftlab: error: x"}}}))
+    lines = fingerprint.diff_dirs(tmp_path / "old", tmp_path / "new")
+    assert lines[:3] == ["differs commands:", "  exit code of train-x: 0 -> 1",
+                         "  error line of train-x: '' -> 'shiftlab: error: x'"]
+    assert "  value: max abs 0.125, max rel 0.25 (1 of 1 values)" in lines
+    assert lines[-1] == "3 of 3 files differ; discrete changes: 3; accuracy moved: yes"

@@ -9,29 +9,41 @@ differently on each.
 
     python tools/fingerprint.py --out fingerprint.json
     python tools/fingerprint.py --against tools/fingerprint.json
+    python tools/fingerprint.py --keep old/   (on one tree, then new/ on another)
+    python tools/fingerprint.py --diff old/ new/
 
 With `--against FILE` it names every file whose hash differs, is missing or
 is new, and every command whose exit code or error line differs, and exits 1
-if there is any. The `shiftlab` package is imported from this tree's `src/`.
+if there is any. With `--keep DIR` the commands run in DIR, a new or empty
+directory, which keeps their outputs and the fingerprint as
+DIR/fingerprint.json. `--diff OLD_DIR NEW_DIR` runs nothing: it compares two
+kept runs by what moved and by how much. Per differing file it gives the max
+absolute and relative change of each numeric column (each CSV and JSONL
+field, each model.bin parameter slot) and every changed discrete field (a
+non-numeric value, `chosen_checkpoint`, `selected`, a command's exit code or
+error line), then says whether any accuracy moved; it exits 1 if anything
+differs. The `shiftlab` package is imported from this tree's `src/`.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from numpy._core import _multiarray_umath as umath
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from shiftlab import cli  # noqa: E402
+from shiftlab import cli, harness  # noqa: E402
 
 # small sizes keep the whole list to well under a minute
 TWO_DOMAIN = ("dataset=two_domain", "data.total_points=4000", "epochs=6")
@@ -171,13 +183,156 @@ def differences(old: Dict[str, dict], new: Dict[str, dict]) -> List[str]:
     return lines
 
 
+# numeric-looking fields that name a choice: any change to one is discrete
+DISCRETE = ("chosen_checkpoint", "selected")
+
+
+def _flat(obj, prefix: str = "") -> dict:
+    """A JSON value's leaves by dotted path: {"a": {"b": [1]}} gives {"a.b.0": 1}."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    out = {}
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            out.update(_flat(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def _columns(path: Path) -> Optional[Dict[str, list]]:
+    """An output file as {column: values}: each CSV or JSONL field over its
+    rows (a JSON file is one row), or each model.bin parameter slot over its
+    values plus the spec; None for any other file."""
+    if path.name == "model.bin":
+        model = harness.load_model_bin(str(path))
+        return {"spec": [repr(model.spec)],
+                **{name: model.slot(name).ravel().tolist() for name in model.layout}}
+    if path.suffix == ".csv":
+        rows = list(csv.DictReader(io.StringIO(path.read_text())))
+    elif path.suffix in (".jsonl", ".json"):
+        text = path.read_text()
+        rows = [_flat(json.loads(line))
+                for line in (text.splitlines() if path.suffix == ".jsonl" else [text])]
+    else:
+        return None
+    columns: Dict[str, list] = {}
+    for i, row in enumerate(rows):
+        for key, value in row.items():
+            columns.setdefault(key, [None] * len(rows))[i] = value
+    return columns
+
+
+def _number(value) -> Optional[float]:
+    """A finite or infinite float for a number or a numeric CSV cell; None otherwise."""
+    if isinstance(value, bool) or value is None:
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _file_changes(name: str, old: Dict[str, list], new: Dict[str, list]):
+    """(numeric change lines, discrete change lines, whether an accuracy moved)
+    of one parsed file against its old version."""
+    numeric, discrete, acc_moved = [], [], False
+    for column in sorted(old.keys() | new.keys()):
+        a, b = old.get(column), new.get(column)
+        if a is None or b is None or len(a) != len(b):
+            discrete.append(f"{column}: {len(a or ())} -> {len(b or ())} values")
+            continue
+        worst_abs = worst_rel = 0.0
+        moved = 0
+        for i, (x, y) in enumerate(zip(a, b)):
+            fx, fy = _number(x), _number(y)
+            if x == y or (fx is not None and fy is not None
+                          and (fx == fy or math.isnan(fx) and math.isnan(fy))):
+                continue
+            if column in DISCRETE or fx is None or fy is None or not math.isfinite(fx - fy):
+                discrete.append(f"{column} [{i}]: {x!r} -> {y!r}")
+                continue
+            moved += 1
+            worst_abs = max(worst_abs, abs(fx - fy))
+            worst_rel = max(worst_rel, abs(fx - fy) / abs(fx) if fx else math.inf)
+            # a long-format row names its metric in a text cell
+            labels = [str(col[i]) for col in new.values() if i < len(col) and _number(col[i]) is None]
+            acc_moved |= any("acc" in text for text in (name, column, *labels))
+        if moved:
+            numeric.append(f"{column}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g} "
+                           f"({moved} of {len(a)} values)")
+    return numeric, discrete, acc_moved
+
+
+def diff_dirs(old_dir: Path, new_dir: Path) -> List[str]:
+    """What moved between two `--keep` directories, and by how much: one
+    line per differing file and per change in it, then a summary."""
+    def outputs(root: Path) -> Dict[str, Path]:
+        # the fingerprint JSON and the config files sit at the top, the outputs below
+        return {path.relative_to(root).as_posix(): path
+                for path in sorted(root.rglob("*")) if path.is_file() and path.parent != root}
+
+    def commands(root: Path) -> Dict[str, dict]:
+        return json.loads((root / "fingerprint.json").read_text())["commands"]
+
+    lines, changed, acc_moved = [], 0, False
+    old_cmds, new_cmds = commands(old_dir), commands(new_dir)
+    discrete = []
+    for name in sorted(old_cmds.keys() | new_cmds.keys()):
+        a, b = old_cmds.get(name, {}), new_cmds.get(name, {})
+        for field, label in (("exit", "exit code"), ("stderr", "error line")):
+            if a.get(field) != b.get(field):
+                discrete.append(f"  {label} of {name}: {a.get(field)!r} -> {b.get(field)!r}")
+    if discrete:
+        lines += ["differs commands:", *discrete]
+    old_files, new_files = outputs(old_dir), outputs(new_dir)
+    for name in sorted(old_files.keys() | new_files.keys()):
+        if name not in new_files or name not in old_files:
+            lines.append(f"{'missing' if name in old_files else 'new'} file: {name}")
+            changed += 1
+            continue
+        if old_files[name].read_bytes() == new_files[name].read_bytes():
+            continue
+        changed += 1
+        lines.append(f"differs file: {name}")
+        a, b = _columns(old_files[name]), _columns(new_files[name])
+        if a is None or b is None:
+            lines.append("  bytes differ (not a parsed format)")
+            continue
+        numeric, file_discrete, moved = _file_changes(name, a, b)
+        lines += [f"  {line}" for line in numeric]
+        lines += [f"  discrete {line}" for line in file_discrete]
+        discrete += file_discrete
+        acc_moved |= moved
+    if not lines:
+        return []
+    return lines + [f"{changed} of {len(old_files.keys() | new_files.keys())} files differ; "
+                    f"discrete changes: {len(discrete)}; "
+                    f"accuracy moved: {'yes' if acc_moved else 'no'}"]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the fingerprint JSON here")
     parser.add_argument("--against", help="compare with this fingerprint JSON")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="run in DIR, a new or empty directory, and keep the outputs there")
+    parser.add_argument("--diff", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
+                        help="compare the outputs of two --keep runs; runs no command")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory(prefix="fingerprint-") as work:
+    if args.diff:
+        lines = diff_dirs(Path(args.diff[0]), Path(args.diff[1]))
+        print("\n".join(lines) if lines else "no differences")
+        return 1 if lines else 0
+    if args.keep:
+        keep = Path(args.keep).resolve()
+        keep.mkdir(parents=True, exist_ok=True)
+        if any(keep.iterdir()):
+            parser.error(f"--keep {args.keep} is not empty")
+    with contextlib.nullcontext(keep) if args.keep else \
+            tempfile.TemporaryDirectory(prefix="fingerprint-") as work:
         result = fingerprint(Path(work).resolve())
+    if args.keep:
+        (keep / "fingerprint.json").write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     if args.out:
         Path(args.out).write_text(json.dumps(result, indent=1, sort_keys=True) + "\n")
     print(f"{len(result['commands'])} commands, {len(result['files'])} files")
