@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -78,35 +78,31 @@ class RatioAdversary:
 
 @dataclass
 class RunningNormalizer:
-    """Pooled mean of exp(loss/tau) over a window of recent batches.
+    """Pooled mean of exp(loss/tau) over the last `window` batches.
 
-    The first `size` slots of `log_sums` and `counts` hold one batch's log sum
-    exp(loss/tau) and row count each, oldest first, and `rows` is the sum of
-    those counts. Pooling happens in log space so small temperatures do not
-    overflow.
+    `log_sums` and `counts` hold each batch's log sum exp(loss/tau) and row
+    count, oldest first. log_value pools them in log space, so that small
+    temperatures do not overflow, and anew on each read: subtracting an
+    evicted batch from a running sum would cancel catastrophically whenever
+    that batch dominated it.
     """
 
     window: int
-    log_sums: np.ndarray = field(init=False, repr=False)
-    counts: np.ndarray = field(init=False, repr=False)
-    size: int = field(default=0, init=False)
-    rows: int = field(default=0, init=False)
-    # (rows, np.log(rows)) as last computed: a full window's row count rarely changes
-    _log_rows: Tuple[int, float] = field(default=(0, 0.0), init=False, repr=False, compare=False)
+    log_sums: List[float] = field(default_factory=list, init=False, repr=False)
+    counts: List[int] = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        self.log_sums = np.zeros(self.window)
-        self.counts = np.zeros(self.window, dtype=int)
 
     @property
     def log_value(self) -> float:
-        if self.size == 0:
+        """log(sum of the window's exp(loss/tau) / its rows); NaN if a log-sum is not finite."""
+        if not self.log_sums:
             return 0.0
-        if self._log_rows[0] != self.rows:
-            self._log_rows = (self.rows, np.log(self.rows))
-        return float(_logsumexp(self.log_sums[:self.size]) - self._log_rows[1])
+        top = max(self.log_sums)
+        pooled = math.fsum([math.exp(s - top) for s in self.log_sums])
+        return top + math.log(pooled) - math.log(sum(self.counts))
 
 
 @dataclass(frozen=True)
@@ -235,32 +231,33 @@ def group_dro_weights(
 
 def pdro_model_weights(adv: GaussianAdversary, batch: Packed,
                        centered: Optional[np.ndarray] = None) -> np.ndarray:
-    """Importance weights q_psi(x) / q_psi0(x); exactly 1 when psi == psi0.
-    `centered`, if given, is the batch's x - adv.mean."""
-    x = batch.x
+    """Importance weights q_psi(x) / q_psi0(x), clipped at WEIGHT_CLIP; exactly 1
+    when psi == psi0. `centered`, if given, is the batch's x - adv.mean.
+
+    With c = x - psi and d = psi - psi0, the exponent's |x - psi0|^2 - |x - psi|^2
+    is computed as (2c + d) . d. That form cancels nothing, so it stays exact for
+    a far row and a small move, where the two squares agree to many digits; and a
+    mean run off until |d|^2 overflows gives -inf, weight 0, where 2c.d + |d|^2
+    would give inf - inf = NaN.
+    """
     if centered is None:
-        centered = x - adv.mean
-    offset = x - adv.mean0
-    sq_diff = np.add.reduce(offset * offset, axis=-1) - np.add.reduce(centered * centered, axis=-1)
+        centered = batch.x - adv.mean
+    d = adv.mean - adv.mean0
+    exponent = (2.0 * centered + d) @ d
     # clamped to [-1000, 709] * 2 sigma^2, the quotient stays finite, and exp of it gives 0
     # or a value far above the clip wherever the unclamped one did; NaN stays NaN
     two_var = 2.0 * adv.sigma ** 2
-    clamped = np.maximum(np.minimum(sq_diff, 709.0 * two_var), -1000.0 * two_var)
+    clamped = np.maximum(np.minimum(exponent, 709.0 * two_var), -1000.0 * two_var)
     return np.minimum(np.exp(clamped / two_var), WEIGHT_CLIP)
 
 
 def normalizer_update(normalizer: RunningNormalizer, scaled: np.ndarray) -> RunningNormalizer:
     """Push one batch's float array of loss/tau into the window in place,
     evicting the oldest batch when full."""
-    if normalizer.size == normalizer.window:
-        normalizer.rows -= int(normalizer.counts[0])
-        normalizer.log_sums[:-1] = normalizer.log_sums[1:]
-        normalizer.counts[:-1] = normalizer.counts[1:]
-    else:
-        normalizer.size += 1
-    normalizer.log_sums[normalizer.size - 1] = _logsumexp(scaled)
-    normalizer.counts[normalizer.size - 1] = len(scaled)
-    normalizer.rows += len(scaled)
+    if len(normalizer.log_sums) == normalizer.window:
+        del normalizer.log_sums[0], normalizer.counts[0]
+    normalizer.log_sums.append(_logsumexp(scaled))
+    normalizer.counts.append(len(scaled))
     return normalizer
 
 
@@ -271,8 +268,7 @@ def pdro_adv_step(adv: GaussianAdversary, centered: np.ndarray, scaled: np.ndarr
     log_z = normalizer.log_value
     if not math.isfinite(log_z):
         raise DivergenceError("non-finite normalizer")
-    w = np.exp(scaled - log_z)
-    grad = np.add.reduce(w[:, None] * centered, axis=0) / (len(centered) * adv.sigma ** 2)
+    grad = (np.exp(scaled - log_z) @ centered) / (len(centered) * adv.sigma ** 2)
     return GaussianAdversary(adv.mean + adv_lr * grad, adv.sigma, adv.mean0)
 
 
@@ -281,8 +277,8 @@ def pdro_adv_step_bare(adv: GaussianAdversary, batch: Packed, centered: np.ndarr
     """Direct ascent on the importance-sampled expected loss (no surrogate) of
     a batch whose inputs less adv.mean are `centered`."""
     ratios = pdro_model_weights(adv, batch, centered)
-    grad = (ratios * np.asarray(losses))[:, None] * (centered / adv.sigma ** 2)
-    return GaussianAdversary(adv.mean + adv_lr * grad.mean(axis=0), adv.sigma, adv.mean0)
+    grad = ((ratios * np.asarray(losses)) @ centered) / (len(centered) * adv.sigma ** 2)
+    return GaussianAdversary(adv.mean + adv_lr * grad, adv.sigma, adv.mean0)
 
 
 def gaussian_kl_project(adv: GaussianAdversary, kappa: float) -> GaussianAdversary:

@@ -2,6 +2,8 @@ import dataclasses
 import math
 import warnings
 from collections import deque
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -144,12 +146,21 @@ def test_pdro_weights_are_clipped():
     assert weights[0] == WEIGHT_CLIP
 
 
-def reference_pdro_model_weights(adv, x):
-    """The former pdro_model_weights: ndarray sums and exp under np.errstate."""
+def former_pdro_model_weights(adv, x):
+    """The former pdro_model_weights: a difference of two squared distances,
+    ndarray sums and exp under np.errstate."""
     centered, offset = x - adv.mean, x - adv.mean0
     sq_diff = (offset * offset).sum(axis=-1) - (centered * centered).sum(axis=-1)
     with np.errstate(over="ignore"):
         return np.minimum(np.exp(sq_diff / (2.0 * adv.sigma ** 2)), WEIGHT_CLIP)
+
+
+def reference_pdro_model_weights(adv, x):
+    """pdro_model_weights' arithmetic: the exponent (2c + d) . d with c = x - psi
+    and d = psi - psi0, unclamped, and exp under np.errstate."""
+    c, d = x - adv.mean, adv.mean - adv.mean0
+    with np.errstate(over="ignore"):
+        return np.minimum(np.exp(((2.0 * c + d) @ d) / (2.0 * adv.sigma ** 2)), WEIGHT_CLIP)
 
 
 # (1e153, 0.05): sq_diff is finite but sq_diff / (2 sigma^2) overflowed, to inf on the
@@ -165,6 +176,7 @@ def test_pdro_weights_that_overflowed_return_the_clip_without_a_warning(shift, s
         got = pdro_model_weights(adv, diffcore.Packed(np.zeros(22, dtype=int),
                                                       np.zeros(22, dtype=int), x=x))
     assert np.array_equal(got, reference_pdro_model_weights(adv, x))
+    assert np.allclose(got, former_pdro_model_weights(adv, x), rtol=1e-14, atol=0.0)
     with np.errstate(over="ignore"):
         exponent = ((x * x).sum(axis=1) - ((x - adv.mean) ** 2).sum(axis=1)) / (2 * sigma ** 2)
     assert np.all(got[exponent > 709.0] == WEIGHT_CLIP) and np.all(got[exponent < -1000.0] == 0)
@@ -177,6 +189,51 @@ def test_pdro_weights_propagate_nan():
     got = pdro_model_weights(adv, diffcore.Packed(np.zeros(2, dtype=int),
                                                   np.zeros(2, dtype=int), x=x))
     assert np.isnan(got[0]) and got[1] == reference_pdro_model_weights(adv, x)[1]
+    assert math.isnan(reference_pdro_model_weights(adv, x)[0])
+
+
+def test_pdro_weights_of_far_rows_and_a_tiny_move_are_exact():
+    # |x - psi0|^2 and |x - psi|^2 agree to 15 digits here: their difference
+    # cancels them, and (2c + d) . d does not
+    x = np.array([[1e8, 0.0], [-1e8, 3.0], [2.5e7, 1e8], [1e8 + 0.5, -7.0]])
+    adv = GaussianAdversary(np.array([1e-6, -1e-6]), 10.0, np.zeros(2))
+    got = pdro_model_weights(adv, diffcore.Packed(np.zeros(4, dtype=int),
+                                                  np.zeros(4, dtype=int), x=x))
+    exact = []
+    for row in x:
+        exponent = sum((Fraction(a) - Fraction(m0)) ** 2 - (Fraction(a) - Fraction(m)) ** 2
+                       for a, m, m0 in zip(row, adv.mean, adv.mean0))
+        arg = exponent / Fraction(2.0 * adv.sigma ** 2)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact.append(float((Decimal(arg.numerator) / Decimal(arg.denominator)).exp()))
+    ulps = [abs(w - want) / math.ulp(want) for w, want in zip(got, exact)]
+    assert max(ulps) <= 2.0
+    former = former_pdro_model_weights(adv, x)
+    assert max(abs(w - want) / want for w, want in zip(former, exact)) > 1e-8
+
+
+def test_pdro_weights_of_a_mean_run_off_past_overflow_are_zero():
+    x = np.array([[0.0, 0.0], [1.0, -1.0], [-3.0, 2.0]])
+    adv = GaussianAdversary(np.array([1e200, -1e200]), 1.0, np.zeros(2))
+    c, d = x - adv.mean, adv.mean - adv.mean0
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = pdro_model_weights(adv, diffcore.Packed(np.zeros(3, dtype=int),
+                                                      np.zeros(3, dtype=int), x=x))
+        # 2c.d + |d|^2, the same exponent unfactored, is -inf + inf on every row
+        assert np.isnan(2.0 * (c @ d) + d @ d).all()
+    assert np.array_equal(got, np.zeros(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e150, 1e150), min_size=2, max_size=40),
+       st.floats(-1e150, 1e150), st.floats(1e-3, 1e3))
+def test_pdro_weights_are_exactly_one_at_the_reference_mean(values, mean, sigma):
+    x = np.array(values[:len(values) // 2 * 2]).reshape(-1, 2)
+    adv = GaussianAdversary(np.array([mean, -mean]), sigma, np.array([mean, -mean]))
+    got = pdro_model_weights(adv, diffcore.Packed(np.zeros(len(x), dtype=int),
+                                                  np.zeros(len(x), dtype=int), x=x))
+    assert np.array_equal(got, np.ones(len(x)))
 
 
 def test_gaussian_adversary_validation():
@@ -206,13 +263,29 @@ def test_normalizer_window_and_log_space_stability():
     assert np.exp(norm.log_value) == pytest.approx(expected)
     norm = normalizer_update(norm, np.array([3.0]) / 1.0)
     norm = normalizer_update(norm, np.array([4.0]) / 1.0)
-    assert norm.size == 2  # the first batch fell out of the window
+    assert norm.counts == [1, 1]  # the first batch fell out of the window
     # tiny temperatures overflow exp(loss/tau); pooling must stay finite in log space
     tiny = normalizer_update(RunningNormalizer(window=3), np.array([2.0, 4.0]) / 1e-3)
     assert np.isfinite(tiny.log_value)
     assert tiny.log_value == pytest.approx(4.0 / 1e-3 - np.log(2), rel=1e-9)
     with pytest.raises(ValueError):
         RunningNormalizer(window=0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_window_raises_until_its_batch_is_evicted(bad):
+    adv = GaussianAdversary(np.zeros(2), 1.0, np.zeros(2))
+    norm = RunningNormalizer(window=2)
+    with np.errstate(all="ignore"):
+        for scaled in ([bad, 0.0], [1.0, 2.0]):
+            normalizer_update(norm, np.array(scaled))
+            with pytest.raises(diffcore.DivergenceError, match="^non-finite normalizer$"):
+                pdro_adv_step(adv, np.ones((2, 2)), np.array(scaled), norm, 0.1)
+    # no running sum carries the evicted batch on
+    normalizer_update(norm, np.array([3.0, 4.0]))
+    assert norm.log_value == pytest.approx(np.log(np.mean(np.exp([1.0, 2.0, 3.0, 4.0]))),
+                                           rel=1e-15)
+    assert np.isfinite(pdro_adv_step(adv, np.ones((2, 2)), np.array([3.0, 4.0]), norm, 0.1).mean).all()
 
 
 def test_pdro_adv_step_moves_toward_hard_examples():
@@ -330,7 +403,7 @@ def test_simultaneous_step_pdro_updates_both_players():
     new_model, new_adv, new_norm = simultaneous_step(model, adv, batch, cfg, norm)
     assert not np.array_equal(new_model.params, model.params)
     assert not np.array_equal(new_adv.mean, adv.mean)
-    assert new_norm.size == 1
+    assert new_norm.counts == [16]
     # projection keeps the adversary inside the kl ball
     radius = np.sqrt(2.0 * cfg.kappa) * adv.sigma
     assert np.linalg.norm(new_adv.mean - adv.mean0) <= radius + 1e-12
@@ -611,7 +684,8 @@ def reference_logsumexp(a):
 
 
 class DequeNormalizer:
-    """The former normalizer: a window deque of (log-sum-exp, count) records."""
+    """The former normalizer: a window deque of (log-sum-exp, count) records,
+    pooled by a log-sum-exp over the ndarray of their log-sums."""
 
     def __init__(self, window):
         self.records = deque(maxlen=window)
@@ -625,6 +699,20 @@ class DequeNormalizer:
             return 0.0
         log_total = reference_logsumexp(np.array([s for s, _ in self.records]))
         return float(log_total - np.log(sum(c for _, c in self.records)))
+
+
+class PooledNormalizer(DequeNormalizer):
+    """RunningNormalizer's arithmetic: the same records, pooled as
+    top + log(fsum(exp(s - top))) - log(rows) in Python floats."""
+
+    @property
+    def log_value(self):
+        if not self.records:
+            return 0.0
+        sums = [s for s, _ in self.records]
+        top = max(sums)
+        pooled = math.fsum(math.exp(s - top) for s in sums)
+        return top + math.log(pooled) - math.log(sum(c for _, c in self.records))
 
 
 def reference_linear_step(params, x, labels, lr, weights_of_losses):
@@ -649,17 +737,25 @@ def reference_linear_step(params, x, labels, lr, weights_of_losses):
     return out, losses
 
 
-def reference_pdro_step(params, mean, norm, x, labels, cfg, sigma, mean0):
-    """The former pdro branch: weights, adversary steps, projection, copies."""
+def reference_pdro_step(params, mean, norm, x, labels, cfg, sigma, mean0, former=False):
+    """The pdro branch: weights, adversary steps, projection, copies. With
+    `former`, in the former arithmetic: the weights' exponent as a difference
+    of squared distances and each adversary gradient as a sum over rows of
+    weight times row; `norm` is then a DequeNormalizer, else a PooledNormalizer."""
     n = len(x)
 
     def ratios(m):
-        if np.array_equal(m, mean0):
-            return np.ones(n)
-        d0 = np.sum((x - mean0) ** 2, axis=-1)
-        d1 = np.sum((x - m) ** 2, axis=-1)
+        if former:
+            if np.array_equal(m, mean0):
+                return np.ones(n)
+            exponent = np.sum((x - mean0) ** 2, axis=-1) - np.sum((x - m) ** 2, axis=-1)
+        else:
+            exponent = (2.0 * (x - m) + (m - mean0)) @ (m - mean0)
         with np.errstate(over="ignore"):
-            return np.clip(np.exp((d0 - d1) / (2.0 * sigma ** 2)), 0.0, WEIGHT_CLIP)
+            return np.clip(np.exp(exponent / (2.0 * sigma ** 2)), 0.0, WEIGHT_CLIP)
+
+    def weighted_sum(w, centered):
+        return (w[:, None] * centered).sum(axis=0) if former else w @ centered
 
     model_weights = ratios(mean)
     params, losses = reference_linear_step(params, x, labels, cfg.lr, lambda _: model_weights / n)
@@ -667,11 +763,10 @@ def reference_pdro_step(params, mean, norm, x, labels, cfg, sigma, mean0):
         if cfg.reverse_kl:
             norm.push(losses, cfg.tau)
             w = np.exp(losses / cfg.tau - norm.log_value)
-            grad = (w[:, None] * (x - mean)).sum(axis=0) / (n * sigma ** 2)
-            mean = mean.copy() + cfg.adv_lr * grad
         else:
-            grad = (ratios(mean) * losses)[:, None] * ((x - mean) / sigma ** 2)
-            mean = mean.copy() + cfg.adv_lr * grad.mean(axis=0)
+            w = ratios(mean) * losses
+        grad = weighted_sum(w, x - mean) / (n * sigma ** 2)
+        mean = mean.copy() + cfg.adv_lr * grad
         if cfg.project:
             diff = mean - mean0
             dist = float(np.linalg.norm(diff))
@@ -679,6 +774,10 @@ def reference_pdro_step(params, mean, norm, x, labels, cfg, sigma, mean0):
             if dist > radius:
                 mean = mean0.copy() if radius == 0.0 else mean0 + (radius / dist) * diff
     return params, mean, model_weights
+
+
+# the closeness of a run in the current arithmetic to one in the former
+RTOL_FORMER = 1e-10
 
 
 def criterion_02_batches(steps):
@@ -700,19 +799,27 @@ def test_pdro_step_engine_matches_the_former_arithmetic(reverse_kl, project, adv
                     adv_steps=adv_steps)
     model = init_params(spec, seed=0)
     adv, norm = dro.initial_state(cfg, spec, rows, num_groups=2, seed=0)
-    params, mean, ref_norm = model.params.copy(), adv.mean.copy(), DequeNormalizer(5)
+    params, mean, ref_norm = model.params.copy(), adv.mean.copy(), PooledNormalizer(5)
+    old_params, old_mean, old_norm = model.params.copy(), adv.mean.copy(), DequeNormalizer(5)
     clipped = 0
     for i in idx:
         batch = rows.take(i)
         model, adv, norm = simultaneous_step(model, adv, batch, cfg, norm)
         params, mean, weights = reference_pdro_step(params, mean, ref_norm, batch.x,
                                                     batch.labels, cfg, adv.sigma, adv.mean0)
+        old_params, old_mean, _ = reference_pdro_step(old_params, old_mean, old_norm, batch.x,
+                                                      batch.labels, cfg, adv.sigma, adv.mean0,
+                                                      former=True)
         clipped += int((weights == WEIGHT_CLIP).sum())
     assert np.array_equal(model.params, params)
     assert np.array_equal(adv.mean, mean)
     assert norm.log_value == ref_norm.log_value
+    # the former arithmetic's run, 300 steps on, differs only by rounding
+    assert np.allclose(model.params, old_params, rtol=RTOL_FORMER, atol=0.0)
+    assert np.allclose(adv.mean, old_mean, rtol=RTOL_FORMER, atol=0.0)
+    assert norm.log_value == pytest.approx(old_norm.log_value, rel=RTOL_FORMER, abs=0.0)
     if reverse_kl:
-        assert norm.size == 5
+        assert len(norm.log_sums) == len(norm.counts) == 5
     if project:
         assert clipped > 0  # the run reaches the weight clip
 
@@ -731,17 +838,18 @@ def test_erm_step_engine_matches_the_former_arithmetic():
 
 
 def test_normalizer_evicts_the_oldest_batch_first():
-    norm, ref = RunningNormalizer(window=3), DequeNormalizer(3)
+    norm, ref, former = RunningNormalizer(window=3), PooledNormalizer(3), DequeNormalizer(3)
     rng = np.random.default_rng(0)
     for size in range(1, 9):  # each batch's row count names it
         losses = rng.uniform(0.0, 3.0, size=size)
         assert normalizer_update(norm, losses / 0.2) is norm
         ref.push(losses, 0.2)
-        assert norm.counts[:norm.size].tolist() == [c for _, c in ref.records]
-        assert norm.log_sums[:norm.size].tolist() == [s for s, _ in ref.records]
+        former.push(losses, 0.2)
+        assert norm.counts == [c for _, c in ref.records]
+        assert norm.log_sums == [s for s, _ in ref.records]
         assert norm.log_value == ref.log_value
-        assert norm.rows == norm.counts[:norm.size].sum()
-    assert norm.counts.tolist() == [6, 7, 8]
+        assert norm.log_value == pytest.approx(former.log_value, rel=1e-15, abs=0.0)
+    assert norm.counts == [6, 7, 8]
 
 
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=64), st.integers(0, 64),
