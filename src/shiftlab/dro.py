@@ -97,7 +97,7 @@ class RunningNormalizer:
 
     @property
     def log_value(self) -> float:
-        """log(sum of the window's exp(loss/tau) / its rows); NaN if a log-sum is not finite."""
+        """log(sum of the window's exp(loss/tau) / its rows); NaN if a log-sum is NaN or +inf."""
         if not self.log_sums:
             return 0.0
         top = max(self.log_sums)
@@ -234,11 +234,9 @@ def pdro_model_weights(adv: GaussianAdversary, batch: Packed,
     """Importance weights q_psi(x) / q_psi0(x), clipped at WEIGHT_CLIP; exactly 1
     when psi == psi0. `centered`, if given, is the batch's x - adv.mean.
 
-    With c = x - psi and d = psi - psi0, the exponent's |x - psi0|^2 - |x - psi|^2
-    is computed as (2c + d) . d. That form cancels nothing, so it stays exact for
-    a far row and a small move, where the two squares agree to many digits; and a
-    mean run off until |d|^2 overflows gives -inf, weight 0, where 2c.d + |d|^2
-    would give inf - inf = NaN.
+    The exponent |x - psi0|^2 - |x - psi|^2 is taken as (2c + d) . d with c = x - psi
+    and d = psi - psi0: it cancels nothing, so a far row and a tiny move stay exact, and
+    a mean run off until |d|^2 overflows gets -inf, weight 0, not 2c.d + |d|^2's NaN.
     """
     if centered is None:
         centered = batch.x - adv.mean

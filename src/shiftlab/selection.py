@@ -120,11 +120,10 @@ def greedy_minmax_update(
 
     Appends the new adversary record, then keeps the new model only if its
     worst weighted loss over all surviving records improves strictly on the
-    stored best. Only the candidate and the incumbent exist at once. The state
-    keeps the incumbent by reference, not as a copy: the caller must not
-    mutate a model it has passed in. The new model's validation loss row is
-    `new_losses`; the incumbent's is kept in the state. Raises ValueError when
-    no record survives the KL filter.
+    stored best. Only the candidate and the incumbent exist at once, and the state keeps
+    the incumbent by reference, not a copy: the caller must not mutate a model it passed
+    in. The new model's validation loss row is `new_losses`; the incumbent's is kept in
+    the state. Raises ValueError when no record survives the KL filter.
     """
     records = list(state.records)
     if new_record is not None:
