@@ -189,7 +189,6 @@ def test_pdro_weights_propagate_nan():
     got = pdro_model_weights(adv, diffcore.Packed(np.zeros(2, dtype=int),
                                                   np.zeros(2, dtype=int), x=x))
     assert np.isnan(got[0]) and got[1] == reference_pdro_model_weights(adv, x)[1]
-    assert math.isnan(reference_pdro_model_weights(adv, x)[0])
 
 
 def test_pdro_weights_of_far_rows_and_a_tiny_move_are_exact():
@@ -285,7 +284,8 @@ def test_a_non_finite_window_raises_until_its_batch_is_evicted(bad):
     normalizer_update(norm, np.array([3.0, 4.0]))
     assert norm.log_value == pytest.approx(np.log(np.mean(np.exp([1.0, 2.0, 3.0, 4.0]))),
                                            rel=1e-15)
-    assert np.isfinite(pdro_adv_step(adv, np.ones((2, 2)), np.array([3.0, 4.0]), norm, 0.1).mean).all()
+    stepped = pdro_adv_step(adv, np.ones((2, 2)), np.array([3.0, 4.0]), norm, 0.1)
+    assert np.isfinite(stepped.mean).all()
 
 
 def test_pdro_adv_step_moves_toward_hard_examples():

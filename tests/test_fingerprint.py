@@ -61,14 +61,16 @@ def test_diff_reports_a_one_ulp_parameter_by_size_and_a_checkpoint_choice_as_dis
         harness.save_model_bin(params, str(run / "model.bin"))
         (run / "run.jsonl").write_text(
             json.dumps({"step": 5, "loss": 0.25, "average_acc": 0.75}) + "\n"
-            + json.dumps({"final": True, "chosen_checkpoint": chosen, "test_average_acc": 0.5}) + "\n")
+            + json.dumps({"final": True, "chosen_checkpoint": chosen, "test_average_acc": 0.5})
+            + "\n")
         (run / "metrics.csv").write_text("split,metric,value\ntest,average_accuracy,0.5\n")
         (tmp_path / side / "fingerprint.json").write_text(
             json.dumps({"commands": {"train-x": {"exit": 0, "stderr": ""}}}))
     lines = fingerprint.diff_dirs(tmp_path / "old", tmp_path / "new")
     assert lines == [
         "differs file: train-x/model.bin",
-        f"  linear.weight: max abs {ulp:.3g}, max rel {ulp / abs(model.params[3]):.3g} (1 of 4 values)",
+        f"  linear.weight: max abs {ulp:.3g}, max rel {ulp / abs(model.params[3]):.3g}"
+        " (1 of 4 values)",
         "differs file: train-x/run.jsonl",
         "  discrete chosen_checkpoint [1]: 2 -> 4",
         "2 of 3 files differ; discrete changes: 1; accuracy moved: no",

@@ -223,7 +223,7 @@ def _columns(path: Path) -> Optional[Dict[str, list]]:
 
 
 def _number(value) -> Optional[float]:
-    """A finite or infinite float for a number or a numeric CSV cell; None otherwise."""
+    """A float for a number or a numeric CSV cell; None otherwise."""
     if isinstance(value, bool) or value is None:
         return None
     try:
@@ -255,7 +255,8 @@ def _file_changes(name: str, old: Dict[str, list], new: Dict[str, list]):
             worst_abs = max(worst_abs, abs(fx - fy))
             worst_rel = max(worst_rel, abs(fx - fy) / abs(fx) if fx else math.inf)
             # a long-format row names its metric in a text cell
-            labels = [str(col[i]) for col in new.values() if i < len(col) and _number(col[i]) is None]
+            labels = [str(col[i]) for col in new.values()
+                      if i < len(col) and _number(col[i]) is None]
             acc_moved |= any("acc" in text for text in (name, column, *labels))
         if moved:
             numeric.append(f"{column}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g} "
