@@ -145,10 +145,13 @@ def _logsumexp(a: np.ndarray) -> float:
 
     A tie of the max adds exp(0) = 1 exactly to the other terms' sum of exps,
     and nonnegative terms never lower a sum, so a sum below 1 proves the max
-    unique; any other sum, NaN included, splits off every copy of the max.
+    unique; any other sum splits off every copy of the max. A NaN or infinite
+    max (argmax finds a NaN first) is the result itself.
     """
     i = a.argmax()
     top = a[i]
+    if not math.isfinite(top):  # a - top would warn
+        return float(top)
     shifted = a - top
     shifted[i] = -np.inf
     rest = np.add.reduce(np.exp(shifted))

@@ -275,7 +275,7 @@ def test_normalizer_window_and_log_space_stability():
 def test_a_non_finite_window_raises_until_its_batch_is_evicted(bad):
     adv = GaussianAdversary(np.zeros(2), 1.0, np.zeros(2))
     norm = RunningNormalizer(window=2)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="raise"):  # a non-finite max returns before any arithmetic
         for scaled in ([bad, 0.0], [1.0, 2.0]):
             normalizer_update(norm, np.array(scaled))
             with pytest.raises(diffcore.DivergenceError, match="^non-finite normalizer$"):
@@ -878,6 +878,16 @@ def test_logsumexp_returns_nan_where_the_former_formula_did(values):
     a = np.array(values)
     with np.errstate(invalid="ignore", divide="ignore"):
         assert math.isnan(dro._logsumexp(a)) and math.isnan(reference_logsumexp(a))
+
+
+@pytest.mark.parametrize("values", [[1.0, np.nan], [np.nan, 1.0], [np.inf, 1.0]])
+def test_logsumexp_of_a_non_finite_max_returns_it_without_a_warning(values):
+    a = np.array(values)
+    with np.errstate(all="raise"):
+        got = dro._logsumexp(a)
+    with np.errstate(all="ignore"):
+        want = reference_logsumexp(a)
+    assert got == want or math.isnan(got) and math.isnan(want)
 
 
 @pytest.mark.parametrize("kappa, fires", [(1e-4, True), (100.0, False)])
