@@ -199,14 +199,14 @@ def average_accuracy(metrics: ContinualMetrics) -> float:
 
 @dataclass
 class ContinualConfig:
-    hidden_units: int = 16
+    hidden: int = 16
     lr: float = 0.1
     epochs: int = 3
     batch_size: int = 16
     alpha: float = 1.0
     gamma: float = 0.9
     ewc_lambda: float = 1.0
-    replay_capacity: int = 200
+    capacity: int = 200
     fisher_samples: int = 1000
     grad_noise: float = 0.0
     seed: int = 0
@@ -239,7 +239,7 @@ def continual_train(
                   np.concatenate([p.groups for p in parts]), x=np.concatenate([p.x for p in parts]))
     starts = np.cumsum([0] + [len(task) for task in tasks])
     bounds = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    spec = ModelSpec("mlp", input_dim=rows.x.shape[1], hidden_units=config.hidden_units,
+    spec = ModelSpec("mlp", input_dim=rows.x.shape[1], hidden_units=config.hidden,
                      num_classes=class_count(*tasks))
     # the trunk (hidden layer) precedes the head (output layer) in the spec's
     # layout; both are views into the model's parameters
@@ -255,7 +255,7 @@ def continual_train(
 
     fisher = initial_fisher(split, config.gamma, config.alpha)
     trunk_ref = trunk.copy()
-    memory = ReplayMemory(config.replay_capacity) if use_er else None
+    memory = ReplayMemory(config.capacity) if use_er else None
 
     accuracy_rows = []
     for task_idx, (lo, hi) in enumerate(bounds):

@@ -55,8 +55,7 @@ class ConfigError(ValueError):
 
 
 # the cl.* key of each ContinualConfig field but seed, which a run takes from its own seed
-CONTINUAL_KEYS = {f.name: "cl." + {"hidden_units": "hidden", "replay_capacity": "capacity"}.get(f.name, f.name)
-                  for f in fields(cl.ContinualConfig) if f.name != "seed"}
+CONTINUAL_KEYS = {f.name: "cl." + f.name for f in fields(cl.ContinualConfig) if f.name != "seed"}
 
 # Every legal config key with its default. Values are parsed with the same
 # coercion as --set overrides, so the table doubles as documentation. The

@@ -346,7 +346,7 @@ def test_forgetting_grows_with_damping():
 @pytest.fixture(scope="module")
 def continual_results():
     start = time.perf_counter()
-    config = ContinualConfig(hidden_units=8, lr=0.3, epochs=5, batch_size=16, alpha=0.3)
+    config = ContinualConfig(hidden=8, lr=0.3, epochs=5, batch_size=16, alpha=0.3)
     out = {}
     for method in ("finetune", "conatural", "er", "conatural+er"):
         drops = []

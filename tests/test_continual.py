@@ -227,7 +227,7 @@ def test_rotated_tasks_match_the_per_row_rotation(num_tasks, points, sigma, seed
 @pytest.mark.parametrize("method", ["finetune", "conatural", "ewc", "er", "conatural+er"])
 def test_continual_train_matrix_shape(method):
     tasks = rotated_gaussian_tasks(3, 60, sigma=0.4, seed=1)
-    config = ContinualConfig(hidden_units=4, epochs=1, fisher_samples=50, seed=1)
+    config = ContinualConfig(hidden=4, epochs=1, fisher_samples=50, seed=1)
     metrics = continual_train(tasks, method, config)
     assert metrics.accuracy_matrix.shape == (3, 3)
     assert np.all(metrics.accuracy_matrix >= 0) and np.all(metrics.accuracy_matrix <= 1)
@@ -240,7 +240,7 @@ def test_continual_train_requires_tasks():
 
 def test_continual_train_is_seed_deterministic():
     tasks = rotated_gaussian_tasks(2, 50, sigma=0.4, seed=2)
-    config = ContinualConfig(hidden_units=4, epochs=1, fisher_samples=50, seed=3)
+    config = ContinualConfig(hidden=4, epochs=1, fisher_samples=50, seed=3)
     a = continual_train(tasks, "conatural", config)
     b = continual_train(tasks, "conatural", config)
     assert np.array_equal(a.accuracy_matrix, b.accuracy_matrix)
@@ -250,7 +250,7 @@ def test_finetune_equals_a_loop_over_separate_trunk_and_head_arrays():
     # reference: each task trains a fresh head (drawn with seed + 1 + task)
     # on the trunk of init_params(seed), one model assembled per batch
     tasks = rotated_gaussian_tasks(3, 60, 0.5, seed=4)
-    cfg = ContinualConfig(hidden_units=4, lr=0.3, epochs=2, batch_size=8, seed=5)
+    cfg = ContinualConfig(hidden=4, lr=0.3, epochs=2, batch_size=8, seed=5)
     spec = ModelSpec("mlp", input_dim=2, hidden_units=4)
     split = spec.slots["out.weight"][0]
     trunk = init_params(spec, cfg.seed).params[:split].copy()
@@ -312,11 +312,11 @@ def test_continual_train_gathers_once_per_epoch_without_replay_per_step_with(mon
     # fills and then replaces; each step must see the rows of a reference loop of
     # batches -> with_replay -> take, with uniform weights
     tasks = rotated_gaussian_tasks(3, 30, sigma=0.4, seed=6)
-    cfg = ContinualConfig(hidden_units=4, epochs=2, batch_size=8, replay_capacity=10, seed=2)
+    cfg = ContinualConfig(hidden=4, epochs=2, batch_size=8, capacity=10, seed=2)
     every = Packed(*(np.concatenate([getattr(task.rows, name) for task in tasks])
                      for name in ("labels", "groups", "x")))
     rng = np.random.default_rng(cfg.seed + 7919)
-    memory = ReplayMemory(cfg.replay_capacity)
+    memory = ReplayMemory(cfg.capacity)
     expected, replay_steps, lo = [], 0, 0
     for k, task in enumerate(tasks):
         for epoch in range(cfg.epochs):
