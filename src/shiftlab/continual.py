@@ -85,14 +85,6 @@ def conatural_delta_raw(grad: np.ndarray, fisher: FisherState) -> np.ndarray:
     return np.asarray(grad, dtype=float) / (fisher.diag + fisher.alpha + EPSILON)
 
 
-def residual_check(grad: np.ndarray, fisher: FisherState, delta_raw: np.ndarray) -> float:
-    """Relative norm of grad - (F + alpha I) delta_raw; near zero iff exact."""
-    grad = np.asarray(grad, dtype=float)
-    residual = grad - (fisher.diag + fisher.alpha) * np.asarray(delta_raw, dtype=float)
-    denom = max(float(np.linalg.norm(grad)), EPSILON)
-    return float(np.linalg.norm(residual)) / denom
-
-
 def rolling_fisher_update(fisher: FisherState, new_task_fisher: np.ndarray) -> FisherState:
     """Exponential moving average: gamma * F_new + (1 - gamma) * F_old."""
     new = np.asarray(new_task_fisher, dtype=float)

@@ -2,9 +2,8 @@
 
 Three tiny architectures (linear, one-hidden-layer tanh MLP, mean-pooled
 embedding bag) over a single flat parameter vector, plus per-example losses,
-batch gradients, a finite-difference verification harness and a Monte Carlo
-diagonal empirical Fisher in closed form per layer, all on packed whole-batch
-kernels.
+batch gradients and a Monte Carlo diagonal empirical Fisher in closed form per
+layer, all on packed whole-batch kernels.
 """
 from __future__ import annotations
 
@@ -113,9 +112,6 @@ class ModelState:
     def slot(self, name: str) -> np.ndarray:
         """Slot `name` as a shaped view into params."""
         return self.spec.view(self.params, name)
-
-    def copy(self) -> "ModelState":
-        return ModelState(self.spec, self.params.copy())
 
     @property
     def num_params(self) -> int:
@@ -309,25 +305,6 @@ def logit_losses(logits: np.ndarray, labels: np.ndarray) -> Dict[str, np.ndarray
 def grad_params(model: ModelState, batch: Packed, weights: np.ndarray) -> np.ndarray:
     """Gradient of sum_i weights[i] * nll(x_i, y_i) wrt the flat params."""
     return weighted_grad(model, nll_state(model, batch), weights)
-
-
-def finite_diff_check(model: ModelState, batch: Packed) -> float:
-    """Max relative error of grad_params against central differences."""
-    step = 1e-5
-    analytic = grad_params(model, batch, batch_constants(len(batch))[1])
-    worst = 0.0
-    params = model.params
-    for j in range(params.size):
-        orig = params[j]
-        params[j] = orig + step
-        up = nll_loss_batch(model, batch).mean()
-        params[j] = orig - step
-        down = nll_loss_batch(model, batch).mean()
-        params[j] = orig
-        numeric = (up - down) / (2.0 * step)
-        err = abs(numeric - analytic[j]) / max(1.0, abs(analytic[j]))
-        worst = max(worst, err)
-    return worst
 
 
 def fisher_diag(model: ModelState, rows: Packed, sample_count: int, seed: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from scipy.stats import spearmanr
 
 import conftest
-from conftest import packed_rows
+from conftest import finite_diff_check, packed_rows, residual_check
 from shiftlab import harness
 from shiftlab.advmetrics import chrf, first_order_substitution
 from shiftlab.continual import (
@@ -25,13 +25,12 @@ from shiftlab.continual import (
     fisher_renormalize,
     average_forgetting,
     reservoir_add,
-    residual_check,
     rotated_gaussian_tasks,
 )
 from shiftlab.datasets import GroupedDataset, batches
 from shiftlab.diffcore import (
     ModelSpec,
-    finite_diff_check,
+    ModelState,
     fisher_diag,
     grad_params,
     init_params,
@@ -301,7 +300,7 @@ def run_two_tasks(seed, alpha):
                     delta = -0.1 * grad
                 else:
                     delta = conatural_delta(grad, fisher, 0.1)
-                model = model.copy()
+                model = ModelState(model.spec, model.params.copy())
                 model.params += delta
 
     train(t1, None)

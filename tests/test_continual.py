@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import residual_check
 from shiftlab import continual
 from shiftlab.continual import (
     ContinualConfig,
@@ -20,7 +21,6 @@ from shiftlab.continual import (
     forgetting,
     initial_fisher,
     reservoir_add,
-    residual_check,
     rolling_fisher_update,
     rotated_gaussian_tasks,
     with_replay,

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import packed_rows
 from shiftlab import diffcore, dro
 from shiftlab.datasets import TwoDomainSpec, batches, gen_two_domain_gaussian
-from shiftlab.diffcore import ModelSpec, grad_params, init_params, nll_loss_batch
+from shiftlab.diffcore import ModelSpec, ModelState, grad_params, init_params, nll_loss_batch
 from shiftlab.dro import (
     DroConfig,
     METHODS,
@@ -550,7 +550,7 @@ def test_ratio_adversary_scores_selected_head():
     # grad of sum df * f moves f in the df direction
     df = np.array([1.0, -1.0, 0.5, 0.0])
     g = adv.grad_f(adv.f_forward(batch)[1], df)
-    bumped = RatioAdversary(adv.scorer.copy())
+    bumped = RatioAdversary(ModelState(adv.scorer.spec, adv.scorer.params.copy()))
     bumped.scorer.params += 1e-6 * g
     assert np.dot(bumped.f_values(batch) - f, df) > 0
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from shiftlab import harness
-from shiftlab.diffcore import ModelSpec, init_params
+from shiftlab.diffcore import ModelSpec, ModelState, init_params
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 _spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
@@ -52,7 +52,7 @@ def test_the_commands_reproduce_the_committed_fingerprint(tmp_path):
 
 def test_diff_reports_a_one_ulp_parameter_by_size_and_a_checkpoint_choice_as_discrete(tmp_path):
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
-    moved = model.copy()
+    moved = ModelState(model.spec, model.params.copy())
     moved.params[3] = np.nextafter(moved.params[3], np.inf)
     ulp = moved.params[3] - model.params[3]
     for side, params, chosen in (("old", model, 2), ("new", moved, 4)):
