@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from shiftlab import harness
 from shiftlab.diffcore import ModelSpec, ModelState, init_params
@@ -11,6 +12,28 @@ TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
 _spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
 fingerprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(fingerprint)
+
+TRACED = "named by perfbench's trace list; goes with ROADMAP items 14/1"
+# every function in src that the fingerprint's run never calls, with why it
+# stays; a function that stops running must be deleted or listed here, and a
+# listed one that starts to run must be struck off
+UNREACHED = {
+    "advmetrics.attack_example": TRACED,
+    "advmetrics.chrf": TRACED,
+    "advmetrics.first_order_substitution": TRACED,
+    "datasets.batches": TRACED,
+    "diffcore.forward_logits": TRACED,
+    "diffcore.grad_wrt_embeddings": TRACED,
+    "diffcore.nll_loss_batch": TRACED,
+    "dro.erm_step": TRACED,
+    "harness.load_model_bin": "no CLI command loads a model; ROADMAP item 17",
+}
+
+
+@pytest.fixture(scope="module")
+def run(tmp_path_factory):
+    """The fingerprint of one run of the command list, shared by the tests that read it."""
+    return fingerprint.fingerprint(tmp_path_factory.mktemp("fingerprint"))
 
 
 def test_differences_name_every_changed_missing_and_new_entry():
@@ -42,12 +65,15 @@ def test_report_joins_a_fixed_tuple_of_train_runs():
     assert set(fingerprint.REPORT_RUNS) <= trained
 
 
-def test_the_commands_reproduce_the_committed_fingerprint(tmp_path):
+def test_the_commands_reproduce_the_committed_fingerprint(run):
     committed = json.loads((TOOL.parent / "fingerprint.json").read_text())
-    result = fingerprint.fingerprint(tmp_path)
-    kernels = "" if committed.get("cpu") == result["cpu"] else (
-        f"made on numpy SIMD kernels {committed.get('cpu')}, run on {result['cpu']}")
-    assert fingerprint.differences(committed, result) == [], kernels
+    kernels = "" if committed.get("cpu") == run["cpu"] else (
+        f"made on numpy SIMD kernels {committed.get('cpu')}, run on {run['cpu']}")
+    assert fingerprint.differences(committed, run) == [], kernels
+
+
+def test_every_src_function_runs_in_the_fingerprint_or_is_listed(run):
+    assert run["unreached"] == sorted(UNREACHED)
 
 
 def test_diff_reports_a_one_ulp_parameter_by_size_and_a_checkpoint_choice_as_discrete(tmp_path):

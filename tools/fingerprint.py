@@ -5,7 +5,9 @@ directory, and records the sha256 of every file the commands write plus each
 command's exit code and error line. Two trees that should produce the same
 bits must produce the same fingerprint on the same numpy SIMD kernels, which
 it records under "cpu" and does not compare: numpy's ufunc loops round
-differently on each.
+differently on each. It also records under "unreached", uncompared, the
+`module.qualname` of every function defined in the shiftlab package that the
+run never called.
 
     python tools/fingerprint.py --out fingerprint.json
     python tools/fingerprint.py --against tools/fingerprint.json
@@ -27,6 +29,7 @@ differs. The `shiftlab` package is imported from this tree's `src/`.
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -43,7 +46,7 @@ from numpy._core import _multiarray_umath as umath
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from shiftlab import cli, harness  # noqa: E402
+from shiftlab import cli, diffcore, harness  # noqa: E402
 
 # small sizes keep the whole list to well under a minute
 TWO_DOMAIN = ("dataset=two_domain", "data.total_points=4000", "epochs=6")
@@ -140,12 +143,43 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _qualnames(node: ast.AST, prefix: str = "") -> List[str]:
+    """The __qualname__ of every def under a module's syntax tree."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            out += [prefix + child.name, *_qualnames(child, f"{prefix}{child.name}.<locals>.")]
+        elif isinstance(child, ast.ClassDef):
+            out += _qualnames(child, f"{prefix}{child.name}.")
+        else:
+            out += _qualnames(child, prefix)
+    return out
+
+
+def unreached(codes) -> List[str]:
+    """`module.qualname` of every def in the shiftlab package whose code
+    object is not among `codes`, sorted."""
+    ran = {(os.path.realpath(code.co_filename), code.co_qualname) for code in codes}
+    package = Path(os.path.realpath(harness.__file__)).parent
+    return sorted(f"{path.stem}.{name}" for path in package.glob("*.py")
+                  for name in _qualnames(ast.parse(path.read_text()))
+                  if (str(path), name) not in ran)
+
+
 def fingerprint(work: Path) -> Dict[str, dict]:
     """Run every command under `work` and return its fingerprint."""
     configs = {name: work / f"{name}.cfg" for name in ("empty", *CONFIGS)}
     for name, path in configs.items():
         path.write_text(CONFIGS.get(name, ""))
     runs = {}
+    reached = set()
+
+    def record(frame, event, arg):  # a call event; returning None traces no line
+        reached.add(frame.f_code)
+
+    diffcore.batch_constants.cache_clear()  # a warm cache would keep its body from running
+    previous = sys.gettrace()
+    sys.settrace(record)
     cwd = os.getcwd()
     os.chdir(work)  # relative paths keep the scratch location out of the outputs
     try:
@@ -162,10 +196,11 @@ def fingerprint(work: Path) -> Dict[str, dict]:
         runs["report"] = {"exit": cli.main(report), "stderr": ""}
     finally:
         os.chdir(cwd)
+        sys.settrace(previous)
     files = {path.relative_to(work).as_posix(): _sha256(path)
              for path in sorted(work.rglob("*")) if path.is_file() and path not in configs.values()}
     cpu = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
-    return {"commands": runs, "cpu": cpu, "files": files}
+    return {"commands": runs, "cpu": cpu, "files": files, "unreached": unreached(reached)}
 
 
 def differences(old: Dict[str, dict], new: Dict[str, dict]) -> List[str]:
