@@ -110,5 +110,5 @@ def test_diff_reports_a_one_ulp_parameter_by_size_and_a_checkpoint_choice_as_dis
     lines = fingerprint.diff_dirs(tmp_path / "old", tmp_path / "new")
     assert lines[:3] == ["differs commands:", "  exit code of train-x: 0 -> 1",
                          "  error line of train-x: '' -> 'shiftlab: error: x'"]
-    assert "  value: max abs 0.125, max rel 0.25 (1 of 1 values)" in lines
+    assert "  test/average_accuracy value: max abs 0.125, max rel 0.25 (1 of 1 values)" in lines
     assert lines[-1] == "3 of 3 files differ; discrete changes: 3; accuracy moved: yes"

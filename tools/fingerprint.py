@@ -21,7 +21,9 @@ directory, which keeps their outputs and the fingerprint as
 DIR/fingerprint.json. `--diff OLD_DIR NEW_DIR` runs nothing: it compares two
 kept runs by what moved and by how much. Per differing file it gives the max
 absolute and relative change of each numeric column (each CSV and JSONL
-field, each model.bin parameter slot) and every changed discrete field (a
+field, each model.bin parameter slot; a long-format CSV, whose one numeric
+column is the value its text cells name, by row) and every changed discrete
+field (a
 non-numeric value, `chosen_checkpoint`, `selected`, a command's exit code or
 error line), then says whether any accuracy moved; it exits 1 if anything
 differs. The `shiftlab` package is imported from this tree's `src/`.
@@ -237,13 +239,23 @@ def _flat(obj, prefix: str = "") -> dict:
 def _columns(path: Path) -> Optional[Dict[str, list]]:
     """An output file as {column: values}: each CSV or JSONL field over its
     rows (a JSON file is one row), or each model.bin parameter slot over its
-    values plus the spec; None for any other file."""
+    values plus the spec; None for any other file. A long-format CSV, whose
+    one all-numeric column holds the value its row's other cells name, keys
+    each value by them: `test/average_accuracy value`."""
     if path.name == "model.bin":
         model = harness.load_model_bin(str(path))
         return {"spec": [repr(model.spec)],
                 **{name: model.slot(name).ravel().tolist() for name in model.layout}}
     if path.suffix == ".csv":
         rows = list(csv.DictReader(io.StringIO(path.read_text())))
+        numeric = [key for key in (rows[0] if rows else ())
+                   if all(_number(row[key]) is not None for row in rows)]
+        if len(numeric) == 1 and len(rows[0]) > 1:
+            value, columns = numeric[0], {}
+            for row in rows:
+                label = "/".join(text for key, text in row.items() if key != value)
+                columns.setdefault(f"{label} {value}", []).append(row[value])
+            return columns
     elif path.suffix in (".jsonl", ".json"):
         text = path.read_text()
         rows = [_flat(json.loads(line))
@@ -289,10 +301,7 @@ def _file_changes(name: str, old: Dict[str, list], new: Dict[str, list]):
             moved += 1
             worst_abs = max(worst_abs, abs(fx - fy))
             worst_rel = max(worst_rel, abs(fx - fy) / abs(fx) if fx else math.inf)
-            # a long-format row names its metric in a text cell
-            labels = [str(col[i]) for col in new.values()
-                      if i < len(col) and _number(col[i]) is None]
-            acc_moved |= any("acc" in text for text in (name, column, *labels))
+            acc_moved |= "acc" in name or "acc" in column
         if moved:
             numeric.append(f"{column}: max abs {worst_abs:.3g}, max rel {worst_rel:.3g} "
                            f"({moved} of {len(a)} values)")
