@@ -158,7 +158,7 @@ def _qualnames(node: ast.AST, prefix: str = "") -> List[str]:
     return out
 
 
-def unreached(codes) -> List[str]:
+def _unreached(codes) -> List[str]:
     """`module.qualname` of every def in the shiftlab package whose code
     object is not among `codes`, sorted."""
     ran = {(os.path.realpath(code.co_filename), code.co_qualname) for code in codes}
@@ -202,7 +202,7 @@ def fingerprint(work: Path) -> Dict[str, dict]:
     files = {path.relative_to(work).as_posix(): _sha256(path)
              for path in sorted(work.rglob("*")) if path.is_file() and path not in configs.values()}
     cpu = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
-    return {"commands": runs, "cpu": cpu, "files": files, "unreached": unreached(reached)}
+    return {"commands": runs, "cpu": cpu, "files": files, "unreached": _unreached(reached)}
 
 
 def differences(old: Dict[str, dict], new: Dict[str, dict]) -> List[str]:
