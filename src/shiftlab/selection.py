@@ -38,7 +38,7 @@ class AdversaryRecord:
 def normalize_weights(raw: np.ndarray) -> np.ndarray:
     """Rescale raw nonnegative weights to mean 1."""
     raw = np.asarray(raw, dtype=float)
-    if np.any(raw < 0):
+    if np.logical_or.reduce(raw < 0):
         raise ValueError("weights must be nonnegative")
     total = raw.mean()
     if total <= 0:
@@ -58,10 +58,11 @@ def identity_record(n: int) -> AdversaryRecord:
 def adversary_valid_kl(weights: np.ndarray) -> float:
     """KL estimate (1/n) sum w log w for mean-1 weights, with 0 log 0 = 0."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
+    if np.logical_or.reduce(w < 0):
         raise ValueError("weights must be nonnegative")
-    nonzero = w > 0
-    return float(np.sum(w[nonzero] * np.log(w[nonzero])) / len(w))
+    # with no weight at 0, w itself holds the terms
+    terms = w if np.logical_and.reduce(w) else w[w > 0]
+    return float(np.add.reduce(terms * np.log(terms)) / len(w))
 
 
 def surviving_records(
@@ -70,13 +71,27 @@ def surviving_records(
     return [r for r in records if r.kl_estimate <= kl_threshold]
 
 
+def _stacked(records: Sequence[AdversaryRecord]) -> np.ndarray:
+    """The records' validation weights as one (records, n) array."""
+    if not records:
+        raise ValueError("at least one record required")
+    return np.array([r.valid_weights for r in records])
+
+
+def _worst_case(weights: np.ndarray, losses: np.ndarray) -> float:
+    """Max over the rows of `weights` of the weighted mean of `losses`, in one pass.
+
+    Each row's sum runs along the last, contiguous axis: the pairwise sum that
+    np.mean takes of one row, so every row's mean keeps np.mean's bits.
+    """
+    return float(np.maximum.reduce(np.add.reduce(weights * losses, axis=1) / weights.shape[1]))
+
+
 def robust_valid_loss(
     losses: np.ndarray, records: Sequence[AdversaryRecord]
 ) -> float:
     """Max over records of the weighted mean validation loss."""
-    if not records:
-        raise ValueError("at least one record required")
-    return max(float(np.mean(r.valid_weights * losses)) for r in records)
+    return _worst_case(_stacked(records), losses)
 
 
 def minmax_select(
@@ -164,8 +179,9 @@ def hyperparam_select(
         pooled.extend(surviving_records(records, kl_threshold))
     if not pooled:
         raise ValueError("no adversary record survived the KL filter")
+    weights = _stacked(pooled)
     # (value, run, checkpoint): min keeps the first of equal values
-    scored = [(robust_valid_loss(row, pooled), run_idx, ckpt_idx)
+    scored = [(_worst_case(weights, row), run_idx, ckpt_idx)
               for run_idx, (rows, _) in enumerate(runs) for ckpt_idx, row in enumerate(rows)]
     if not scored:
         raise ValueError("at least one checkpoint required")
