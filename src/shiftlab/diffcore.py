@@ -184,12 +184,13 @@ def _forward_batch(model: ModelState, batch: Packed):
     cache: Dict[str, object] = {"batch": batch}
     if spec.architecture == "embed_bag":
         lengths = None if batch.tokens is None else batch.offsets[1:] - batch.offsets[:-1]
-        if lengths is None or lengths.size == 0 or lengths.min() < 1:
+        if lengths is None or lengths.size == 0 or np.minimum.reduce(lengths) < 1:
             raise InputShapeError("token input must be a non-empty 1-d sequence")
-        if batch.tokens.min() < 0 or batch.tokens.max() >= spec.vocab_size:
+        tokens = batch.tokens
+        if np.minimum.reduce(tokens) < 0 or np.maximum.reduce(tokens) >= spec.vocab_size:
             raise InputShapeError(f"token id out of range [0, {spec.vocab_size})")
         emb = spec.view(params, "embedding.weight")
-        rows = np.take(emb, batch.tokens, axis=0)  # the copy emb[batch.tokens] makes, faster
+        rows = emb.take(tokens, axis=0)  # the copy emb[tokens] makes, faster
         bag = np.add.reduceat(rows, batch.offsets[:-1], axis=0) / lengths[:, None]
         cache.update(lengths=lengths, feature=bag)
         return bag @ w.T + b, cache
@@ -222,8 +223,9 @@ def _backward_from_dlogits(model: ModelState, cache, dlogits: np.ndarray) -> np.
         lengths = cache["lengths"]
         v, e = spec.vocab_size, spec.embed_dim
         dbag = dlogits @ model.slot("out.weight")
-        dtok = np.repeat(dbag / lengths[:, None], lengths, axis=0)
-        cells = (cache["batch"].tokens[:, None] * e + np.arange(e)).ravel()
+        dtok = (dbag / lengths[:, None]).repeat(lengths, axis=0)
+        # the (token, dim) cells: each token's row of the flat cell index
+        cells = np.arange(v * e).reshape(v, e).take(cache["batch"].tokens, axis=0).ravel()
         spec.view(grad, "embedding.weight")[:] = np.bincount(
             cells, dtok.ravel(), v * e).reshape(v, e)
     return grad
