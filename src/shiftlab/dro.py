@@ -204,7 +204,9 @@ def nonparam_weights(losses: np.ndarray, kappa: float) -> Tuple[np.ndarray, floa
         return w, TAU_SEARCH_HI
     lo, hi = np.log(TAU_SEARCH_LO), np.log(TAU_SEARCH_HI)
     # start from the small-radius limit KL ~ Var(loss) / (2 tau^2)
-    u = float(min(max(np.log(np.std(losses) / np.sqrt(2.0 * kappa)), lo), hi))
+    centered = losses - np.add.reduce(losses) / len(losses)
+    std = np.sqrt(np.add.reduce(centered * centered) / len(losses))  # np.std's two passes
+    u = float(min(max(np.log(std / np.sqrt(2.0 * kappa)), lo), hi))
     last = False
     for _ in range(200):
         tau = min(max(np.exp(u), TAU_SEARCH_LO), TAU_SEARCH_HI)
@@ -298,7 +300,7 @@ def gaussian_kl_project(adv: GaussianAdversary, kappa: float) -> GaussianAdversa
 def rpdro_batch_weights(f_values: np.ndarray) -> np.ndarray:
     """Minibatch-normalized ratios: a stable softmax of the raw scores."""
     f = np.asarray(f_values, dtype=float)
-    if not np.all(np.isfinite(f)):
+    if not np.logical_and.reduce(np.isfinite(f)):
         raise DivergenceError("non-finite adversary scores")
     return softmax(f)
 
@@ -317,14 +319,17 @@ def rpdro_objective(
     n = len(r)
     if len(losses) != n:
         raise ValueError("losses and f_values must have the same length")
-    nonzero = r > 0
-    log_nr = np.zeros(n)
-    log_nr[nonzero] = np.log(n * r[nonzero])
-    kl_term = float(np.sum(r * log_nr))
-    objective = float(np.sum(r * losses)) - tau * kl_term
+    if np.logical_and.reduce(r):
+        log_nr = np.log(n * r)
+    else:  # 0 log 0 = 0 for the weights that underflowed
+        nonzero = r > 0
+        log_nr = np.zeros(n)
+        log_nr[nonzero] = np.log(n * r[nonzero])
+    kl_term = float(np.add.reduce(r * log_nr))
+    objective = float(np.add.reduce(r * losses)) - tau * kl_term
     # d objective / d f through the softmax
     a = losses - tau * (log_nr + 1.0)
-    dobj_df = r * (a - np.sum(r * a))
+    dobj_df = r * (a - np.add.reduce(r * a))
     return objective, r, dobj_df
 
 
