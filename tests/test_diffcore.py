@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import finite_diff_check, packed_rows
 from shiftlab.diffcore import (
@@ -11,6 +11,8 @@ from shiftlab.diffcore import (
     ModelState,
     Packed,
     UnsupportedArchitectureError,
+    _backward_from_dlogits,
+    _forward_batch,
     _log_softmax,
     batch_constants,
     fisher_diag,
@@ -477,6 +479,34 @@ def test_log_softmax_equals_the_former_formula(logits):
     got = _log_softmax(logits)
     assert got.shape == logits.shape and np.array_equal(got, reference_log_softmax(logits))
     assert np.array_equal(logits, before)
+
+
+def reference_embedding_grad(model, batch, dlogits):
+    """The embedding slot's gradient as the backward took it before it gathered
+    the cell index, verbatim: a bincount over the broadcast (token, dim) cells."""
+    lengths = batch.offsets[1:] - batch.offsets[:-1]
+    v, e = model.spec.vocab_size, model.spec.embed_dim
+    dbag = dlogits @ model.slot("out.weight")
+    dtok = np.repeat(dbag / lengths[:, None], lengths, axis=0)
+    cells = (batch.tokens[:, None] * e + np.arange(e)).ravel()
+    return np.bincount(cells, dtok.ravel(), v * e).reshape(v, e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=9), min_size=1, max_size=40),
+       st.integers(0, 2**32 - 1))
+@example([[3, 3, 1, 3], [0]], 0)  # a token repeated within a row
+def test_embedding_grad_equals_the_former_scatter_bit_for_bit(rows, seed):
+    # tokens 6..8 of the vocabulary are never drawn: their cells stay exactly 0
+    spec = ModelSpec("embed_bag", vocab_size=9, embed_dim=5, num_classes=3)
+    rng = np.random.default_rng(seed)
+    model = ModelState(spec, rng.standard_normal(spec.param_count))
+    batch = packed_rows((np.array(row), int(rng.integers(0, 3))) for row in rows)
+    dlogits = rng.standard_normal((len(rows), 3))
+    grad = _backward_from_dlogits(model, _forward_batch(model, batch)[1], dlogits)
+    got = spec.view(grad, "embedding.weight")
+    assert got.tobytes() == reference_embedding_grad(model, batch, dlogits).tobytes()
+    assert not np.logical_or.reduce(got[6:], axis=None)
 
 
 @pytest.mark.parametrize("n", [1, 7, 32])

@@ -357,6 +357,35 @@ def test_rpdro_objective_zero_at_uniform():
         rpdro_objective(losses, np.zeros(2), tau=1.0)
 
 
+def reference_rpdro_objective(losses, f_values, tau):
+    """rpdro_objective before its all-positive fast path, verbatim."""
+    losses = np.asarray(losses, dtype=float)
+    r = rpdro_batch_weights(f_values)
+    n = len(r)
+    nonzero = r > 0
+    log_nr = np.zeros(n)
+    log_nr[nonzero] = np.log(n * r[nonzero])
+    kl_term = float(np.sum(r * log_nr))
+    objective = float(np.sum(r * losses)) - tau * kl_term
+    a = losses - tau * (log_nr + 1.0)
+    dobj_df = r * (a - np.sum(r * a))
+    return objective, r, dobj_df
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-30.0, 30.0), st.floats(0.0, 5.0)), min_size=1, max_size=70),
+       st.floats(0.0, 3.0), st.booleans())
+def test_rpdro_objective_equals_the_former_objective_bit_for_bit(rows, tau, underflow):
+    f, losses = (np.array(column) for column in zip(*rows))
+    if underflow:  # a score 2000 below the top: its ratio is exactly 0
+        f[::2] = f.max() - 2000.0
+    got = rpdro_objective(losses, f, tau)
+    want = reference_rpdro_objective(losses, f, tau)
+    assert np.logical_or.reduce(got[1] == 0) == (underflow and len(f) > 1)
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes() and got[2].tobytes() == want[2].tobytes()
+
+
 def test_rpdro_selfnorm_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     losses = rng.uniform(0, 2, size=5)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftlab.datasets import TwoDomainSpec, gen_two_domain_gaussian
 from shiftlab.diffcore import ModelSpec, ModelState, init_params, nll_loss_batch
@@ -100,6 +101,32 @@ def test_robust_valid_loss_is_the_max_weighted_mean():
     assert robust_valid_loss(losses, recs) == pytest.approx(4.0)
     with pytest.raises(ValueError):
         robust_valid_loss(losses, [])
+
+
+def reference_robust_valid_loss(losses, records):
+    """robust_valid_loss before it stacked the records, verbatim."""
+    if not records:
+        raise ValueError("at least one record required")
+    return max(float(np.mean(r.valid_weights * losses)) for r in records)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 7, 8, 9, 127, 128, 129, 400, 4097]), st.integers(1, 30),
+       st.integers(0, 2**32 - 1))
+def test_stacked_scores_equal_the_former_per_record_means_bit_for_bit(n, k, seed):
+    # sizes around the 8-wide unrolled blocks and the 128-element pairwise split
+    rng = np.random.default_rng(seed)
+    records = [identity_record(n)]
+    for _ in range(k - 1):
+        raw = rng.exponential(size=n) * (rng.uniform(size=n) < 0.9)  # some weights at 0
+        raw[rng.integers(n)] += 1.0  # never all zero
+        records.append(make_record(raw))
+    rows = [rng.exponential(size=n) * 10.0 ** rng.uniform(-3, 3) for _ in range(3)]
+    want = [reference_robust_valid_loss(row, records) for row in rows]
+    assert [robust_valid_loss(row, records).hex() for row in rows] == [v.hex() for v in want]
+    # hyperparam_select scores every checkpoint through the same stacked pass
+    best = min((value, 0, i) for i, value in enumerate(want))[1:]
+    assert hyperparam_select([(rows, records)], math.inf) == best
 
 
 def test_minmax_select_matches_brute_force(valid_set):
