@@ -31,6 +31,9 @@ def build_parser() -> argparse.ArgumentParser:
             cmd.add_argument("--set", action="append", default=[], dest="overrides",
                              metavar="KEY=VALUE", help="override a config key")
             cmd.add_argument("--seed", type=int, default=0)
+        if name == "attack":
+            cmd.add_argument("--model", metavar="PATH",
+                             help="attack this saved model.bin instead of training one")
         cmd.add_argument("--out", required=True, help="output directory")
     return parser
 
@@ -43,6 +46,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 0
         cfg = harness.parse_config(args.config)
         cfg = harness.apply_overrides(cfg, args.overrides)
+        if args.command == "attack" and args.model is not None:
+            harness.cmd_attack(cfg, args.seed, args.out, harness.load_model_bin(args.model))
+            return 0
         command = {
             "gen-data": harness.cmd_gen_data,
             "train": harness.cmd_train,

@@ -706,6 +706,25 @@ def test_cli_train_and_report(tmp_path):
     assert (rep_dir / "report.csv").exists()
 
 
+def test_cli_attack_of_a_saved_model_equals_the_attack_that_trains_it(tmp_path, monkeypatch):
+    # train and attack share the config and seed, so both attack one model
+    cfg_path = tmp_path / "cfg"
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in {**SMALL_TEXT, "attack.n": 20}.items()))
+    argv = ["--config", str(cfg_path), "--seed", "3", "--out"]
+    assert cli.main(["train", *argv, str(tmp_path / "train")]) == 0
+    assert cli.main(["attack", *argv, str(tmp_path / "own")]) == 0
+    model = str(tmp_path / "train" / "model.bin")
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("attack --model trained a model")
+
+    monkeypatch.setattr(harness, "train_run", no_training)
+    assert cli.main(["attack", "--model", model, *argv, str(tmp_path / "loaded")]) == 0
+    for name in ("metrics.csv", "run.jsonl"):
+        own, loaded = (tmp_path / side / name for side in ("own", "loaded"))
+        assert loaded.read_bytes() == own.read_bytes()
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path = tmp_path / "cfg"
     cfg_path.write_text("bogus = 1\n")
@@ -798,8 +817,9 @@ BELOW_FLOOR = [
     for key, default in harness.DEFAULTS.items()
     if isinstance(default, (int, float)) and not isinstance(default, bool)
 ]
-# the CSV files the table's rows read, by name
+# the files the table's rows read, by name
 CSVS = {
+    "corrupt.bin": "\x00",  # a model file that ends inside its 4-byte length prefix
     "no_label.csv": "id,f0,f1\n0,1.0,2.0\n",
     **{f"tiny{n}.csv": "id,label,group,f0,f1\n" + "".join(f"{i},{i % 2},0,1.0,2.0\n" for i in range(n))
        for n in (1, 5)},
@@ -829,9 +849,9 @@ GAME = [
 
 
 def row(name, command, bad, key, message):
-    """A table row: `command` on the settings `bad` exits 1 with one error line
-    that holds `key` (a config key, or the CSV file of a file rule) and matches
-    the regular expression `message`."""
+    """A table row: `command` (with any options it names) on the settings `bad`
+    exits 1 with one error line that holds `key` (a config key, or the file of a
+    file rule) and matches the regular expression `message`."""
     return pytest.param(command, bad, key, message, id=name)
 
 
@@ -946,6 +966,11 @@ def row(name, command, bad, key, message):
         "unknown attack.constraint: 'kn'"),
     row("attack-charswap-oov", "attack", {"attack.constraint": "charswap-oov"}, "attack.constraint",
         "unknown attack.constraint: 'charswap-oov'"),
+    # a --model file that cannot be read or parsed
+    row("attack-model-missing", "attack --model absent.bin", SMALL_TEXT, "absent.bin",
+        r"\[Errno 2\] No such file or directory: 'absent.bin'$"),
+    row("attack-model-corrupt", "attack --model corrupt.bin", SMALL_TEXT, "corrupt.bin",
+        "corrupt.bin: file ends inside its header$"),
 ])
 def test_a_command_that_fails_before_writing_leaves_no_directory(
         tmp_path, capsys, monkeypatch, command, bad, key, message):
@@ -958,7 +983,7 @@ def test_a_command_that_fails_before_writing_leaves_no_directory(
     for name, text in CSVS.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "cfg").write_text("".join(f"{k} = {value}\n" for k, value in bad.items()))
-    assert cli.main([command, "--config", "cfg", "--out", "out"]) == 1
+    assert cli.main([*command.split(), "--config", "cfg", "--out", "out"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("shiftlab: error: ")
     assert key in err[0] and re.match(message, err[0][len("shiftlab: error: "):])
