@@ -26,7 +26,6 @@ UNREACHED = {
     "diffcore.grad_wrt_embeddings": TRACED,
     "diffcore.nll_loss_batch": TRACED,
     "dro.erm_step": TRACED,
-    "harness.load_model_bin": "no CLI command loads a model; ROADMAP item 17",
 }
 
 

@@ -77,6 +77,8 @@ CONFIGS = {
                          "lr = 0.05\n"
                          "epochs = 8\n"),
 }
+# the command-line options, besides --config, --seed and --out, of each run named here
+OPTIONS = {"attack-from-model": ("--model", "train-distractor-rpdro/model.bin")}
 
 
 def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
@@ -127,6 +129,8 @@ def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
         ("attack", "attack-csv-distractor", ("dataset=gen-distractor/train.csv", "epochs=3",
                                              "attack.n=150", "attack.steps=2",
                                              "attack.constraint=knn"), 0),
+        # the saved rpdro model on the splits it was trained with, as the benchmark attacks it
+        ("attack", "attack-from-model", (*attack, "attack.constraint=knn"), 0),
     ]
     for method in CL_METHODS:
         tag = method.replace("+", "_")
@@ -187,7 +191,8 @@ def fingerprint(work: Path) -> Dict[str, dict]:
     try:
         for command, name, overrides, seed in commands():
             config = configs[name if name in CONFIGS else "empty"]
-            argv = [command, "--config", config.name, "--seed", str(seed), "--out", name]
+            argv = [command, *OPTIONS.get(name, ()), "--config", config.name, "--seed", str(seed),
+                    "--out", name]
             for item in overrides:
                 argv += ["--set", item]
             stderr = io.StringIO()
