@@ -111,3 +111,45 @@ def test_diff_reports_a_one_ulp_parameter_by_size_and_a_checkpoint_choice_as_dis
                          "  error line of train-x: '' -> 'shiftlab: error: x'"]
     assert "  test/average_accuracy value: max abs 0.125, max rel 0.25 (1 of 1 values)" in lines
     assert lines[-1] == "3 of 3 files differ; discrete changes: 3; accuracy moved: yes"
+
+
+def diff_one_file(tmp_path, name, old_text, new_text):
+    """The --diff lines of two kept runs whose one output `name` reads
+    `old_text` and `new_text`."""
+    for side, text in (("old", old_text), ("new", new_text)):
+        path = tmp_path / side / name
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        (tmp_path / side / "fingerprint.json").write_text(json.dumps({"commands": {}}))
+    return fingerprint.diff_dirs(tmp_path / "old", tmp_path / "new")
+
+
+def test_diff_names_the_run_of_a_moved_report_value(tmp_path):
+    header = "run,robust_accuracy,average_accuracy\n"
+    old = header + "train-a,0.5,0.75\ntrain-b,0.25,0.5\ntrain-c,0.5,0.5\n"
+    lines = diff_one_file(tmp_path, "report/report.csv", old, old.replace("train-b,0.25", "train-b,0.375"))
+    assert lines == ["differs file: report/report.csv",
+                     "  train-b robust_accuracy: max abs 0.125, max rel 0.5 (1 of 1 values)",
+                     "1 of 1 files differ; discrete changes: 0; accuracy moved: yes"]
+
+
+def test_diff_names_the_point_of_a_moved_sweep_value(tmp_path):
+    # the numeric point index does not name the row; its params do
+    header = "point,params,test_robust_acc,test_average_acc,selected\n"
+    old = (header + '1,"{""tau"": 0.5}",0.5,0.75,True\n'
+                    '0,"{""tau"": 0.1}",0.25,0.75,False\n')
+    new = old.replace("0.25,0.75,False", "0.25,0.625,False")
+    lines = diff_one_file(tmp_path, "sweep-x/metrics.csv", old, new)
+    assert lines[1] == '  {"tau": 0.1} test_average_acc: max abs 0.125, max rel 0.167 (1 of 1 values)'
+    assert len(lines) == 3
+
+
+def test_diff_never_keys_a_dataset_by_its_token_rows(tmp_path):
+    # every token row is distinct, but holds only numbers: the columns stay whole
+    old = "id,tokens,label,group\n0,3 17 4,1,2\n1,5 5,0,1\n2,9,1,0\n"
+    new = old.replace("1,5 5,0,1", "1,5 6,1,1")
+    lines = diff_one_file(tmp_path, "gen-x/train.csv", old, new)
+    assert lines == ["differs file: gen-x/train.csv",
+                     "  label: max abs 1, max rel inf (1 of 3 values)",
+                     "  discrete tokens [1]: '5 5' -> '5 6'",
+                     "1 of 1 files differ; discrete changes: 1; accuracy moved: no"]

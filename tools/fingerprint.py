@@ -22,11 +22,12 @@ DIR/fingerprint.json. `--diff OLD_DIR NEW_DIR` runs nothing: it compares two
 kept runs by what moved and by how much. Per differing file it gives the max
 absolute and relative change of each numeric column (each CSV and JSONL
 field, each model.bin parameter slot; a long-format CSV, whose one numeric
-column is the value its text cells name, by row) and every changed discrete
-field (a
-non-numeric value, `chosen_checkpoint`, `selected`, a command's exit code or
-error line), then says whether any accuracy moved; it exits 1 if anything
-differs. The `shiftlab` package is imported from this tree's `src/`.
+column is the value its text cells name, by row; a CSV with a column that
+names each row, such as report's `run`, by that name) and every changed
+discrete field (a non-numeric value, `chosen_checkpoint`, `selected`, a
+command's exit code or error line), then says whether any accuracy moved; it
+exits 1 if anything differs. The `shiftlab` package is imported from this
+tree's `src/`.
 """
 from __future__ import annotations
 
@@ -241,12 +242,21 @@ def _flat(obj, prefix: str = "") -> dict:
     return out
 
 
+def _names_rows(cells: List[str]) -> bool:
+    """Whether a CSV column names each row: its cells are distinct and each
+    holds a word that is not a number (a token row such as `3 17 4` does not)."""
+    return len(set(cells)) == len(cells) and all(
+        any(_number(word) is None for word in cell.split()) for cell in cells)
+
+
 def _columns(path: Path) -> Optional[Dict[str, list]]:
     """An output file as {column: values}: each CSV or JSONL field over its
     rows (a JSON file is one row), or each model.bin parameter slot over its
     values plus the spec; None for any other file. A long-format CSV, whose
     one all-numeric column holds the value its row's other cells name, keys
-    each value by them: `test/average_accuracy value`."""
+    each value by them: `test/average_accuracy value`. Any other CSV with a
+    column that names each row keys each value by the first such column:
+    `train-x robust_accuracy` (report's `run`, a sweep point's `params`)."""
     if path.name == "model.bin":
         model = harness.load_model_bin(str(path))
         return {"spec": [repr(model.spec)],
@@ -261,6 +271,10 @@ def _columns(path: Path) -> Optional[Dict[str, list]]:
                 label = "/".join(text for key, text in row.items() if key != value)
                 columns.setdefault(f"{label} {value}", []).append(row[value])
             return columns
+        names = [key for key in (rows[0] if rows else ()) if _names_rows([row[key] for row in rows])]
+        if names:
+            return {f"{row[names[0]]} {key}": [text] for row in rows
+                    for key, text in row.items() if key != names[0]}
     elif path.suffix in (".jsonl", ".json"):
         text = path.read_text()
         rows = [_flat(json.loads(line))
