@@ -554,6 +554,11 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     if spec.architecture != "embed_bag" or not test.is_tokens:
         raise ConfigError(f"model.arch must be embed_bag on token-id rows to attack, got {spec.architecture} "
                           f"on {'token-id' if test.is_tokens else 'dense'} rows")
+    if model is not None:  # a saved model must read every id and label of the rows it is attacked on
+        ids, classes = int(test.rows.tokens.max()) + 1, class_count(test)
+        if ids > spec.vocab_size or classes > spec.num_classes:
+            raise ConfigError(f"the model reads {spec.vocab_size} token ids and {spec.num_classes} classes, "
+                              f"but the test split holds {ids} token ids and {classes} classes")
     if n > len(test):
         raise ConfigError(f"attack.n must be <= the test split's {len(test)} rows, got {n}")
     if cfg["attack.constraint"] == "knn" and not k < spec.vocab_size:

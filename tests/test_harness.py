@@ -585,6 +585,23 @@ def test_cmd_attack_rejects_attack_sizes_it_cannot_honour(tmp_path, bad):
     assert not (tmp_path / "a").exists()
 
 
+@pytest.mark.parametrize("vocab, classes, csv", [(16, 2, False), (32, 2, True)],
+                         ids=["too-few-ids", "too-few-classes"])
+def test_cmd_attack_rejects_a_model_that_cannot_read_the_test_split(tmp_path, vocab, classes, csv):
+    # the generated text holds 32 token ids; the CSV also holds a third label
+    cfg = {"dataset": "distractor", "attack.n": 5, "data.test_n": 50}
+    if csv:
+        text = "id,tokens,label,group\n" + "".join(f"{i},{i % 30} 4 7,{i % 3},0\n" for i in range(60))
+        (tmp_path / "three.csv").write_text(text)
+        cfg = {"dataset": str(tmp_path / "three.csv"), "attack.n": 5}
+    model = init_params(ModelSpec("embed_bag", num_classes=classes, vocab_size=vocab, embed_dim=8), seed=0)
+    want = (f"the model reads {vocab} token ids and {classes} classes, "
+            f"but the test split holds {30 if csv else 32} token ids and {3 if csv else 2} classes")
+    with pytest.raises(harness.ConfigError, match=f"^{want}$"):
+        harness.cmd_attack(cfg, 0, str(tmp_path / "a"), model=model)
+    assert not (tmp_path / "a").exists()
+
+
 def test_cmd_attack_rejects_dense_models(tmp_path):
     model = init_params(ModelSpec("linear", input_dim=2), seed=0)
     with pytest.raises(harness.ConfigError, match="model.arch must be embed_bag on token-id rows to attack, "
