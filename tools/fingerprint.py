@@ -271,10 +271,11 @@ def _columns(path: Path) -> Optional[Dict[str, list]]:
                 label = "/".join(text for key, text in row.items() if key != value)
                 columns.setdefault(f"{label} {value}", []).append(row[value])
             return columns
-        names = [key for key in (rows[0] if rows else ()) if _names_rows([row[key] for row in rows])]
-        if names:
-            return {f"{row[names[0]]} {key}": [text] for row in rows
-                    for key, text in row.items() if key != names[0]}
+        name = next((key for key in (rows[0] if rows else ())
+                     if _names_rows([row[key] for row in rows])), None)
+        if name is not None:
+            return {f"{row[name]} {key}": [text] for row in rows for key, text in row.items()
+                    if key != name}
     elif path.suffix in (".jsonl", ".json"):
         text = path.read_text()
         rows = [_flat(json.loads(line))
