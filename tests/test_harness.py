@@ -585,17 +585,16 @@ def test_cmd_attack_rejects_attack_sizes_it_cannot_honour(tmp_path, bad):
     assert not (tmp_path / "a").exists()
 
 
-@pytest.mark.parametrize("vocab, classes, csv", [(16, 2, False), (32, 2, True)],
-                         ids=["too-few-ids", "too-few-classes"])
-def test_cmd_attack_rejects_a_model_that_cannot_read_the_test_split(tmp_path, vocab, classes, csv):
+@pytest.mark.parametrize("vocab, csv", [(16, False), (32, True)], ids=["too-few-ids", "too-few-classes"])
+def test_cmd_attack_rejects_a_model_that_cannot_read_the_test_split(tmp_path, vocab, csv):
     # the generated text holds 32 token ids; the CSV also holds a third label
     cfg = {"dataset": "distractor", "attack.n": 5, "data.test_n": 50}
     if csv:
         text = "id,tokens,label,group\n" + "".join(f"{i},{i % 30} 4 7,{i % 3},0\n" for i in range(60))
         (tmp_path / "three.csv").write_text(text)
         cfg = {"dataset": str(tmp_path / "three.csv"), "attack.n": 5}
-    model = init_params(ModelSpec("embed_bag", num_classes=classes, vocab_size=vocab, embed_dim=8), seed=0)
-    want = (f"the model reads {vocab} token ids and {classes} classes, "
+    model = init_params(ModelSpec("embed_bag", vocab_size=vocab, embed_dim=8), seed=0)
+    want = (f"the model reads {vocab} token ids and 2 classes, "
             f"but the test split holds {30 if csv else 32} token ids and {3 if csv else 2} classes")
     with pytest.raises(harness.ConfigError, match=f"^{want}$"):
         harness.cmd_attack(cfg, 0, str(tmp_path / "a"), model=model)
@@ -835,7 +834,7 @@ BELOW_FLOOR = [
     if isinstance(default, (int, float)) and not isinstance(default, bool)
 ]
 # the files the table's rows read, by name
-CSVS = {
+FILES = {
     "corrupt.bin": "\x00",  # a model file that ends inside its 4-byte length prefix
     "no_label.csv": "id,f0,f1\n0,1.0,2.0\n",
     **{f"tiny{n}.csv": "id,label,group,f0,f1\n" + "".join(f"{i},{i % 2},0,1.0,2.0\n" for i in range(n))
@@ -997,7 +996,7 @@ def test_a_command_that_fails_before_writing_leaves_no_directory(
     monkeypatch.setattr(dro, "simultaneous_step", no_step)
     monkeypatch.setattr(cl, "grad_params", no_step)
     monkeypatch.chdir(tmp_path)
-    for name, text in CSVS.items():
+    for name, text in FILES.items():
         (tmp_path / name).write_text(text)
     (tmp_path / "cfg").write_text("".join(f"{k} = {value}\n" for k, value in bad.items()))
     assert cli.main([*command.split(), "--config", "cfg", "--out", "out"]) == 1
