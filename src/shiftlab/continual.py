@@ -130,10 +130,12 @@ def ewc_loss(
 
 @dataclass
 class ReplayMemory:
-    """Fixed-capacity uniform sample of the item stream seen so far."""
+    """Fixed-capacity uniform sample of the row ids seen so far, held in one
+    int array: `items` grows to `capacity` ids, then keeps its length while
+    `reservoir_add` overwrites its slots."""
 
     capacity: int
-    items: list = field(default_factory=list, init=False)
+    items: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int), init=False)
     seen_count: int = field(default=0, init=False)
 
     def __post_init__(self):
@@ -141,24 +143,35 @@ class ReplayMemory:
             raise ValueError("capacity must be positive")
 
 
-def reservoir_add(memory: ReplayMemory, item, rng: np.random.Generator) -> ReplayMemory:
-    """Reservoir sampling: every item seen so far kept with equal probability."""
-    memory.seen_count += 1
-    if len(memory.items) < memory.capacity:
-        memory.items.append(item)
-    elif rng.random() < memory.capacity / memory.seen_count:
-        slot = int(rng.integers(0, memory.capacity))
-        memory.items[slot] = item
+def reservoir_add(memory: ReplayMemory, ids, rng: np.random.Generator) -> ReplayMemory:
+    """Algorithm R (Vitter, 1985) over the row ids `ids`, in order: every id
+    seen so far is kept with equal probability. Ids that find a free slot go
+    in without a draw; once the memory is full each id draws one
+    `rng.random()`, and an accepted id then draws its slot with
+    `rng.integers(0, capacity)`."""
+    ids = np.asarray(ids, dtype=int)
+    capacity, seen = memory.capacity, memory.seen_count
+    free = min(max(capacity - seen, 0), len(ids))
+    if free:
+        memory.items = np.concatenate((memory.items, ids[:free]))
+    items, random, integers = memory.items, rng.random, rng.integers
+    seen += free
+    for row in ids[free:].tolist():
+        seen += 1
+        if random() < capacity / seen:
+            items[integers(0, capacity)] = row
+    memory.seen_count = seen
     return memory
 
 
-def with_replay(batch: Sequence, memory: ReplayMemory, rng: np.random.Generator) -> Sequence:
-    """The batch followed by len(batch) memory items drawn uniformly with
-    replacement; the batch itself while memory is empty."""
-    if not memory.items:
+def with_replay(batch: np.ndarray, memory: ReplayMemory, rng: np.random.Generator) -> np.ndarray:
+    """The batch's row ids followed by len(batch) memory ids drawn uniformly
+    with replacement, as one int array; the batch itself while memory is
+    empty, which draws nothing."""
+    items = memory.items
+    if not len(items):
         return batch
-    idx = rng.integers(0, len(memory.items), size=len(batch))
-    return [*batch, *(memory.items[int(i)] for i in idx)]
+    return np.concatenate((batch, items[rng.integers(0, len(items), size=len(batch))]))
 
 
 @dataclass
@@ -264,19 +277,15 @@ def continual_train(
                 if config.grad_noise > 0:
                     scale = config.grad_noise * np.linalg.norm(grad)
                     grad = grad + scale * rng.standard_normal(grad.size) / np.sqrt(grad.size)
-                trunk_grad, head_grad = grad[:split], grad[split:]
                 if use_ewc and task_idx > 0:
-                    _, penalty_grad = ewc_loss(trunk, trunk_ref, fisher.diag, config.ewc_lambda)
-                    trunk_grad += penalty_grad
+                    grad[:split] += ewc_loss(trunk, trunk_ref, fisher.diag, config.ewc_lambda)[1]
                 if use_conatural and task_idx > 0:
-                    trunk_update = conatural_delta(trunk_grad, fisher, config.lr)
-                else:
-                    trunk_update = -config.lr * trunk_grad
-                trunk += trunk_update
-                head -= config.lr * head_grad
+                    trunk += conatural_delta(grad[:split], fisher, config.lr)
+                    head -= config.lr * grad[split:]
+                else:  # the trunk's former x + (-lr * g) rounds as x - lr * g
+                    model.params -= config.lr * grad
                 if use_er:
-                    for row in batch.tolist():
-                        reservoir_add(memory, row, rng)
+                    reservoir_add(memory, batch, rng)
             if not np.logical_and.reduce(np.isfinite(model.params)):
                 raise DivergenceError(f"non-finite parameters at task {task_idx}, epoch {epoch}")
         heads[task_idx] = head

@@ -485,9 +485,7 @@ def test_reservoir_inclusion_is_uniform():
     rng = np.random.default_rng(6)
     counts = np.zeros(stream_len)
     for _ in range(streams):
-        memory = ReplayMemory(capacity)
-        for i in range(stream_len):
-            reservoir_add(memory, i, rng)
+        memory = reservoir_add(ReplayMemory(capacity), np.arange(stream_len), rng)
         for item in memory.items:
             counts[item] += 1
     freq = counts / streams

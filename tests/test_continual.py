@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -141,7 +142,7 @@ def test_reservoir_fills_then_stays_at_capacity():
     rng = np.random.default_rng(1)
     memory = ReplayMemory(capacity=5)
     for i in range(50):
-        reservoir_add(memory, i, rng)
+        reservoir_add(memory, [i], rng)
         assert len(memory.items) <= 5
     assert len(memory.items) == 5
     assert memory.seen_count == 50
@@ -152,12 +153,13 @@ def test_reservoir_fills_then_stays_at_capacity():
 
 
 def test_with_replay_appends_one_memory_draw_per_batch_item():
-    memory = ReplayMemory(capacity=10)
-    memory.items.extend([10, 11, 12, 13, 14])
-    batch = [0, 1, 2]
-    combined = with_replay(batch, memory, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    # five ids into ten free slots draw nothing, so with_replay makes the first draws
+    memory = reservoir_add(ReplayMemory(capacity=10), [10, 11, 12, 13, 14], rng)
+    batch = np.array([0, 1, 2])
+    combined = with_replay(batch, memory, rng)
     drawn = np.random.default_rng(4).integers(0, 5, size=3)
-    assert combined == [0, 1, 2] + [memory.items[i] for i in drawn]
+    assert np.array_equal(combined, [0, 1, 2] + [memory.items[i] for i in drawn])
     rng = np.random.default_rng(5)
     assert with_replay(batch, ReplayMemory(capacity=10), rng) is batch
     # an empty memory draws nothing from the generator
@@ -306,32 +308,72 @@ def test_conatural_delta_equals_the_linalg_norm_form(case):
                           reference_conatural_delta(zero, fisher, lr))
 
 
-@pytest.mark.parametrize("method", ["finetune", "er"])
+@dataclass
+class ReferenceReplayMemory:
+    """The former ReplayMemory, verbatim but for its name: the items in a list."""
+
+    capacity: int
+    items: list = field(default_factory=list, init=False)
+    seen_count: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        if self.capacity < 1:
+            raise ValueError("capacity must be positive")
+
+
+def reference_reservoir_add(memory, item, rng):
+    """The former reservoir_add, verbatim: one item per call."""
+    memory.seen_count += 1
+    if len(memory.items) < memory.capacity:
+        memory.items.append(item)
+    elif rng.random() < memory.capacity / memory.seen_count:
+        slot = int(rng.integers(0, memory.capacity))
+        memory.items[slot] = item
+    return memory
+
+
+def reference_with_replay(batch, memory, rng):
+    """The former with_replay, verbatim: a list of the batch and its draws."""
+    if not memory.items:
+        return batch
+    idx = rng.integers(0, len(memory.items), size=len(batch))
+    return [*batch, *(memory.items[int(i)] for i in idx)]
+
+
+@pytest.mark.parametrize("method", ["finetune", "er", "conatural+er"])
 def test_continual_train_gathers_once_per_epoch_without_replay_per_step_with(monkeypatch, method):
     # 3 tasks of 30 rows in batches of 8 (short last batches), a small memory that
     # fills and then replaces; each step must see the rows of a reference loop of
-    # batches -> with_replay -> take, with uniform weights
+    # batches -> the former list-based with_replay -> take, with uniform weights,
+    # and the run must leave the former memory and random stream behind
     tasks = rotated_gaussian_tasks(3, 30, sigma=0.4, seed=6)
-    cfg = ContinualConfig(hidden=4, epochs=2, batch_size=8, capacity=10, seed=2)
+    cfg = ContinualConfig(hidden=4, epochs=2, batch_size=8, capacity=10, fisher_samples=50,
+                          seed=2)
     every = Packed(*(np.concatenate([getattr(task.rows, name) for task in tasks])
                      for name in ("labels", "groups", "x")))
+    replay = method != "finetune"
     rng = np.random.default_rng(cfg.seed + 7919)
-    memory = ReplayMemory(cfg.capacity)
-    expected, replay_steps, lo = [], 0, 0
+    memory = ReferenceReplayMemory(cfg.capacity)
+    expected, expected_takes, replay_steps, lo = [], [], 0, 0
     for k, task in enumerate(tasks):
         for epoch in range(cfg.epochs):
+            if not replay:
+                expected_takes.append(len(task))
             for idx in batches(task, cfg.batch_size, seed=cfg.seed * 100003 + k * 131 + epoch):
                 batch = lo + idx
-                combined = with_replay(batch, memory, rng) if method == "er" else batch
+                combined = reference_with_replay(batch, memory, rng) if replay else batch
                 replay_steps += combined is not batch
                 expected.append(every.take(combined))
-                if method == "er":
+                if replay:
+                    expected_takes.append(len(combined))
                     for row in batch:
-                        reservoir_add(memory, int(row), rng)
+                        reference_reservoir_add(memory, int(row), rng)
+        if method == "conatural+er":  # the task's Fisher draws its rows
+            expected_takes.append(cfg.fisher_samples)
         lo += len(task)
 
-    seen, takes = [], []
-    original_grad, original_take = continual.grad_params, Packed.take
+    seen, takes, final = [], [], {}
+    original_grad, original_take, original_add = continual.grad_params, Packed.take, reservoir_add
 
     def spy_grad(model, rows, weights):
         seen.append((rows.x.copy(), rows.labels.copy(), np.array(weights)))
@@ -341,16 +383,25 @@ def test_continual_train_gathers_once_per_epoch_without_replay_per_step_with(mon
         takes.append(len(idx))
         return original_take(self, idx)
 
+    def spy_add(memory, ids, rng):
+        final.update(memory=memory, rng=rng)
+        return original_add(memory, ids, rng)
+
     monkeypatch.setattr(continual, "grad_params", spy_grad)
     monkeypatch.setattr(Packed, "take", spy_take)
+    monkeypatch.setattr(continual, "reservoir_add", spy_add)
     continual_train(tasks, method, cfg)
     assert len(seen) == len(expected) == 3 * cfg.epochs * 4
     for (x, labels, weights), want in zip(seen, expected):
         assert np.array_equal(x, want.x) and np.array_equal(labels, want.labels)
         assert np.array_equal(weights, np.full(len(want), 1.0 / len(want)))
-    assert replay_steps == (0 if method == "finetune" else len(expected) - 1)
-    # finetune gathers each task epoch once; er gathers every step's rows, and nothing else
-    if method == "finetune":
-        assert takes == [30] * (3 * cfg.epochs)
+    assert replay_steps == (len(expected) - 1 if replay else 0)
+    # finetune gathers each task epoch once; replay gathers every step's rows, and
+    # nothing else but a co-natural run's Fisher samples
+    assert takes == expected_takes
+    if replay:
+        assert final["memory"].items.tolist() == memory.items
+        assert final["memory"].seen_count == memory.seen_count == 3 * 30 * cfg.epochs
+        assert final["rng"].random() == rng.random()
     else:
-        assert takes == [len(rows) for rows in expected]
+        assert not final
