@@ -29,6 +29,7 @@ from .diffcore import (
 )
 
 EPSILON = 1e-12
+TINY = np.finfo(float).tiny  # the smallest normal float64
 METHODS = ("finetune", "conatural", "ewc", "conatural+ewc", "er", "conatural+er")
 
 
@@ -62,7 +63,10 @@ def conatural_delta(grad: np.ndarray, fisher: FisherState, lr: float) -> np.ndar
     """Preconditioned update -lr * delta with delta rescaled to the gradient norm.
 
     Raw delta solves the damped diagonal system (F + alpha I) delta = grad;
-    infinite damping degenerates to the plain gradient.
+    infinite damping degenerates to the plain gradient. A raw delta whose sum
+    of squares under- or overflows (damping past about 1e154) is first divided
+    by its largest magnitude, so large damping nears the plain gradient too; a
+    raw delta that underflows to all zeros gives the plain gradient.
     """
     if lr <= 0:
         raise ValueError("lr must be positive")
@@ -75,7 +79,14 @@ def conatural_delta(grad: np.ndarray, fisher: FisherState, lr: float) -> np.ndar
     if math.isinf(fisher.alpha):
         return -lr * grad
     raw = conatural_delta_raw(grad, fisher)
-    delta = raw * (grad_norm / math.sqrt(raw @ raw))
+    square = raw @ raw
+    if not TINY <= square < math.inf:
+        top = np.max(np.abs(raw))
+        if top == 0.0:  # every entry underflowed: the infinite-damping limit
+            return -lr * grad
+        raw = raw / top
+        square = raw @ raw
+    delta = raw * (grad_norm / math.sqrt(square))
     return -lr * delta
 
 

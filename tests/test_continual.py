@@ -97,6 +97,30 @@ def test_conatural_limit_of_large_damping_is_plain_gradient():
     assert cosine(conatural_delta(grad, fisher_small, 1.0), -grad) > 1 - 1e-8
 
 
+@pytest.mark.parametrize("alpha", [1e160, 1e200])
+@pytest.mark.parametrize("size", [1, 5, 65, 4099])
+def test_conatural_delta_of_huge_damping_is_the_plain_gradient_within_ulps(alpha, size):
+    # the raw solve's sum of squares falls below the smallest normal float, so
+    # the raw delta is rescaled; the result is the large-damping limit -lr * grad
+    # up to the solve's own roundings (at most 6 ulps measured)
+    rng = np.random.default_rng(size)
+    grad = rng.standard_normal(size)
+    fisher = FisherState(rng.exponential(1.0, size), 0.9, alpha)
+    raw = conatural_delta_raw(grad, fisher)
+    assert raw @ raw < np.finfo(float).tiny
+    want = -0.3 * grad
+    got = conatural_delta(grad, fisher, 0.3)
+    assert np.all(np.abs(got - want) <= 8 * np.spacing(np.abs(want)))
+
+
+def test_conatural_delta_of_an_overflowed_fisher_is_the_plain_gradient():
+    # alpha / gamma overflows, so every entry of the raw solve is 0
+    fisher = initial_fisher(3, gamma=0.5, alpha=1e308)
+    grad = np.array([1.0, -2.0, 0.5])
+    with np.errstate(divide="raise", invalid="raise"):
+        assert np.array_equal(conatural_delta(grad, fisher, 0.3), -0.3 * grad)
+
+
 def test_residual_check_near_zero_for_exact_solve():
     rng = np.random.default_rng(0)
     fisher = FisherState(rng.uniform(0, 5, 10), gamma=0.9, alpha=0.5)
