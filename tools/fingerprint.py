@@ -140,6 +140,8 @@ def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
     out += [
         ("continual", "continual-noise", ("cl.method=conatural+er", "cl.grad_noise=0.1"), 2),
         ("continual", "continual-alpha-inf", ("cl.method=conatural", "cl.alpha=inf"), 2),
+        # damping whose solve underflows: the raw delta is rescaled
+        ("continual", "continual-alpha-1e200", ("cl.method=conatural", "cl.alpha=1e200"), 2),
         ("sweep", "sweep-pdro", (*pdro, "sweep.tau=0.1,0.5", "sweep.adv_lr=0.05,0.5"), 0),
         ("sweep", "sweep-rpdro", (*TWO_DOMAIN, "method=rpdro", "sweep.tau=0,0.5"), 0),
     ]
