@@ -239,10 +239,13 @@ def continual_train(
     gradient steps. After each task the trunk Fisher is estimated by Monte
     Carlo, renormalized, and folded into the rolling estimate used for both
     preconditioning and the anchoring penalty. All tasks are packed once into
-    one row stream; the replay memory holds row ids. Without replay, each task
-    epoch gathers its rows once, in `epoch_order`, and a step reads its batch as a
-    view of that; with replay, each step gathers its batch and replay rows. One
-    model holds the trunk and the current task's head, swapped in per task.
+    one row stream; the replay memory holds row ids in one int array. Without
+    replay, each task epoch gathers its rows once, in `epoch_order`, and a step
+    reads its batch as a view of that; with replay, each step gathers its batch
+    and replay rows in one take, then adds the batch's ids to the memory in one
+    `reservoir_add` call. One model holds the trunk and the current task's head,
+    swapped in per task; a step without a co-natural trunk update moves all of
+    its parameters in one operation.
     Raises DivergenceError when a task epoch ends with non-finite parameters."""
     if len(tasks) < 1:
         raise ValueError("at least one task required")
@@ -293,7 +296,7 @@ def continual_train(
                 if use_conatural and task_idx > 0:
                     trunk += conatural_delta(grad[:split], fisher, config.lr)
                     head -= config.lr * grad[split:]
-                else:  # the trunk's former x + (-lr * g) rounds as x - lr * g
+                else:  # trunk and head take the same plain step
                     model.params -= config.lr * grad
                 if use_er:
                     reservoir_add(memory, batch, rng)
