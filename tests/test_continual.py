@@ -334,7 +334,7 @@ def test_conatural_delta_equals_the_linalg_norm_form(case):
 
 @dataclass
 class ReferenceReplayMemory:
-    """The former ReplayMemory, verbatim but for its name: the items in a list."""
+    """The former ReplayMemory, its fields verbatim: the items in a list."""
 
     capacity: int
     items: list = field(default_factory=list, init=False)
@@ -346,7 +346,7 @@ class ReferenceReplayMemory:
 
 
 def reference_reservoir_add(memory, item, rng):
-    """The former reservoir_add, verbatim: one item per call."""
+    """The former reservoir_add, its body verbatim: one item per call."""
     memory.seen_count += 1
     if len(memory.items) < memory.capacity:
         memory.items.append(item)
@@ -357,7 +357,7 @@ def reference_reservoir_add(memory, item, rng):
 
 
 def reference_with_replay(batch, memory, rng):
-    """The former with_replay, verbatim: a list of the batch and its draws."""
+    """The former with_replay, its body verbatim: a list of the batch and its draws."""
     if not memory.items:
         return batch
     idx = rng.integers(0, len(memory.items), size=len(batch))
