@@ -88,7 +88,9 @@ def _ngram_matches(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
 
     Each character gets one key: its pair, then the symbols of the window of
     the largest order that starts at it. One sort of the keys makes the
-    windows of each pair that share an order-n gram a run, for every n."""
+    windows of each pair that share an order-n gram a run, for every n.
+    A character's symbol is looked up in a table of ranks indexed by code
+    point, built for each block of pairs over that block's code range."""
     pairs, size = len(texts) // 2, int(lengths.sum())
     width = min(CHRF_ORDER, lengths.max(initial=0))
     if width == 0:
@@ -107,7 +109,11 @@ def _ngram_matches(texts: Sequence[str], lengths: np.ndarray) -> np.ndarray:
     at = np.arange(size) + width * owner
     symbols = np.zeros(size + width * len(texts), dtype=np.int64)
     symbols[lengths[:pairs].sum() + width * pairs:] = alphabet - 1
-    symbols[at] = np.searchsorted(chars, codes) + 1
+    # the rank table spans the block's code range: at most 0x110000 int64
+    # entries (8.5 MiB) when a block holds both U+0000 and U+10FFFF
+    ranks = np.zeros(chars[-1] - chars[0] + 1, dtype=np.int64)
+    ranks[chars - chars[0]] = np.arange(1, len(chars) + 1)
+    symbols[at] = ranks.take(codes - chars[0])
     key, span = owner - pairs * side, pairs
     for j in range(width):
         key, span = _append_digit(key, span, symbols[at + j], alphabet)
