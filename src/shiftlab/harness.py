@@ -576,15 +576,20 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     true_label = (np.arange(n), rows.labels)
     s_base = softmax(forward_logits_batch(model, rows))[true_label]
     s_adv = softmax(forward_logits_batch(model, adv))[true_label]
-    report = []
-    for row_id, src, base, after in zip(test.ids.tolist(), s_src.tolist(), s_base.tolist(), s_adv.tolist()):
-        d = advmetrics.d_tgt(base, after)
-        report.append({"id": row_id, "s_src": src, "s_base": base, "s_adv": after,
-                       "d_tgt": d, "success": advmetrics.success(src, d)})
+    s_src, s_base, s_adv = s_src.tolist(), s_base.tolist(), s_adv.tolist()
+    d = [advmetrics.d_tgt(base, after) for base, after in zip(s_base, s_adv)]
+    columns = (test.ids[:n].tolist(), s_src, s_base, s_adv, d, list(map(advmetrics.success, s_src, d)))
     header = ["id", "s_src", "s_base", "s_adv", "d_tgt", "success"]
-    _write_csv(header, [[r[k] for k in header] for r in report], _out(out_dir, "metrics.csv"))
-    means = {k: float(np.mean([r[k] for r in report])) for k in header[1:]}
-    _write_jsonl(report + [{"final": True, **means}], _out(out_dir, "run.jsonl"))
+    report = [dict(zip(header, values)) for values in zip(*columns)]
+    # repr is what csv.writer and json.dumps write for an int or a finite
+    # float, so each value is formatted once for both files
+    texts = list(zip(*(map(repr, column) for column in columns)))
+    _write_atomic(_out(out_dir, "metrics.csv"),
+                  "".join(",".join(row) + "\r\n" for row in [header, *texts]))
+    means = {k: float(np.mean(column)) for k, column in zip(header[1:], columns[1:])}
+    line = "{" + ", ".join(f"{json.dumps(k)}: %s" for k in header) + "}\n"
+    _write_atomic(_out(out_dir, "run.jsonl"),
+                  "".join(line % row for row in texts) + json.dumps({"final": True, **means}) + "\n")
     return report
 
 
