@@ -212,6 +212,8 @@ def _substitute_rows(
     Maximizes (e_new - e_current) . grad over all admitted (position, token)
     pairs of a row; ties go to the lowest position, then the lowest token id.
     Returns (position within the row, token id) arrays, one entry per row.
+    Raises NoCandidateError when a row admits no candidate or scores every
+    one -inf, and ValueError when a row has a NaN score.
     """
     vocab = vectors.shape[0]
     if tokens.size and not 0 <= tokens.min() <= tokens.max() < vocab:
@@ -229,10 +231,16 @@ def _substitute_rows(
         cand = candidates[tok]
         # one (candidates, dim) @ (dim,) product per position, as for a single position
         diff = vectors[cand] - vectors[tok][:, None, :]
-        scores = np.matmul(diff, grads[grad_rows[block]][:, :, None])[:, :, 0]
+        with np.errstate(invalid="ignore"):  # a NaN score is raised below
+            scores = np.matmul(diff, grads[grad_rows[block]][:, :, None])[:, :, 0]
         top[block] = high = scores.max(axis=1)
         best[block] = np.where(scores == high[:, None], cand, vocab).min(axis=1)
     row_top = np.maximum.reduceat(top, offsets[:-1])
+    # a NaN gradient or embedding entry, or opposite infinite terms, make a NaN
+    # score, and a row's maximum with it
+    if np.isnan(row_top).any():
+        raise ValueError(f"non-finite substitution scores: {np.isnan(row_top).sum()} of "
+                         f"{row_top.size} rows score NaN")
     # an infinite gradient can score every candidate of a row -inf
     if np.isneginf(row_top).any():
         raise NoCandidateError("no admissible substitution candidates")
