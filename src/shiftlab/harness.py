@@ -545,7 +545,9 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
                model: Optional[ModelState] = None) -> List[dict]:
     """Attack an embedding-bag classifier with first-order substitutions on
     the first attack.n rows of the test split, all rows at once. Without a
-    model, train one as train_run does, on the same splits."""
+    model, train one as train_run does, on the same splits. A given model
+    must hold only finite parameters, and any model must give finite logits
+    on the attacked rows; otherwise a ValueError is raised before the attack."""
     cfg = resolved(cfg)
     n, steps, k = cfg["attack.n"], cfg["attack.steps"], cfg["attack.k"]
     splits = build_datasets(cfg, seed)
@@ -559,6 +561,9 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
         if ids > spec.vocab_size or classes > spec.num_classes:
             raise ConfigError(f"the model reads {spec.vocab_size} token ids and {spec.num_classes} classes, "
                               f"but the test split holds {ids} token ids and {classes} classes")
+        bad = [name for name in model.layout if not np.isfinite(model.slot(name)).all()]
+        if bad:
+            raise ValueError(f"the model holds non-finite values in {', '.join(bad)}")
     if n > len(test):
         raise ConfigError(f"attack.n must be <= the test split's {len(test)} rows, got {n}")
     if cfg["attack.constraint"] == "knn" and not k < spec.vocab_size:
@@ -567,6 +572,10 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
         model = train_run(cfg, seed, datasets=splits).model
     names = [f"tok{i}" for i in range(model.spec.vocab_size)]
     rows = test.rows.take(np.arange(n))
+    with np.errstate(over="ignore", invalid="ignore"):  # finite parameters can still overflow
+        base_logits = forward_logits_batch(model, rows)
+    if not np.isfinite(base_logits).all():
+        raise ValueError(f"the model's logits on the first {n} test rows are not finite")
     adv = advmetrics.attack_rows(model, rows, model.slot("embedding.weight"),
                                  cfg["attack.constraint"], cfg["attack.sign_normalize"], k, steps)
     bounds = list(zip(rows.offsets[:-1].tolist(), rows.offsets[1:].tolist()))
@@ -574,7 +583,7 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     s_src = advmetrics.chrf_batch([" ".join(src_words[a:b]) for a, b in bounds],
                                   [" ".join(adv_words[a:b]) for a, b in bounds]) / 100.0
     true_label = (np.arange(n), rows.labels)
-    s_base = softmax(forward_logits_batch(model, rows))[true_label]
+    s_base = softmax(base_logits)[true_label]
     s_adv = softmax(forward_logits_batch(model, adv))[true_label]
     s_src, s_base, s_adv = s_src.tolist(), s_base.tolist(), s_adv.tolist()
     d = [advmetrics.d_tgt(base, after) for base, after in zip(s_base, s_adv)]
