@@ -587,9 +587,16 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     s_adv = softmax(forward_logits_batch(model, adv))[true_label]
     s_src, s_base, s_adv = s_src.tolist(), s_base.tolist(), s_adv.tolist()
     d = [advmetrics.d_tgt(base, after) for base, after in zip(s_base, s_adv)]
-    columns = (test.ids[:n].tolist(), s_src, s_base, s_adv, d, list(map(advmetrics.success, s_src, d)))
+    return _write_attack_report(out_dir, (test.ids[:n].tolist(), s_src, s_base, s_adv, d,
+                                          list(map(advmetrics.success, s_src, d))))
+
+
+def _write_attack_report(out_dir: str, columns: Sequence[List[object]]) -> List[dict]:
+    """Write an attack's metrics.csv and run.jsonl, ending in the row of
+    means, from its columns: the row ids, then s_src, s_base, s_adv, d_tgt and
+    success as finite floats. Returns the rows as dicts. The files hold the
+    bytes _write_csv and _write_jsonl would write for those rows."""
     header = ["id", "s_src", "s_base", "s_adv", "d_tgt", "success"]
-    report = [dict(zip(header, values)) for values in zip(*columns)]
     # repr is what csv.writer and json.dumps write for an int or a finite
     # float, so each value is formatted once for both files
     texts = list(zip(*(map(repr, column) for column in columns)))
@@ -599,7 +606,7 @@ def cmd_attack(cfg: Dict[str, object], seed: int, out_dir: str,
     line = "{" + ", ".join(f"{json.dumps(k)}: %s" for k in header) + "}\n"
     _write_atomic(_out(out_dir, "run.jsonl"),
                   "".join(line % row for row in texts) + json.dumps({"final": True, **means}) + "\n")
-    return report
+    return [dict(zip(header, values)) for values in zip(*columns)]
 
 
 def sweep_grid(cfg: Dict[str, object]) -> List[Dict[str, object]]:

@@ -125,6 +125,17 @@ def test_first_order_substitution_constraints_and_errors():
         first_order_substitution(np.ones((2, 1)), [0], vectors, "none", False, 10)
 
 
+@pytest.mark.parametrize("grads", [
+    [[np.nan, 0.0, 0.0], [1.0, 1.0, 1.0]],  # one NaN entry of one position's gradient
+    [[-np.inf] * 3, [1.0, 1.0, 1.0]],       # a -inf gradient's terms of both signs sum to NaN
+], ids=["nan", "neg-inf"])
+def test_first_order_substitution_rejects_nan_scores(grads):
+    # tokens 0 and 3 differ from token 1 by nonzero components of both signs
+    vectors = np.array([[0.0, 0.0, 0.5], [1.0, -1.0, 0.0], [2.0, 0.0, 1.0], [-1.0, 1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"^non-finite substitution scores: 1 of 1 rows score NaN$"):
+        first_order_substitution(np.array(grads), [1, 2], vectors, "none", False, 3)
+
+
 def test_sign_normalization_changes_the_ranking():
     vectors = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 1.0]])
     grads = np.array([[0.1, 0.9]])
@@ -298,6 +309,28 @@ def test_chrf_batch_across_blocks_and_wide_alphabets(monkeypatch):
     assert chrf_batch([], []).shape == (0,)
     with pytest.raises(ValueError):
         chrf_batch(["a"], [])
+
+
+def test_chrf_batch_across_unlike_blocks():
+    # one block of empty strings (no n-grams at all), one whose code range
+    # spans U+0000 to U+10FFFF (the largest rank table) and one of ASCII only
+    rng = np.random.default_rng(11)
+    block = advmetrics._PAIR_BLOCK
+    empty = [("", ""), (" ", ""), ("", "\t\n"), ("  ", " ")] * (block // 4)
+    wide_pool = np.concatenate(([0, 0x10FFFF, 32], rng.integers(0, 0xD800, 40),
+                                rng.integers(0xE000, 0x110000, 40)))
+    wide = [("\x00" + "".join(map(chr, rng.choice(wide_pool, size=int(rng.integers(0, 30))))),
+             "".join(map(chr, rng.choice(wide_pool, size=int(rng.integers(0, 30))))) + "\U0010ffff")
+            for _ in range(block)]
+    ascii_pool = np.array([ord(c) for c in "abc tok0123"])
+    ascii_only = [("".join(map(chr, rng.choice(ascii_pool, size=int(rng.integers(0, 40))))),
+                   "".join(map(chr, rng.choice(ascii_pool, size=int(rng.integers(0, 40))))))
+                  for _ in range(block)]
+    pairs = empty + wide + ascii_only
+    assert len(pairs) == 3 * block and all(len(p) == 2 for p in pairs)
+    want = [counter_chrf(r, h) for r, h in pairs]
+    assert chrf_batch([r for r, _ in pairs], [h for _, h in pairs]).tolist() == want
+    assert want[:block] == [100.0] * block
 
 
 # -- the split-wide attack against the per-example loop it replaced -----------

@@ -804,6 +804,38 @@ def test_cmd_attack_scores_chrf_on_the_detokenized_rows(tmp_path):
     assert [row["s_src"] for row in report] == want.tolist()
 
 
+def reference_write_jsonl(rows, path):
+    """harness._write_jsonl as the attack report used it, verbatim."""
+    harness._write_atomic(path, "".join(json.dumps(row) + "\n" for row in rows))
+
+
+def reference_write_csv(header, rows, path):
+    """harness._write_csv as the attack report used it, verbatim."""
+    text = io.StringIO()
+    csv.writer(text).writerows([header, *rows])
+    harness._write_atomic(path, text.getvalue())
+
+
+def test_attack_report_writes_the_bytes_of_the_csv_and_json_writers(tmp_path):
+    # the corners of repr: exact integers, exponent form, a rounded sum, the
+    # least subnormal, the float below 1, a signed zero and an id past int64
+    corners = [0.0, 1.0, 1e-05, 0.1 + 0.2, 5e-324, 1 - 2.0 ** -53, -0.0, 1e16, 123.456]
+    n = len(corners)
+    columns = [[0, 7, 2 ** 64 + 1, -3, *range(10, 10 + n - 4)]]
+    columns += [corners[i:] + corners[:i] for i in range(5)]
+    report = harness._write_attack_report(str(tmp_path / "new"), columns)
+    # the former route: one dict per row, then the csv and json modules
+    header = ["id", "s_src", "s_base", "s_adv", "d_tgt", "success"]
+    want = [dict(zip(header, values)) for values in zip(*columns)]
+    assert report == want
+    os.makedirs(tmp_path / "old")
+    reference_write_csv(header, [[r[k] for k in header] for r in want], str(tmp_path / "old" / "metrics.csv"))
+    means = {k: float(np.mean([r[k] for r in want])) for k in header[1:]}
+    reference_write_jsonl(want + [{"final": True, **means}], str(tmp_path / "old" / "run.jsonl"))
+    for name in ("metrics.csv", "run.jsonl"):
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+
 def test_attack_trains_on_the_configured_dataset(tmp_path, monkeypatch):
     steps, step = [], dro.simultaneous_step
 
@@ -849,6 +881,26 @@ FILES = {
     "fold.csv": "id,f0,f1,fold,label,group\n" + "".join(
         f"{i},{i % 3 + 0.5},1.0,{i % 5},{i % 2},0\n" for i in range(200)),
 }
+# saved models that read the distractor split but cannot be attacked, by file:
+# (slot, flat index, value) of one non-finite entry, or no slot for every
+# entry at a finite value whose logits overflow
+BROKEN_MODELS = {
+    "nan_embedding.bin": ("embedding.weight", 5, math.nan),
+    "nan_bias.bin": ("out.bias", 0, math.nan),
+    "inf_weight.bin": ("out.weight", 3, math.inf),
+    "huge.bin": (None, None, 1e308),
+}
+
+
+def save_broken_model(name, path):
+    model = init_params(ModelSpec("embed_bag", vocab_size=32, embed_dim=8), seed=0)
+    slot, index, value = BROKEN_MODELS[name]
+    if slot is None:
+        model.params[:] = value
+    else:
+        model.slot(slot).flat[index] = value
+    harness.save_model_bin(model, str(path))
+
 # the game's own rules, which DroConfig states in its words
 GAME = [
     ("pdro-tau0", {"method": "pdro", "tau": 0}, "tau", "pdro needs tau > 0, got 0"),
@@ -987,6 +1039,12 @@ def row(name, command, bad, key, message):
         r"\[Errno 2\] No such file or directory: 'absent.bin'$"),
     row("attack-model-corrupt", "attack --model corrupt.bin", SMALL_TEXT, "corrupt.bin",
         "corrupt.bin: file ends inside its header$"),
+    # a model that loads but holds non-finite values, or overflows on the attacked rows
+    *[row(f"attack-model-{name[:-4]}", f"attack --model {name}", {**SMALL_TEXT, "attack.n": 20}, slot,
+          f"the model holds non-finite values in {re.escape(slot)}$")
+      for name, (slot, _, _) in BROKEN_MODELS.items() if slot is not None],
+    row("attack-model-huge", "attack --model huge.bin", {**SMALL_TEXT, "attack.n": 20}, "logits",
+        "the model's logits on the first 20 test rows are not finite$"),
 ])
 def test_a_command_that_fails_before_writing_leaves_no_directory(
         tmp_path, capsys, monkeypatch, command, bad, key, message):
@@ -998,6 +1056,8 @@ def test_a_command_that_fails_before_writing_leaves_no_directory(
     monkeypatch.chdir(tmp_path)
     for name, text in FILES.items():
         (tmp_path / name).write_text(text)
+    for name in BROKEN_MODELS:
+        save_broken_model(name, tmp_path / name)
     (tmp_path / "cfg").write_text("".join(f"{k} = {value}\n" for k, value in bad.items()))
     assert cli.main([*command.split(), "--config", "cfg", "--out", "out"]) == 1
     err = capsys.readouterr().err.splitlines()
