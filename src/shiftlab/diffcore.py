@@ -127,6 +127,14 @@ def batch_constants(n: int) -> Tuple[np.ndarray, np.ndarray]:
     return rows, weights
 
 
+@lru_cache(maxsize=16)
+def _one_hot(c: int) -> np.ndarray:
+    """The read-only identity np.eye(c), whose row y is label y's one-hot row."""
+    eye = np.eye(c)
+    eye.flags.writeable = False
+    return eye
+
+
 def init_params(spec: ModelSpec, seed: int) -> ModelState:
     """Deterministic init: uniform +-1/sqrt(fan_in) weights, zero biases."""
     rng = np.random.default_rng(seed)
@@ -242,6 +250,12 @@ def forward_logits_batch(model: ModelState, batch: Packed) -> np.ndarray:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    if logits.ndim == 2 and logits.shape[1] == 2:
+        # a reduction of two values is one maximum or add of them in this order,
+        # so the column forms give the reduce's bits without its per-row loop
+        shifted = logits - np.maximum(logits[:, :1], logits[:, 1:])
+        e = np.exp(shifted)
+        return shifted - np.log(e[:, :1] + e[:, 1:])
     shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
 
@@ -275,7 +289,8 @@ def weighted_grad(model: ModelState, state, weights: np.ndarray) -> np.ndarray:
     if not np.logical_and.reduce(np.isfinite(weights)):
         raise DivergenceError("non-finite example weights")
     dlogits = np.exp(state["log_probs"])  # softmax(logits)
-    dlogits[state["rows"], batch.labels] -= 1.0
+    # x - 0.0 is x for every float, so only each row's label entry changes
+    dlogits -= _one_hot(dlogits.shape[1]).take(batch.labels, axis=0)
     dlogits *= weights[:, None]
     return _backward_from_dlogits(model, state, dlogits)
 
@@ -327,9 +342,8 @@ def fisher_diag(model: ModelState, rows: Packed, sample_count: int, seed: int) -
     rng = np.random.default_rng(seed)
     sample = rows.take(rng.integers(0, len(rows), size=sample_count))
     logits, cache = _forward_batch(model, sample)
-    index = batch_constants(sample_count)[0]
     d = softmax(logits)
-    d[index, sample.labels] -= 1.0
+    d -= _one_hot(d.shape[1]).take(sample.labels, axis=0)
     d2 = d * d
     spec = model.spec
     out = np.empty(model.params.size)
