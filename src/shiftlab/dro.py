@@ -7,6 +7,7 @@ likelihood-ratio game with batch-level or self-normalization.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -367,9 +368,15 @@ def initial_state(config: DroConfig, spec: ModelSpec, train: Packed,
         if train.x is None:
             raise ValueError("method=pdro needs dense inputs: its Gaussian adversary has no token form")
         mean0 = train.x.mean(axis=0)
-        sigma = float(np.sqrt(train.x.var(axis=0).mean())) * float(config.adv_sigma_scale)
-        if not sigma > 0:
+        spread = float(np.sqrt(train.x.var(axis=0).mean()))
+        if not spread > 0:
             raise ValueError("method=pdro needs nonzero train input variance to scale its Gaussian adversary")
+        sigma = spread * float(config.adv_sigma_scale)
+        # the weights divide their exponent by 2 sigma^2, which must neither overflow nor
+        # lose bits to underflow
+        if not sys.float_info.min <= 2.0 * sigma * sigma < math.inf:
+            raise ValueError(f"adv_sigma_scale={config.adv_sigma_scale!r} gives the adversary sigma "
+                             f"{sigma!r}, whose 2 sigma^2 is not a normal finite float")
         adversary = GaussianAdversary(mean0.copy(), sigma, mean0)
         return adversary, RunningNormalizer(config.k_window)
     if config.method == "rpdro":

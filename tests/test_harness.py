@@ -121,6 +121,14 @@ TINY = {
 }
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e154])
+def test_pdro_trains_near_both_ends_of_the_sigma_scale_range(scale):
+    # 2 sigma^2 is about 1.5e-300 and 1.5e308 here: normal and finite
+    result = harness.train_run({**TINY, "method": "pdro", "adv_sigma_scale": scale}, seed=0)
+    assert len(result.checkpoints) == 2
+    assert 0.0 <= result.test_metrics.average_accuracy <= 1.0
+
+
 # settings whose first steps go non-finite at a finite lr; no finite lr makes erm diverge
 DIVERGES = {"method": "group_dro", "lr": 1e200}
 
@@ -910,6 +918,10 @@ GAME = [
      "adv_sigma_scale must be positive, got 0"),
     ("pdro-sigma-neg", {"method": "pdro", "adv_sigma_scale": -0.5}, "adv_sigma_scale",
      "adv_sigma_scale must be positive, got -0.5"),
+    # a scale whose 2 sigma^2 overflows, or underflows below the smallest normal float
+    *[(f"pdro-sigma-{scale:g}", {"method": "pdro", "adv_sigma_scale": scale}, "adv_sigma_scale",
+       rf"adv_sigma_scale={re.escape(repr(scale))} gives the adversary sigma \S+, "
+       r"whose 2 sigma\^2 is not a normal finite float") for scale in (1e300, 1e-160, 1e-155)],
     ("pdro-steps0", {"method": "pdro", "adv_steps": 0}, "adv_steps", "adv_steps must be >= 1, got 0"),
     ("rpdro-steps0", {"method": "rpdro", "adv_steps": 0}, "adv_steps", "adv_steps must be >= 1, got 0"),
     ("erm-steps-neg", {"method": "erm", "adv_steps": -1}, "adv_steps", "adv_steps must be >= 1, got -1"),
