@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import finite_diff_check, packed_rows
+from shiftlab import diffcore
 from shiftlab.diffcore import (
     InputShapeError,
     ModelSpec,
@@ -23,6 +24,7 @@ from shiftlab.diffcore import (
     init_params,
     nll_forward,
     nll_loss_batch,
+    nll_state,
     softmax,
     weighted_grad,
     zero_one_loss_batch,
@@ -479,6 +481,162 @@ def test_log_softmax_equals_the_former_formula(logits):
     got = _log_softmax(logits)
     assert got.shape == logits.shape and np.array_equal(got, reference_log_softmax(logits))
     assert np.array_equal(logits, before)
+
+
+def former_log_softmax(logits):
+    """_log_softmax before its two-column path, verbatim."""
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+
+
+def former_subtract_labels(dlogits, labels):
+    """The label subtraction weighted_grad and fisher_diag made before the
+    one-hot rows: a fancy-indexed -= 1.0, in place."""
+    dlogits[batch_constants(len(labels))[0], labels] -= 1.0
+
+
+# ties, signed zeros, infinities, NaN, subnormals and logits near the float64 limit
+CORNERS = np.array([0.0, -0.0, 1.0, -1.0, 5e-324, np.inf, -np.inf, np.nan, 700.0, -800.0,
+                    1e308, -1e308, np.finfo(float).max, -np.finfo(float).max])
+
+
+def corner_logits(n, c, seed):
+    """n rows of c logits: every ordered pair of CORNERS in the first two
+    columns (cycled to fill n rows), the rest standard normal times 1e3."""
+    rng = np.random.default_rng(seed)
+    logits = 1e3 * rng.standard_normal((n, c))
+    pairs = np.array([(a, b) for a in CORNERS for b in CORNERS])
+    logits[:, :2] = np.resize(pairs, (n, 2))[rng.permutation(n)]
+    return logits
+
+
+@pytest.mark.parametrize("n", [1, 32, 2000])
+@pytest.mark.parametrize("c", [2, 3, 5])
+def test_log_softmax_keeps_the_bits_of_the_reduce_on_every_corner(n, c):
+    with np.errstate(all="ignore"):
+        for seed in range(3 if n < len(CORNERS) ** 2 else 1):
+            logits = corner_logits(n, c, seed)
+            for rows in (logits, np.ascontiguousarray(logits[::-1])):
+                assert _log_softmax(rows).tobytes() == former_log_softmax(rows).tobytes()
+        # rpdro's score vector is one row on the last axis
+        vector = corner_logits(1, 2, 0)[0] if n == 1 else np.resize(CORNERS, n)
+        assert _log_softmax(vector).tobytes() == former_log_softmax(vector).tobytes()
+
+
+class Recorded:
+    """A ufunc whose calls and reduces are logged as `name` and `name.reduce`."""
+
+    def __init__(self, ufunc, log):
+        self.ufunc, self.log = ufunc, log
+
+    def __call__(self, *args, **kwargs):
+        self.log.append(self.ufunc.__name__)
+        return self.ufunc(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self.log.append(f"{self.ufunc.__name__}.reduce")
+        return self.ufunc.reduce(*args, **kwargs)
+
+
+class RecordingNumpy:
+    """numpy, with np.maximum and np.add logged (an operator such as + is not)."""
+
+    def __init__(self, log):
+        self.maximum, self.add = Recorded(np.maximum, log), Recorded(np.add, log)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("shape, reduces", [((32, 2), False), ((1, 2), False), ((2,), True),
+                                            ((32,), True), ((32, 3), True), ((4, 5, 2), True)])
+def test_only_two_column_matrices_take_the_column_path(monkeypatch, shape, reduces):
+    log = []
+    monkeypatch.setattr(diffcore, "np", RecordingNumpy(log))
+    logits = np.random.default_rng(0).standard_normal(shape)
+    got = _log_softmax(logits)
+    monkeypatch.undo()
+    assert log == (["maximum.reduce", "add.reduce"] if reduces else ["maximum"])
+    assert got.tobytes() == former_log_softmax(logits).tobytes()
+
+
+def former_weighted_grad(model, state, weights):
+    """weighted_grad's arithmetic before the one-hot rows, without its checks."""
+    dlogits = np.exp(state["log_probs"])
+    former_subtract_labels(dlogits, state["batch"].labels)
+    dlogits *= weights[:, None]
+    return _backward_from_dlogits(model, state, dlogits)
+
+
+@pytest.mark.parametrize("n", [1, 32, 2000])
+@pytest.mark.parametrize("c", [2, 3])
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+def test_label_subtraction_keeps_the_bits_of_the_fancy_scatter(n, c, arch):
+    rng = np.random.default_rng(n + c)
+    spec = ModelSpec(arch, input_dim=3, hidden_units=4, num_classes=c)
+    model = ModelState(spec, rng.standard_normal(spec.param_count))
+    batch = packed_rows((rng.standard_normal(3), int(rng.integers(0, c))) for _ in range(n))
+    # weights of both signs, signed zeros and a subnormal
+    weights = np.resize([0.5, -0.0, 0.0, -3.0, 5e-324, 1e300], n) * rng.permutation(n)
+    with np.errstate(all="ignore"):
+        for logits in (None, corner_logits(n, c, n)):
+            state = nll_state(model, batch)
+            if logits is not None:  # every corner of log_probs, and so of their exps
+                state["log_probs"] = former_log_softmax(logits)
+            got = weighted_grad(model, state, weights)
+            assert got.tobytes() == former_weighted_grad(model, state, weights).tobytes()
+            dlogits = np.exp(state["log_probs"])
+            want = dlogits.copy()
+            former_subtract_labels(want, batch.labels)
+            dlogits -= diffcore._one_hot(c).take(batch.labels, axis=0)
+            assert dlogits.tobytes() == want.tobytes()
+    eye = diffcore._one_hot(c)
+    assert diffcore._one_hot(c) is eye and not eye.flags.writeable
+    assert np.array_equal(eye, np.eye(c))
+
+
+def former_fisher_diag(model, rows, sample_count, seed):
+    """fisher_diag's arithmetic before the one-hot rows, without its checks."""
+    rng = np.random.default_rng(seed)
+    sample = rows.take(rng.integers(0, len(rows), size=sample_count))
+    logits, cache = _forward_batch(model, sample)
+    d = softmax(logits)
+    former_subtract_labels(d, sample.labels)
+    d2 = d * d
+    spec = model.spec
+    out = np.empty(model.params.size)
+    w, b = spec.head
+    feature = cache["feature"]
+    np.matmul(d2.T, feature * feature, out=spec.view(out, w))
+    d2.sum(axis=0, out=spec.view(out, b))
+    if spec.architecture == "mlp":
+        dpre2 = ((d @ model.slot("out.weight")) * (1.0 - feature * feature)) ** 2
+        np.matmul(dpre2.T, sample.x * sample.x, out=spec.view(out, "hidden.weight"))
+        dpre2.sum(axis=0, out=spec.view(out, "hidden.bias"))
+    return out / sample_count
+
+
+@pytest.mark.parametrize("sample_count", [1, 32, 2000])
+@pytest.mark.parametrize("c", [2, 3])
+@pytest.mark.parametrize("arch", ["linear", "mlp"])
+def test_fisher_diag_keeps_the_bits_of_the_fancy_scatter(sample_count, c, arch):
+    rng = np.random.default_rng(sample_count)
+    spec = ModelSpec(arch, input_dim=3, hidden_units=4, num_classes=c)
+    model = ModelState(spec, 3.0 * rng.standard_normal(spec.param_count))
+    rows = packed_rows((rng.standard_normal(3), int(rng.integers(0, c))) for _ in range(50))
+    got = fisher_diag(model, rows, sample_count, seed=c)
+    assert got.tobytes() == former_fisher_diag(model, rows, sample_count, seed=c).tobytes()
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_a_label_past_the_last_class_still_raises_index_error(c):
+    spec = ModelSpec("linear", input_dim=2, num_classes=c)
+    model = init_params(spec, seed=0)
+    batch = packed_rows([(np.ones(2), 0), (np.zeros(2), c)])
+    with pytest.raises(IndexError):
+        weighted_grad(model, nll_state(model, batch), np.full(2, 0.5))
+    with pytest.raises(IndexError):
+        fisher_diag(model, batch, sample_count=16, seed=0)
 
 
 def reference_embedding_grad(model, batch, dlogits):
