@@ -1,5 +1,10 @@
+import ast
+import importlib
 import importlib.util
 import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +78,54 @@ def test_the_commands_reproduce_the_committed_fingerprint(run):
 
 def test_every_src_function_runs_in_the_fingerprint_or_is_listed(run):
     assert run["unreached"] == sorted(UNREACHED)
+
+
+def test_clear_caches_empties_every_cached_function_in_the_package():
+    from shiftlab import diffcore
+    diffcore.batch_constants(3), diffcore._one_hot(2)  # warm
+    package = Path(diffcore.__file__).parent
+    decorated = sorted(
+        f"{path.stem}.{node.name}" for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.FunctionDef)
+        and any(re.search(r"\b(lru_)?cache\b", ast.unparse(d)) for d in node.decorator_list))
+    assert "diffcore._one_hot" in decorated and "diffcore.batch_constants" in decorated
+    assert fingerprint.clear_caches() == decorated
+    for name in decorated:
+        module, function = name.split(".")
+        assert getattr(importlib.import_module(f"shiftlab.{module}"), function).cache_info().currsize == 0
+
+
+KERNEL_VARIABLES = ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")
+
+
+def test_kernels_runs_one_child_per_setting_with_only_its_variables(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Prescott")  # set here: no child inherits it
+    seen = {}
+
+    def child(argv, env, **kwargs):
+        keep = Path(argv[-1])
+        assert argv[:-1] == [sys.executable, fingerprint.__file__, "--keep"]
+        assert keep.parent == tmp_path and not keep.exists()
+        seen[keep.name] = {key: env.get(key) for key in KERNEL_VARIABLES}
+        moved = {"openblas-Haswell": 1, "numpy-no-avx512": 2}.get(keep.name, 0)
+        files = {f"f{i}.csv": "new" if i < moved else "old" for i in range(3)}
+        keep.mkdir()
+        (keep / "fingerprint.json").write_text(json.dumps({"commands": {}, "files": files}))
+        return subprocess.CompletedProcess(argv, 0, "", "")
+
+    monkeypatch.setattr(fingerprint.subprocess, "run", child)
+    lines = fingerprint.kernels(tmp_path)
+    assert seen == {setting: {key: env.get(key) for key in KERNEL_VARIABLES}
+                    for setting, env in fingerprint.KERNELS.items()}
+    assert seen["default"] == {"OPENBLAS_CORETYPE": None, "NPY_DISABLE_CPU_FEATURES": None}
+    assert lines == [
+        "openblas-Haswell (OPENBLAS_CORETYPE=Haswell): 1 of 3 files differ from default; "
+        "0 other differences",
+        *[f"openblas-{core} (OPENBLAS_CORETYPE={core}): 0 of 3 files differ from default; "
+          "0 other differences" for core in ("Zen", "Sandybridge", "Nehalem")],
+        "numpy-no-avx512 (NPY_DISABLE_CPU_FEATURES=AVX512_SPR AVX512_ICL X86_V4): 2 of 3 files "
+        "differ from default; 0 other differences",
+    ]
 
 
 def test_diff_reports_a_one_ulp_parameter_by_size_and_a_checkpoint_choice_as_discrete(tmp_path):

@@ -13,6 +13,7 @@ run never called.
     python tools/fingerprint.py --against tools/fingerprint.json
     python tools/fingerprint.py --keep old/   (on one tree, then new/ on another)
     python tools/fingerprint.py --diff old/ new/
+    python tools/fingerprint.py --kernels kernels/
 
 With `--against FILE` it names every file whose hash differs, is missing or
 is new, and every command whose exit code or error line differs, and exits 1
@@ -26,8 +27,12 @@ column is the value its text cells name, by row; a CSV with a column that
 names each row, such as report's `run`, by that name) and every changed
 discrete field (a non-numeric value, `chosen_checkpoint`, `selected`, a
 command's exit code or error line), then says whether any accuracy moved; it
-exits 1 if anything differs. The `shiftlab` package is imported from this
-tree's `src/`.
+exits 1 if anything differs. `--kernels DIR` reruns the command list in one
+child process per kernel setting (the default kernels, each OPENBLAS_CORETYPE
+of KERNELS and numpy without its AVX-512 loops), each variable set only in
+that child's environment. Each run is kept as DIR/<setting>/ for `--diff`, and
+it prints, per setting, how many files differ from the default run. The
+`shiftlab` package is imported from this tree's `src/`.
 """
 from __future__ import annotations
 
@@ -36,10 +41,13 @@ import ast
 import contextlib
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -49,7 +57,8 @@ from numpy._core import _multiarray_umath as umath
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from shiftlab import cli, diffcore, harness  # noqa: E402
+import shiftlab  # noqa: E402
+from shiftlab import cli, harness  # noqa: E402
 
 # small sizes keep the whole list to well under a minute
 TWO_DOMAIN = ("dataset=two_domain", "data.total_points=4000", "epochs=6")
@@ -80,6 +89,14 @@ CONFIGS = {
 }
 # the command-line options, besides --config, --seed and --out, of each run named here
 OPTIONS = {"attack-from-model": ("--model", "train-distractor-rpdro/model.bin")}
+# the kernel settings of --kernels: each the environment its child runs with,
+# on top of this one less every variable named here
+KERNELS = {
+    "default": {},
+    **{f"openblas-{core}": {"OPENBLAS_CORETYPE": core}
+       for core in ("Haswell", "Zen", "Sandybridge", "Nehalem")},
+    "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+}
 
 
 def commands() -> List[Tuple[str, str, Tuple[str, ...], int]]:
@@ -175,6 +192,21 @@ def _unreached(codes) -> List[str]:
                   if (str(path), name) not in ran)
 
 
+def clear_caches() -> List[str]:
+    """Clear the cache of every functools.lru_cache function defined in the
+    shiftlab package, so that each one's body runs again; their `module.qualname`s."""
+    cleared = []
+    for info in pkgutil.iter_modules(shiftlab.__path__):
+        module = importlib.import_module(f"shiftlab.{info.name}")
+        scopes = [vars(module), *(vars(value) for value in vars(module).values()
+                                  if isinstance(value, type))]
+        for value in (value for scope in scopes for value in scope.values()):
+            if callable(getattr(value, "cache_clear", None)) and value.__module__ == module.__name__:
+                value.cache_clear()
+                cleared.append(f"{info.name}.{value.__qualname__}")
+    return sorted(cleared)
+
+
 def fingerprint(work: Path) -> Dict[str, dict]:
     """Run every command under `work` and return its fingerprint."""
     configs = {name: work / f"{name}.cfg" for name in ("empty", *CONFIGS)}
@@ -186,7 +218,7 @@ def fingerprint(work: Path) -> Dict[str, dict]:
     def record(frame, event, arg):  # a call event; returning None traces no line
         reached.add(frame.f_code)
 
-    diffcore.batch_constants.cache_clear()  # a warm cache would keep its body from running
+    clear_caches()  # a warm cache would keep its function's body from running
     previous = sys.gettrace()
     sys.settrace(record)
     cwd = os.getcwd()
@@ -377,6 +409,31 @@ def diff_dirs(old_dir: Path, new_dir: Path) -> List[str]:
                     f"accuracy moved: {'yes' if acc_moved else 'no'}"]
 
 
+def kernels(root: Path) -> List[str]:
+    """Run the command list once per KERNELS setting, each in a child process
+    kept under root/<setting>/; one line per setting naming its count of files
+    that differ from the default run."""
+    base = {key: value for key, value in os.environ.items()
+            if not any(key in env for env in KERNELS.values())}
+    lines = []
+    for setting, env in KERNELS.items():
+        child = subprocess.run([sys.executable, __file__, "--keep", str(root / setting)],
+                               env={**base, **env}, capture_output=True, text=True)
+        if child.returncode != 0:
+            raise RuntimeError(f"the {setting} run exited {child.returncode}: "
+                               f"{child.stderr.strip().splitlines()[-1:]}")
+        run = json.loads((root / setting / "fingerprint.json").read_text())
+        if setting == "default":
+            default = run
+            continue
+        changed = differences(default, run)
+        files = sum(line.startswith("differs file") for line in changed)
+        where = " ".join(f"{key}={value}" for key, value in env.items())
+        lines.append(f"{setting} ({where}): {files} of {len(default['files'])} files differ "
+                     f"from default; {len(changed) - files} other differences")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", help="write the fingerprint JSON here")
@@ -385,16 +442,23 @@ def main(argv=None) -> int:
                         help="run in DIR, a new or empty directory, and keep the outputs there")
     parser.add_argument("--diff", nargs=2, metavar=("OLD_DIR", "NEW_DIR"),
                         help="compare the outputs of two --keep runs; runs no command")
+    parser.add_argument("--kernels", metavar="DIR",
+                        help="run once per kernel setting, in a child process each, kept under "
+                             "DIR/<setting>/ in DIR, a new or empty directory")
     args = parser.parse_args(argv)
     if args.diff:
         lines = diff_dirs(Path(args.diff[0]), Path(args.diff[1]))
         print("\n".join(lines) if lines else "no differences")
         return 1 if lines else 0
-    if args.keep:
-        keep = Path(args.keep).resolve()
+    named = args.kernels or args.keep
+    if named:
+        keep = Path(named).resolve()
         keep.mkdir(parents=True, exist_ok=True)
         if any(keep.iterdir()):
-            parser.error(f"--keep {args.keep} is not empty")
+            parser.error(f"{'--kernels' if args.kernels else '--keep'} {named} is not empty")
+    if args.kernels:
+        print("\n".join(kernels(keep)))
+        return 0
     with contextlib.nullcontext(keep) if args.keep else \
             tempfile.TemporaryDirectory(prefix="fingerprint-") as work:
         result = fingerprint(Path(work).resolve())
