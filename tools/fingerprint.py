@@ -193,14 +193,13 @@ def _unreached(codes) -> List[str]:
 
 
 def clear_caches() -> List[str]:
-    """Clear the cache of every functools.lru_cache function defined in the
-    shiftlab package, so that each one's body runs again; their `module.qualname`s."""
+    """Clear the cache of every functools.lru_cache function defined at the top
+    level of a shiftlab module, so that each one's body runs again; their
+    `module.qualname`s."""
     cleared = []
     for info in pkgutil.iter_modules(shiftlab.__path__):
         module = importlib.import_module(f"shiftlab.{info.name}")
-        scopes = [vars(module), *(vars(value) for value in vars(module).values()
-                                  if isinstance(value, type))]
-        for value in (value for scope in scopes for value in scope.values()):
+        for value in vars(module).values():
             if callable(getattr(value, "cache_clear", None)) and value.__module__ == module.__name__:
                 value.cache_clear()
                 cleared.append(f"{info.name}.{value.__qualname__}")
