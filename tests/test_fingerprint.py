@@ -1,5 +1,4 @@
 import ast
-import importlib
 import importlib.util
 import json
 import re
